@@ -5,18 +5,22 @@ Run from the repository root:
 
     python3 perfbench/run.py --workload paper-grid --seed 0 --seconds 30 --trace 0
 
-``--trace 0`` repeats the workload for about ``--seconds`` seconds, each
-repetition on the next dataset derived from the seed, and reports the
-end-to-end metrics. ``--trace 1`` runs the first dataset once untraced and
+Each workload's dataset is a fixed base dataset whose sites and taxa are
+shuffled by a permutation drawn from ``--seed``. So every seed gives other
+input bytes and another fold order, but the same problem up to
+relabelling, and the work of a repetition barely depends on the seed.
+
+``--trace 0`` repeats the workload for about ``--seconds`` seconds and
+reports the end-to-end metrics. ``--trace 1`` runs it once untraced and
 once with every public grmlr function wrapped by the span tracer, and
 reports the per-layer metrics. Either way the last repetition's outputs
-are checked against the golden file for the seed (when there is one) and
-against references rebuilt from the public API. The last line of standard
-output is one JSON object; the run exits 1 when an output is wrong or an
-operation failed.
+are checked against every golden file (mapped to the seed's permutation)
+and against references rebuilt from the public API. The last line of
+standard output is one JSON object; the run exits 1 when an output is
+wrong or an operation failed.
 
-``--capture-golden`` runs every dataset of the seed once, checks each
-against the references, and stores the outputs as the seed's golden file.
+``--capture-golden`` runs the workload once, checks it against the
+references, and stores its outputs in base order as the seed's golden file.
 """
 
 from __future__ import annotations
@@ -48,10 +52,18 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench"
 SPEC = ROOT / "BENCHMARK.json"
-SETUP_PROBES = 5
+SETUP_PROCESSES = 5
 COMMAND_TIMEOUT_S = 150
-# dataset j of seed s is synthesized with seed s * DATASET_STRIDE + j
-DATASET_STRIDE = 1000
+# generator seed of every workload's base dataset; --seed only permutes it
+BASE_SEED = 0
+# The speed probe is a fixed pure-Python loop, timed (median of
+# SPEED_PROBE_REPEATS) before and after every repetition. On a shared 2-vCPU
+# VM the speed drifts by ±25% over minutes, and the probe drifts with it, so
+# a repetition's time is rescaled to a machine on which the probe takes
+# SPEED_PROBE_REF_S (about its median on a quiet 2-vCPU 2.0 GHz Xeon VM).
+SPEED_PROBE_LOOPS = 300_000
+SPEED_PROBE_REPEATS = 3
+SPEED_PROBE_REF_S = 0.02
 BLAS_ENV_VARS = (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",
@@ -63,9 +75,7 @@ BLAS_ENV_VARS = (
 
 # 6 configs at the default lambda_l2. With lambda_g = 0 the three alphas
 # give one distinct fit, so 4 of 6 fold fits are distinct. A repetition is
-# short (about a second) so that a run averages many datasets: the L-BFGS
-# iteration count of a graph-regularized fit varies by ~25% between
-# datasets.
+# short (about two seconds) so that a run takes many of them.
 PAPER_GRID = {
     "alpha": [0.0, 0.5, 1.0],
     "lambda_g": [0.0, 10.0],
@@ -112,14 +122,32 @@ def environment_record() -> dict:
 
 @dataclass
 class Rep:
-    """One repetition: its dataset, time, logical fold fits, failures and outputs."""
+    """One repetition: its time, logical fold fits, failures and outputs."""
 
-    dataset: int
     seconds: float
     fits: int
     failures: int
     output: object
     parts: dict = field(default_factory=dict)
+    # mean speed-probe time just before and just after the repetition
+    probe_s: float = SPEED_PROBE_REF_S
+
+    @property
+    def ref_seconds(self) -> float:
+        """The repetition's time rescaled to the reference machine speed."""
+        return self.seconds * SPEED_PROBE_REF_S / self.probe_s
+
+
+def speed_probe() -> float:
+    """Median time of a fixed pure-Python loop: how fast the machine runs right now."""
+    times = []
+    for _ in range(SPEED_PROBE_REPEATS):
+        start = time.perf_counter()
+        total = 0
+        for i in range(SPEED_PROBE_LOOPS):
+            total += i * i
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 class _CatchNonConvergence(warnings.catch_warnings):
@@ -137,9 +165,37 @@ def synthesize(g, n: int, p: int, seed: int):
     return g.synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=seed)
 
 
+def permutations(seed: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(site order, taxa order) of a seed: row i of its dataset is base row site_order[i]."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(n), rng.permutation(p)
+
+
+def permute(g, dataset, site_order, taxa_order):
+    """The dataset with its sites and taxa reordered; ids and names move with their values."""
+    ab = dataset.abundances
+    ids = [ab.site_ids[i] for i in site_order]
+    abundances = g.AbundanceMatrix(
+        ids, [ab.taxa_names[j] for j in taxa_order], ab.values[np.ix_(site_order, taxa_order)]
+    )
+    macro = dataset.macrofauna
+    macro = g.MacrofaunaCounts(list(ids), macro.values[site_order], list(macro.category_names))
+    stages = dataset.stages
+    stages = g.StageLabels(list(ids), [stages.labels[i] for i in site_order], stages.label_set)
+    return g.Dataset(abundances, macro, stages)
+
+
+def seeded_dataset(g, n: int, p: int, seed: int):
+    """The base dataset at n x p, permuted by ``seed``; also returns the site order."""
+    site_order, taxa_order = permutations(seed, n, p)
+    return permute(g, synthesize(g, n, p, BASE_SEED), site_order, taxa_order), site_order
+
+
 class Workload:
     name = ""
     sizes: dict = {}
+    # whether repetition times are rescaled by the speed probe
+    rescaled = True
 
     def __init__(self, g, seed: int, size: str, workdir: Path) -> None:
         self.g = g
@@ -149,13 +205,11 @@ class Workload:
         self.config = g.GrmlrConfig()
 
     def setup(self) -> None:
-        n, p = self.params["n"], self.params["p"]
-        self.datasets = [
-            synthesize(self.g, n, p, self.seed * DATASET_STRIDE + j)
-            for j in range(self.params["datasets"])
-        ]
+        self.dataset, self.site_order = seeded_dataset(
+            self.g, self.params["n"], self.params["p"], self.seed
+        )
 
-    def run(self, j: int, tracer=None) -> Rep:
+    def run(self, tracer=None) -> Rep:
         raise NotImplementedError
 
     def check(self, rep: Rep, golden) -> tuple[checks.CheckResult, dict]:
@@ -168,18 +222,18 @@ class PaperGrid(Workload):
         "full": {
             "n": 13,
             "p": 26,
-            "datasets": 40,
             "grid": PAPER_GRID,
             "probes": [{"alpha": 0.5, "lambda_g": 10.0}, {"alpha": 1.0, "lambda_g": 0.0}],
             "pool_B": 8,
+            "cli_probe": True,
         },
         "toy": {
             "n": 9,
             "p": 8,
-            "datasets": 2,
             "grid": TOY_GRID,
             "probes": [{"alpha": 0.5, "lambda_g": 10.0, "lambda_l2": 0.001}],
             "pool_B": 2,
+            "cli_probe": True,
         },
     }
 
@@ -190,9 +244,8 @@ class PaperGrid(Workload):
             for combo in itertools.product(*grid.values())
         ]
 
-    def run(self, j, tracer=None) -> Rep:
-        j %= len(self.datasets)
-        dataset = self.datasets[j]
+    def run(self, tracer=None) -> Rep:
+        dataset = self.dataset
         with _CatchNonConvergence(self.g) as caught:
             start = time.perf_counter()
             result = self.g.grid_search(dataset, self.params["grid"], workers=1)
@@ -200,11 +253,11 @@ class PaperGrid(Workload):
         entries = [[e.index, e.accuracy, e.macro_f1, e.error] for e in result.entries]
         n = dataset.n_sites
         errors = sum(1 for e in result.entries if e.error is not None)
-        return Rep(j, seconds, len(self.configs()) * n, errors * n + len(caught), entries)
+        return Rep(seconds, len(self.configs()) * n, errors * n + len(caught), entries)
 
     def check(self, rep, golden):
         res = checks.CheckResult()
-        dataset = self.datasets[rep.dataset]
+        dataset = self.dataset
         configs = self.configs()
         entries = rep.output
         res.expect(len(entries) == len(configs), f"{len(entries)} grid entries for {len(configs)}")
@@ -245,39 +298,43 @@ class PaperGrid(Workload):
 class StressLoocv(Workload):
     name = "stress-loocv"
     sizes = {
-        "full": {"n": 60, "p": 200, "datasets": 8},
-        "toy": {"n": 12, "p": 20, "datasets": 2},
+        "full": {"n": 40, "p": 160},
+        "toy": {"n": 12, "p": 20},
     }
 
-    def run(self, j, tracer=None) -> Rep:
-        j %= len(self.datasets)
-        dataset = self.datasets[j]
+    def run(self, tracer=None) -> Rep:
+        dataset = self.dataset
         with _CatchNonConvergence(self.g) as caught:
             start = time.perf_counter()
             report = self.g.loocv(dataset, self.config, keep_models=True)
             seconds = time.perf_counter() - start
         failures = len(caught) + len(report.skipped_folds)
-        return Rep(j, seconds, dataset.n_sites, failures, report)
+        return Rep(seconds, dataset.n_sites, failures, report)
 
     def check(self, rep, golden):
         res = checks.CheckResult()
-        dataset = self.datasets[rep.dataset]
+        dataset = self.dataset
         record = checks.check_loocv(self.g, dataset, rep.output, golden, res, "loocv")
         return res, record
 
 
 class CliRoundtrip(Workload):
-    """Every repetition runs the commands on the first dataset, written as CSV at set-up."""
+    """Every repetition runs the commands on the dataset, written as CSV at set-up.
+
+    Its time is not rescaled: it is spent in fresh interpreter processes,
+    whose start-up and imports the in-process speed probe does not track.
+    """
 
     name = "cli-roundtrip"
-    sizes = {"full": {"n": 13, "p": 26, "datasets": 1}, "toy": {"n": 9, "p": 8, "datasets": 1}}
+    sizes = {"full": {"n": 13, "p": 26}, "toy": {"n": 9, "p": 8}}
+    rescaled = False
     commands = ("version", "fit", "predict", "loocv")
 
     def setup(self) -> None:
         super().setup()
         names = ("abundances", "macrofauna", "labels")
         self.inputs = {name: self.workdir / f"{name}.csv" for name in names}
-        self.g.save_dataset(self.datasets[0], *(self.inputs[name] for name in names))
+        self.g.save_dataset(self.dataset, *(self.inputs[name] for name in names))
 
     def argv(self, command: str) -> list[str]:
         data = [
@@ -295,7 +352,7 @@ class CliRoundtrip(Workload):
             return ["predict", "--model", model, "--abundances", str(self.inputs["abundances"]), *out]
         return ["eval", "loocv", *data, *out]
 
-    def run(self, j, tracer=None) -> Rep:
+    def run(self, tracer=None) -> Rep:
         parts, failures, outputs = {}, 0, {}
         for command in self.commands:
             if tracer is None:
@@ -318,12 +375,12 @@ class CliRoundtrip(Workload):
                 )
                 tracer.merge(spans)
         seconds = sum(parts[f"cli_{c}_s"] for c in self.commands)
-        fits = 1 + self.datasets[0].n_sites  # fit, then one per LOOCV fold
-        return Rep(0, seconds, fits, failures, outputs, parts)
+        fits = 1 + self.dataset.n_sites  # fit, then one per LOOCV fold
+        return Rep(seconds, fits, failures, outputs, parts)
 
     def check(self, rep, golden):
         g = self.g
-        dataset = self.datasets[0]
+        dataset = self.dataset
         res = checks.CheckResult()
         for command, out in rep.output.items():
             res.expect(out["exit"] == 0, f"grmlr {command} exited {out['exit']}")
@@ -360,7 +417,10 @@ class CliRoundtrip(Workload):
         res.expect(len(predicted) == n, f"{len(predicted)} prediction rows for {n} sites")
         if golden is not None:
             res.expect(predicted == golden["predicted"], "predicted labels differ from golden")
-            res.expect(checks.close(probs, golden["probabilities"]), "probabilities differ from golden")
+            res.expect(
+                checks.close(probs, golden["probabilities"], checks.GOLDEN_PROBA_ATOL),
+                "probabilities differ from golden",
+            )
 
         report_file = json.loads((self.workdir / "loocv" / "loocv_report.json").read_text("utf-8"))
         report = g.loocv(dataset, self.config, keep_models=True)
@@ -487,7 +547,7 @@ def pool_probe(g, dataset, seed: int, B: int) -> tuple[dict, checks.CheckResult,
         "pool.plan_bytes": layers["evaluation.plan_bytes"],
         "pool.task_bytes": layers["evaluation.task_bytes"],
     }
-    rep = Rep(0, sum(seconds), 2 * (B + 1) * dataset.n_sites, len(caught), reports)
+    rep = Rep(sum(seconds), 2 * (B + 1) * dataset.n_sites, len(caught), reports)
     return metrics, res, tracer, rep
 
 
@@ -507,25 +567,41 @@ def parse_args(argv=None):
 
 
 def setup_seconds(args) -> float:
-    """Median wall time of fresh processes that import grmlr and build the inputs."""
+    """Median time of fresh processes that import grmlr and build the inputs.
+
+    Each time is rescaled by the speed probes just before and after it.
+    """
     cmd = [
         sys.executable, str(HERE / "run.py"), "--setup-only",
         "--workload", args.workload, "--seed", str(args.seed), "--size", args.size,
     ]  # fmt: skip
-    times = []
-    for _ in range(SETUP_PROBES):
+    times, before = [], speed_probe()
+    for _ in range(SETUP_PROCESSES):
         start = time.perf_counter()
         subprocess.run(cmd, check=True, timeout=COMMAND_TIMEOUT_S, stdout=subprocess.DEVNULL)
-        times.append(time.perf_counter() - start)
+        seconds = time.perf_counter() - start
+        after = speed_probe()
+        times.append(seconds * SPEED_PROBE_REF_S / ((before + after) / 2))
+        before = after
     return statistics.median(times)
 
 
 def measure(workload: Workload, seconds: float) -> list[Rep]:
-    """Repeats the workload while the next repetition should fit in ``seconds``."""
+    """Repeats the workload while the next repetition should fit in ``seconds``.
+
+    One untimed repetition first lets lazy imports and caches settle. The
+    speed probe runs between repetitions, outside their timed regions.
+    """
+    workload.run()
     reps: list[Rep] = []
     start = time.perf_counter()
+    before = speed_probe() if workload.rescaled else SPEED_PROBE_REF_S
     while True:
-        reps.append(workload.run(len(reps)))
+        rep = workload.run()
+        if workload.rescaled:
+            after = speed_probe()
+            rep.probe_s, before = (before + after) / 2, after
+        reps.append(rep)
         elapsed = time.perf_counter() - start
         if elapsed + statistics.median(r.seconds for r in reps) > seconds:
             return reps
@@ -539,8 +615,8 @@ def peak_rss_mb() -> float:
 
 def end_to_end(reps: list[Rep]) -> dict[str, float]:
     return {
-        "wall_s": statistics.median(r.seconds for r in reps),
-        "fits_per_s": sum(r.fits for r in reps) / sum(r.seconds for r in reps),
+        "ref_wall_s": statistics.median(r.ref_seconds for r in reps),
+        "ref_fits_per_s": statistics.median(r.fits / r.ref_seconds for r in reps),
         "peak_rss_mb": peak_rss_mb(),
     }
 
@@ -550,8 +626,8 @@ def per_layer(args, workload, plain: Rep, traced: Rep, tracer: Tracer) -> dict[s
     metrics = layer_metrics(tracer.spans)
     metrics["model.wall_frac"] = metrics["model.fit_s"] / traced.seconds
     metrics["evaluation.build_plan_frac"] = metrics["evaluation.build_plan_s"] / traced.seconds
-    metrics["model.objective_grad_us"] = objective_grad_us(g, workload.datasets[0])
-    distinct, total = default_grid_distinct(g, synthesize(g, 13, 26, args.seed * DATASET_STRIDE))
+    metrics["model.objective_grad_us"] = objective_grad_us(g, workload.dataset)
+    distinct, total = default_grid_distinct(g, seeded_dataset(g, 13, 26, args.seed)[0])
     metrics["model.default_grid_distinct_frac"] = distinct / total
     metrics["cli.import_s"], metrics["cli.import_scipy_optimize_s"] = import_times()
     for command in CliRoundtrip.commands:
@@ -564,18 +640,48 @@ def per_layer(args, workload, plain: Rep, traced: Rep, tracer: Tracer) -> dict[s
     return metrics
 
 
+def cli_probe(g, seed: int, size: str, workdir: Path, goldens: dict):
+    """The ``cli-roundtrip`` commands once untraced and once traced, then checked.
+
+    Returns (metrics, check, tracer, reps). This measures the ``cli`` layer
+    in the traced ``paper-grid`` run; cli-roundtrip is not a timed workload.
+    """
+    cli = CliRoundtrip(g, seed, size, workdir)
+    cli.workdir.mkdir()
+    cli.setup()
+    plain = cli.run()
+    tracer = Tracer()
+    traced = cli.run(tracer)
+    metrics = {"dataset.load_s": layer_metrics(tracer.spans)["dataset.load_s"]}
+    for command in CliRoundtrip.commands:
+        metrics[f"cli.{command}_s"] = plain.parts[f"cli_{command}_s"]
+        if command != "version":
+            metrics[f"cli.{command}_main_s"] = traced.parts.get(f"cli_{command}_main_s", 0.0)
+    return metrics, check_against(cli, traced, goldens), tracer, [plain, traced]
+
+
+def check_against(workload, rep: Rep, goldens: dict) -> checks.CheckResult:
+    """Checks a repetition against every golden record, or the references alone."""
+    result = checks.CheckResult()
+    for record in goldens.values() or [None]:
+        if record is not None:
+            record = checks.from_base(record, workload.site_order)
+        result.absorb(workload.check(rep, record)[0])
+    return result
+
+
 def traced_run(args, workload):
-    """One untraced and one traced repetition on dataset 0, plus the extras.
+    """One untraced and one traced repetition, plus the extras.
 
     Returns (metrics, reps, extra check or None, tracer); reps[1] is the
     traced repetition.
     """
-    plain = workload.run(0)
+    plain = workload.run()
     tracer = Tracer()
     tracer.install()
     try:
         workload.setup()
-        traced = workload.run(0, tracer)
+        traced = workload.run(tracer)
     finally:
         tracer.uninstall()
     tracer.finish()
@@ -585,11 +691,21 @@ def traced_run(args, workload):
     metrics.update(dict.fromkeys(pool_names, 0.0))
     if "pool_B" in workload.params:
         pool, extra, pool_tracer, pool_rep = pool_probe(
-            workload.g, workload.datasets[0], args.seed, workload.params["pool_B"]
+            workload.g, workload.dataset, args.seed, workload.params["pool_B"]
         )
         metrics.update(pool)
         tracer.merge(pool_tracer.spans)
         reps.append(pool_rep)
+    if workload.params.get("cli_probe"):
+        goldens = checks.load_goldens(CliRoundtrip.name) if args.size == "full" else {}
+        cli, cli_check, cli_tracer, cli_reps = cli_probe(
+            workload.g, args.seed, args.size, workload.workdir / "cli", goldens
+        )
+        metrics.update(cli)
+        extra = extra or checks.CheckResult()
+        extra.absorb(cli_check)
+        tracer.merge(cli_tracer.spans)
+        reps += cli_reps
     return metrics, reps, extra, tracer
 
 
@@ -606,7 +722,7 @@ def main(argv=None) -> int:
             return 0
         if args.capture_golden:
             return capture(args, workload)
-        goldens = checks.load_golden(args.seed, args.workload) if args.size == "full" else {}
+        goldens = checks.load_goldens(args.workload) if args.size == "full" else {}
         if args.trace:
             metrics, reps, extra, tracer = traced_run(args, workload)
             target = reps[1]
@@ -618,8 +734,7 @@ def main(argv=None) -> int:
             # the CLI keeps only the last repetition's files, so that one is checked
             target = reps[-1]
             wanted = spec["end_to_end"]
-        golden = goldens.get(str(target.dataset))
-        result, _ = workload.check(target, golden)
+        result = check_against(workload, target, goldens)
         if extra is not None:
             result.absorb(extra)
         attempted = sum(r.fits for r in reps)
@@ -635,7 +750,7 @@ def main(argv=None) -> int:
         else:
             metrics["setup_s"] = setup_seconds(args)
         correct = result.ok and failed == 0
-        report(args, reps, metrics, wanted, check_values, golden is not None, result)
+        report(args, reps, metrics, wanted, check_values, sorted(goldens), result)
         print(
             json.dumps(
                 {
@@ -654,24 +769,24 @@ def main(argv=None) -> int:
 
 
 def capture(args, workload) -> int:
-    records = {}
-    for j in range(len(workload.datasets)):
-        rep = workload.run(j)
-        result, records[str(j)] = workload.check(rep, None)
-        if not result.ok or rep.failures:
-            print(f"dataset {j} not captured: " + "; ".join(result.messages), file=sys.stderr)
-            return 1
-    print(f"wrote {checks.store_golden(args.seed, args.workload, records)}")
+    rep = workload.run()
+    result, record = workload.check(rep, None)
+    if not result.ok or rep.failures:
+        print("not captured: " + "; ".join(result.messages), file=sys.stderr)
+        return 1
+    record = checks.to_base(record, workload.site_order)
+    print(f"wrote {checks.store_golden(args.seed, args.workload, record)}")
     return 0
 
 
-def report(args, reps, metrics, wanted, check_values, has_golden, result) -> None:
+def report(args, reps, metrics, wanted, check_values, golden_seeds, result) -> None:
     """Human-readable lines before the final JSON line."""
     print(
         f"perfbench {args.workload} seed={args.seed} size={args.size} trace={args.trace} "
-        f"datasets={[r.dataset for r in reps]} rep_s={[round(r.seconds, 3) for r in reps]} "
-        f"golden={'yes' if has_golden else 'no'}"
+        f"rep_s={[round(r.seconds, 3) for r in reps]} golden_seeds={golden_seeds}"
     )
+    print(f"  probe_s={[round(r.probe_s, 4) for r in reps]}")
+    print(f"  {'raw wall_s (median)':<36} {statistics.median(r.seconds for r in reps):>16.6g} s")
     for m in wanted:
         print(f"  {m['name']:<36} {metrics[m['name']]:>16.6g} {m['unit']:<6} {m['better']} is better")
     parts = {}

@@ -23,6 +23,7 @@ BENCH = Path(__file__).resolve().parents[1]
 ROOT = BENCH.parent
 sys.path.insert(0, str(BENCH))
 
+import checks  # noqa: E402
 import run  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
@@ -98,7 +99,7 @@ def _perturb(workload: str, wl, rep) -> None:
 def test_check_fails_when_one_output_is_perturbed(g, workload, tmp_path):
     wl = run.WORKLOADS[workload](g, SEED, "toy", tmp_path)
     wl.setup()
-    rep = wl.run(0)
+    rep = wl.run()
     result, record = wl.check(rep, None)
     assert result.ok, result.messages
     golden = json.loads(json.dumps(record))  # as stored in a golden file
@@ -108,10 +109,30 @@ def test_check_fails_when_one_output_is_perturbed(g, workload, tmp_path):
     assert not wl.check(rep, None)[0].ok
 
 
+@pytest.mark.parametrize("workload", sorted(run.WORKLOADS))
+def test_golden_of_one_seed_checks_another(g, workload, tmp_path):
+    """Goldens are stored in base order and mapped onto each seed's permutation."""
+    records = {}
+    for seed in (SEED, SEED + 1):
+        (tmp_path / str(seed)).mkdir()
+        wl = run.WORKLOADS[workload](g, seed, "toy", tmp_path / str(seed))
+        wl.setup()
+        rep = wl.run()
+        result, record = wl.check(rep, None)
+        assert result.ok, result.messages
+        base = json.loads(json.dumps(checks.to_base(record, wl.site_order)))
+        assert checks.from_base(base, wl.site_order) == json.loads(json.dumps(record))
+        records[seed] = (wl, rep, base)
+    assert list(records[SEED][0].site_order) != list(records[SEED + 1][0].site_order)
+    wl, rep, _ = records[SEED + 1]
+    result, _ = wl.check(rep, checks.from_base(records[SEED][2], wl.site_order))
+    assert result.ok, result.messages
+
+
 def test_golden_check_pins_every_grid_entry(g, tmp_path):
     wl = run.PaperGrid(g, SEED, "toy", tmp_path)
     wl.setup()
-    rep = wl.run(0)
+    rep = wl.run()
     golden = json.loads(json.dumps(wl.check(rep, None)[1]))
     rep.output[-1][2] += 0.01  # macro-F1 of the last-ranked entry
     assert not wl.check(rep, golden)[0].ok
@@ -121,13 +142,21 @@ def test_golden_check_pins_every_grid_entry(g, tmp_path):
 def test_objective_check_fails_for_a_worse_model(g, tmp_path, use_golden):
     wl = run.StressLoocv(g, SEED, "toy", tmp_path)
     wl.setup()
-    rep = wl.run(0)
+    rep = wl.run()
     _, golden = wl.check(rep, None)
     model = rep.output.fold_models[0]
     rep.output.fold_models[0] = replace(model, weights=np.asarray(model.weights) * 1.01)
     result, _ = wl.check(rep, golden if use_golden else None)
     assert not result.ok
     assert result.objective_excess > 1e-7
+
+
+def test_repetition_time_is_rescaled_by_the_speed_probe():
+    slow = run.Rep(2.0, 10, 0, None, probe_s=2 * run.SPEED_PROBE_REF_S)
+    assert slow.ref_seconds == pytest.approx(1.0)
+    assert run.end_to_end([slow])["ref_fits_per_s"] == pytest.approx(10.0)
+    assert run.Rep(2.0, 10, 0, None).ref_seconds == 2.0  # not probed: raw time
+    assert not run.CliRoundtrip.rescaled and run.PaperGrid.rescaled
 
 
 def test_tracer_wraps_imported_names_and_restores_them(g):
