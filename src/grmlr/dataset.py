@@ -71,6 +71,13 @@ class AbundanceMatrix:
             raise InvalidValue("duplicate site ids in abundance table")
         if len(set(self.taxa_names)) != p:
             raise InvalidValue("duplicate taxa names in abundance table")
+        bad_cells = np.argwhere(~np.isfinite(self.values))
+        if bad_cells.size:
+            i, j = bad_cells[0]
+            raise InvalidValue(
+                f"non-finite abundance {self.values[i, j]} at site '{self.site_ids[i]}', "
+                f"taxon '{self.taxa_names[j]}'"
+            )
         neg = np.argwhere(self.values < 0)
         if neg.size:
             i, j = neg[0]

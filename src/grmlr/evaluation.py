@@ -232,7 +232,7 @@ def _run_plan(
         a_co = a_co_from_correlations(co, config.gamma)
         adjacency = config.alpha * a_macro + (1.0 - config.alpha) * a_co
         laplacian = laplacian_of(adjacency)
-        W, b, _ = fit_arrays(plan.features[fold.train_idx], y_train, K, s, laplacian, config)
+        W, b, info = fit_arrays(plan.features[fold.train_idx], y_train, K, s, laplacian, config)
         scores = plan.features[fold.test_index] @ W.T + b
         pred = int(np.argmax(scores))
         per_fold.append(
@@ -251,6 +251,9 @@ def _run_plan(
                     label_set=plan.label_set,
                     hyperparams=config,
                     feature_mode=plan.feature_mode,
+                    converged=info["converged"],
+                    n_iterations=info["n_iterations"],
+                    final_loss=info["final_loss"],
                 )
             )
     correct = sum(1 for f in per_fold if f.true_label == f.predicted_label)

@@ -10,8 +10,10 @@ by minimizing
 
 where L is the graph Laplacian over taxa and s_i are per-sample weights.
 The bias b is excluded from both penalties. The objective is convex
-(cross-entropy plus positive semi-definite quadratics), so the quasi-Newton
-fit from W = 0, b = 0 is reproducible and initialization-independent.
+(cross-entropy plus positive semi-definite quadratics) and has only
+K(p + 1) parameters, so it is fitted by damped Newton with the exact
+Hessian from W = 0, b = 0; the fit is reproducible and
+initialization-independent.
 
 Training consumes macrofauna counts only through the graph; prediction
 needs nothing but an abundance table, which is the whole point of the
@@ -20,6 +22,7 @@ decoupled deployment scheme.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -27,7 +30,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .compositional import FeatureMatrix, clr_transform, raw_features
 from .dataset import Dataset, StageLabels
@@ -49,6 +51,10 @@ MODEL_FORMAT_VERSION = 1
 # Gradient max-norm above which hitting the iteration cap is reported
 # as non-convergence.
 _NONCONVERGENCE_GRAD_NORM = 1e-3
+# Sufficient-decrease constant of the Armijo line search, and the most step
+# halvings tried before concluding that no step decreases the objective.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 50
 
 _SCOPES = ("train", "all")
 _FEATURE_MODES = ("clr", "raw")
@@ -274,6 +280,58 @@ def _objective(
     return value, _pack(GW, gb)
 
 
+def _data_hessian(V: np.ndarray, X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Hessian of the weighted cross-entropy at V = [W | b], class-block order.
+
+    Parameters are ordered [w_1, b_1, ..., w_K, b_K]. The Hessian is
+    sum_i c_i (diag P_i - P_i P_i^T) kron x_i x_i^T with x_i = [z_i, 1]:
+    block (k, m) is (X w_km)^T X with w_km = c (delta_km P_k - P_k P_m).
+    The K(K+1)/2 distinct blocks come from one batched matrix product.
+    """
+    K, d = V.shape
+    P = softmax_rows(X @ V.T)
+    rows, cols = _class_pairs(K)
+    weights = c[:, None] * P[:, rows] * ((rows == cols) - P[:, cols])
+    blocks = np.matmul((weights.T[:, :, None] * X).transpose(0, 2, 1), X)
+    H = np.empty((K, d, K, d))
+    for block, k, m in zip(blocks, rows, cols):
+        H[k, :, m, :] = H[m, :, k, :] = block
+    return H.reshape(K * d, K * d)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_pairs(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class pairs (k, m) with k <= m, as two read-only index arrays."""
+    rows, cols = np.triu_indices(K)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _flat_directions(
+    X: np.ndarray, c: np.ndarray, curvature: np.ndarray, K: int, ridge: bool
+) -> np.ndarray:
+    """Orthonormal basis of the directions along which the objective is constant.
+
+    Columns are in class-block order. Shifting every bias by the same
+    amount changes no probability, so the unit vector u of that shift is
+    always flat. With a ridge (lambda_l2 > 0) it is the only one. Without
+    it, a direction is flat when it moves all K scores of every sample by
+    one common amount and the penalty ``curvature`` does not see it: CLR
+    rows and Laplacian rows both sum to zero, so each w_k can move along
+    the all-ones vector for free. That set does not depend on the
+    probabilities, so it is the numerical null space of the Hessian at
+    W = 0, b = 0 (numpy's matrix-rank tolerance).
+    """
+    d = X.shape[1]
+    if ridge:
+        u = np.zeros((K, d))
+        u[:, -1] = 1.0 / np.sqrt(K)
+        return u.reshape(K * d, 1)
+    evals, evecs = np.linalg.eigh(_data_hessian(np.zeros((K, d)), X, c) + curvature)
+    return evecs[:, evals <= evals[-1] * K * d * np.finfo(float).eps]
+
+
 def fit_arrays(
     Z: np.ndarray,
     y: np.ndarray,
@@ -283,33 +341,74 @@ def fit_arrays(
     config: GrmlrConfig,
     track_history: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Quasi-Newton minimization of the regularized objective from zero.
+    """Damped exact-Newton minimization of the regularized objective from zero.
 
     Low-level core shared by :func:`fit` and the evaluation harness.
-    Returns (W, b, info) where info records convergence diagnostics.
+    Starting from W = 0, b = 0, each iteration solves the Newton system
+    with the exact Hessian (:func:`_data_hessian` plus the penalty
+    2 lambda_l2 I + 2 lambda_g L on every w_k) and backtracks by halving
+    until the Armijo condition holds. The objective is exactly flat along
+    a few directions (:func:`_flat_directions`): always the equal shift u
+    of all biases, and without a ridge also, for CLR features, each w_k
+    along the all-ones vector. Adding N N^T for an orthonormal basis N of
+    them (just u u^T when lambda_l2 > 0) makes the system nonsingular; the
+    gradient is orthogonal to them and the step is projected off them, so
+    the fit never moves along them and the biases keep summing to zero.
+
+    It stops when the gradient max-norm is at most ``config.gtol``, when
+    the relative decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) of an
+    accepted step is at most ``config.ftol``, when no step along the Newton
+    direction passes the Armijo test, or after ``config.max_iters``
+    iterations; the last case with a gradient max-norm above 1e-3 warns
+    :class:`NonConvergenceWarning` and reports ``converged=False``.
+
+    Returns (W, b, info) where info records convergence diagnostics; with
+    ``track_history`` its ``loss_history`` holds the objective at the start
+    and after every accepted step.
     """
     n, p = Z.shape
+    d = p + 1
     args = (Z, y, K, sample_weights, laplacian, config.lambda_l2, config.lambda_g)
-    x0 = np.zeros(K * p + K)
-    history: Optional[list[float]] = None
-    callback = None
-    if track_history:
-        history = [float(_objective(x0, *args)[0])]
-
-        def callback(xk: np.ndarray) -> None:
-            history.append(float(_objective(xk, *args)[0]))
-
-    result = minimize(
-        _objective,
-        x0,
-        args=args,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={"ftol": config.ftol, "gtol": config.gtol, "maxiter": config.max_iters},
-    )
-    grad_norm = float(np.abs(result.jac).max()) if result.jac is not None else float("inf")
-    hit_cap = result.nit >= config.max_iters
+    X = np.hstack([Z, np.ones((n, 1))])
+    c = np.asarray(sample_weights, dtype=float) / n
+    penalty = np.zeros((d, d))
+    penalty[:p, :p] = 2.0 * config.lambda_l2 * np.eye(p) + 2.0 * config.lambda_g * laplacian
+    curvature = np.kron(np.eye(K), penalty)
+    flat = _flat_directions(X, c, curvature, K, config.lambda_l2 > 0.0)
+    curvature += flat @ flat.T
+    # theta holds [vec(W), b]; theta[blocks] is the class-block order
+    blocks = np.hstack([np.arange(K * p).reshape(K, p), np.arange(K * p, K * d)[:, None]])
+    blocks = blocks.ravel()
+    theta = np.zeros(K * d)
+    value, grad = _objective(theta, *args)
+    history = [float(value)] if track_history else None
+    n_iter = 0
+    while np.abs(grad).max() > config.gtol and n_iter < config.max_iters:
+        H = _data_hessian(theta[blocks].reshape(K, d), X, c) + curvature
+        newton = np.linalg.solve(H, -grad[blocks])
+        step = np.empty_like(theta)
+        step[blocks] = newton - flat @ (flat.T @ newton)
+        slope = float(grad @ step)
+        if not slope < 0.0:
+            break
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta + t * step
+            trial_value, trial_grad = _objective(trial, *args)
+            if trial_value <= value + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        n_iter += 1
+        decrease = (value - trial_value) / max(abs(value), abs(trial_value), 1.0)
+        theta, value, grad = trial, trial_value, trial_grad
+        if history is not None:
+            history.append(float(value))
+        if decrease <= config.ftol:
+            break
+    grad_norm = float(np.abs(grad).max())
+    hit_cap = n_iter >= config.max_iters
     converged = not (hit_cap and grad_norm > _NONCONVERGENCE_GRAD_NORM)
     if not converged:
         warnings.warn(
@@ -318,12 +417,12 @@ def fit_arrays(
             NonConvergenceWarning,
             stacklevel=2,
         )
-    W = result.x[: K * p].reshape(K, p)
-    b = result.x[K * p :]
+    W = theta[: K * p].reshape(K, p)
+    b = theta[K * p :]
     info = {
         "converged": converged,
-        "n_iterations": int(result.nit),
-        "final_loss": float(result.fun),
+        "n_iterations": n_iter,
+        "final_loss": float(value),
         "grad_max_norm": grad_norm,
         "loss_history": history,
     }

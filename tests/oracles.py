@@ -89,9 +89,9 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def fit_plain_l2_mlr(Z, y_idx, K, sample_weights, lam_l2, ftol, gtol, max_iters=15000):
     """Independently coded weighted L2 multinomial logistic regression.
 
-    Uses a logsumexp objective and numeric-friendly probabilities; same
-    optimizer contract as the package but none of its code. Returns the
-    minimized loss value.
+    Uses a logsumexp objective and scipy's L-BFGS-B with the package's
+    ftol/gtol/max_iters stopping parameters, but none of its code. Returns
+    the minimized loss value.
     """
     Z = np.asarray(Z, float)
     n, p = Z.shape

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grmlr.dataset import (
+    AbundanceMatrix,
     Dataset,
     StageLabels,
     load_dataset,
@@ -107,6 +110,31 @@ class TestLoad:
         path.write_text("site_id,a,b\ns1,-0.1,1.1\n")
         with pytest.raises(NegativeValue):
             load_dataset(path)
+
+    def test_nan_abundance(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("site_id,a,b\ns1,0.5,0.5\ns2,nan,1.0\n")
+        with pytest.raises(InvalidValue, match="site 's2', taxon 'a'"):
+            load_dataset(path)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    p=st.integers(min_value=2, max_value=6),
+    cell=st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)),
+    bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80)
+def test_non_finite_abundance_rejected(n, p, cell, bad, seed):
+    raw = np.random.default_rng(seed).uniform(0.01, 1.0, size=(n, p))
+    values = raw / raw.sum(axis=1, keepdims=True)
+    i, j = cell[0] % n, cell[1] % p
+    values[i, j] = bad
+    sites = [f"s{k}" for k in range(n)]
+    taxa = [f"t{k}" for k in range(p)]
+    with pytest.raises(InvalidValue, match=f"site '{sites[i]}', taxon '{taxa[j]}'"):
+        AbundanceMatrix(sites, taxa, values)
 
 
 class TestRoundTrip:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from grmlr.compositional import clr_transform
 from grmlr.dataset import (
     AbundanceMatrix,
     Dataset,
@@ -24,7 +25,8 @@ from grmlr.evaluation import (
     write_eval_report,
     write_grid_csv,
 )
-from grmlr.model import GrmlrConfig, GrmlrModel
+from grmlr.ecograph import build_graph
+from grmlr.model import GrmlrConfig, GrmlrModel, class_balanced_weights, loss
 
 SMALL_GRID = {
     "alpha": [0.0, 0.5],
@@ -100,6 +102,22 @@ class TestLoocv:
         assert report.skipped_folds == ["s4"]
         assert len(report.per_fold) == 4
         assert 0.0 <= report.accuracy <= 1.0
+
+    def test_fold_models_keep_solver_diagnostics(self, noisy):
+        config = GrmlrConfig()
+        report = loocv(noisy, config, keep_models=True)
+        assert len(report.fold_models) == noisy.n_sites
+        for i, model in enumerate(report.fold_models):
+            assert model.converged and model.n_iterations >= 1
+            fold = noisy.subset([j for j in range(noisy.n_sites) if j != i])
+            feats = clr_transform(fold.abundances, config.epsilon)
+            graph = build_graph(
+                feats, fold.macrofauna, tau=config.tau, gamma=config.gamma, alpha=config.alpha
+            )
+            s = class_balanced_weights(fold.stages)
+            assert model.final_loss == pytest.approx(
+                loss(model, feats, fold.stages, graph, s), abs=1e-12
+            )
 
     def test_holdout_macrofauna_never_influences_fold(self, noisy):
         config = GrmlrConfig()

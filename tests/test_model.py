@@ -1,8 +1,14 @@
 """Classifier core: softmax, loss, gradient, fitting, prediction, I/O."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grmlr
 from grmlr.compositional import FeatureMatrix, clr_transform
 from grmlr.dataset import StageLabels, synthesize_dataset
 from grmlr.ecograph import fuse
@@ -19,6 +25,7 @@ from grmlr.model import (
     GrmlrModel,
     class_balanced_weights,
     fit,
+    fit_arrays,
     load_model,
     loss,
     loss_gradient,
@@ -27,7 +34,7 @@ from grmlr.model import (
     save_model,
 )
 
-from oracles import loss_by_terms, trace_penalty_bruteforce
+from oracles import fit_plain_l2_mlr, loss_by_terms, trace_penalty_bruteforce
 
 
 def _model(W, b, taxa=None, labels=("juvenile", "adult", "dead"), config=None, **kw):
@@ -332,6 +339,43 @@ class TestFit:
         assert predict(model2, synth_dataset.abundances).labels == predict(
             model, synth_dataset.abundances
         ).labels
+
+
+class TestNewtonSolver:
+    @pytest.mark.parametrize("lam_l2", [0.0, 0.02])
+    @pytest.mark.parametrize("lam_g", [0.0, 5.0])
+    def test_clr_all_ones_direction_stays_unused(self, synth_dataset, lam_l2, lam_g):
+        # CLR rows and Laplacian rows sum to zero, so without the ridge any
+        # w_k can move along the all-ones vector at no cost; the fit must not
+        config = GrmlrConfig(lambda_l2=lam_l2, lambda_g=lam_g)
+        model, graph = fit(synth_dataset, config)
+        W = model.weights
+        assert np.abs(W.sum(axis=1)).max() <= 1e-8 * np.abs(W).max()
+        feats = clr_transform(synth_dataset.abundances, config.epsilon)
+        s = class_balanced_weights(synth_dataset.stages)
+        assert loss(model, feats, synth_dataset.stages, graph, s) >= 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("lam_l2", [0.001, 0.02, 0.1])
+    def test_no_worse_than_independent_lbfgs(self, seed, lam_l2):
+        ds = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.4, seed=seed)
+        feats = clr_transform(ds.abundances, 1e-6)
+        y = ds.stages.indices()
+        s = class_balanced_weights(ds.stages)
+        config = GrmlrConfig(lambda_l2=lam_l2, lambda_g=0.0)
+        _, _, info = fit_arrays(feats.values, y, 3, s, np.zeros((26, 26)), config)
+        oracle = fit_plain_l2_mlr(feats.values, y, 3, s, lam_l2, config.ftol, config.gtol)
+        assert info["final_loss"] <= oracle * (1 + 1e-9)
+
+    def test_import_does_not_load_scipy(self):
+        code = (
+            "import grmlr, sys; "
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        )
+        env = dict(os.environ)
+        src = str(Path(grmlr.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestPredict:
