@@ -22,16 +22,16 @@ the output directory. Exit codes: 0 ok, 1 input/validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
-from .dataset import load_dataset, save_dataset, synthesize_dataset
+from .dataset import _write_json, load_dataset, save_dataset, synthesize_dataset
 from .ecograph import build_graph, export_heatmaps
 from .errors import GrmlrError, InvalidValue, IoFailure, NonConvergenceWarning
 from .evaluation import (
@@ -50,7 +50,7 @@ from .evaluation import (
     write_grid_csv,
     write_permutation_report,
 )
-from .model import GrmlrConfig, build_features, fit, load_model, predict, predict_proba, save_model
+from .model import GrmlrConfig, build_features, fit, load_model, predict_proba, save_model
 from .svgplot import bar_chart, line_chart
 
 EXIT_OK = 0
@@ -76,22 +76,6 @@ def _bool_from_str(text: str) -> bool:
     raise InvalidValue(f"expected a boolean, got {text!r}")
 
 
-_FIELD_PARSERS = {
-    "epsilon": float,
-    "tau": float,
-    "gamma": float,
-    "alpha": float,
-    "lambda_l2": float,
-    "lambda_g": float,
-    "ftol": float,
-    "gtol": float,
-    "max_iters": int,
-    "class_balanced": _bool_from_str,
-    "co_occurrence_scope": str,
-    "seed": int,
-}
-
-
 def _parse_kv_lines(path: Path) -> dict[str, str]:
     try:
         text = path.read_text(encoding="utf-8")
@@ -110,11 +94,12 @@ def _parse_kv_lines(path: Path) -> dict[str, str]:
 
 
 def _coerce(key: str, value: str, where: str) -> object:
-    parser = _FIELD_PARSERS.get(key)
-    if parser is None:
+    field = GrmlrConfig.__dataclass_fields__.get(key)
+    if field is None:
         raise InvalidValue(f"{where}: unknown config field '{key}'")
+    kind = type(field.default)
     try:
-        return parser(value)
+        return _bool_from_str(value) if kind is bool else kind(value)
     except InvalidValue:
         raise
     except ValueError as exc:
@@ -186,9 +171,7 @@ def write_manifest(
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest, out_dir / "manifest.json")
 
 
 def _load_inputs(args, need_labels: bool, need_macrofauna: bool):
@@ -206,17 +189,10 @@ def cmd_fit(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     dataset, paths = _load_inputs(args, need_labels=True, need_macrofauna=config.alpha > 0)
     out = _out_dir(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NonConvergenceWarning)
-        model, graph = fit(dataset, config)
+    model, graph = fit(dataset, config)
     save_model(model, out / "model.grmlr")
     export_heatmaps(graph, out)
     write_manifest(out, "fit", args.config, paths, config.seed)
-    nonconv = [w for w in caught if issubclass(w.category, NonConvergenceWarning)]
-    for w in nonconv:
-        print(f"warning: {w.message}", file=sys.stderr)
-    if nonconv and args.strict:
-        return EXIT_STRICT_WARNINGS
     print(f"wrote {out / 'model.grmlr'}")
     return EXIT_OK
 
@@ -227,14 +203,13 @@ def cmd_predict(args) -> int:
     model = load_model(model_path)
     dataset = load_dataset(abundance_path)
     out = _out_dir(args)
-    labels = predict(model, dataset.abundances)
     features = build_features(dataset, model.hyperparams.epsilon, model.feature_mode)
     proba = predict_proba(model, features)
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         header = ["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]]
         fh.write(",".join(header) + "\n")
-        for sid, lab, row in zip(labels.site_ids, labels.labels, proba):
-            fh.write(",".join([sid, lab, *[repr(float(v)) for v in row]]) + "\n")
+        for sid, pick, row in zip(features.site_ids, np.argmax(proba, axis=1), proba):
+            fh.write(",".join([sid, model.label_set[pick], *[repr(float(v)) for v in row]]) + "\n")
     write_manifest(out, "predict", None, [model_path, abundance_path], model.hyperparams.seed)
     print(f"wrote {out / 'predictions.csv'}")
     return EXIT_OK
@@ -242,7 +217,21 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    need_macro = config.alpha > 0 or args.mode in ("grid", "alpha-sweep", "ablate")
+    # the macrofauna counts are needed when some evaluated config has alpha > 0
+    alphas = [config.alpha]
+    if args.mode == "grid":
+        grid = load_grid(args.grid)
+        alphas = grid.get("alpha", alphas)
+    elif args.mode == "alpha-sweep":
+        grid = load_grid(args.grid) if args.grid != "default" else None
+        alphas = (
+            [_coerce("alpha", a, "--alphas") for a in args.alphas.split(",")]
+            if args.alphas
+            else list(DEFAULT_ALPHAS)
+        )
+    elif args.mode == "ablate":
+        alphas = [1.0]  # the no_co arm
+    need_macro = any(a > 0 for a in alphas)
     dataset, paths = _load_inputs(args, need_labels=True, need_macrofauna=need_macro)
     out = _out_dir(args)
     workers = args.workers
@@ -270,7 +259,6 @@ def cmd_eval(args) -> int:
             f"p={report.p_value:.4f} (B={len(report.permuted_accuracies)})"
         )
     elif args.mode == "grid":
-        grid = load_grid(args.grid)
         result = grid_search(dataset, grid, workers=workers, base_config=config)
         write_grid_csv(result, out / "grid_results.csv")
         best = result.best()
@@ -284,10 +272,6 @@ def cmd_eval(args) -> int:
         for name, rep in reports.items():
             print(f"{name}: accuracy={rep.accuracy:.4f} macro_f1={rep.macro_f1:.4f}")
     elif args.mode == "alpha-sweep":
-        alphas = (
-            [float(a) for a in args.alphas.split(",")] if args.alphas else list(DEFAULT_ALPHAS)
-        )
-        grid = load_grid(args.grid) if args.grid != "default" else None
         rows = alpha_sweep(dataset, config, alphas, grid=grid, workers=workers)
         write_alpha_sweep_csv(rows, out / "alpha_sweep.csv")
         if args.svg:
@@ -414,18 +398,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
-            parser.print_help(sys.stderr)
-            return EXIT_VALIDATION
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except GrmlrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NonConvergenceWarning)
+        try:
+            args = parser.parse_args(argv)
+            if not hasattr(args, "func"):
+                parser.print_help(sys.stderr)
+                return EXIT_VALIDATION
+            code = args.func(args)
+        except GrmlrError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_VALIDATION
+    nonconverged = False
+    for w in caught:
+        if issubclass(w.category, NonConvergenceWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+            nonconverged = True
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if code == EXIT_OK and nonconverged and args.strict:
+        return EXIT_STRICT_WARNINGS
+    return code
 
 
 if __name__ == "__main__":

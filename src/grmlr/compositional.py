@@ -15,14 +15,11 @@ and the bias is uniform across components. Natural logarithm throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .dataset import AbundanceMatrix, reject_non_finite
 from .errors import InvalidValue
-
-if TYPE_CHECKING:
-    from .dataset import AbundanceMatrix
 
 DEFAULT_EPSILON = 1e-6
 
@@ -42,6 +39,7 @@ class FeatureMatrix:
                 f"feature matrix shape {self.values.shape} does not match "
                 f"{len(self.site_ids)} sites x {len(self.taxa_names)} taxa"
             )
+        reject_non_finite(self.values, self.site_ids, self.taxa_names, "feature", "taxon")
         self.values.setflags(write=False)
 
 
@@ -72,7 +70,7 @@ def clr(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     return logs - logs.mean(axis=1, keepdims=True)
 
 
-def clr_transform(abundances: "AbundanceMatrix", epsilon: float = DEFAULT_EPSILON) -> FeatureMatrix:
+def clr_transform(abundances: AbundanceMatrix, epsilon: float = DEFAULT_EPSILON) -> FeatureMatrix:
     """CLR-transform an abundance matrix into a :class:`FeatureMatrix`.
 
     Taxa order is preserved; every output row sums to 0 up to rounding.
@@ -84,7 +82,7 @@ def clr_transform(abundances: "AbundanceMatrix", epsilon: float = DEFAULT_EPSILO
     )
 
 
-def raw_features(abundances: "AbundanceMatrix") -> FeatureMatrix:
+def raw_features(abundances: AbundanceMatrix) -> FeatureMatrix:
     """Wrap raw relative abundances as features, bypassing the CLR map.
 
     Used by the no-CLR ablation arm; rows sum to 1, not 0.

@@ -16,8 +16,9 @@ labels.csv     : header ``site_id,stage``; stage in {juvenile, adult, dead}
 from __future__ import annotations
 
 import csv
+import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,6 +52,23 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed % (2**63), zlib.crc32(name.encode("utf-8"))])
 
 
+def reject_non_finite(
+    values: np.ndarray,
+    site_ids: Sequence[str],
+    column_names: Sequence[str],
+    what: str,
+    column_kind: str,
+) -> None:
+    """Raise InvalidValue naming the site and column of the first NaN or +/-inf."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise InvalidValue(
+            f"non-finite {what} {values[i, j]} at site '{site_ids[i]}', "
+            f"{column_kind} '{column_names[j]}'"
+        )
+
+
 @dataclass(eq=False)
 class AbundanceMatrix:
     """Relative abundances per site; rows sum to 1 within 1e-6."""
@@ -71,13 +89,7 @@ class AbundanceMatrix:
             raise InvalidValue("duplicate site ids in abundance table")
         if len(set(self.taxa_names)) != p:
             raise InvalidValue("duplicate taxa names in abundance table")
-        bad_cells = np.argwhere(~np.isfinite(self.values))
-        if bad_cells.size:
-            i, j = bad_cells[0]
-            raise InvalidValue(
-                f"non-finite abundance {self.values[i, j]} at site '{self.site_ids[i]}', "
-                f"taxon '{self.taxa_names[j]}'"
-            )
+        reject_non_finite(self.values, self.site_ids, self.taxa_names, "abundance", "taxon")
         neg = np.argwhere(self.values < 0)
         if neg.size:
             i, j = neg[0]
@@ -112,18 +124,18 @@ class MacrofaunaCounts:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values)
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(np.asarray(arr, dtype=float))
-            if not np.array_equal(rounded, np.asarray(arr, dtype=float)):
-                raise NegativeCount("macrofauna counts must be integers")
-            arr = rounded.astype(np.int64)
-        self.values = arr.astype(np.int64)
         n, k = len(self.site_ids), len(self.category_names)
-        if self.values.shape != (n, k):
+        if arr.shape != (n, k):
             raise InvalidShape(
-                f"macrofauna matrix shape {self.values.shape} does not match "
+                f"macrofauna matrix shape {arr.shape} does not match "
                 f"{n} sites x {k} categories"
             )
+        if not np.issubdtype(arr.dtype, np.integer):
+            arr = np.asarray(arr, dtype=float)
+            reject_non_finite(arr, self.site_ids, self.category_names, "count", "category")
+            if not np.array_equal(np.rint(arr), arr):
+                raise NegativeCount("macrofauna counts must be integers")
+        self.values = arr.astype(np.int64)
         neg = np.argwhere(self.values < 0)
         if neg.size:
             i, j = neg[0]
@@ -371,6 +383,15 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> No
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(payload: dict, path: str | Path) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

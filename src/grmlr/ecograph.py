@@ -23,13 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .compositional import FeatureMatrix
-from .dataset import MacrofaunaCounts
+from .dataset import MacrofaunaCounts, _write_csv
 from .errors import (
     AsymmetricInput,
     InvalidAdjacency,
     InvalidValue,
     IoFailure,
     Misalignment,
+    MissingMacrofauna,
     ShapeMismatch,
     TooFewSamples,
 )
@@ -140,8 +141,7 @@ def fuse(
         raise ShapeMismatch(f"a_macro must be square, got {a_macro.shape}")
     if a_macro.shape != a_co.shape:
         raise ShapeMismatch(f"adjacency shapes differ: {a_macro.shape} vs {a_co.shape}")
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidValue(f"alpha must be in [0, 1], got {alpha}")
+    _check_unit_interval(alpha, "alpha")
     for name, a in (("a_macro", a_macro), ("a_co", a_co)):
         if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
             raise AsymmetricInput(f"{name} is not symmetric")
@@ -181,19 +181,39 @@ def build_graph(
     a wider site set (the transductive co-occurrence scope) or reuse cached
     ones; by default they come from ``features`` itself.
     """
-    p = len(features.taxa_names)
-    if macrofauna is not None:
-        a_macro = build_a_macro(features, macrofauna, tau)
-    elif alpha > 0.0:
-        from .errors import MissingMacrofauna
-
-        raise MissingMacrofauna("alpha > 0 requires macrofauna counts to build the graph")
-    else:
-        a_macro = np.zeros((p, p))
+    profiles = None if macrofauna is None else compute_macro_profiles(features, macrofauna)
     if co_correlations is None:
         co_correlations = compute_co_correlations(features)
+    return graph_from_correlations(profiles, co_correlations, tau, gamma, alpha, features.taxa_names)
+
+
+def graph_from_correlations(
+    profiles: np.ndarray | None,
+    co_correlations: np.ndarray,
+    tau: float,
+    gamma: float,
+    alpha: float,
+    taxa_names: list[str],
+) -> EcologicalGraph:
+    """Fused graph from precomputed rank correlations.
+
+    ``profiles`` are the macro-coupling profiles of
+    :func:`compute_macro_profiles`, or None when there are no macrofauna
+    counts; A_macro is then all zeros, which only alpha = 0 allows.
+
+    Raises
+    ------
+    MissingMacrofauna
+        If ``profiles`` is None and alpha > 0.
+    """
+    if profiles is not None:
+        a_macro = a_macro_from_profiles(profiles, tau)
+    elif alpha > 0.0:
+        raise MissingMacrofauna("alpha > 0 requires macrofauna counts to build the graph")
+    else:
+        a_macro = np.zeros_like(co_correlations)
     a_co = a_co_from_correlations(co_correlations, gamma)
-    return fuse(a_macro, a_co, alpha, list(features.taxa_names), tau=tau, gamma=gamma)
+    return fuse(a_macro, a_co, alpha, taxa_names, tau=tau, gamma=gamma)
 
 
 def export_heatmaps(graph: EcologicalGraph, out_dir: str | Path) -> list[Path]:
@@ -217,14 +237,11 @@ def export_heatmaps(graph: EcologicalGraph, out_dir: str | Path) -> list[Path]:
 
 def write_matrix_csv(path: str | Path, taxa_names: list[str], matrix: np.ndarray) -> None:
     """Taxa-labelled square matrix as CSV with full-precision decimals."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["taxon", *taxa_names])
-            for name, row in zip(taxa_names, matrix):
-                writer.writerow([name, *[repr(float(v)) for v in row]])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_csv(
+        path,
+        ["taxon", *taxa_names],
+        [[name, *[repr(float(v)) for v in row]] for name, row in zip(taxa_names, matrix)],
+    )
 
 
 def read_matrix_csv(path: str | Path) -> tuple[list[str], np.ndarray]:

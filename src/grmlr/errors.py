@@ -73,10 +73,6 @@ class EmptyClass(GrmlrError):
     """A class from the label set has no samples."""
 
 
-class FoldDegenerate(GrmlrError):
-    """A cross-validation training fold lost an entire class."""
-
-
 class UnknownParameter(GrmlrError):
     """A grid axis names a parameter that is not a config field."""
 

@@ -11,9 +11,7 @@ so results are identical to rebuilding everything from scratch.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,19 +19,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, substream
-from .ecograph import a_co_from_correlations, a_macro_from_profiles, laplacian_of
+from .dataset import Dataset, _write_csv, _write_json, substream
+from .ecograph import graph_from_correlations
 from .errors import (
     InvalidShape,
     InvalidValue,
-    IoFailure,
     LengthMismatch,
     MissingLabels,
-    MissingMacrofauna,
     TaxaMismatch,
     UnknownParameter,
 )
-from .model import GrmlrConfig, GrmlrModel, build_features, fit_arrays
+from .model import GrmlrConfig, GrmlrModel, _sample_weights, build_features, fit_arrays
 from .rankstats import spearman_cross, spearman_matrix
 
 DEFAULT_GRID: dict[str, list] = {
@@ -207,32 +203,20 @@ def _run_plan(
     if y is None:
         y = plan.y
     K = len(plan.label_set)
-    n = len(plan.site_ids)
     per_fold: list[FoldPrediction] = []
     skipped: list[str] = []
     models: list[GrmlrModel] = []
     for fold in plan.folds:
         y_train = y[fold.train_idx]
-        class_counts = np.bincount(y_train, minlength=K)
-        if np.any(class_counts == 0):
+        if np.any(np.bincount(y_train, minlength=K) == 0):
             skipped.append(fold.site_id)
             continue
-        n_train = len(y_train)
-        if config.class_balanced:
-            s = n_train / (K * class_counts[y_train].astype(float))
-        else:
-            s = np.ones(n_train)
-        if fold.profiles is not None:
-            a_macro = a_macro_from_profiles(fold.profiles, config.tau)
-        elif config.alpha > 0.0:
-            raise MissingMacrofauna("alpha > 0 requires macrofauna counts")
-        else:
-            a_macro = np.zeros_like(fold.co_train)
         co = plan.co_all if config.co_occurrence_scope == "all" else fold.co_train
-        a_co = a_co_from_correlations(co, config.gamma)
-        adjacency = config.alpha * a_macro + (1.0 - config.alpha) * a_co
-        laplacian = laplacian_of(adjacency)
-        W, b, info = fit_arrays(plan.features[fold.train_idx], y_train, K, s, laplacian, config)
+        graph = graph_from_correlations(
+            fold.profiles, co, config.tau, config.gamma, config.alpha, plan.taxa_names
+        )
+        s = _sample_weights(y_train, K, config.class_balanced)
+        W, b, info = fit_arrays(plan.features[fold.train_idx], y_train, K, s, graph.laplacian, config)
         scores = plan.features[fold.test_index] @ W.T + b
         pred = int(np.argmax(scores))
         per_fold.append(
@@ -295,8 +279,6 @@ def loocv(
     alone. Folds whose training set loses an entire class are skipped and
     listed in ``skipped_folds``.
     """
-    if config.alpha > 0.0 and dataset.macrofauna is None:
-        raise MissingMacrofauna("alpha > 0 requires macrofauna counts")
     plan = build_plan(dataset, config.epsilon, feature_mode)
     return _run_plan(plan, config, keep_models=keep_models)
 
@@ -483,56 +465,33 @@ def write_ablation_report(reports: dict[str, EvalReport], path: str | Path) -> N
 
 def write_grid_csv(result: GridResult, path: str | Path) -> None:
     fields = list(GrmlrConfig.__dataclass_fields__)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "index", "accuracy", "macro_f1", "error", *fields])
-            for rank, e in enumerate(result.entries):
-                cfg = e.config.to_dict()
-                writer.writerow(
-                    [
-                        rank,
-                        e.index,
-                        _fmt(e.accuracy),
-                        _fmt(e.macro_f1),
-                        e.error or "",
-                        *[cfg[f] for f in fields],
-                    ]
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    rows = []
+    for rank, e in enumerate(result.entries):
+        cfg = e.config.to_dict()
+        rows.append(
+            [
+                rank,
+                e.index,
+                _fmt(e.accuracy),
+                _fmt(e.macro_f1),
+                e.error or "",
+                *[cfg[f] for f in fields],
+            ]
+        )
+    _write_csv(path, ["rank", "index", "accuracy", "macro_f1", "error", *fields], rows)
 
 
 def write_alpha_sweep_csv(rows: Sequence[tuple[float, float]], path: str | Path) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "best_accuracy"])
-            for alpha, acc in rows:
-                writer.writerow([_fmt(alpha), _fmt(acc)])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_csv(path, ["alpha", "best_accuracy"], [[_fmt(a), _fmt(acc)] for a, acc in rows])
 
 
 def write_coefficient_csv(ranking: Sequence[tuple[str, float]], path: str | Path) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["taxon", "mean_weight_magnitude"])
-            for taxon, mag in ranking:
-                writer.writerow([taxon, _fmt(mag)])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_csv(
+        path,
+        ["taxon", "mean_weight_magnitude"],
+        [[taxon, _fmt(mag)] for taxon, mag in ranking],
+    )
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _write_json(payload: dict, path: str | Path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -25,14 +25,14 @@ from __future__ import annotations
 import functools
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .compositional import FeatureMatrix, clr_transform, raw_features
-from .dataset import Dataset, StageLabels
+from .dataset import Dataset, StageLabels, _write_json
 from .ecograph import EcologicalGraph, build_graph
 from .errors import (
     EmptyClass,
@@ -40,7 +40,6 @@ from .errors import (
     IoFailure,
     Misalignment,
     MissingLabels,
-    MissingMacrofauna,
     NonConvergenceWarning,
     TaxaMismatch,
 )
@@ -130,6 +129,8 @@ class GrmlrModel:
             raise InvalidValue(f"bias shape {self.bias.shape} for {K} classes")
         if len(self.taxa_names) != p or len(self.label_set) != K:
             raise InvalidValue("taxa_names/label_set lengths do not match W")
+        if len(set(self.taxa_names)) != p or len(set(self.label_set)) != K:
+            raise InvalidValue("duplicate taxa names or labels in model")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise InvalidValue("model parameters must be finite")
         if self.feature_mode not in _FEATURE_MODES:
@@ -170,31 +171,21 @@ def predict_proba(model: GrmlrModel, features: FeatureMatrix) -> np.ndarray:
 
 def class_balanced_weights(labels: StageLabels) -> np.ndarray:
     """Per-sample weights n / (K * n_class); they sum to n."""
-    n = len(labels.labels)
-    K = len(labels.label_set)
-    counts = {lab: 0 for lab in labels.label_set}
-    for lab in labels.labels:
-        counts[lab] += 1
-    missing = [lab for lab, c in counts.items() if c == 0]
-    if missing:
-        raise EmptyClass(f"no samples for class(es) {missing}")
-    return np.array([n / (K * counts[lab]) for lab in labels.labels], dtype=float)
+    return _sample_weights(labels.indices(), len(labels.label_set), class_balanced=True)
 
 
-def _aligned_arrays(
-    model: GrmlrModel,
-    features: FeatureMatrix,
-    labels: StageLabels,
-    graph: EcologicalGraph,
-) -> tuple[np.ndarray, np.ndarray]:
-    _check_taxa(model.taxa_names, features.taxa_names)
-    if graph.taxa_names != model.taxa_names:
-        raise Misalignment("graph taxa order does not match the model")
-    if labels.site_ids != features.site_ids:
-        raise Misalignment("labels and features are not site-aligned")
-    if tuple(labels.label_set) != tuple(model.label_set):
-        raise Misalignment("label set does not match the model")
-    return features.values, labels.indices()
+def _sample_weights(y: np.ndarray, K: int, class_balanced: bool) -> np.ndarray:
+    """Training weights for label indices ``y``: class-balanced, or all ones.
+
+    Raises EmptyClass when balancing is asked for and a class has no samples.
+    """
+    if not class_balanced:
+        return np.ones(len(y))
+    counts = np.bincount(y, minlength=K)
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise EmptyClass(f"no samples for class index(es) {missing.tolist()}")
+    return len(y) / (K * counts[y].astype(float))
 
 
 def loss(
@@ -205,18 +196,7 @@ def loss(
     sample_weights: np.ndarray,
 ) -> float:
     """Weighted cross-entropy plus L2 and graph penalties (bias unpenalized)."""
-    Z, y = _aligned_arrays(model, features, labels, graph)
-    cfg = model.hyperparams
-    value, _ = _objective(
-        _pack(model.weights, model.bias),
-        Z,
-        y,
-        model.n_classes,
-        np.asarray(sample_weights, dtype=float),
-        graph.laplacian,
-        cfg.lambda_l2,
-        cfg.lambda_g,
-    )
+    value, _ = _evaluate(model, features, labels, graph, sample_weights)
     return float(value)
 
 
@@ -228,20 +208,37 @@ def loss_gradient(
     sample_weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of :func:`loss` with respect to (W, b)."""
-    Z, y = _aligned_arrays(model, features, labels, graph)
+    _, grad = _evaluate(model, features, labels, graph, sample_weights)
+    K, p = model.weights.shape
+    return grad[: K * p].reshape(K, p), grad[K * p :]
+
+
+def _evaluate(
+    model: GrmlrModel,
+    features: FeatureMatrix,
+    labels: StageLabels,
+    graph: EcologicalGraph,
+    sample_weights: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Objective and gradient of ``model`` on aligned features, labels and graph."""
+    _check_taxa(model.taxa_names, features.taxa_names)
+    if graph.taxa_names != model.taxa_names:
+        raise Misalignment("graph taxa order does not match the model")
+    if labels.site_ids != features.site_ids:
+        raise Misalignment("labels and features are not site-aligned")
+    if tuple(labels.label_set) != tuple(model.label_set):
+        raise Misalignment("label set does not match the model")
     cfg = model.hyperparams
-    _, grad = _objective(
+    return _objective(
         _pack(model.weights, model.bias),
-        Z,
-        y,
+        features.values,
+        labels.indices(),
         model.n_classes,
         np.asarray(sample_weights, dtype=float),
         graph.laplacian,
         cfg.lambda_l2,
         cfg.lambda_g,
     )
-    K, p = model.weights.shape
-    return grad[: K * p].reshape(K, p), grad[K * p :]
 
 
 def _pack(W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -364,8 +361,11 @@ def fit_arrays(
 
     Returns (W, b, info) where info records convergence diagnostics; with
     ``track_history`` its ``loss_history`` holds the objective at the start
-    and after every accepted step.
+    and after every accepted step. Raises InvalidValue if ``Z`` or
+    ``sample_weights`` holds NaN or +/-inf.
     """
+    if not (np.isfinite(Z).all() and np.isfinite(sample_weights).all()):
+        raise InvalidValue("features and sample weights must be finite")
     n, p = Z.shape
     d = p + 1
     args = (Z, y, K, sample_weights, laplacian, config.lambda_l2, config.lambda_g)
@@ -456,20 +456,18 @@ def fit(
     """
     if dataset.stages is None:
         raise MissingLabels("fit requires stage labels")
-    if config.alpha > 0.0 and dataset.macrofauna is None:
-        raise MissingMacrofauna("alpha > 0 requires macrofauna counts")
     features = build_features(dataset, config.epsilon, feature_mode)
     graph = build_graph(
         features, dataset.macrofauna, tau=config.tau, gamma=config.gamma, alpha=config.alpha
     )
     labels = dataset.stages
-    s = class_balanced_weights(labels) if config.class_balanced else np.ones(dataset.n_sites)
+    y = labels.indices()
     K = len(labels.label_set)
     W, b, info = fit_arrays(
         features.values,
-        labels.indices(),
+        y,
         K,
-        s,
+        _sample_weights(y, K, config.class_balanced),
         graph.laplacian,
         config,
         track_history=track_history,
@@ -516,12 +514,7 @@ def save_model(model: GrmlrModel, path: str | Path) -> None:
         "final_loss": model.final_loss,
         "config": model.hyperparams.to_dict(),
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_json(payload, path)
 
 
 def load_model(path: str | Path) -> GrmlrModel:

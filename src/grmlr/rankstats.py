@@ -35,28 +35,25 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     numpy.ndarray
         Real-valued ranks in the original element order.
     """
-    v = np.asarray(values, dtype=float)
-    n = v.shape[0]
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(n, dtype=float)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        # positions i+1 .. j+1 share the mean rank
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    return rank_matrix(np.reshape(values, (-1, 1)))[:, 0]
 
 
 def rank_matrix(values: np.ndarray) -> np.ndarray:
     """Column-wise :func:`average_ranks` for a 2-D array."""
     m = np.asarray(values, dtype=float)
-    out = np.empty_like(m)
-    for j in range(m.shape[1]):
-        out[:, j] = average_ranks(m[:, j])
-    return out
+    order = np.argsort(m, axis=0, kind="stable")
+    ordered = np.take_along_axis(m, order, axis=0)
+    # sorted positions i..j of a tie group share the rank (i + j) / 2 + 1
+    pos = np.broadcast_to(np.arange(m.shape[0])[:, None], m.shape)
+    starts = np.ones(m.shape, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    ends = np.ones(m.shape, dtype=bool)
+    ends[:-1] = starts[1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, pos, m.shape[0])[::-1], axis=0)[::-1]
+    ranks = np.empty_like(m)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=0)
+    return ranks
 
 
 def spearman(a: np.ndarray, b: np.ndarray) -> float:
@@ -79,15 +76,7 @@ def spearman(a: np.ndarray, b: np.ndarray) -> float:
     TooFewSamples
         If fewer than 2 observations are given.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"paired vectors of length {a.shape[0]} and {b.shape[0]}")
-    if a.shape[0] < 2:
-        raise TooFewSamples("Spearman correlation needs at least 2 observations")
-    ra = average_ranks(a)
-    rb = average_ranks(b)
-    return _pearson_or_zero(ra, rb)
+    return float(spearman_cross(np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1)))[0, 0])
 
 
 def spearman_matrix(columns: np.ndarray) -> np.ndarray:
@@ -97,15 +86,9 @@ def spearman_matrix(columns: np.ndarray) -> np.ndarray:
     each column once. Constant columns yield zero rows/columns; the
     diagonal is 1 except for constant columns, which get 0 everywhere.
     """
-    m = np.asarray(columns, dtype=float)
-    if m.shape[0] < 2:
-        raise TooFewSamples("Spearman correlation needs at least 2 observations")
-    r = rank_matrix(m)
-    r = r - r.mean(axis=0, keepdims=True)
-    norms = np.sqrt((r * r).sum(axis=0))
-    ok = norms > 0.0
-    safe = np.where(ok, norms, 1.0)
-    r = r / safe
+    r, ok = _unit_ranks(columns)
+    # r.T @ r on one array takes numpy's symmetric kernel, so the result is
+    # exactly symmetric
     corr = r.T @ r
     corr[~ok, :] = 0.0
     corr[:, ~ok] = 0.0
@@ -123,33 +106,27 @@ def spearman_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise LengthMismatch(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
-        raise TooFewSamples("Spearman correlation needs at least 2 observations")
-    rx = rank_matrix(x)
-    ry = rank_matrix(y)
-    rx = rx - rx.mean(axis=0, keepdims=True)
-    ry = ry - ry.mean(axis=0, keepdims=True)
-    nx = np.sqrt((rx * rx).sum(axis=0))
-    ny = np.sqrt((ry * ry).sum(axis=0))
-    okx = nx > 0.0
-    oky = ny > 0.0
-    rx = rx / np.where(okx, nx, 1.0)
-    ry = ry / np.where(oky, ny, 1.0)
+    rx, okx = _unit_ranks(x)
+    ry, oky = _unit_ranks(y)
     corr = rx.T @ ry
     corr[~okx, :] = 0.0
     corr[:, ~oky] = 0.0
     return snap_to_unit(np.clip(corr, -1.0, 1.0))
 
 
-def _pearson_or_zero(ra: np.ndarray, rb: np.ndarray) -> float:
-    da = ra - ra.mean()
-    db = rb - rb.mean()
-    va = float(da @ da)
-    vb = float(db @ db)
-    if va == 0.0 or vb == 0.0:
-        return 0.0
-    r = float(da @ db) / np.sqrt(va * vb)
-    return float(snap_to_unit(np.clip(r, -1.0, 1.0)))
+def _unit_ranks(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column ranks centred and scaled to unit norm, plus the non-constant mask.
+
+    Constant columns are left at zero (their mask entry is False).
+    """
+    m = np.asarray(columns, dtype=float)
+    if m.shape[0] < 2:
+        raise TooFewSamples("Spearman correlation needs at least 2 observations")
+    r = rank_matrix(m)
+    r = r - r.mean(axis=0, keepdims=True)
+    norms = np.sqrt((r * r).sum(axis=0))
+    ok = norms > 0.0
+    return r / np.where(ok, norms, 1.0), ok
 
 
 def snap_to_unit(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:

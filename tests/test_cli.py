@@ -1,0 +1,204 @@
+"""Command-line interface: exit codes, output files, manifests, config parsing."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from grmlr import cli
+from grmlr.dataset import load_dataset
+from grmlr.model import GrmlrConfig, load_model, predict
+
+MANIFEST_KEYS = {
+    "command",
+    "config_path",
+    "input_paths",
+    "output_dir",
+    "seed",
+    "tool_version",
+    "timestamp",
+}
+
+
+def _trio_args(trio, macrofauna=True):
+    args = ["--abundances", str(trio["abundances"]), "--labels", str(trio["labels"])]
+    if macrofauna:
+        args += ["--macrofauna", str(trio["macrofauna"])]
+    return args
+
+
+@pytest.fixture
+def small_grid(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("lambda_g = 0.0, 5.0\ngamma = 0.8\n")
+    return path
+
+
+@pytest.fixture
+def model_dir(tmp_path, csv_trio):
+    out = tmp_path / "fit"
+    assert cli.main(["fit", *_trio_args(csv_trio), "--out", str(out)]) == cli.EXIT_OK
+    return out
+
+
+def _commands(trio, grid, model_path):
+    """(argv, expected output files) of every subcommand on a synth trio."""
+    trio_args = _trio_args(trio)
+    return [
+        (["fit", *trio_args], ["model.grmlr", "a_macro.csv", "a_co.csv", "adjacency.csv"]),
+        (
+            ["predict", "--model", str(model_path), "--abundances", str(trio["abundances"])],
+            ["predictions.csv"],
+        ),
+        (
+            ["eval", "loocv", *trio_args, "--svg"],
+            ["loocv_report.json", "coefficient_ranking.csv", "coefficients.svg"],
+        ),
+        (["eval", "permtest", *trio_args, "--B", "3"], ["permutation_report.json"]),
+        (["eval", "grid", *trio_args, "--grid", str(grid)], ["grid_results.csv"]),
+        (["eval", "ablate", *trio_args], ["ablation_report.json"]),
+        (
+            ["eval", "alpha-sweep", *trio_args, "--grid", str(grid), "--alphas", "0,1", "--svg"],
+            ["alpha_sweep.csv", "alpha_sweep.svg"],
+        ),
+        (["synth", "--n", "9", "--p", "8"], ["abundances.csv", "macrofauna.csv", "labels.csv"]),
+        (["graph", "export", *trio_args], ["a_macro.csv", "a_co.csv", "adjacency.csv"]),
+    ]
+
+
+def test_every_command_exits_zero_and_writes_its_outputs(tmp_path, csv_trio, small_grid, model_dir):
+    commands = _commands(csv_trio, small_grid, model_dir / "model.grmlr")
+    for k, (argv, expected) in enumerate(commands):
+        out = tmp_path / f"out{k}"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK, argv
+        for name in expected:
+            assert (out / name).is_file(), (argv, name)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["command"] == " ".join(argv[: 2 if argv[0] in ("eval", "graph") else 1])
+        assert manifest["output_dir"] == str(out)
+
+
+def test_predictions_match_predict_on_the_loaded_model(tmp_path, csv_trio, model_dir):
+    out = tmp_path / "pred"
+    model_path = model_dir / "model.grmlr"
+    argv = ["predict", "--model", str(model_path), "--abundances", str(csv_trio["abundances"])]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    with open(out / "predictions.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    expected = predict(load_model(model_path), load_dataset(csv_trio["abundances"]).abundances)
+    assert [r["site_id"] for r in rows] == expected.site_ids
+    assert [r["stage"] for r in rows] == expected.labels
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--abundances", "A"], "missing required flag --labels"),
+        (["eval", "loocv", "--abundances", "A", "--labels", "L", "--set", "nope=1"], "nope"),
+        (["eval", "loocv", "--set", "class_balanced=maybe"], "boolean"),
+        (["eval", "no-such-mode"], "invalid choice"),
+        (["eval", "alpha-sweep", "--alphas", "0,abc"], "bad value for 'alpha'"),
+    ],
+)
+def test_validation_errors_exit_one(tmp_path, capsys, argv, message):
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_config_file_setting_every_field(tmp_path):
+    expected = GrmlrConfig(
+        epsilon=1e-5,
+        tau=0.6,
+        gamma=0.85,
+        alpha=0.3,
+        lambda_l2=0.05,
+        lambda_g=2.5,
+        ftol=1e-12,
+        gtol=1e-8,
+        max_iters=500,
+        class_balanced=False,
+        co_occurrence_scope="all",
+        seed=42,
+    )
+    text = "".join(
+        f"{f.name} = {str(getattr(expected, f.name)).lower()}\n" for f in fields(GrmlrConfig)
+    )
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    parsed = cli.load_config(str(path))
+    assert parsed == expected
+    for f in fields(GrmlrConfig):
+        assert type(getattr(parsed, f.name)) is type(getattr(expected, f.name)), f.name
+        assert getattr(expected, f.name) != f.default, f"{f.name} left at its default"
+
+
+def test_grid_with_alpha_zero_needs_no_macrofauna(tmp_path, csv_trio):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("alpha = 0.0\nlambda_g = 0.0, 5.0\n")
+    base = ["eval", "grid", *_trio_args(csv_trio, macrofauna=False), "--grid", str(grid)]
+    assert cli.main([*base, "--set", "alpha=0", "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    # without an alpha axis the base config's alpha (default 0.1) decides
+    grid.write_text("lambda_g = 0.0, 5.0\n")
+    assert cli.main([*base, "--out", str(tmp_path / "b")]) == cli.EXIT_VALIDATION
+    assert cli.main([*base, "--set", "alpha=0", "--out", str(tmp_path / "c")]) == cli.EXIT_OK
+
+
+def test_alpha_sweep_needs_macrofauna_only_for_positive_alphas(tmp_path, csv_trio, small_grid):
+    base = [
+        "eval",
+        "alpha-sweep",
+        *_trio_args(csv_trio, macrofauna=False),
+        "--grid",
+        str(small_grid),
+    ]
+    assert cli.main([*base, "--alphas", "0", "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    assert cli.main([*base, "--alphas", "0,0.5", "--out", str(tmp_path / "b")]) == (
+        cli.EXIT_VALIDATION
+    )
+
+
+def test_ablate_always_needs_macrofauna(tmp_path, csv_trio, capsys):
+    argv = ["eval", "ablate", *_trio_args(csv_trio, macrofauna=False), "--set", "alpha=0"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    assert "--macrofauna" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit"], ["eval", "loocv"]],
+)
+def test_strict_escalates_nonconvergence(tmp_path, csv_trio, capsys, argv):
+    base = [*argv, *_trio_args(csv_trio), "--set", "max_iters=1"]
+    assert cli.main([*base, "--out", str(tmp_path / "lax")]) == cli.EXIT_OK
+    assert "warning: optimizer hit max_iters=1" in capsys.readouterr().err
+    strict = [*base, "--strict", "--out", str(tmp_path / "strict")]
+    assert cli.main(strict) == cli.EXIT_STRICT_WARNINGS
+
+
+def test_other_warnings_still_reach_stderr(tmp_path):
+    script = (
+        "import sys, warnings\n"
+        "import grmlr.cli as cli\n"
+        "original = cli.synthesize_dataset\n"
+        "def noisy(**kw):\n"
+        "    warnings.warn('synthetic trouble', RuntimeWarning)\n"
+        "    return original(**kw)\n"
+        "cli.synthesize_dataset = noisy\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "synth", "--strict", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_OK
+    assert "RuntimeWarning: synthetic trouble" in proc.stderr

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grmlr.compositional import clr, clr_transform, raw_features
+from grmlr.compositional import FeatureMatrix, clr, clr_transform, raw_features
 from grmlr.errors import InvalidValue
 
 from oracles import clr_rowwise_reference
@@ -93,3 +93,21 @@ def test_raw_features_bypass_clr(synth_dataset):
     sums = feats.values.sum(axis=1)
     assert np.allclose(sums, 1.0)
     assert np.abs(sums).min() > 0.5  # rows do not sum to 0
+
+
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    p=st.integers(min_value=1, max_value=6),
+    cell=st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)),
+    bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80)
+def test_feature_matrix_rejects_non_finite_cell(n, p, cell, bad, seed):
+    values = np.random.default_rng(seed).normal(size=(n, p))
+    i, j = cell[0] % n, cell[1] % p
+    values[i, j] = bad
+    sites = [f"s{k}" for k in range(n)]
+    taxa = [f"t{k}" for k in range(p)]
+    with pytest.raises(InvalidValue, match=f"site '{sites[i]}', taxon '{taxa[j]}'"):
+        FeatureMatrix(sites, taxa, values)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from grmlr.dataset import (
     AbundanceMatrix,
     Dataset,
+    MacrofaunaCounts,
     StageLabels,
     load_dataset,
     planted_signal_taxa,
@@ -135,6 +136,13 @@ def test_non_finite_abundance_rejected(n, p, cell, bad, seed):
     taxa = [f"t{k}" for k in range(p)]
     with pytest.raises(InvalidValue, match=f"site '{sites[i]}', taxon '{taxa[j]}'"):
         AbundanceMatrix(sites, taxa, values)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_count_names_site_and_category(bad):
+    counts = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, bad, 1.0, 2.0]])
+    with pytest.raises(InvalidValue, match="site 's2', category 'adult'"):
+        MacrofaunaCounts(["s1", "s2"], counts)
 
 
 class TestRoundTrip:

@@ -26,7 +26,7 @@ from grmlr.evaluation import (
     write_grid_csv,
 )
 from grmlr.ecograph import build_graph
-from grmlr.model import GrmlrConfig, GrmlrModel, class_balanced_weights, loss
+from grmlr.model import GrmlrConfig, GrmlrModel, class_balanced_weights, fit, loss
 
 SMALL_GRID = {
     "alpha": [0.0, 0.5],
@@ -118,6 +118,20 @@ class TestLoocv:
             assert model.final_loss == pytest.approx(
                 loss(model, feats, fold.stages, graph, s), abs=1e-12
             )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("class_balanced", [True, False])
+    def test_fold_models_equal_fit_on_training_subset(self, synth_dataset, alpha, class_balanced):
+        # the shared fold plan must reproduce a from-scratch fit bit for bit
+        config = GrmlrConfig(alpha=alpha, class_balanced=class_balanced)
+        report = loocv(synth_dataset, config, keep_models=True)
+        n = synth_dataset.n_sites
+        assert len(report.fold_models) == n
+        for i, fold_model in enumerate(report.fold_models):
+            model, _ = fit(synth_dataset.subset([j for j in range(n) if j != i]), config)
+            assert np.array_equal(fold_model.weights, model.weights)
+            assert np.array_equal(fold_model.bias, model.bias)
+            assert fold_model.final_loss == model.final_loss
 
     def test_holdout_macrofauna_never_influences_fold(self, noisy):
         config = GrmlrConfig()

@@ -1,5 +1,6 @@
 """Classifier core: softmax, loss, gradient, fitting, prediction, I/O."""
 
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from grmlr.dataset import StageLabels, synthesize_dataset
 from grmlr.ecograph import fuse
 from grmlr.errors import (
     EmptyClass,
+    InvalidValue,
     Misalignment,
     MissingLabels,
     MissingMacrofauna,
@@ -378,6 +380,18 @@ class TestNewtonSolver:
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+@pytest.mark.parametrize("target", ["features", "weights"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fit_arrays_rejects_non_finite_input(target, bad):
+    rng = np.random.default_rng(0)
+    Z = rng.normal(size=(6, 4))
+    s = np.ones(6)
+    (Z[2] if target == "features" else s)[1] = bad
+    y = np.arange(6) % 3
+    with pytest.raises(InvalidValue):
+        fit_arrays(Z, y, 3, s, np.zeros((4, 4)), GrmlrConfig())
+
+
 class TestPredict:
     def test_bias_domination(self, synth_dataset):
         model = _model(
@@ -437,4 +451,15 @@ class TestSerialization:
         from grmlr.errors import InvalidValue
 
         with pytest.raises(InvalidValue):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["taxa_names", "label_set"])
+    def test_rejects_duplicate_names(self, tmp_path, synth_dataset, field):
+        model, _ = fit(synth_dataset, GrmlrConfig())
+        path = tmp_path / "model.grmlr"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload[field][1] = payload[field][0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidValue, match="duplicate"):
             load_model(path)

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from grmlr.errors import LengthMismatch, TooFewSamples
-from grmlr.rankstats import average_ranks, spearman, spearman_cross, spearman_matrix
+from grmlr.rankstats import (
+    average_ranks,
+    rank_matrix,
+    spearman,
+    spearman_cross,
+    spearman_matrix,
+)
 
 from oracles import rank_by_counting, spearman_bruteforce
 
@@ -34,6 +41,19 @@ class TestAverageRanks:
     def test_rank_sum_invariant(self, values):
         n = len(values)
         assert abs(average_ranks(values).sum() - n * (n + 1) / 2) < 1e-9
+
+
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=13),
+        elements=st.integers(min_value=-3, max_value=3).map(float),
+    )
+)
+def test_rank_matrix_matches_counting_by_column(m):
+    got = rank_matrix(m)
+    for j in range(m.shape[1]):
+        assert got[:, j].tolist() == rank_by_counting(m[:, j].tolist())
 
 
 class TestSpearman:
