@@ -22,6 +22,7 @@ the output directory. Exit codes: 0 ok, 1 input/validation error,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -206,10 +207,10 @@ def cmd_predict(args) -> int:
     features = build_features(dataset, model.hyperparams.epsilon, model.feature_mode)
     proba = predict_proba(model, features)
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        header = ["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]]
-        fh.write(",".join(header) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]])
         for sid, pick, row in zip(features.site_ids, np.argmax(proba, axis=1), proba):
-            fh.write(",".join([sid, model.label_set[pick], *[repr(float(v)) for v in row]]) + "\n")
+            writer.writerow([sid, model.label_set[pick], *[repr(float(v)) for v in row]])
     write_manifest(out, "predict", None, [model_path, abundance_path], model.hyperparams.seed)
     print(f"wrote {out / 'predictions.csv'}")
     return EXIT_OK

@@ -5,13 +5,19 @@ All evaluations are leave-one-out: the held-out site never influences the
 training fold's graph (under the default ``co_occurrence_scope='train'``),
 sample weights or fit. Rank correlations are precomputed once per fold and
 shared across hyperparameter configurations, which keeps the exhaustive
-grid search cheap; thresholding and fitting still happen per configuration,
-so results are identical to rebuilding everything from scratch.
+grid search cheap. Thresholding still happens per configuration. Fitting
+happens once per distinct fold problem within a grid search: configurations
+that give a fold the same sample weights, penalties, stopping rule and (when
+lambda_g > 0) Laplacian reuse that fold's held-out prediction. The fit is
+deterministic, so results are identical to rebuilding everything from
+scratch.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -199,7 +205,15 @@ def _run_plan(
     config: GrmlrConfig,
     y: Optional[np.ndarray] = None,
     keep_models: bool = False,
+    memo: Optional[dict] = None,
 ) -> EvalReport:
+    """LOOCV of one configuration on a prepared plan.
+
+    ``memo`` maps fold-fit keys (``_fold_fit_key``) to held-out predictions
+    and is filled as folds are fitted; a fold whose key is already there is
+    not fitted again. It holds no weights, so it is only for runs on the
+    plan's own labels without ``keep_models``.
+    """
     if y is None:
         y = plan.y
     K = len(plan.label_set)
@@ -215,10 +229,32 @@ def _run_plan(
         graph = graph_from_correlations(
             fold.profiles, co, config.tau, config.gamma, config.alpha, plan.taxa_names
         )
-        s = _sample_weights(y_train, K, config.class_balanced)
-        W, b, info = fit_arrays(plan.features[fold.train_idx], y_train, K, s, graph.laplacian, config)
-        scores = plan.features[fold.test_index] @ W.T + b
-        pred = int(np.argmax(scores))
+        key = None if memo is None else _fold_fit_key(plan, fold, config, graph.laplacian)
+        if memo is not None and key in memo:
+            pred = memo[key]
+        else:
+            s = _sample_weights(y_train, K, config.class_balanced)
+            W, b, info = fit_arrays(
+                plan.features[fold.train_idx], y_train, K, s, graph.laplacian, config
+            )
+            scores = plan.features[fold.test_index] @ W.T + b
+            pred = int(np.argmax(scores))
+            if memo is not None:
+                memo[key] = pred
+            if keep_models:
+                models.append(
+                    GrmlrModel(
+                        weights=W,
+                        bias=b,
+                        taxa_names=list(plan.taxa_names),
+                        label_set=plan.label_set,
+                        hyperparams=config,
+                        feature_mode=plan.feature_mode,
+                        converged=info["converged"],
+                        n_iterations=info["n_iterations"],
+                        final_loss=info["final_loss"],
+                    )
+                )
         per_fold.append(
             FoldPrediction(
                 site_id=fold.site_id,
@@ -226,20 +262,6 @@ def _run_plan(
                 predicted_label=plan.label_set[pred],
             )
         )
-        if keep_models:
-            models.append(
-                GrmlrModel(
-                    weights=W,
-                    bias=b,
-                    taxa_names=list(plan.taxa_names),
-                    label_set=plan.label_set,
-                    hyperparams=config,
-                    feature_mode=plan.feature_mode,
-                    converged=info["converged"],
-                    n_iterations=info["n_iterations"],
-                    final_loss=info["final_loss"],
-                )
-            )
     correct = sum(1 for f in per_fold if f.true_label == f.predicted_label)
     accuracy = correct / len(per_fold) if per_fold else 0.0
     f1 = (
@@ -263,6 +285,34 @@ def _run_plan(
         config=config,
         skipped_folds=skipped,
         fold_models=models,
+    )
+
+
+def _fold_fit_key(
+    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, laplacian: np.ndarray
+) -> tuple:
+    """Everything a fold fit on the plan's own labels depends on.
+
+    That is the features (``plan.epsilon``), the fold, the sample weights
+    (``class_balanced``), the penalties and the stopping rule. The Laplacian
+    enters the objective only through lambda_g, so it is left out at
+    lambda_g = 0, where every graph gives the same fit bit for bit.
+    """
+    graph = (
+        hashlib.blake2b(laplacian.tobytes(), digest_size=16).digest()
+        if config.lambda_g != 0.0
+        else None
+    )
+    return (
+        plan.epsilon,
+        fold.test_index,
+        config.class_balanced,
+        config.lambda_l2,
+        config.lambda_g,
+        config.ftol,
+        config.gtol,
+        config.max_iters,
+        graph,
     )
 
 
@@ -304,7 +354,7 @@ def permutation_test(
     n = len(plan.site_ids)
     perms = [rng.permutation(n) for _ in range(B)]
     tasks = [(plan, config, plan.y[perm]) for perm in perms]
-    accuracies = _map_chunked(_permutation_worker, tasks, workers)
+    accuracies = _map_chunked(_permutation_chunk, tasks, workers)
     exceed = sum(1 for a in accuracies if a >= observed)
     p_value = (1 + exceed) / (1 + B)
     return PermutationReport(
@@ -314,9 +364,8 @@ def permutation_test(
     )
 
 
-def _permutation_worker(task) -> float:
-    plan, config, y_perm = task
-    return _run_plan(plan, config, y=y_perm).accuracy
+def _permutation_chunk(tasks: list) -> list[float]:
+    return [_run_plan(plan, config, y=y_perm).accuracy for plan, config, y_perm in tasks]
 
 
 def grid_search(
@@ -331,6 +380,11 @@ def grid_search(
     enumeration order, so the output is deterministic regardless of the
     worker count. A configuration that fails is kept with its error message
     and sorts last.
+
+    Each distinct fold fit runs once per call (once per chunk of configs
+    with ``workers > 1``), and configs that need the same fit reuse its
+    held-out prediction; see ``_fold_fit_key``. A fit that warns therefore
+    warns once, not once per config that reuses it.
     """
     if base_config is None:
         base_config = GrmlrConfig()
@@ -352,7 +406,7 @@ def grid_search(
         if cfg.epsilon not in plans:
             plans[cfg.epsilon] = build_plan(dataset, cfg.epsilon)
     tasks = [(plans[cfg.epsilon], cfg) for cfg in configs]
-    outcomes = _map_chunked(_grid_worker, tasks, workers)
+    outcomes = _map_chunked(_grid_chunk, tasks, workers)
     entries = [
         GridEntry(index=i, config=cfg, accuracy=acc, macro_f1=f1, error=err)
         for i, (cfg, (acc, f1, err)) in enumerate(zip(configs, outcomes))
@@ -361,13 +415,17 @@ def grid_search(
     return GridResult(entries=entries)
 
 
-def _grid_worker(task) -> tuple[float, float, Optional[str]]:
-    plan, config = task
-    try:
-        report = _run_plan(plan, config)
-    except Exception as exc:  # entry marked failed, search continues
-        return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
-    return report.accuracy, report.macro_f1, None
+def _grid_chunk(tasks: list) -> list[tuple[float, float, Optional[str]]]:
+    memo: dict = {}
+    outcomes = []
+    for plan, config in tasks:
+        try:
+            report = _run_plan(plan, config, memo=memo)
+        except Exception as exc:  # entry marked failed, search continues
+            outcomes.append((float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"))
+        else:
+            outcomes.append((report.accuracy, report.macro_f1, None))
+    return outcomes
 
 
 def _entry_sort_key(entry: GridEntry):
@@ -378,21 +436,32 @@ def _entry_sort_key(entry: GridEntry):
 
 
 def _map_chunked(fn, tasks: list, workers: int) -> list:
-    """Order-preserving parallel map; results identical for any worker count."""
+    """Order-preserving parallel map of ``fn``, which maps a list of tasks to
+    a list of results; results identical for any worker count.
+
+    With ``workers > 1``, each worker runs ``fn`` on one chunk of tasks at a
+    time, and the warnings a chunk raised are issued again here, in task
+    order, so that the caller's warning filters and ``--strict`` see them.
+    """
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        return fn(tasks)
     chunk_size = max(1, len(tasks) // (workers * 4))
     chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
-    results: list = [None] * len(chunks)
+    results: list = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_run_chunk, fn, chunk): i for i, chunk in enumerate(chunks)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return [item for chunk in results for item in chunk]
+        futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
+        for fut in futures:
+            chunk_results, caught = fut.result()
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            results.extend(chunk_results)
+    return results
 
 
-def _run_chunk(fn, chunk: list) -> list:
-    return [fn(t) for t in chunk]
+def _run_chunk(fn, chunk: list) -> tuple[list, list[tuple]]:
+    with warnings.catch_warnings(record=True) as caught:
+        results = fn(chunk)
+    return results, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def ablate(dataset: Dataset, config: GrmlrConfig) -> dict[str, EvalReport]:

@@ -1,13 +1,15 @@
 """Minimal deterministic SVG renderings for sweep and ranking outputs.
 
 Hand-rolled rather than delegated to a plotting library so that repeated
-runs with identical inputs produce byte-identical files.
+runs with identical inputs produce byte-identical files. Titles, axis labels
+and bar labels (taxon names from input headers) are XML-escaped.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 from .errors import IoFailure
 
@@ -24,6 +26,7 @@ def _svg_header() -> str:
 
 
 def _axis(title: str, x_label: str, y_label: str) -> str:
+    title, x_label, y_label = escape(title), escape(x_label), escape(y_label)
     return (
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - _MARGIN}" '
         f'y2="{_H - _MARGIN}" stroke="black"/>\n'
@@ -101,7 +104,7 @@ def bar_chart(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{h:.2f}" '
             f'fill="#2ca02c"/>\n'
             f'<text x="{cx:.2f}" y="{_H - _MARGIN + 12}" text-anchor="end" font-size="9" '
-            f'transform="rotate(-45 {cx:.2f} {_H - _MARGIN + 12})">{lab}</text>\n'
+            f'transform="rotate(-45 {cx:.2f} {_H - _MARGIN + 12})">{escape(lab)}</text>\n'
         )
     parts.append("</svg>\n")
     _write(path, "".join(parts))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from grmlr import cli
-from grmlr.dataset import load_dataset
+from grmlr.dataset import AbundanceMatrix, Dataset, load_dataset, save_dataset
 from grmlr.model import GrmlrConfig, load_model, predict
 
 MANIFEST_KEYS = {
@@ -96,6 +96,21 @@ def test_predictions_match_predict_on_the_loaded_model(tmp_path, csv_trio, model
     assert [r["stage"] for r in rows] == expected.labels
 
 
+def test_predictions_quote_site_ids_with_commas(tmp_path, synth_dataset, model_dir):
+    ab = synth_dataset.abundances
+    ids = ["s,1", *ab.site_ids[1:]]
+    table = tmp_path / "quoted.csv"
+    save_dataset(Dataset(AbundanceMatrix(ids, list(ab.taxa_names), ab.values), None, None), table)
+    out = tmp_path / "pred"
+    argv = ["predict", "--model", str(model_dir / "model.grmlr"), "--abundances", str(table)]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["site_id", "stage", "prob_juvenile", "prob_adult", "prob_dead"]
+    assert [len(r) for r in rows] == [5] * (len(ids) + 1)
+    assert [r[0] for r in rows[1:]] == ids
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -171,7 +186,7 @@ def test_ablate_always_needs_macrofauna(tmp_path, csv_trio, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["fit"], ["eval", "loocv"]],
+    [["fit"], ["eval", "loocv"], ["eval", "permtest", "--B", "2", "--workers", "2"]],
 )
 def test_strict_escalates_nonconvergence(tmp_path, csv_trio, capsys, argv):
     base = [*argv, *_trio_args(csv_trio), "--set", "max_iters=1"]
@@ -179,6 +194,19 @@ def test_strict_escalates_nonconvergence(tmp_path, csv_trio, capsys, argv):
     assert "warning: optimizer hit max_iters=1" in capsys.readouterr().err
     strict = [*base, "--strict", "--out", str(tmp_path / "strict")]
     assert cli.main(strict) == cli.EXIT_STRICT_WARNINGS
+
+
+def test_worker_warnings_reach_stderr(tmp_path, csv_trio, capsys):
+    base = ["eval", "permtest", *_trio_args(csv_trio), "--B", "2", "--set", "max_iters=1"]
+    printed = {}
+    for workers in ("1", "2"):
+        out = str(tmp_path / workers)
+        assert cli.main([*base, "--workers", workers, "--out", out]) == cli.EXIT_OK
+        printed[workers] = [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")
+        ]
+    assert len(printed["1"]) == 3 * 13  # observed run and B=2 permutations, 13 folds each
+    assert printed["2"] == printed["1"]
 
 
 def test_other_warnings_still_reach_stderr(tmp_path):

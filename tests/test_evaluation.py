@@ -1,8 +1,12 @@
 """Harness: LOOCV, metrics, permutation machinery, grid, ablations, sweep."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
+from grmlr import evaluation
 from grmlr.compositional import clr_transform
 from grmlr.dataset import (
     AbundanceMatrix,
@@ -11,7 +15,7 @@ from grmlr.dataset import (
     StageLabels,
     synthesize_dataset,
 )
-from grmlr.errors import LengthMismatch, MissingLabels, UnknownParameter
+from grmlr.errors import LengthMismatch, MissingLabels, NonConvergenceWarning, UnknownParameter
 from grmlr.evaluation import (
     EvalReport,
     ablate,
@@ -201,6 +205,19 @@ class TestPermutation:
             f.predicted_label for f in slow.per_fold
         ]
 
+    def test_worker_warnings_reach_the_caller_in_task_order(self):
+        data = synthesize_dataset(n=9, p=8, K=3, n_blocks=2, coupling=0.9, noise=0.1, seed=0)
+        config = GrmlrConfig(max_iters=1)
+        seen = {}
+        for workers in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                permutation_test(data, config, B=2, seed=0, workers=workers)
+            seen[workers] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        assert len(seen[1]) == 3 * 9  # observed labels and B=2 permutations, 9 folds each
+        assert all(cat is NonConvergenceWarning for cat, *_ in seen[1])
+        assert seen[2] == seen[1]
+
 
 class TestGrid:
     def test_single_point_equals_direct_loocv(self, separable):
@@ -239,6 +256,56 @@ class TestGrid:
         result = grid_search(noisy, SMALL_GRID)
         keys = [(-e.accuracy, -e.macro_f1, e.index) for e in result.entries]
         assert keys == sorted(keys)
+
+
+class TestGridFitReuse:
+    GRID = {"alpha": [0.0, 0.5, 1.0], "lambda_g": [0.0, 5.0]}
+
+    @staticmethod
+    def _outcomes(result):
+        return [(e.index, e.config, e.accuracy, e.macro_f1, e.error) for e in result.entries]
+
+    def test_one_fit_per_distinct_fold_problem(self, separable, monkeypatch):
+        calls = []
+        original = evaluation.fit_arrays
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_arrays", counting)
+        result = grid_search(separable, self.GRID)
+        base = GrmlrConfig()
+        keys = set()
+        for i in range(separable.n_sites):
+            train = separable.subset([j for j in range(separable.n_sites) if j != i])
+            features = clr_transform(train.abundances, base.epsilon)
+            for alpha, lambda_g in itertools.product(*self.GRID.values()):
+                graph = build_graph(features, train.macrofauna, base.tau, base.gamma, alpha)
+                keys.add((i, lambda_g, graph.laplacian.tobytes() if lambda_g else None))
+        assert len(keys) < 6 * separable.n_sites
+        assert len(calls) == len(keys)
+        for entry in result.entries:
+            direct = loocv(separable, entry.config)
+            assert (entry.accuracy, entry.macro_f1) == (direct.accuracy, direct.macro_f1)
+
+    def test_worker_count_invariance(self, separable):
+        # 24 configs make chunks of 3, so fits are also reused within a worker chunk
+        grid = {**self.GRID, "tau": [0.5, 0.9], "gamma": [0.8, 0.9]}
+        serial = grid_search(separable, grid, workers=1)
+        parallel = grid_search(separable, grid, workers=2)
+        assert self._outcomes(parallel) == self._outcomes(serial)
+
+    def test_configs_without_their_graph_inputs_still_fail(self, separable):
+        stripped = Dataset(separable.abundances, None, separable.stages)
+        result = grid_search(stripped, self.GRID)
+        for entry in result.entries:
+            if entry.config.alpha > 0:
+                assert entry.error.startswith("MissingMacrofauna")
+            else:
+                assert entry.error is None
+                direct = loocv(stripped, entry.config)
+                assert (entry.accuracy, entry.macro_f1) == (direct.accuracy, direct.macro_f1)
 
 
 class TestAblate:
