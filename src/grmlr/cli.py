@@ -206,13 +206,17 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     features = build_features(dataset, model.hyperparams.epsilon, model.feature_mode)
     proba = predict_proba(model, features)
-    with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]])
-        for sid, pick, row in zip(features.site_ids, np.argmax(proba, axis=1), proba):
-            writer.writerow([sid, model.label_set[pick], *[repr(float(v)) for v in row]])
+    path = out / "predictions.csv"
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]])
+            for sid, pick, row in zip(features.site_ids, np.argmax(proba, axis=1), proba):
+                writer.writerow([sid, model.label_set[pick], *[repr(float(v)) for v in row]])
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
     write_manifest(out, "predict", None, [model_path, abundance_path], model.hyperparams.seed)
-    print(f"wrote {out / 'predictions.csv'}")
+    print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -173,17 +173,10 @@ def build_graph(
     tau: float,
     gamma: float,
     alpha: float,
-    co_correlations: np.ndarray | None = None,
 ) -> EcologicalGraph:
-    """Construct the full graph from features (and counts when alpha > 0).
-
-    ``co_correlations`` lets the caller substitute correlations computed on
-    a wider site set (the transductive co-occurrence scope) or reuse cached
-    ones; by default they come from ``features`` itself.
-    """
+    """Construct the full graph from features (and counts when alpha > 0)."""
     profiles = None if macrofauna is None else compute_macro_profiles(features, macrofauna)
-    if co_correlations is None:
-        co_correlations = compute_co_correlations(features)
+    co_correlations = compute_co_correlations(features)
     return graph_from_correlations(profiles, co_correlations, tau, gamma, alpha, features.taxa_names)
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from .dataset import Dataset, _write_csv, _write_json, substream
 from .ecograph import graph_from_correlations
 from .errors import (
+    GrmlrError,
     InvalidShape,
     InvalidValue,
     LengthMismatch,
@@ -35,7 +36,9 @@ from .errors import (
     TaxaMismatch,
     UnknownParameter,
 )
-from .model import GrmlrConfig, GrmlrModel, _sample_weights, build_features, fit_arrays
+from .model import (
+    GrmlrConfig, GrmlrModel, _fitted_model, _sample_weights, build_features, fit_arrays
+)
 from .rankstats import spearman_cross, spearman_matrix
 
 DEFAULT_GRID: dict[str, list] = {
@@ -242,19 +245,8 @@ def _run_plan(
             if memo is not None:
                 memo[key] = pred
             if keep_models:
-                models.append(
-                    GrmlrModel(
-                        weights=W,
-                        bias=b,
-                        taxa_names=list(plan.taxa_names),
-                        label_set=plan.label_set,
-                        hyperparams=config,
-                        feature_mode=plan.feature_mode,
-                        converged=info["converged"],
-                        n_iterations=info["n_iterations"],
-                        final_loss=info["final_loss"],
-                    )
-                )
+                fitted = (W, b, info, plan.taxa_names, plan.label_set, config, plan.feature_mode)
+                models.append(_fitted_model(*fitted))
         per_fold.append(
             FoldPrediction(
                 site_id=fold.site_id,
@@ -262,25 +254,16 @@ def _run_plan(
                 predicted_label=plan.label_set[pred],
             )
         )
-    correct = sum(1 for f in per_fold if f.true_label == f.predicted_label)
-    accuracy = correct / len(per_fold) if per_fold else 0.0
-    f1 = (
-        macro_f1(
-            [f.true_label for f in per_fold],
-            [f.predicted_label for f in per_fold],
-            plan.label_set,
-        )
-        if per_fold
-        else 0.0
-    )
     stage_correct = {lab: 0 for lab in plan.label_set}
     for f in per_fold:
         if f.true_label == f.predicted_label:
             stage_correct[f.true_label] += 1
     return EvalReport(
         per_fold=per_fold,
-        accuracy=accuracy,
-        macro_f1=f1,
+        accuracy=sum(stage_correct.values()) / len(per_fold) if per_fold else 0.0,
+        macro_f1=macro_f1(
+            [f.true_label for f in per_fold], [f.predicted_label for f in per_fold], plan.label_set
+        ),
         stage_correct=stage_correct,
         config=config,
         skipped_folds=skipped,
@@ -421,7 +404,7 @@ def _grid_chunk(tasks: list) -> list[tuple[float, float, Optional[str]]]:
     for plan, config in tasks:
         try:
             report = _run_plan(plan, config, memo=memo)
-        except Exception as exc:  # entry marked failed, search continues
+        except GrmlrError as exc:  # entry marked failed, search continues
             outcomes.append((float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"))
         else:
             outcomes.append((report.accuracy, report.macro_f1, None))
@@ -486,18 +469,23 @@ def alpha_sweep(
     grid: Optional[dict[str, list]] = None,
     workers: int = 1,
 ) -> list[tuple[float, float]]:
-    """Best grid-search LOOCV accuracy attainable at each mixing weight."""
-    axes = dict(DEFAULT_GRID if grid is None else grid)
-    axes.pop("alpha", None)
-    rows = []
+    """Best grid-search LOOCV accuracy attainable at each mixing weight.
+
+    This is one :func:`grid_search` over ``grid`` (``DEFAULT_GRID`` when None)
+    with ``alphas`` as its alpha axis; each row is the best entry at that alpha.
+    A fit that several alphas share runs once, so a warning it raises is issued once.
+    """
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise InvalidValue(f"alpha values must lie in [0, 1], got {alpha}")
-        result = grid_search(
-            dataset, axes, workers=workers, base_config=replace(config, alpha=alpha)
-        )
-        rows.append((float(alpha), result.best().accuracy))
-    return rows
+    if not alphas:
+        return []
+    axes = {**(DEFAULT_GRID if grid is None else grid), "alpha": list(alphas)}
+    entries = grid_search(dataset, axes, workers=workers, base_config=config).entries
+    return [
+        (float(alpha), GridResult([e for e in entries if e.config.alpha == alpha]).best().accuracy)
+        for alpha in alphas
+    ]
 
 
 def coefficient_ranking(models: Sequence[GrmlrModel]) -> list[tuple[str, float]]:

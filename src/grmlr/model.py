@@ -209,8 +209,7 @@ def loss_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of :func:`loss` with respect to (W, b)."""
     _, grad = _evaluate(model, features, labels, graph, sample_weights)
-    K, p = model.weights.shape
-    return grad[: K * p].reshape(K, p), grad[K * p :]
+    return grad[:, :-1], grad[:, -1]
 
 
 def _evaluate(
@@ -230,10 +229,9 @@ def _evaluate(
         raise Misalignment("label set does not match the model")
     cfg = model.hyperparams
     return _objective(
-        _pack(model.weights, model.bias),
+        np.column_stack([model.weights, model.bias]),
         features.values,
         labels.indices(),
-        model.n_classes,
         np.asarray(sample_weights, dtype=float),
         graph.laplacian,
         cfg.lambda_l2,
@@ -241,23 +239,19 @@ def _evaluate(
     )
 
 
-def _pack(W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.ravel(W), np.ravel(b)])
-
-
 def _objective(
-    theta: np.ndarray,
+    V: np.ndarray,
     Z: np.ndarray,
     y: np.ndarray,
-    K: int,
     s: np.ndarray,
     laplacian: np.ndarray,
     lambda_l2: float,
     lambda_g: float,
 ) -> tuple[float, np.ndarray]:
+    """Objective and its gradient at V = [W | b]; both V and the gradient are K x (p + 1)."""
     n, p = Z.shape
-    W = theta[: K * p].reshape(K, p)
-    b = theta[K * p :]
+    W = V[:, :p]
+    b = V[:, p]
     scores = Z @ W.T + b
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -272,15 +266,16 @@ def _objective(
     R = P.copy()
     R[np.arange(n), y] -= 1.0
     R *= (s / n)[:, None]
-    GW = R.T @ Z + 2.0 * lambda_l2 * W + 2.0 * lambda_g * WL
-    gb = R.sum(axis=0)
-    return value, _pack(GW, gb)
+    grad = np.empty_like(V)
+    grad[:, :p] = R.T @ Z + 2.0 * lambda_l2 * W + 2.0 * lambda_g * WL
+    grad[:, p] = R.sum(axis=0)
+    return value, grad
 
 
 def _data_hessian(V: np.ndarray, X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Hessian of the weighted cross-entropy at V = [W | b], class-block order.
+    """Hessian of the weighted cross-entropy at V = [W | b], a K x (p + 1) array.
 
-    Parameters are ordered [w_1, b_1, ..., w_K, b_K]. The Hessian is
+    Rows and columns follow V.ravel(), i.e. [w_1, b_1, ..., w_K, b_K]. It is
     sum_i c_i (diag P_i - P_i P_i^T) kron x_i x_i^T with x_i = [z_i, 1]:
     block (k, m) is (X w_km)^T X with w_km = c (delta_km P_k - P_k P_m).
     The K(K+1)/2 distinct blocks come from one batched matrix product.
@@ -289,9 +284,9 @@ def _data_hessian(V: np.ndarray, X: np.ndarray, c: np.ndarray) -> np.ndarray:
     P = softmax_rows(X @ V.T)
     rows, cols = _class_pairs(K)
     weights = c[:, None] * P[:, rows] * ((rows == cols) - P[:, cols])
-    blocks = np.matmul((weights.T[:, :, None] * X).transpose(0, 2, 1), X)
+    pair_blocks = np.matmul((weights.T[:, :, None] * X).transpose(0, 2, 1), X)
     H = np.empty((K, d, K, d))
-    for block, k, m in zip(blocks, rows, cols):
+    for block, k, m in zip(pair_blocks, rows, cols):
         H[k, :, m, :] = H[m, :, k, :] = block
     return H.reshape(K * d, K * d)
 
@@ -310,15 +305,15 @@ def _flat_directions(
 ) -> np.ndarray:
     """Orthonormal basis of the directions along which the objective is constant.
 
-    Columns are in class-block order. Shifting every bias by the same
-    amount changes no probability, so the unit vector u of that shift is
-    always flat. With a ridge (lambda_l2 > 0) it is the only one. Without
-    it, a direction is flat when it moves all K scores of every sample by
-    one common amount and the penalty ``curvature`` does not see it: CLR
-    rows and Laplacian rows both sum to zero, so each w_k can move along
-    the all-ones vector for free. That set does not depend on the
-    probabilities, so it is the numerical null space of the Hessian at
-    W = 0, b = 0 (numpy's matrix-rank tolerance).
+    Columns follow V.ravel(), as in :func:`_data_hessian`. Shifting every
+    bias by the same amount changes no probability, so the unit vector u of
+    that shift is always flat. With a ridge (lambda_l2 > 0) it is the only
+    one. Without it, a direction is flat when it moves all K scores of every
+    sample by one common amount and the penalty ``curvature`` does not see
+    it: CLR rows and Laplacian rows both sum to zero, so each w_k can move
+    along the all-ones vector for free. That set does not depend on the
+    probabilities, so it is the numerical null space of the Hessian at V = 0
+    (numpy's matrix-rank tolerance).
     """
     d = X.shape[1]
     if ridge:
@@ -340,17 +335,19 @@ def fit_arrays(
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Damped exact-Newton minimization of the regularized objective from zero.
 
-    Low-level core shared by :func:`fit` and the evaluation harness.
-    Starting from W = 0, b = 0, each iteration solves the Newton system
-    with the exact Hessian (:func:`_data_hessian` plus the penalty
-    2 lambda_l2 I + 2 lambda_g L on every w_k) and backtracks by halving
-    until the Armijo condition holds. The objective is exactly flat along
-    a few directions (:func:`_flat_directions`): always the equal shift u
-    of all biases, and without a ridge also, for CLR features, each w_k
-    along the all-ones vector. Adding N N^T for an orthonormal basis N of
-    them (just u u^T when lambda_l2 > 0) makes the system nonsingular; the
-    gradient is orthogonal to them and the step is projected off them, so
-    the fit never moves along them and the biases keep summing to zero.
+    Low-level core shared by :func:`fit` and the evaluation harness. The
+    parameters are one K x (p + 1) array V = [W | b] from start to return,
+    and so is the gradient. Starting from V = 0, each iteration solves the
+    Newton system, in V.ravel() order, with the exact Hessian
+    (:func:`_data_hessian` plus the penalty 2 lambda_l2 I + 2 lambda_g L on
+    every w_k) and backtracks by halving until the Armijo condition holds.
+    The objective is exactly flat along a few directions
+    (:func:`_flat_directions`): always the equal shift u of all biases, and
+    without a ridge also, for CLR features, each w_k along the all-ones
+    vector. Adding N N^T for an orthonormal basis N of them (just u u^T when
+    lambda_l2 > 0) makes the system nonsingular; the gradient is orthogonal
+    to them and the step is projected off them, so the fit never moves along
+    them and the biases keep summing to zero.
 
     It stops when the gradient max-norm is at most ``config.gtol``, when
     the relative decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) of an
@@ -368,7 +365,7 @@ def fit_arrays(
         raise InvalidValue("features and sample weights must be finite")
     n, p = Z.shape
     d = p + 1
-    args = (Z, y, K, sample_weights, laplacian, config.lambda_l2, config.lambda_g)
+    args = (Z, y, sample_weights, laplacian, config.lambda_l2, config.lambda_g)
     X = np.hstack([Z, np.ones((n, 1))])
     c = np.asarray(sample_weights, dtype=float) / n
     penalty = np.zeros((d, d))
@@ -376,24 +373,20 @@ def fit_arrays(
     curvature = np.kron(np.eye(K), penalty)
     flat = _flat_directions(X, c, curvature, K, config.lambda_l2 > 0.0)
     curvature += flat @ flat.T
-    # theta holds [vec(W), b]; theta[blocks] is the class-block order
-    blocks = np.hstack([np.arange(K * p).reshape(K, p), np.arange(K * p, K * d)[:, None]])
-    blocks = blocks.ravel()
-    theta = np.zeros(K * d)
-    value, grad = _objective(theta, *args)
+    V = np.zeros((K, d))
+    value, grad = _objective(V, *args)
     history = [float(value)] if track_history else None
     n_iter = 0
     while np.abs(grad).max() > config.gtol and n_iter < config.max_iters:
-        H = _data_hessian(theta[blocks].reshape(K, d), X, c) + curvature
-        newton = np.linalg.solve(H, -grad[blocks])
-        step = np.empty_like(theta)
-        step[blocks] = newton - flat @ (flat.T @ newton)
-        slope = float(grad @ step)
+        H = _data_hessian(V, X, c) + curvature
+        newton = np.linalg.solve(H, -grad.ravel())
+        step = (newton - flat @ (flat.T @ newton)).reshape(K, d)
+        slope = float(grad.ravel() @ step.ravel())
         if not slope < 0.0:
             break
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = theta + t * step
+            trial = V + t * step
             trial_value, trial_grad = _objective(trial, *args)
             if trial_value <= value + _ARMIJO * t * slope:
                 break
@@ -402,7 +395,7 @@ def fit_arrays(
             break
         n_iter += 1
         decrease = (value - trial_value) / max(abs(value), abs(trial_value), 1.0)
-        theta, value, grad = trial, trial_value, trial_grad
+        V, value, grad = trial, trial_value, trial_grad
         if history is not None:
             history.append(float(value))
         if decrease <= config.ftol:
@@ -417,8 +410,6 @@ def fit_arrays(
             NonConvergenceWarning,
             stacklevel=2,
         )
-    W = theta[: K * p].reshape(K, p)
-    b = theta[K * p :]
     info = {
         "converged": converged,
         "n_iterations": n_iter,
@@ -426,7 +417,7 @@ def fit_arrays(
         "grad_max_norm": grad_norm,
         "loss_history": history,
     }
-    return W, b, info
+    return V[:, :p], V[:, p], info
 
 
 def build_features(dataset_or_abundances, epsilon: float, feature_mode: str) -> FeatureMatrix:
@@ -472,11 +463,19 @@ def fit(
         config,
         track_history=track_history,
     )
-    model = GrmlrModel(
+    model = _fitted_model(W, b, info, features.taxa_names, labels.label_set, config, feature_mode)
+    return model, graph
+
+
+def _fitted_model(
+    W, b, info: dict, taxa_names, label_set, config: GrmlrConfig, feature_mode: str
+) -> GrmlrModel:
+    """The model of one :func:`fit_arrays` result, with its solver diagnostics."""
+    return GrmlrModel(
         weights=W,
         bias=b,
-        taxa_names=list(features.taxa_names),
-        label_set=tuple(labels.label_set),
+        taxa_names=list(taxa_names),
+        label_set=tuple(label_set),
         hyperparams=config,
         feature_mode=feature_mode,
         converged=info["converged"],
@@ -484,7 +483,6 @@ def fit(
         final_loss=info["final_loss"],
         loss_history=info["loss_history"],
     )
-    return model, graph
 
 
 def predict(model: GrmlrModel, abundances) -> StageLabels:

@@ -96,6 +96,15 @@ def test_predictions_match_predict_on_the_loaded_model(tmp_path, csv_trio, model
     assert [r["stage"] for r in rows] == expected.labels
 
 
+def test_unwritable_predictions_exit_one(tmp_path, csv_trio, model_dir, capsys):
+    out = tmp_path / "pred"
+    (out / "predictions.csv").mkdir(parents=True)
+    argv = ["predict", "--model", str(model_dir / "model.grmlr")]
+    argv += ["--abundances", str(csv_trio["abundances"]), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert f"error: cannot write {out / 'predictions.csv'}" in capsys.readouterr().err
+
+
 def test_predictions_quote_site_ids_with_commas(tmp_path, synth_dataset, model_dir):
     ab = synth_dataset.abundances
     ids = ["s,1", *ab.site_ids[1:]]

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from grmlr.dataset import (
     StageLabels,
     synthesize_dataset,
 )
-from grmlr.errors import LengthMismatch, MissingLabels, NonConvergenceWarning, UnknownParameter
+from grmlr.errors import (
+    InvalidValue,
+    LengthMismatch,
+    MissingLabels,
+    NonConvergenceWarning,
+    UnknownParameter,
+)
 from grmlr.evaluation import (
     EvalReport,
     ablate,
@@ -257,6 +264,14 @@ class TestGrid:
         keys = [(-e.accuracy, -e.macro_f1, e.index) for e in result.entries]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warning_escalated_to_error_is_not_a_failed_entry(self, workers):
+        data = synthesize_dataset(n=9, p=8, K=3, n_blocks=2, coupling=0.9, noise=0.1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonConvergenceWarning)
+            with pytest.raises(NonConvergenceWarning, match="max_iters=1"):
+                grid_search(data, {"max_iters": [1, 15000]}, workers=workers)
+
 
 class TestGridFitReuse:
     GRID = {"alpha": [0.0, 0.5, 1.0], "lambda_g": [0.0, 5.0]}
@@ -349,6 +364,43 @@ class TestAlphaSweep:
         )
         accs = {acc for _, acc in rows}
         assert len(accs) == 1  # lambda_g=0 makes alpha irrelevant
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_row_is_the_best_of_a_grid_search_at_that_alpha(self, noisy, workers):
+        grid = {"lambda_g": [0.0, 5.0], "tau": [0.5, 0.9]}
+        config = GrmlrConfig(lambda_l2=0.01)
+        alphas = [0.0, 0.5, 1.0]
+        rows = alpha_sweep(noisy, config, alphas, grid=grid, workers=workers)
+        expected = [
+            (a, grid_search(noisy, grid, base_config=replace(config, alpha=a)).best().accuracy)
+            for a in alphas
+        ]
+        assert rows == expected
+
+    def test_one_plan_for_the_whole_sweep(self, separable, monkeypatch):
+        calls = []
+        original = evaluation.build_plan
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_plan", counting)
+        alpha_sweep(separable, GrmlrConfig(), [0.0, 0.5, 1.0], grid={"lambda_g": [0.0, 5.0]})
+        assert len(calls) == 1
+
+    def test_no_alphas_no_rows(self, separable):
+        assert alpha_sweep(separable, GrmlrConfig(), []) == []
+
+    def test_alpha_axis_of_the_grid_is_overridden(self, separable):
+        grid = {"lambda_g": [0.0, 5.0]}
+        rows = alpha_sweep(separable, GrmlrConfig(), [0.0, 1.0], grid={**grid, "alpha": [0.2]})
+        assert rows == alpha_sweep(separable, GrmlrConfig(), [0.0, 1.0], grid=grid)
+        assert [a for a, _ in rows] == [0.0, 1.0]
+
+    def test_alpha_outside_unit_interval(self, separable):
+        with pytest.raises(InvalidValue, match=r"alpha values must lie in \[0, 1\], got 1.5"):
+            alpha_sweep(separable, GrmlrConfig(), [0.0, 1.5], grid={"lambda_g": [0.0]})
 
 
 class TestCoefficientRanking:
