@@ -10,9 +10,11 @@ by minimizing
 
 where L is the graph Laplacian over taxa and s_i are per-sample weights.
 The bias b is excluded from both penalties. The objective is convex
-(cross-entropy plus positive semi-definite quadratics) and has only
-K(p + 1) parameters, so it is fitted by damped Newton with the exact
-Hessian from W = 0, b = 0; the fit is reproducible and
+(cross-entropy plus positive semi-definite quadratics). Adding one vector
+to every class's [w_k | b_k] changes no probability, so of its K(p + 1)
+parameters only (K - 1)(p + 1) matter: the fit keeps the K rows of [W | b]
+summing to zero and runs damped Newton with the exact Hessian in the first
+K - 1 rows, from W = 0, b = 0. The fit is reproducible and
 initialization-independent.
 
 Training consumes macrofauna counts only through the graph; prediction
@@ -36,7 +38,9 @@ from .dataset import Dataset, StageLabels, _write_json
 from .ecograph import EcologicalGraph, build_graph
 from .errors import (
     EmptyClass,
+    InvalidShape,
     InvalidValue,
+    LengthMismatch,
     IoFailure,
     Misalignment,
     MissingLabels,
@@ -61,7 +65,15 @@ _FEATURE_MODES = ("clr", "raw")
 
 @dataclass(frozen=True)
 class GrmlrConfig:
-    """All hyperparameters of the pipeline, grid-searchable by field name."""
+    """All hyperparameters of the pipeline, grid-searchable by field name.
+
+    ``lambda_l2 = 0`` is allowed, but on a fold whose training classes are
+    separable (typical when p > n) the objective then has no minimizer: the
+    loss keeps falling as W grows along a separating direction. The fit
+    stops on ``gtol`` or ``ftol`` at a loss near zero and reports
+    convergence, and the W it returns depends on the solver's path and
+    stopping rule, not on the data alone.
+    """
 
     epsilon: float = 1e-6
     tau: float = 0.7
@@ -273,55 +285,89 @@ def _objective(
 
 
 def _data_hessian(V: np.ndarray, X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Hessian of the weighted cross-entropy at V = [W | b], a K x (p + 1) array.
+    """Hessian of the weighted cross-entropy in the reduced coordinates of V.
 
-    Rows and columns follow V.ravel(), i.e. [w_1, b_1, ..., w_K, b_K]. It is
-    sum_i c_i (diag P_i - P_i P_i^T) kron x_i x_i^T with x_i = [z_i, 1]:
-    block (k, m) is (X w_km)^T X with w_km = c (delta_km P_k - P_k P_m).
-    The K(K+1)/2 distinct blocks come from one batched matrix product.
+    V = [W | b] is K x (p + 1) with rows summing to zero, so it is fixed by
+    theta = V[:J], J = K - 1, through V[J] = -sum(theta). Rows and columns
+    follow theta.ravel(), i.e. [w_1, b_1, ..., w_J, b_J]. With x_i = [z_i, 1]
+    and the full-space weights w_km = c (delta_km P_k - P_k P_m), block
+    (k, m) is (X w~_km)^T X for the combined weights
+
+        w~_km = w_km - w_kJ - w_mJ + w_JJ
+              = c (delta_km P_k + P_J - (P_k - P_J)(P_m - P_J)).
+
+    The J(J+1)/2 distinct blocks come from one batched matrix product.
     """
     K, d = V.shape
+    J = K - 1
     P = softmax_rows(X @ V.T)
-    rows, cols = _class_pairs(K)
-    weights = c[:, None] * P[:, rows] * ((rows == cols) - P[:, cols])
+    rows, cols = _class_pairs(J)
+    last = P[:, J:]
+    centred = P[:, :J] - last
+    weights = c[:, None] * (
+        (rows == cols) * P[:, rows] + last - centred[:, rows] * centred[:, cols]
+    )
     pair_blocks = np.matmul((weights.T[:, :, None] * X).transpose(0, 2, 1), X)
-    H = np.empty((K, d, K, d))
+    H = np.empty((J, d, J, d))
     for block, k, m in zip(pair_blocks, rows, cols):
         H[k, :, m, :] = H[m, :, k, :] = block
-    return H.reshape(K * d, K * d)
+    return H.reshape(J * d, J * d)
 
 
 @functools.lru_cache(maxsize=None)
-def _class_pairs(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Class pairs (k, m) with k <= m, as two read-only index arrays."""
-    rows, cols = np.triu_indices(K)
+def _class_pairs(J: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class pairs (k, m) with k <= m < J, as two read-only index arrays."""
+    rows, cols = np.triu_indices(J)
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
 
 
-def _flat_directions(
-    X: np.ndarray, c: np.ndarray, curvature: np.ndarray, K: int, ridge: bool
-) -> np.ndarray:
-    """Orthonormal basis of the directions along which the objective is constant.
+def _flat_directions(X: np.ndarray, c: np.ndarray, curvature: np.ndarray, J: int) -> np.ndarray:
+    """Orthonormal basis of the reduced directions along which the objective is constant.
 
-    Columns follow V.ravel(), as in :func:`_data_hessian`. Shifting every
-    bias by the same amount changes no probability, so the unit vector u of
-    that shift is always flat. With a ridge (lambda_l2 > 0) it is the only
-    one. Without it, a direction is flat when it moves all K scores of every
-    sample by one common amount and the penalty ``curvature`` does not see
-    it: CLR rows and Laplacian rows both sum to zero, so each w_k can move
-    along the all-ones vector for free. That set does not depend on the
-    probabilities, so it is the numerical null space of the Hessian at V = 0
-    (numpy's matrix-rank tolerance).
+    Needed only without a ridge (lambda_l2 = 0): with one, the reduced
+    Hessian is positive definite. Columns follow theta.ravel(), as in
+    :func:`_data_hessian`. A direction is flat when it moves all K scores
+    of every sample by one common amount and the penalty ``curvature``
+    (reduced, like the Hessian) does not see it: CLR rows and Laplacian
+    rows both sum to zero, so each w_k can move along the all-ones vector
+    for free, which leaves J flat directions once the w_k sum to zero. That
+    set does not depend on the probabilities, so it is the numerical null
+    space of the reduced Hessian at V = 0 (numpy's matrix-rank tolerance).
     """
     d = X.shape[1]
-    if ridge:
-        u = np.zeros((K, d))
-        u[:, -1] = 1.0 / np.sqrt(K)
-        return u.reshape(K * d, 1)
-    evals, evecs = np.linalg.eigh(_data_hessian(np.zeros((K, d)), X, c) + curvature)
-    return evecs[:, evals <= evals[-1] * K * d * np.finfo(float).eps]
+    evals, evecs = np.linalg.eigh(_data_hessian(np.zeros((J + 1, d)), X, c) + curvature)
+    return evecs[:, evals <= evals[-1] * J * d * np.finfo(float).eps]
+
+
+def _checked_fit_inputs(
+    Z, y, K: int, sample_weights, laplacian
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The inputs of :func:`fit_arrays` as arrays, once they pass every check."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[0] == 0:
+        raise InvalidShape(f"features must be an n x p matrix with n >= 1, got shape {Z.shape}")
+    n, p = Z.shape
+    y = np.asarray(y)
+    s = np.asarray(sample_weights, dtype=float)
+    laplacian = np.asarray(laplacian, dtype=float)
+    if y.shape != (n,) or s.shape != (n,):
+        raise LengthMismatch(
+            f"{n} feature rows, but labels of shape {y.shape} "
+            f"and sample weights of shape {s.shape}"
+        )
+    if laplacian.shape != (p, p):
+        raise InvalidShape(f"Laplacian of shape {laplacian.shape} for {p} features")
+    if not (np.isfinite(Z).all() and np.isfinite(s).all()):
+        raise InvalidValue("features and sample weights must be finite")
+    if not np.isfinite(laplacian).all():
+        raise InvalidValue("Laplacian must be finite")
+    if (s < 0.0).any():
+        raise InvalidValue("sample weights must be >= 0")
+    if y.dtype.kind not in "iu" or (y < 0).any() or (y >= K).any():
+        raise InvalidValue(f"labels must be integer class indices in [0, {K})")
+    return Z, y, s, laplacian
 
 
 def fit_arrays(
@@ -337,50 +383,64 @@ def fit_arrays(
 
     Low-level core shared by :func:`fit` and the evaluation harness. The
     parameters are one K x (p + 1) array V = [W | b] from start to return,
-    and so is the gradient. Starting from V = 0, each iteration solves the
-    Newton system, in V.ravel() order, with the exact Hessian
-    (:func:`_data_hessian` plus the penalty 2 lambda_l2 I + 2 lambda_g L on
-    every w_k) and backtracks by halving until the Armijo condition holds.
-    The objective is exactly flat along a few directions
-    (:func:`_flat_directions`): always the equal shift u of all biases, and
-    without a ridge also, for CLR features, each w_k along the all-ones
-    vector. Adding N N^T for an orthonormal basis N of them (just u u^T when
-    lambda_l2 > 0) makes the system nonsingular; the gradient is orthogonal
-    to them and the step is projected off them, so the fit never moves along
-    them and the biases keep summing to zero.
+    and so is the gradient. Adding one vector to every row of V changes no
+    probability, so the fit keeps the rows of V summing to zero and solves
+    each Newton system in the J = K - 1 free rows theta = V[:J], with
+    V[J] = -sum(theta). Starting from V = 0, each iteration solves for the
+    step of theta with the reduced gradient g[:J] - g[J] and the exact
+    reduced Hessian: :func:`_data_hessian` plus the penalty
+    (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]], built
+    once per fit. The step of V is [d_theta; -sum(d_theta)], and the fit
+    backtracks along it by halving until the Armijo condition holds. Newton
+    on all K(p + 1) parameters from V = 0 keeps the rows summing to zero
+    too, so its iterates are these, up to rounding.
 
-    It stops when the gradient max-norm is at most ``config.gtol``, when
-    the relative decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) of an
-    accepted step is at most ``config.ftol``, when no step along the Newton
-    direction passes the Armijo test, or after ``config.max_iters``
-    iterations; the last case with a gradient max-norm above 1e-3 warns
+    With lambda_l2 > 0 the reduced Hessian is positive definite. Without
+    a ridge the objective is still exactly flat along a few reduced
+    directions (:func:`_flat_directions`): for CLR features, each w_k along
+    the all-ones vector. Adding N N^T for an orthonormal basis N of them
+    makes the system nonsingular; the gradient is orthogonal to them, so
+    a step moves along them only by rounding.
+
+    It stops when the gradient max-norm, taken over the full K x (p + 1)
+    gradient, is at most ``config.gtol``, when the relative decrease
+    (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) of an accepted step is at most
+    ``config.ftol``, when no step along the Newton direction passes the
+    Armijo test, or after ``config.max_iters`` iterations; the last case
+    with a gradient max-norm above 1e-3 warns
     :class:`NonConvergenceWarning` and reports ``converged=False``.
 
-    Returns (W, b, info) where info records convergence diagnostics; with
-    ``track_history`` its ``loss_history`` holds the objective at the start
-    and after every accepted step. Raises InvalidValue if ``Z`` or
-    ``sample_weights`` holds NaN or +/-inf.
+    Returns (W, b, info) where W and b are views of V and info records
+    convergence diagnostics; with ``track_history`` its ``loss_history``
+    holds the objective at the start and after every accepted step.
+
+    Raises InvalidShape if ``Z`` is not an n x p matrix with n >= 1 or
+    ``laplacian`` is not p x p, LengthMismatch if ``y`` or
+    ``sample_weights`` does not have length n, and InvalidValue if ``Z``,
+    ``sample_weights`` or ``laplacian`` holds NaN or +/-inf, a sample
+    weight is negative, or a label is not an integer in [0, K).
     """
-    if not (np.isfinite(Z).all() and np.isfinite(sample_weights).all()):
-        raise InvalidValue("features and sample weights must be finite")
+    Z, y, s, laplacian = _checked_fit_inputs(Z, y, K, sample_weights, laplacian)
     n, p = Z.shape
     d = p + 1
-    args = (Z, y, sample_weights, laplacian, config.lambda_l2, config.lambda_g)
+    J = K - 1
+    args = (Z, y, s, laplacian, config.lambda_l2, config.lambda_g)
     X = np.hstack([Z, np.ones((n, 1))])
-    c = np.asarray(sample_weights, dtype=float) / n
+    c = s / n
     penalty = np.zeros((d, d))
     penalty[:p, :p] = 2.0 * config.lambda_l2 * np.eye(p) + 2.0 * config.lambda_g * laplacian
-    curvature = np.kron(np.eye(K), penalty)
-    flat = _flat_directions(X, c, curvature, K, config.lambda_l2 > 0.0)
-    curvature += flat @ flat.T
+    curvature = np.kron(np.eye(J) + 1.0, penalty)
+    if config.lambda_l2 == 0.0 and J:  # K = 1 leaves nothing to solve for
+        flat = _flat_directions(X, c, curvature, J)
+        curvature += flat @ flat.T
     V = np.zeros((K, d))
     value, grad = _objective(V, *args)
     history = [float(value)] if track_history else None
     n_iter = 0
     while np.abs(grad).max() > config.gtol and n_iter < config.max_iters:
         H = _data_hessian(V, X, c) + curvature
-        newton = np.linalg.solve(H, -grad.ravel())
-        step = (newton - flat @ (flat.T @ newton)).reshape(K, d)
+        reduced = np.linalg.solve(H, (grad[J] - grad[:J]).ravel()).reshape(J, d)
+        step = np.vstack([reduced, -reduced.sum(axis=0)])
         slope = float(grad.ravel() @ step.ravel())
         if not slope < 0.0:
             break

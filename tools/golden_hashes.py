@@ -118,7 +118,7 @@ def _model_outputs(model) -> list:
     ]
 
 
-def _fit_configs(g) -> dict:
+def fit_configs(g) -> dict:
     base = g.GrmlrConfig()
     return {
         "default": base,
@@ -128,9 +128,20 @@ def _fit_configs(g) -> dict:
     }
 
 
+def synth_datasets(g) -> dict:
+    """The probes' synthetic datasets, keyed ``<scale>/seed<seed>``."""
+    return {
+        f"{scale}/seed{seed}": g.synthesize_dataset(
+            n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=seed
+        )
+        for scale, (n, p) in SCALES.items()
+        for seed in SEEDS
+    }
+
+
 def probe_fits(g, probes: Probes, datasets: dict) -> None:
     for dname, dataset in datasets.items():
-        for cname, config in _fit_configs(g).items():
+        for cname, config in fit_configs(g).items():
             tag = f"{dname}/{cname}"
             with probes.probe(f"fit/{tag}") as out:
                 model, graph = g.fit(dataset, config, track_history=True)
@@ -148,7 +159,7 @@ def probe_fits(g, probes: Probes, datasets: dict) -> None:
 
 def probe_loocv(g, probes: Probes, datasets: dict) -> None:
     for dname, dataset in datasets.items():
-        for cname, config in _fit_configs(g).items():
+        for cname, config in fit_configs(g).items():
             with probes.probe(f"loocv/{dname}/{cname}") as out:
                 report = g.loocv(dataset, config, keep_models=True)
                 out.append(report.to_dict())
@@ -208,6 +219,18 @@ def probe_cli(probes: Probes, tmp: Path) -> None:
     run("graph-export", ["graph", "export", *data])
 
 
+def import_grmlr(parser: argparse.ArgumentParser, src: str):
+    """Import ``grmlr`` from the package directory under ``src``, or exit via ``parser``."""
+    src_dir = Path(src).resolve()
+    if not (src_dir / "grmlr" / "__init__.py").is_file():
+        parser.error(f"no grmlr package under {src_dir}")
+    sys.path.insert(0, str(src_dir))
+    g = importlib.import_module("grmlr")
+    if Path(g.__file__).resolve().parent != src_dir / "grmlr":
+        parser.error(f"imported grmlr from {g.__file__}, not from {src_dir}")
+    return g
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -216,21 +239,8 @@ def main(argv=None) -> int:
         help="directory that holds the grmlr package (default: this checkout's src)",
     )
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    if not (src / "grmlr" / "__init__.py").is_file():
-        parser.error(f"no grmlr package under {src}")
-    sys.path.insert(0, str(src))
-    g = importlib.import_module("grmlr")
-    if Path(g.__file__).resolve().parent != src / "grmlr":
-        parser.error(f"imported grmlr from {g.__file__}, not from {src}")
-
-    datasets = {
-        f"{scale}/seed{seed}": g.synthesize_dataset(
-            n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=seed
-        )
-        for scale, (n, p) in SCALES.items()
-        for seed in SEEDS
-    }
+    g = import_grmlr(parser, args.src)
+    datasets = synth_datasets(g)
     probes = Probes()
     with tempfile.TemporaryDirectory() as tmpdir:
         tmp = Path(tmpdir)
