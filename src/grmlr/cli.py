@@ -22,7 +22,6 @@ the output directory. Exit codes: 0 ok, 1 input/validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -32,9 +31,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .dataset import _write_json, load_dataset, save_dataset, synthesize_dataset
+from .dataset import _make_dir, _read_file, _write_csv, _write_json, load_dataset, save_dataset
+from .dataset import synthesize_dataset
 from .ecograph import build_graph, export_heatmaps
-from .errors import GrmlrError, InvalidValue, IoFailure, NonConvergenceWarning
+from .errors import GrmlrError, InvalidValue, NonConvergenceWarning
 from .evaluation import (
     DEFAULT_ALPHAS,
     DEFAULT_GRID,
@@ -78,12 +78,8 @@ def _bool_from_str(text: str) -> bool:
 
 
 def _parse_kv_lines(path: Path) -> dict[str, str]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_file(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -148,12 +144,7 @@ def _require(value, flag: str):
 
 
 def _out_dir(args) -> Path:
-    out = Path(_require(args.out, "--out"))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {out}: {exc}") from exc
-    return out
+    return _make_dir(_require(args.out, "--out"))
 
 
 def write_manifest(
@@ -207,14 +198,12 @@ def cmd_predict(args) -> int:
     features = build_features(dataset, model.hyperparams.epsilon, model.feature_mode)
     proba = predict_proba(model, features)
     path = out / "predictions.csv"
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]])
-            for sid, pick, row in zip(features.site_ids, np.argmax(proba, axis=1), proba):
-                writer.writerow([sid, model.label_set[pick], *[repr(float(v)) for v in row]])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    header = ["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]]
+    rows = [
+        [sid, model.label_set[pick], *[repr(float(v)) for v in row]]
+        for sid, pick, row in zip(features.site_ids, np.argmax(proba, axis=1), proba)
+    ]
+    _write_csv(path, header, rows, lineterminator="\n")
     write_manifest(out, "predict", None, [model_path, abundance_path], model.hyperparams.seed)
     print(f"wrote {path}")
     return EXIT_OK
@@ -332,20 +321,24 @@ def cmd_graph_export(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
+_COMMON_FLAGS = {
+    "--config": dict(help="flat key=value config file"),
+    "--set": dict(
+        action="append", default=[], metavar="KEY=VALUE",
         help="override a config field (repeatable)",
-    )
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker cap")
-    parser.add_argument("--strict", action="store_true", help="escalate warnings to exit 2")
-    parser.add_argument("--svg", action="store_true", help="also render SVG charts")
+    ),
+    "--out": dict(help="output directory"),
+    "--seed": dict(type=int, help="override the config seed"),
+    "--workers": dict(type=int, default=1, help="parallel worker cap"),
+    "--strict": dict(action="store_true", help="escalate warnings to exit 2"),
+    "--svg": dict(action="store_true", help="also render SVG charts"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add ``--out``, ``--strict`` and the named common flags that the command reads."""
+    for flag in ("--out", "--strict", *flags):
+        parser.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--abundances")
     p_fit.add_argument("--macrofauna")
     p_fit.add_argument("--labels")
-    _add_common(p_fit)
+    _add_common(p_fit, "--config", "--set", "--seed")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="classify sites from abundances only")
@@ -376,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--B", type=int, default=50, help="permutation count")
     p_eval.add_argument("--grid", default="default", help="'default' or a grid file")
     p_eval.add_argument("--alphas", help="comma-separated mixing weights")
-    _add_common(p_eval)
+    _add_common(p_eval, "--config", "--set", "--seed", "--workers", "--svg")
     p_eval.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate synthetic CSVs")
@@ -386,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--blocks", type=int, default=4)
     p_synth.add_argument("--coupling", type=float, default=0.9)
     p_synth.add_argument("--noise", type=float, default=0.1)
-    _add_common(p_synth)
+    _add_common(p_synth, "--seed")
     p_synth.set_defaults(func=cmd_synth)
 
     p_graph = sub.add_parser("graph", help="graph utilities")
@@ -395,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--abundances")
     p_export.add_argument("--macrofauna")
     p_export.add_argument("--labels")
-    _add_common(p_export)
+    _add_common(p_export, "--config", "--set", "--seed")
     p_export.set_defaults(func=cmd_graph_export)
 
     return parser

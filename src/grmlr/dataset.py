@@ -11,16 +11,22 @@ abundances.csv : header ``site_id,<taxon_1>,...,<taxon_p>``; decimal fractions.
 macrofauna.csv : header ``site_id,dead,adult,juvenile,clam``; integer counts.
 labels.csv     : header ``site_id,stage``; stage in {juvenile, adult, dead}
                  (case-insensitive on read, lowercase on write).
+adjacency.csv  : header ``taxon,<taxon_1>,...``; rows follow the header's taxa order.
+
+In every table the first header column is the key and another column
+follows it, every row is as wide as the header, and the key column is
+unique. This module is the only one that opens files.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -227,36 +233,78 @@ class Dataset:
         return Dataset(self.abundances, self.macrofauna, st, provenance=self.provenance)
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_file(path: str | Path) -> str:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            return fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidValue(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _write_file(path: str | Path, text: str) -> None:
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _make_dir(path: str | Path) -> Path:
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {path}: {exc}") from exc
+    return path
+
+
+def _read_table(path: str | Path, key_column: str, parse: Callable) -> tuple[list[str], dict]:
+    """Value columns and, by key in file order, each row's cells mapped by ``parse``.
+
+    ``parse(cell, where)`` gets ``where`` naming file, key and column for its errors.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(_read_file(path), newline="")))
+    except csv.Error as exc:
+        raise InvalidValue(f"{path}: not a CSV table: {exc}") from exc
     if not rows:
         raise InvalidValue(f"{path}: empty file")
-    header, body = rows[0], rows[1:]
-    if not header or header[0] != "site_id":
-        raise InvalidValue(f"{path}: first header column must be 'site_id'")
-    return header, body
+    header = rows[0]
+    if header[:1] != [key_column]:
+        raise InvalidValue(f"{path}: first header column must be '{key_column}'")
+    columns = header[1:]
+    if not columns:
+        raise InvalidValue(f"{path}: no columns after '{key_column}'")
+    table: dict[str, list] = {}
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise InvalidValue(f"{path}: row {line} has {len(row)} cells, expected {len(header)}")
+        key = row[0]
+        if key in table:
+            raise InvalidValue(f"{path}: row {line} repeats {key_column} '{key}'")
+        table[key] = [
+            parse(cell, f"{path}: {key_column} '{key}', column '{col}'")
+            for col, cell in zip(columns, row[1:])
+        ]
+    return columns, table
 
 
-def _parse_float(cell: str, path: Path, site: str, col: str) -> float:
+def _parse_float(cell: str, where: str) -> float:
     try:
         return float(cell)
     except ValueError as exc:
-        raise InvalidValue(f"{path}: site '{site}', column '{col}': not a number: {cell!r}") from exc
+        raise InvalidValue(f"{where}: not a number: {cell!r}") from exc
 
 
-def _parse_count(cell: str, path: Path, site: str, col: str) -> int:
+def _parse_count(cell: str, where: str) -> int:
     try:
         value = int(cell)
     except ValueError as exc:
-        raise InvalidValue(
-            f"{path}: site '{site}', column '{col}': not an integer count: {cell!r}"
-        ) from exc
+        raise InvalidValue(f"{where}: not an integer count: {cell!r}") from exc
     if value < 0:
-        raise NegativeCount(f"{path}: site '{site}', column '{col}': negative count {value}")
+        raise NegativeCount(f"{where}: negative count {value}")
     return value
 
 
@@ -270,67 +318,36 @@ def load_dataset(
 
     Raises
     ------
+    InvalidValue
+        If a file is empty, not UTF-8 or not CSV, breaks a table rule of the
+        module docstring (such as two rows for one site), has a cell that
+        does not parse, or the labels header is not ``site_id,stage``.
     MissingSite, RowSumViolation, NegativeCount, NegativeValue,
-    UnknownLabel, InvalidValue, IoFailure
+    UnknownLabel, IoFailure
     """
     abundance_path = Path(abundance_path)
-    header, body = _read_csv(abundance_path)
-    taxa = header[1:]
-    if not taxa:
-        raise InvalidValue(f"{abundance_path}: no taxa columns")
-    site_ids: list[str] = []
-    values = np.empty((len(body), len(taxa)), dtype=float)
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise InvalidValue(f"{abundance_path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        site_ids.append(row[0])
-        for j, cell in enumerate(row[1:]):
-            values[i, j] = _parse_float(cell, abundance_path, row[0], taxa[j])
+    taxa, rows = _read_table(abundance_path, "site_id", _parse_float)
+    site_ids = list(rows)
+    values = np.array(list(rows.values()), dtype=float).reshape(len(site_ids), len(taxa))
     abundances = AbundanceMatrix(site_ids, taxa, values)
 
     macrofauna = None
     if macrofauna_path is not None:
         macrofauna_path = Path(macrofauna_path)
-        mheader, mbody = _read_csv(macrofauna_path)
-        categories = mheader[1:]
-        counts_by_site: dict[str, list[int]] = {}
-        for i, row in enumerate(mbody):
-            if len(row) != len(mheader):
-                raise InvalidValue(
-                    f"{macrofauna_path}: row {i + 2} has {len(row)} cells, expected {len(mheader)}"
-                )
-            counts_by_site[row[0]] = [
-                _parse_count(cell, macrofauna_path, row[0], categories[j])
-                for j, cell in enumerate(row[1:])
-            ]
-        ordered = _align(counts_by_site, site_ids, macrofauna_path, abundance_path)
+        categories, counts = _read_table(macrofauna_path, "site_id", _parse_count)
+        ordered = _align(counts, site_ids, macrofauna_path, abundance_path)
         macrofauna = MacrofaunaCounts(list(site_ids), np.array(ordered, dtype=np.int64), categories)
 
     stages = None
     if labels_path is not None:
         labels_path = Path(labels_path)
-        lheader, lbody = _read_csv(labels_path)
-        if len(lheader) != 2 or lheader[1] != "stage":
+        columns, labels = _read_table(labels_path, "site_id", lambda cell, _: cell.strip().lower())
+        if columns != ["stage"]:
             raise InvalidValue(f"{labels_path}: expected header 'site_id,stage'")
-        labels_by_site: dict[str, str] = {}
-        for row in lbody:
-            if len(row) != 2:
-                raise InvalidValue(f"{labels_path}: malformed row {row!r}")
-            lab = row[1].strip().lower()
-            if lab not in label_set:
-                raise UnknownLabel(
-                    f"{labels_path}: site '{row[0]}' has label '{row[1]}', "
-                    f"expected one of {list(label_set)}"
-                )
-            labels_by_site[row[0]] = lab
-        ordered_labels = _align(labels_by_site, site_ids, labels_path, abundance_path)
+        ordered_labels = [row[0] for row in _align(labels, site_ids, labels_path, abundance_path)]
         stages = StageLabels(list(site_ids), ordered_labels, label_set)
 
-    parts = [abundance_path.name]
-    if macrofauna_path is not None:
-        parts.append(Path(macrofauna_path).name)
-    if labels_path is not None:
-        parts.append(Path(labels_path).name)
+    parts = [p.name for p in (abundance_path, macrofauna_path, labels_path) if p is not None]
     return Dataset(abundances, macrofauna, stages, provenance="loaded:" + ",".join(parts))
 
 
@@ -377,23 +394,16 @@ def save_dataset(
         )
 
 
-def _write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+def _write_csv(path: str | Path, header: list[str], rows: list, lineterminator="\r\n") -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_file(path, buffer.getvalue())
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _label_set_for(n_classes: int) -> tuple[str, ...]:

@@ -16,19 +16,17 @@ form edges.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .compositional import FeatureMatrix
-from .dataset import MacrofaunaCounts, _write_csv
+from .dataset import MacrofaunaCounts, _make_dir, _parse_float, _read_table, _write_csv
 from .errors import (
     AsymmetricInput,
     InvalidAdjacency,
     InvalidValue,
-    IoFailure,
     Misalignment,
     MissingMacrofauna,
     ShapeMismatch,
@@ -211,11 +209,7 @@ def graph_from_correlations(
 
 def export_heatmaps(graph: EcologicalGraph, out_dir: str | Path) -> list[Path]:
     """Write a_macro.csv, a_co.csv and adjacency.csv into ``out_dir``."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {out}: {exc}") from exc
+    out = _make_dir(out_dir)
     written = []
     for name, matrix in (
         ("a_macro.csv", graph.a_macro),
@@ -238,18 +232,17 @@ def write_matrix_csv(path: str | Path, taxa_names: list[str], matrix: np.ndarray
 
 
 def read_matrix_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Inverse of :func:`write_matrix_csv`."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if not rows or rows[0][:1] != ["taxon"]:
-        raise InvalidValue(f"{path}: expected a 'taxon'-labelled matrix CSV")
-    taxa = rows[0][1:]
-    matrix = np.array([[float(c) for c in row[1:]] for row in rows[1:]], dtype=float)
-    if matrix.shape != (len(taxa), len(taxa)):
-        raise InvalidValue(f"{path}: matrix shape {matrix.shape} does not match header")
+    """Inverse of :func:`write_matrix_csv`.
+
+    Raises IoFailure, or InvalidValue if the file breaks a table rule of
+    :mod:`grmlr.dataset` or has a cell that is not a finite number.
+    """
+    taxa, rows = _read_table(path, "taxon", _parse_float)
+    if list(rows) != taxa:
+        raise InvalidValue(f"{path}: rows must list the header's taxa in header order")
+    matrix = np.array(list(rows.values()), dtype=float)
+    if not np.isfinite(matrix).all():
+        raise InvalidValue(f"{path}: matrix entries must be finite")
     return taxa, matrix
 
 

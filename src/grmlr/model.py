@@ -34,14 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .compositional import FeatureMatrix, clr_transform, raw_features
-from .dataset import Dataset, StageLabels, _write_json
+from .dataset import Dataset, StageLabels, _read_file, _write_json
 from .ecograph import EcologicalGraph, build_graph
 from .errors import (
     EmptyClass,
     InvalidShape,
     InvalidValue,
     LengthMismatch,
-    IoFailure,
     Misalignment,
     MissingLabels,
     NonConvergenceWarning,
@@ -65,7 +64,7 @@ _FEATURE_MODES = ("clr", "raw")
 
 @dataclass(frozen=True)
 class GrmlrConfig:
-    """All hyperparameters of the pipeline, grid-searchable by field name.
+    """All hyperparameters of the pipeline, grid-searchable by field name; floats must be finite.
 
     ``lambda_l2 = 0`` is allowed, but on a fold whose training classes are
     separable (typical when p > n) the objective then has no minimizer: the
@@ -89,6 +88,9 @@ class GrmlrConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "lambda_l2", "lambda_g", "ftol", "gtol"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidValue(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0:
             raise InvalidValue(f"epsilon must be > 0, got {self.epsilon}")
         for name in ("tau", "gamma", "alpha"):
@@ -239,16 +241,12 @@ def _evaluate(
         raise Misalignment("labels and features are not site-aligned")
     if tuple(labels.label_set) != tuple(model.label_set):
         raise Misalignment("label set does not match the model")
-    cfg = model.hyperparams
-    return _objective(
-        np.column_stack([model.weights, model.bias]),
-        features.values,
-        labels.indices(),
-        np.asarray(sample_weights, dtype=float),
-        graph.laplacian,
-        cfg.lambda_l2,
-        cfg.lambda_g,
+    Z, y, s, laplacian = _checked_fit_inputs(
+        features.values, labels.indices(), model.n_classes, sample_weights, graph.laplacian
     )
+    cfg = model.hyperparams
+    V = np.column_stack([model.weights, model.bias])
+    return _objective(V, Z, y, s, laplacian, cfg.lambda_l2, cfg.lambda_g)
 
 
 def _objective(
@@ -576,28 +574,33 @@ def save_model(model: GrmlrModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GrmlrModel:
-    """Load a model written by :func:`save_model`."""
+    """Load a model written by :func:`save_model`.
+
+    Raises IoFailure if the file cannot be read, and InvalidValue naming it
+    if it is not a version-1 model file holding every key that
+    :func:`save_model` writes, each with a value of the right type and shape.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        payload = json.loads(_read_file(path))
     except json.JSONDecodeError as exc:
         raise InvalidValue(f"{path}: not a valid model file: {exc}") from exc
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise InvalidValue(f"{path}: not a {MODEL_FORMAT} file")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise InvalidValue(
             f"{path}: unsupported format version {payload.get('format_version')}"
         )
-    return GrmlrModel(
-        weights=np.array(payload["weights"], dtype=float),
-        bias=np.array(payload["bias"], dtype=float),
-        taxa_names=list(payload["taxa_names"]),
-        label_set=tuple(payload["label_set"]),
-        hyperparams=GrmlrConfig.from_dict(payload["config"]),
-        feature_mode=payload.get("feature_mode", "clr"),
-        converged=bool(payload.get("converged", True)),
-        n_iterations=int(payload.get("n_iterations", 0)),
-        final_loss=float(payload.get("final_loss", float("nan"))),
-    )
+    try:
+        return GrmlrModel(
+            weights=np.array(payload["weights"], dtype=float),
+            bias=np.array(payload["bias"], dtype=float),
+            taxa_names=list(payload["taxa_names"]),
+            label_set=tuple(payload["label_set"]),
+            hyperparams=GrmlrConfig.from_dict(payload["config"]),
+            feature_mode=payload["feature_mode"],
+            converged=bool(payload["converged"]),
+            n_iterations=int(payload["n_iterations"]),
+            final_loss=float(payload["final_loss"]),
+        )
+    except (InvalidValue, KeyError, TypeError, ValueError) as exc:
+        raise InvalidValue(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc

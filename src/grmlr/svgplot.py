@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Sequence
 from xml.sax.saxutils import escape
 
-from .errors import IoFailure
+from .dataset import _write_file
 
 _W, _H = 640, 400
 _MARGIN = 60
@@ -77,7 +77,7 @@ def line_chart(
             f'font-size="10">{x:g}</text>\n'
         )
     parts.append("</svg>\n")
-    _write(path, "".join(parts))
+    _write_file(path, "".join(parts))
 
 
 def bar_chart(
@@ -107,12 +107,4 @@ def bar_chart(
             f'transform="rotate(-45 {cx:.2f} {_H - _MARGIN + 12})">{escape(lab)}</text>\n'
         )
     parts.append("</svg>\n")
-    _write(path, "".join(parts))
-
-
-def _write(path: str | Path, content: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_file(path, "".join(parts))

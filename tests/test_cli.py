@@ -239,3 +239,43 @@ def test_other_warnings_still_reach_stderr(tmp_path):
     )
     assert proc.returncode == cli.EXIT_OK
     assert "RuntimeWarning: synthetic trouble" in proc.stderr
+
+
+REMOVED_FLAGS = [
+    (command, flag)
+    for command in (["fit"], ["predict"], ["synth"], ["graph", "export"])
+    for flag in (["--workers", "2"], ["--svg"])
+] + [
+    (["predict"], ["--config", "c.txt"]),
+    (["predict"], ["--set", "alpha=0"]),
+    (["predict"], ["--seed", "3"]),
+    (["synth"], ["--config", "c.txt"]),
+    (["synth"], ["--set", "alpha=0"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_commands_reject_flags_they_ignore(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    assert cli.main([*command, *flag, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_config_value_exits_one(tmp_path, csv_trio, capsys, value):
+    argv = ["fit", *_trio_args(csv_trio), "--set", f"lambda_l2={value}"]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "error: lambda_l2 must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_with_malformed_model_exits_one(tmp_path, csv_trio, model_dir, capsys):
+    model_path = tmp_path / "broken.grmlr"
+    payload = json.loads((model_dir / "model.grmlr").read_text())
+    del payload["weights"]
+    model_path.write_text(json.dumps(payload))
+    argv = ["predict", "--model", str(model_path), "--abundances", str(csv_trio["abundances"])]
+    assert cli.main([*argv, "--out", str(tmp_path / "pred")]) == cli.EXIT_VALIDATION
+    assert f"error: {model_path}: malformed model file" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from grmlr.dataset import (
 from grmlr.errors import (
     InvalidShape,
     InvalidValue,
+    IoFailure,
     MissingSite,
     NegativeCount,
     NegativeValue,
@@ -263,3 +264,70 @@ class TestContainers:
     def test_needs_one_sample_per_class(self, tiny_dataset):
         with pytest.raises(InvalidShape):
             tiny_dataset.subset([0, 1])  # 2 sites for 3 classes
+
+
+def _rewrite_first_row(path, edit):
+    lines = path.read_text().splitlines()
+    lines[1] = edit(lines[1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestTableReader:
+    """Rules that every table shares: key column, row width, unique keys."""
+
+    @pytest.mark.parametrize("table", ["abundances", "macrofauna", "labels"])
+    def test_duplicate_site_row(self, csv_trio, table):
+        path = csv_trio[table]
+        first_row = path.read_text().splitlines()[1]
+        if table == "labels":
+            first_row = first_row.split(",")[0] + ",dead"  # relabel the site in a second row
+        with open(path, "a", newline="") as fh:
+            fh.write(first_row + "\r\n")
+        with pytest.raises(InvalidValue, match=rf"{table}\.csv: row 15 repeats site_id 'site_01'"):
+            load_dataset(csv_trio["abundances"], csv_trio["macrofauna"], csv_trio["labels"])
+
+    @pytest.mark.parametrize("table", ["abundances", "macrofauna", "labels"])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("empty", "empty file"),
+            ("key", "first header column must be 'site_id'"),
+            ("no_columns", "no columns after 'site_id'"),
+            ("short_row", "row 2 has"),
+            ("not_utf8", "not UTF-8 text"),
+            ("huge_cell", "not a CSV table: field larger than field limit"),
+        ],
+    )
+    def test_malformed_table(self, csv_trio, table, defect, message):
+        path = csv_trio[table]
+        text = path.read_text()
+        if defect == "empty":
+            path.write_text("")
+        elif defect == "key":
+            path.write_text("site" + text[len("site_id"):])
+        elif defect == "no_columns":
+            path.write_text("".join(line.split(",")[0] + "\n" for line in text.splitlines()))
+        elif defect == "short_row":
+            _rewrite_first_row(path, lambda row: row.rsplit(",", 1)[0])
+        elif defect == "huge_cell":
+            _rewrite_first_row(path, lambda row: "s" * 200_000 + row)
+        else:
+            path.write_bytes(b"\xff" + text.encode())
+        with pytest.raises(InvalidValue, match=rf"{table}\.csv: .*{message}"):
+            load_dataset(csv_trio["abundances"], csv_trio["macrofauna"], csv_trio["labels"])
+
+    @pytest.mark.parametrize("table", ["abundances", "macrofauna"])
+    def test_unparsable_cell_named(self, csv_trio, table):
+        _rewrite_first_row(csv_trio[table], lambda row: row.rsplit(",", 1)[0] + ",x")
+        with pytest.raises(InvalidValue, match=r"site_id 'site_01', column '\w+': not a"):
+            load_dataset(csv_trio["abundances"], csv_trio["macrofauna"], csv_trio["labels"])
+
+    def test_labels_header_must_be_stage(self, csv_trio):
+        path = csv_trio["labels"]
+        path.write_text(path.read_text().replace("site_id,stage", "site_id,label", 1))
+        with pytest.raises(InvalidValue, match="expected header 'site_id,stage'"):
+            load_dataset(csv_trio["abundances"], labels_path=path)
+
+    def test_missing_file_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure, match="cannot read"):
+            load_dataset(tmp_path / "absent.csv")

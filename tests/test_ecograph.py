@@ -18,6 +18,7 @@ from grmlr.ecograph import (
 from grmlr.errors import (
     AsymmetricInput,
     InvalidAdjacency,
+    InvalidValue,
     Misalignment,
     MissingMacrofauna,
     ShapeMismatch,
@@ -254,3 +255,22 @@ class TestBuildGraphAndExport:
         lines = (tmp_path / "adjacency.csv").read_text().splitlines()
         assert len(lines) == 3
         assert lines[0] == "taxon,x,y"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("x,0.0,abc\ny,1.0,0.0\n", "taxon 'x', column 'y': not a number: 'abc'"),
+        ("x,0.0,nan\ny,1.0,0.0\n", "matrix entries must be finite"),
+        ("x,0.0,inf\ny,1.0,0.0\n", "matrix entries must be finite"),
+        ("x,0.0\ny,1.0,0.0\n", "row 2 has 2 cells, expected 3"),
+        ("y,1.0,0.0\nx,0.0,1.0\n", "rows must list the header's taxa in header order"),
+        ("x,0.0,1.0\n", "rows must list the header's taxa in header order"),
+        ("x,0.0,1.0\nx,0.0,1.0\n", "row 3 repeats taxon 'x'"),
+    ],
+)
+def test_read_matrix_csv_rejects_malformed_matrix(tmp_path, body, message):
+    path = tmp_path / "adjacency.csv"
+    path.write_text("taxon,x,y\n" + body)
+    with pytest.raises(InvalidValue, match=f"adjacency.csv: {message}"):
+        read_matrix_csv(path)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from grmlr.ecograph import fuse
 from grmlr.errors import (
     EmptyClass,
     InvalidValue,
+    LengthMismatch,
     Misalignment,
     MissingLabels,
     MissingMacrofauna,
@@ -463,3 +465,84 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(InvalidValue, match="duplicate"):
             load_model(path)
+
+
+FLOAT_FIELDS = ("epsilon", "lambda_l2", "lambda_g", "ftol", "gtol")
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_floats(name, bad):
+    with pytest.raises(InvalidValue, match=f"{name} must be finite"):
+        GrmlrConfig(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"epsilon": 0.0}, "epsilon must be > 0"),
+        ({"tau": 1.5}, "tau must be in"),
+        ({"gamma": -0.1}, "gamma must be in"),
+        ({"alpha": float("nan")}, "alpha must be in"),
+        ({"lambda_l2": -1.0}, "lambda_l2 must be >= 0"),
+        ({"lambda_g": -1.0}, "lambda_g must be >= 0"),
+        ({"ftol": 0.0}, "ftol and gtol must be > 0"),
+        ({"gtol": -1e-9}, "ftol and gtol must be > 0"),
+        ({"max_iters": 0}, "max_iters must be >= 1"),
+        ({"co_occurrence_scope": "test"}, "co_occurrence_scope must be one of"),
+    ],
+)
+def test_config_rejects_out_of_range_values(overrides, message):
+    with pytest.raises(InvalidValue, match=message):
+        GrmlrConfig(**overrides)
+    with pytest.raises(InvalidValue, match=message):
+        GrmlrConfig.from_dict({**GrmlrConfig().to_dict(), **overrides})
+
+
+def test_config_from_dict_rejects_unknown_fields():
+    with pytest.raises(InvalidValue, match=r"unknown config fields: \['nope'\]"):
+        GrmlrConfig.from_dict({"nope": 1})
+
+
+@pytest.mark.parametrize("target", ["negative", "nan", "short"])
+@pytest.mark.parametrize("function", [loss, loss_gradient])
+def test_loss_checks_sample_weights(function, target):
+    model, feats, labels, graph, s = _random_instance(5)
+    if target == "negative":
+        s = -np.ones_like(s)
+    elif target == "nan":
+        s[0] = float("nan")
+    else:
+        s = s[:-1]
+    with pytest.raises(LengthMismatch if target == "short" else InvalidValue):
+        function(model, feats, labels, graph, s)
+
+
+def _malformed_payloads():
+    """(name, edit of a saved model's JSON payload) for each way a model file breaks."""
+
+    def drop(key):
+        return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+    def ragged(payload):
+        payload["weights"][1] = payload["weights"][1][:-1]
+        return payload
+
+    def bad_max_iters(payload):
+        payload["config"]["max_iters"] = "abc"
+        return payload
+
+    edits = [("array", lambda payload: [payload]), ("ragged", ragged)]
+    edits += [("max_iters", bad_max_iters)]
+    keys = ("weights", "bias", "feature_mode", "converged", "n_iterations", "final_loss", "config")
+    return edits + [(f"no_{key}", drop(key)) for key in keys]
+
+
+@pytest.mark.parametrize("name, edit", _malformed_payloads())
+def test_load_model_rejects_malformed_file(tmp_path, name, edit):
+    model = _model(np.zeros((3, 2)), np.zeros(3), taxa=["a", "b"])
+    path = tmp_path / "model.grmlr"
+    save_model(model, path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}: "):
+        load_model(path)
