@@ -8,9 +8,12 @@ shared across hyperparameter configurations, which keeps the exhaustive
 grid search cheap. Thresholding still happens per configuration. Fitting
 happens once per distinct fold problem within a grid search: configurations
 that give a fold the same sample weights, penalties, stopping rule and (when
-lambda_g > 0) Laplacian reuse that fold's held-out prediction. The fit is
-deterministic, so results are identical to rebuilding everything from
-scratch.
+lambda_g > 0) Laplacian reuse that fold's held-out prediction. A grid search
+solves its distinct fold problems in stacks, one stacked Newton iteration
+per stack, while LOOCV, the permutation test and ablations fit fold by fold
+with ``fit_arrays``. Each stacked fit is bit for bit that of ``fit_arrays``
+alone, and the fit is deterministic, so results are identical to rebuilding
+everything from scratch.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ from .errors import (
     UnknownParameter,
 )
 from .model import (
-    GrmlrConfig, GrmlrModel, _fitted_model, _sample_weights, build_features, fit_arrays
+    GrmlrConfig,
+    GrmlrModel,
+    _fit_stack,
+    _fitted_model,
+    _sample_weights,
+    build_features,
+    fit_arrays,
 )
 from .rankstats import spearman_cross, spearman_matrix
 
@@ -50,6 +59,16 @@ DEFAULT_GRID: dict[str, list] = {
 }
 
 DEFAULT_ALPHAS = DEFAULT_GRID["alpha"]
+
+# Bytes of the reduced Hessians, (K - 1)(p + 1) squared doubles per fold
+# problem, that one stacked solve of a grid chunk may hold. It bounds peak
+# memory: a chunk queues its distinct fold problems and solves the queue
+# whenever it holds this many, so only one stack's Hessians, curvatures and
+# Laplacians exist at a time; solving a whole default grid's queue at once
+# would hold thousands. 256 KiB stacks 11 problems at 13 x 26 (K = 3), where
+# one problem is too small to amortize numpy's per-call overhead, and holds
+# one problem at 40 x 160, whose Newton steps are large solves already.
+_STACK_HESSIAN_BYTES = 256 * 1024
 
 
 @dataclass(eq=False)
@@ -208,52 +227,68 @@ def _run_plan(
     config: GrmlrConfig,
     y: Optional[np.ndarray] = None,
     keep_models: bool = False,
-    memo: Optional[dict] = None,
 ) -> EvalReport:
-    """LOOCV of one configuration on a prepared plan.
-
-    ``memo`` maps fold-fit keys (``_fold_fit_key``) to held-out predictions
-    and is filled as folds are fitted; a fold whose key is already there is
-    not fitted again. It holds no weights, so it is only for runs on the
-    plan's own labels without ``keep_models``.
-    """
+    """LOOCV of one configuration on a prepared plan, one :func:`fit_arrays` call per fold."""
     if y is None:
         y = plan.y
     K = len(plan.label_set)
-    per_fold: list[FoldPrediction] = []
+    predictions: list[tuple[_Fold, int]] = []
     skipped: list[str] = []
     models: list[GrmlrModel] = []
     for fold in plan.folds:
-        y_train = y[fold.train_idx]
-        if np.any(np.bincount(y_train, minlength=K) == 0):
+        problem = _fold_problem(plan, fold, config, y)
+        if problem is None:
             skipped.append(fold.site_id)
             continue
-        co = plan.co_all if config.co_occurrence_scope == "all" else fold.co_train
-        graph = graph_from_correlations(
-            fold.profiles, co, config.tau, config.gamma, config.alpha, plan.taxa_names
+        y_train, laplacian = problem
+        s = _sample_weights(y_train, K, config.class_balanced)
+        W, b, info = fit_arrays(plan.features[fold.train_idx], y_train, K, s, laplacian, config)
+        predictions.append((fold, _held_out_prediction(plan, fold, W, b)))
+        if keep_models:
+            fitted = (W, b, info, plan.taxa_names, plan.label_set, config, plan.feature_mode)
+            models.append(_fitted_model(*fitted))
+    return _report(plan, config, y, predictions, skipped, models)
+
+
+def _fold_problem(
+    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, y: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Training labels and graph Laplacian of one fold.
+
+    None when the fold's training labels miss a class, so the fold is skipped.
+    """
+    y_train = y[fold.train_idx]
+    if np.any(np.bincount(y_train, minlength=len(plan.label_set)) == 0):
+        return None
+    co = plan.co_all if config.co_occurrence_scope == "all" else fold.co_train
+    graph = graph_from_correlations(
+        fold.profiles, co, config.tau, config.gamma, config.alpha, plan.taxa_names
+    )
+    return y_train, graph.laplacian
+
+
+def _held_out_prediction(plan: LoocvPlan, fold: _Fold, W: np.ndarray, b: np.ndarray) -> int:
+    """Class index that the fold's fitted W, b predict for its held-out site."""
+    return int(np.argmax(plan.features[fold.test_index] @ W.T + b))
+
+
+def _report(
+    plan: LoocvPlan,
+    config: GrmlrConfig,
+    y: np.ndarray,
+    predictions: list[tuple[_Fold, int]],
+    skipped: list[str],
+    models: list[GrmlrModel],
+) -> EvalReport:
+    """EvalReport of the held-out class indices ``predictions`` under true labels ``y``."""
+    per_fold = [
+        FoldPrediction(
+            site_id=fold.site_id,
+            true_label=plan.label_set[y[fold.test_index]],
+            predicted_label=plan.label_set[pred],
         )
-        key = None if memo is None else _fold_fit_key(plan, fold, config, graph.laplacian)
-        if memo is not None and key in memo:
-            pred = memo[key]
-        else:
-            s = _sample_weights(y_train, K, config.class_balanced)
-            W, b, info = fit_arrays(
-                plan.features[fold.train_idx], y_train, K, s, graph.laplacian, config
-            )
-            scores = plan.features[fold.test_index] @ W.T + b
-            pred = int(np.argmax(scores))
-            if memo is not None:
-                memo[key] = pred
-            if keep_models:
-                fitted = (W, b, info, plan.taxa_names, plan.label_set, config, plan.feature_mode)
-                models.append(_fitted_model(*fitted))
-        per_fold.append(
-            FoldPrediction(
-                site_id=fold.site_id,
-                true_label=plan.label_set[y[fold.test_index]],
-                predicted_label=plan.label_set[pred],
-            )
-        )
+        for fold, pred in predictions
+    ]
     stage_correct = {lab: 0 for lab in plan.label_set}
     for f in per_fold:
         if f.true_label == f.predicted_label:
@@ -367,7 +402,10 @@ def grid_search(
     Each distinct fold fit runs once per call (once per chunk of configs
     with ``workers > 1``), and configs that need the same fit reuse its
     held-out prediction; see ``_fold_fit_key``. A fit that warns therefore
-    warns once, not once per config that reuses it.
+    warns once, not once per config that reuses it. The distinct fits are
+    solved in stacks of same-shape problems (``_grid_chunk``), in the order
+    configs first need them, each bit for bit what :func:`fit_arrays`
+    returns for that problem alone; warnings come in that order too.
     """
     if base_config is None:
         base_config = GrmlrConfig()
@@ -399,16 +437,80 @@ def grid_search(
 
 
 def _grid_chunk(tasks: list) -> list[tuple[float, float, Optional[str]]]:
+    """(accuracy, macro-F1, error) of each (plan, config) task, fitting each fold problem once.
+
+    Each task's fold graphs and fit keys are built once, and every fold
+    problem not seen before joins a queue in first-seen order. A full queue
+    is solved as one stack (:func:`_solve_queue`), which stores the
+    held-out predictions in ``memo``; the tasks waiting on it then get
+    their reports from ``memo``.
+    """
     memo: dict = {}
-    outcomes = []
+    queue: dict = {}
+    waiting: list = []
+    outcomes: list = []
     for plan, config in tasks:
+        keyed: list[tuple[_Fold, Optional[tuple]]] = []
+        error = None
         try:
-            report = _run_plan(plan, config, memo=memo)
+            for fold in plan.folds:
+                problem = _fold_problem(plan, fold, config, plan.y)
+                key = None if problem is None else _fold_fit_key(plan, fold, config, problem[1])
+                keyed.append((fold, key))
+                if key is not None and key not in memo and key not in queue:
+                    queue[key] = (plan, fold, config, problem)
+                    if len(queue) == _stack_capacity(plan):
+                        _solve_queue(queue, memo)
+                        outcomes += [_grid_outcome(memo, *task) for task in waiting]
+                        waiting.clear()
         except GrmlrError as exc:  # entry marked failed, search continues
-            outcomes.append((float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"))
-        else:
-            outcomes.append((report.accuracy, report.macro_f1, None))
-    return outcomes
+            error = f"{type(exc).__name__}: {exc}"
+        waiting.append((plan, config, keyed, error))
+    _solve_queue(queue, memo)
+    return outcomes + [_grid_outcome(memo, *task) for task in waiting]
+
+
+def _grid_outcome(
+    memo: dict, plan: LoocvPlan, config: GrmlrConfig, keyed: list, error: Optional[str]
+) -> tuple[float, float, Optional[str]]:
+    """One task's grid outcome from its folds' fit keys (None: skipped) and ``memo``."""
+    if error is not None:
+        return float("nan"), float("nan"), error
+    predictions = [(fold, memo[key]) for fold, key in keyed if key is not None]
+    skipped = [fold.site_id for fold, key in keyed if key is None]
+    report = _report(plan, config, plan.y, predictions, skipped, [])
+    return report.accuracy, report.macro_f1, None
+
+
+def _stack_capacity(plan: LoocvPlan) -> int:
+    """Fold problems of ``plan`` per stacked solve: what _STACK_HESSIAN_BYTES holds, at least 1."""
+    unknowns = max(1, (len(plan.label_set) - 1) * (len(plan.taxa_names) + 1))
+    return max(1, _STACK_HESSIAN_BYTES // (8 * unknowns * unknowns))
+
+
+def _solve_queue(queue: dict, memo: dict) -> None:
+    """Fit every queued fold problem in one :func:`_fit_stack` call and empty the queue.
+
+    ``queue`` maps fold-fit keys to (plan, fold, config, fold problem) in
+    first-seen order, all of one shape; each key's held-out prediction goes
+    into ``memo``.
+    """
+    if not queue:
+        return
+    plans, folds, configs, problems = zip(*queue.values())
+    y_train, laplacians = zip(*problems)
+    K, p = len(plans[0].label_set), len(plans[0].taxa_names)
+    V, _ = _fit_stack(
+        np.stack([plan.features[fold.train_idx] for plan, fold in zip(plans, folds)]),
+        np.stack(y_train),
+        K,
+        np.stack([_sample_weights(y, K, cfg.class_balanced) for y, cfg in zip(y_train, configs)]),
+        np.stack(laplacians),
+        configs,
+    )
+    for key, plan, fold, fitted in zip(queue, plans, folds, V):
+        memo[key] = _held_out_prediction(plan, fold, fitted[:, :p], fitted[:, p])
+    queue.clear()
 
 
 def _entry_sort_key(entry: GridEntry):

@@ -17,6 +17,12 @@ summing to zero and runs damped Newton with the exact Hessian in the first
 K - 1 rows, from W = 0, b = 0. The fit is reproducible and
 initialization-independent.
 
+One Newton loop, ``_fit_stack``, solves a stack of same-shape problems,
+each with its own data, penalties, step lengths and stop tests.
+:func:`fit_arrays` checks its inputs and solves a stack of one; a grid
+search solves its distinct fold problems in stacks. Every stacked result
+is bit for bit what :func:`fit_arrays` returns for that problem alone.
+
 Training consumes macrofauna counts only through the graph; prediction
 needs nothing but an abundance table, which is the whole point of the
 decoupled deployment scheme.
@@ -26,10 +32,11 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +73,10 @@ _FEATURE_MODES = ("clr", "raw")
 class GrmlrConfig:
     """All hyperparameters of the pipeline, grid-searchable by field name; floats must be finite.
 
+    Each field must have its default's type: ``bool`` and ``str`` fields
+    exactly, int fields any integral number and float fields any real
+    number (numpy scalars included, ``bool`` excluded in both).
+
     ``lambda_l2 = 0`` is allowed, but on a fold whose training classes are
     separable (typical when p > n) the objective then has no minimizer: the
     loss keeps falling as W grows along a separating direction. The fit
@@ -88,6 +99,16 @@ class GrmlrConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            kind = type(spec.default)
+            if kind is bool or kind is str:
+                valid = isinstance(value, kind)
+            else:
+                number = numbers.Integral if kind is int else numbers.Real
+                valid = isinstance(value, number) and not isinstance(value, bool)
+            if not valid:
+                raise InvalidValue(f"{spec.name} must be of type {kind.__name__}, got {value!r}")
         for name in ("epsilon", "lambda_l2", "lambda_g", "ftol", "gtol"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidValue(f"{name} must be finite, got {getattr(self, name)}")
@@ -162,10 +183,10 @@ class GrmlrModel:
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    """Softmax along the last axis, with max subtraction for overflow safety."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_taxa(model_taxa: list[str], other_taxa: list[str]) -> None:
@@ -246,70 +267,105 @@ def _evaluate(
     )
     cfg = model.hyperparams
     V = np.column_stack([model.weights, model.bias])
-    return _objective(V, Z, y, s, laplacian, cfg.lambda_l2, cfg.lambda_g)
+    value, grad = _objective(
+        V[None],
+        Z[None],
+        _one_hot(y, model.n_classes)[None],
+        s[None],
+        laplacian[None],
+        np.array([cfg.lambda_l2], dtype=float),
+        np.array([cfg.lambda_g], dtype=float),
+    )
+    return value[0], grad[0]
 
 
 def _objective(
     V: np.ndarray,
     Z: np.ndarray,
-    y: np.ndarray,
+    onehot: np.ndarray,
     s: np.ndarray,
     laplacian: np.ndarray,
-    lambda_l2: float,
-    lambda_g: float,
-) -> tuple[float, np.ndarray]:
-    """Objective and its gradient at V = [W | b]; both V and the gradient are K x (p + 1)."""
-    n, p = Z.shape
-    W = V[:, :p]
-    b = V[:, p]
-    scores = Z @ W.T + b
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    lambda_l2: np.ndarray,
+    lambda_g: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Objective and gradient of each problem of a stack at its V = [W | b].
+
+    V and the gradient are B x K x (p + 1), Z is B x n x p, ``onehot`` is
+    the B x n x K boolean one-hot of the labels, s is B x n, laplacian is
+    B x p x p, and lambda_l2, lambda_g and the returned objective values
+    have length B. Every product and reduction runs over one problem's
+    slice along the axis it runs along for that problem alone, so a
+    problem's values do not depend on the rest of the stack.
+    """
+    B, n, p = Z.shape
+    W = V[:, :, :p]
+    b = V[:, :, p]
+    scores = Z @ W.transpose(0, 2, 1) + b[:, None, :]
+    shifted = scores - scores.max(axis=2, keepdims=True)
     e = np.exp(shifted)
-    norm = e.sum(axis=1)
-    P = e / norm[:, None]
-    log_p_true = shifted[np.arange(n), y] - np.log(norm)
-    data = -(s * log_p_true).sum() / n
+    norm = e.sum(axis=2)
+    P = e / norm[:, :, None]
+    log_p_true = shifted[onehot].reshape(B, n) - np.log(norm)
+    data = -(s * log_p_true).sum(axis=1) / n
 
     WL = W @ laplacian
-    value = data + lambda_l2 * float((W * W).sum()) + lambda_g * float((W * WL).sum())
+    ridge = (W * W).reshape(B, -1).sum(axis=1)
+    smoothness = (W * WL).reshape(B, -1).sum(axis=1)
+    value = data + lambda_l2 * ridge + lambda_g * smoothness
 
-    R = P.copy()
-    R[np.arange(n), y] -= 1.0
-    R *= (s / n)[:, None]
+    R = (P - onehot) * (s / n)[:, :, None]
     grad = np.empty_like(V)
-    grad[:, :p] = R.T @ Z + 2.0 * lambda_l2 * W + 2.0 * lambda_g * WL
-    grad[:, p] = R.sum(axis=0)
+    grad[:, :, :p] = (
+        R.transpose(0, 2, 1) @ Z
+        + (2.0 * lambda_l2)[:, None, None] * W
+        + (2.0 * lambda_g)[:, None, None] * WL
+    )
+    grad[:, :, p] = R.sum(axis=1)
     return value, grad
 
 
-def _data_hessian(V: np.ndarray, X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Hessian of the weighted cross-entropy in the reduced coordinates of V.
+def _one_hot(y: np.ndarray, K: int) -> np.ndarray:
+    """Boolean indicators of the class indices ``y`` (any shape) along a new last axis of K."""
+    return y[..., None] == np.arange(K)
 
-    V = [W | b] is K x (p + 1) with rows summing to zero, so it is fixed by
-    theta = V[:J], J = K - 1, through V[J] = -sum(theta). Rows and columns
-    follow theta.ravel(), i.e. [w_1, b_1, ..., w_J, b_J]. With x_i = [z_i, 1]
-    and the full-space weights w_km = c (delta_km P_k - P_k P_m), block
-    (k, m) is (X w~_km)^T X for the combined weights
+
+def _data_hessian(
+    V: np.ndarray, X: np.ndarray, c: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Hessian of the weighted cross-entropy in the reduced coordinates of each V of a stack.
+
+    V = [W | b] is B x K x (p + 1), each with rows summing to zero, so it
+    is fixed by theta = V[:, :J], J = K - 1, through V[:, J] = -sum(theta).
+    X is B x n x (p + 1) and c is B x n. Rows and columns of a problem's
+    Hessian follow theta.ravel(), i.e. [w_1, b_1, ..., w_J, b_J]. With
+    x_i = [z_i, 1] and the full-space weights w_km = c (delta_km P_k -
+    P_k P_m), block (k, m) is (X w~_km)^T X for the combined weights
 
         w~_km = w_km - w_kJ - w_mJ + w_JJ
               = c (delta_km P_k + P_J - (P_k - P_J)(P_m - P_J)).
 
-    The J(J+1)/2 distinct blocks come from one batched matrix product.
+    Each of the J(J+1)/2 distinct blocks comes from one batched matrix
+    product, one matrix product per problem, written into ``out``
+    (B x J(p + 1) x J(p + 1), contiguous) when given.
     """
-    K, d = V.shape
+    B, K, d = V.shape
     J = K - 1
-    P = softmax_rows(X @ V.T)
+    P = softmax_rows(X @ V.transpose(0, 2, 1))
     rows, cols = _class_pairs(J)
-    last = P[:, J:]
-    centred = P[:, :J] - last
-    weights = c[:, None] * (
-        (rows == cols) * P[:, rows] + last - centred[:, rows] * centred[:, cols]
+    last = P[:, :, J:]
+    centred = P[:, :, :J] - last
+    weights = c[:, :, None] * (
+        (rows == cols) * P.take(rows, axis=2)
+        + last
+        - centred.take(rows, axis=2) * centred.take(cols, axis=2)
     )
-    pair_blocks = np.matmul((weights.T[:, :, None] * X).transpose(0, 2, 1), X)
-    H = np.empty((J, d, J, d))
-    for block, k, m in zip(pair_blocks, rows, cols):
-        H[k, :, m, :] = H[m, :, k, :] = block
-    return H.reshape(J * d, J * d)
+    H = (np.empty((B, J * d, J * d)) if out is None else out).reshape(B, J, d, J, d)
+    for pair, (k, m) in enumerate(zip(rows, cols)):
+        weighted = weights[:, :, pair, None] * X
+        np.matmul(weighted.transpose(0, 2, 1), X, out=H[:, k, :, m, :])
+        if k != m:
+            H[:, m, :, k, :] = H[:, k, :, m, :]
+    return H.reshape(B, J * d, J * d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,8 +391,36 @@ def _flat_directions(X: np.ndarray, c: np.ndarray, curvature: np.ndarray, J: int
     space of the reduced Hessian at V = 0 (numpy's matrix-rank tolerance).
     """
     d = X.shape[1]
-    evals, evecs = np.linalg.eigh(_data_hessian(np.zeros((J + 1, d)), X, c) + curvature)
+    data = _data_hessian(np.zeros((1, J + 1, d)), X[None], c[None])[0]
+    evals, evecs = np.linalg.eigh(data + curvature)
     return evecs[:, evals <= evals[-1] * J * d * np.finfo(float).eps]
+
+
+def _curvature(
+    X: np.ndarray,
+    c: np.ndarray,
+    laplacian: np.ndarray,
+    lambda_l2: np.ndarray,
+    lambda_g: np.ndarray,
+    J: int,
+) -> np.ndarray:
+    """Each problem's penalty Hessian in reduced coordinates, B x J(p + 1) x J(p + 1).
+
+    That is (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]],
+    plus N N^T for an orthonormal basis N of the flat directions
+    (:func:`_flat_directions`) of each problem without a ridge.
+    """
+    B, _, d = X.shape
+    p = d - 1
+    penalty = np.zeros((B, d, d))
+    ridge = (2.0 * lambda_l2)[:, None, None] * np.eye(p)
+    penalty[:, :p, :p] = ridge + (2.0 * lambda_g)[:, None, None] * laplacian
+    curvature = np.kron(np.eye(J) + 1.0, penalty)
+    if J:  # K = 1 leaves nothing to solve for
+        for i in np.flatnonzero(lambda_l2 == 0.0):
+            flat = _flat_directions(X[i], c[i], curvature[i], J)
+            curvature[i] += flat @ flat.T
+    return curvature
 
 
 def _checked_fit_inputs(
@@ -379,19 +463,20 @@ def fit_arrays(
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Damped exact-Newton minimization of the regularized objective from zero.
 
-    Low-level core shared by :func:`fit` and the evaluation harness. The
-    parameters are one K x (p + 1) array V = [W | b] from start to return,
-    and so is the gradient. Adding one vector to every row of V changes no
-    probability, so the fit keeps the rows of V summing to zero and solves
-    each Newton system in the J = K - 1 free rows theta = V[:J], with
-    V[J] = -sum(theta). Starting from V = 0, each iteration solves for the
-    step of theta with the reduced gradient g[:J] - g[J] and the exact
-    reduced Hessian: :func:`_data_hessian` plus the penalty
-    (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]], built
-    once per fit. The step of V is [d_theta; -sum(d_theta)], and the fit
-    backtracks along it by halving until the Armijo condition holds. Newton
-    on all K(p + 1) parameters from V = 0 keeps the rows summing to zero
-    too, so its iterates are these, up to rounding.
+    Low-level core shared by :func:`fit` and the evaluation harness; it
+    checks its inputs and runs :func:`_fit_stack` on a stack of one
+    problem. The parameters are one K x (p + 1) array V = [W | b] from
+    start to return, and so is the gradient. Adding one vector to every
+    row of V changes no probability, so the fit keeps the rows of V
+    summing to zero and solves each Newton system in the J = K - 1 free
+    rows theta = V[:J], with V[J] = -sum(theta). Starting from V = 0, each
+    iteration solves for the step of theta with the reduced gradient
+    g[:J] - g[J] and the exact reduced Hessian: :func:`_data_hessian` plus
+    the penalty (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0],
+    [0, 0]], built once per fit. The step of V is [d_theta; -sum(d_theta)],
+    and the fit backtracks along it by halving until the Armijo condition
+    holds. Newton on all K(p + 1) parameters from V = 0 keeps the rows
+    summing to zero too, so its iterates are these, up to rounding.
 
     With lambda_l2 > 0 the reduced Hessian is positive definite. Without
     a ridge the objective is still exactly flat along a few reduced
@@ -408,6 +493,10 @@ def fit_arrays(
     with a gradient max-norm above 1e-3 warns
     :class:`NonConvergenceWarning` and reports ``converged=False``.
 
+    A grid search solves its distinct fold problems in stacks through
+    :func:`_fit_stack` instead; each of those results is bit for bit what
+    this function returns for that problem alone.
+
     Returns (W, b, info) where W and b are views of V and info records
     convergence diagnostics; with ``track_history`` its ``loss_history``
     holds the objective at the start and after every accepted step.
@@ -419,63 +508,161 @@ def fit_arrays(
     weight is negative, or a label is not an integer in [0, K).
     """
     Z, y, s, laplacian = _checked_fit_inputs(Z, y, K, sample_weights, laplacian)
-    n, p = Z.shape
-    d = p + 1
-    J = K - 1
-    args = (Z, y, s, laplacian, config.lambda_l2, config.lambda_g)
-    X = np.hstack([Z, np.ones((n, 1))])
-    c = s / n
-    penalty = np.zeros((d, d))
-    penalty[:p, :p] = 2.0 * config.lambda_l2 * np.eye(p) + 2.0 * config.lambda_g * laplacian
-    curvature = np.kron(np.eye(J) + 1.0, penalty)
-    if config.lambda_l2 == 0.0 and J:  # K = 1 leaves nothing to solve for
-        flat = _flat_directions(X, c, curvature, J)
-        curvature += flat @ flat.T
-    V = np.zeros((K, d))
-    value, grad = _objective(V, *args)
-    history = [float(value)] if track_history else None
-    n_iter = 0
-    while np.abs(grad).max() > config.gtol and n_iter < config.max_iters:
-        H = _data_hessian(V, X, c) + curvature
-        reduced = np.linalg.solve(H, (grad[J] - grad[:J]).ravel()).reshape(J, d)
-        step = np.vstack([reduced, -reduced.sum(axis=0)])
-        slope = float(grad.ravel() @ step.ravel())
-        if not slope < 0.0:
-            break
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = V + t * step
-            trial_value, trial_grad = _objective(trial, *args)
-            if trial_value <= value + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-        else:
-            break
-        n_iter += 1
-        decrease = (value - trial_value) / max(abs(value), abs(trial_value), 1.0)
-        V, value, grad = trial, trial_value, trial_grad
-        if history is not None:
-            history.append(float(value))
-        if decrease <= config.ftol:
-            break
-    grad_norm = float(np.abs(grad).max())
-    hit_cap = n_iter >= config.max_iters
-    converged = not (hit_cap and grad_norm > _NONCONVERGENCE_GRAD_NORM)
-    if not converged:
-        warnings.warn(
-            f"optimizer hit max_iters={config.max_iters} with gradient max-norm "
-            f"{grad_norm:.3e}",
-            NonConvergenceWarning,
-            stacklevel=2,
+    p = Z.shape[1]
+    V, (info,) = _fit_stack(Z[None], y[None], K, s[None], laplacian[None], [config], track_history)
+    return V[0, :, :p], V[0, :, p], info
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """The arrays of same-shape fit problems, one per leading index, for stacked math."""
+
+    Z: np.ndarray  # B x n x p features
+    X: np.ndarray  # B x n x (p + 1): the features and a column of ones
+    onehot: np.ndarray  # B x n x K one-hot labels
+    s: np.ndarray  # B x n sample weights
+    c: np.ndarray  # B x n, s / n
+    laplacian: np.ndarray  # B x p x p
+    curvature: np.ndarray  # B x J(p + 1) x J(p + 1), from _curvature
+    lambda_l2: np.ndarray
+    lambda_g: np.ndarray
+
+    def take(self, rows: list[int]) -> "_Stack":
+        """The problems at the increasing positions ``rows``; the stack itself when that is all."""
+        if len(rows) == len(self.Z):
+            return self
+        return _Stack(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def objective(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _objective(
+            V, self.Z, self.onehot, self.s, self.laplacian, self.lambda_l2, self.lambda_g
         )
-    info = {
-        "converged": converged,
-        "n_iterations": n_iter,
-        "final_loss": float(value),
-        "grad_max_norm": grad_norm,
-        "loss_history": history,
-    }
-    return V[:, :p], V[:, p], info
+
+    def newton_step(self, V: np.ndarray, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Each problem's Newton step of V, [d_theta; -sum(d_theta)], from its reduced system.
+
+        ``out`` receives the reduced Hessians; reusing one buffer across
+        iterations spares the allocator a large block per iteration.
+        """
+        B, K, d = V.shape
+        J = K - 1
+        H = _data_hessian(V, self.X, self.c, out)
+        H += self.curvature
+        rhs = (grad[:, J:] - grad[:, :J]).reshape(B, J * d, 1)
+        reduced = np.linalg.solve(H, rhs).reshape(B, J, d)
+        return np.concatenate([reduced, -reduced.sum(axis=1, keepdims=True)], axis=1)
+
+
+def _fit_stack(
+    Z: np.ndarray,
+    y: np.ndarray,
+    K: int,
+    s: np.ndarray,
+    laplacian: np.ndarray,
+    configs: Sequence[GrmlrConfig],
+    track_history: bool = False,
+) -> tuple[np.ndarray, list[dict]]:
+    """:func:`fit_arrays`' Newton iteration on a stack of B same-shape problems.
+
+    Z is B x n x p, y and s are B x n, laplacian is B x p x p, and
+    ``configs`` holds each problem's penalties and stopping rule; the inputs
+    are not checked. The objectives, Hessians, Newton systems and trial
+    points of all live problems are computed stacked, each array operation
+    working on every problem's slice as it would on that problem alone.
+    Step lengths, Armijo tests and stop tests are scalar, per problem, and
+    a problem leaves the stack when it stops. So problem i's V and info are
+    bit for bit those of :func:`fit_arrays` on problem i. Returns V,
+    B x K x (p + 1), and the info dicts; NonConvergenceWarnings are issued
+    in stack order.
+    """
+    B, n, p = Z.shape
+    d, J = p + 1, K - 1
+    X = np.concatenate([Z, np.ones((B, n, 1))], axis=2)
+    c = s / n
+    lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
+    lambda_g = np.array([cfg.lambda_g for cfg in configs], dtype=float)
+    curvature = _curvature(X, c, laplacian, lambda_l2, lambda_g, J)
+    live = _Stack(Z, X, _one_hot(y, K), s, c, laplacian, curvature, lambda_l2, lambda_g)
+    hessians = np.empty_like(curvature)
+    V = np.zeros((B, K, d))
+    value, grad = live.objective(V)
+    # Per problem, by position in the input stack:
+    f = value.tolist()
+    n_iter = [0] * B
+    history = [[v] for v in f] if track_history else None
+    final_V, final_norm = np.empty_like(V), [0.0] * B
+    # Per live problem, by row of V and grad:
+    problems = list(range(B))
+    stopped = [False] * B
+    while True:
+        norms = np.abs(grad).reshape(len(problems), -1).max(axis=1).tolist()
+        going = []
+        for row, i in enumerate(problems):
+            cfg = configs[i]
+            if not stopped[row] and norms[row] > cfg.gtol and n_iter[i] < cfg.max_iters:
+                going.append(row)
+            else:
+                final_V[i], final_norm[i] = V[row], norms[row]
+        if not going:
+            break
+        if len(going) < len(problems):
+            live, V, grad = live.take(going), V[going], grad[going]
+            problems = [problems[row] for row in going]
+        step = live.newton_step(V, grad, hessians[: len(problems)])
+        slope = (grad.reshape(-1, 1, K * d) @ step.reshape(-1, K * d, 1)).ravel().tolist()
+        stopped = [not sl < 0.0 for sl in slope]
+        t = [1.0] * len(problems)
+        pending = [row for row, halt in enumerate(stopped) if not halt]
+        for _ in range(_MAX_HALVINGS):
+            if not pending:
+                break
+            rows = slice(None) if len(pending) == len(problems) else pending
+            lengths = np.array([t[row] for row in pending])
+            trial = V[rows] + lengths[:, None, None] * step[rows]
+            trial_value, trial_grad = live.take(pending).objective(trial)
+            accepted, failed = [], []
+            for k, (row, new) in enumerate(zip(pending, trial_value.tolist())):
+                i = problems[row]
+                old = f[i]
+                if new <= old + _ARMIJO * t[row] * slope[row]:
+                    accepted.append((row, k))
+                    n_iter[i] += 1
+                    f[i] = new
+                    if history is not None:
+                        history[i].append(new)
+                    decrease = (old - new) / max(abs(old), abs(new), 1.0)
+                    stopped[row] = decrease <= configs[i].ftol
+                else:
+                    t[row] *= 0.5
+                    failed.append(row)
+            if len(accepted) == len(problems):  # every live problem took its step
+                V, grad = trial, trial_grad
+            else:
+                for row, k in accepted:
+                    V[row], grad[row] = trial[k], trial_grad[k]
+            pending = failed
+        for row in pending:  # no step along the Newton direction passed the Armijo test
+            stopped[row] = True
+    infos = []
+    for i, cfg in enumerate(configs):
+        converged = not (n_iter[i] >= cfg.max_iters and final_norm[i] > _NONCONVERGENCE_GRAD_NORM)
+        if not converged:
+            warnings.warn(
+                f"optimizer hit max_iters={cfg.max_iters} with gradient max-norm "
+                f"{final_norm[i]:.3e}",
+                NonConvergenceWarning,
+                stacklevel=3,
+            )
+        infos.append(
+            {
+                "converged": converged,
+                "n_iterations": n_iter[i],
+                "final_loss": f[i],
+                "grad_max_norm": final_norm[i],
+                "loss_history": None if history is None else history[i],
+            }
+        )
+    return final_V, infos
 
 
 def build_features(dataset_or_abundances, epsilon: float, feature_mode: str) -> FeatureMatrix:
@@ -591,6 +778,15 @@ def load_model(path: str | Path) -> GrmlrModel:
             f"{path}: unsupported format version {payload.get('format_version')}"
         )
     try:
+        converged, n_iter, final_loss = (
+            payload[key] for key in ("converged", "n_iterations", "final_loss")
+        )
+        if not isinstance(converged, bool):
+            raise InvalidValue(f"converged must be a JSON bool, got {converged!r}")
+        if isinstance(n_iter, bool) or not isinstance(n_iter, int):
+            raise InvalidValue(f"n_iterations must be an integer, got {n_iter!r}")
+        if isinstance(final_loss, bool) or not isinstance(final_loss, (int, float)):
+            raise InvalidValue(f"final_loss must be a number, got {final_loss!r}")
         return GrmlrModel(
             weights=np.array(payload["weights"], dtype=float),
             bias=np.array(payload["bias"], dtype=float),
@@ -598,9 +794,9 @@ def load_model(path: str | Path) -> GrmlrModel:
             label_set=tuple(payload["label_set"]),
             hyperparams=GrmlrConfig.from_dict(payload["config"]),
             feature_mode=payload["feature_mode"],
-            converged=bool(payload["converged"]),
-            n_iterations=int(payload["n_iterations"]),
-            final_loss=float(payload["final_loss"]),
+            converged=converged,
+            n_iterations=n_iter,
+            final_loss=float(final_loss),
         )
     except (InvalidValue, KeyError, TypeError, ValueError) as exc:
         raise InvalidValue(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc

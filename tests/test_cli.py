@@ -279,3 +279,18 @@ def test_predict_with_malformed_model_exits_one(tmp_path, csv_trio, model_dir, c
     argv = ["predict", "--model", str(model_path), "--abundances", str(csv_trio["abundances"])]
     assert cli.main([*argv, "--out", str(tmp_path / "pred")]) == cli.EXIT_VALIDATION
     assert f"error: {model_path}: malformed model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, bad", [("converged", "false"), ("n_iterations", 7.9), ("class_balanced", "no")]
+)
+def test_predict_with_wrongly_typed_model_exits_one(
+    tmp_path, csv_trio, model_dir, capsys, key, bad
+):
+    model_path = tmp_path / "edited.grmlr"
+    payload = json.loads((model_dir / "model.grmlr").read_text())
+    (payload["config"] if key in payload["config"] else payload)[key] = bad
+    model_path.write_text(json.dumps(payload))
+    argv = ["predict", "--model", str(model_path), "--abundances", str(csv_trio["abundances"])]
+    assert cli.main([*argv, "--out", str(tmp_path / "pred")]) == cli.EXIT_VALIDATION
+    assert f"error: {model_path}: malformed model file" in capsys.readouterr().err

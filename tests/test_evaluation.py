@@ -282,13 +282,13 @@ class TestGridFitReuse:
 
     def test_one_fit_per_distinct_fold_problem(self, separable, monkeypatch):
         calls = []
-        original = evaluation.fit_arrays
+        original = evaluation._fit_stack
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(Z, *args, **kwargs):
+            calls.extend([1] * len(Z))  # one per fold problem in the stack
+            return original(Z, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "fit_arrays", counting)
+        monkeypatch.setattr(evaluation, "_fit_stack", counting)
         result = grid_search(separable, self.GRID)
         base = GrmlrConfig()
         keys = set()
@@ -321,6 +321,14 @@ class TestGridFitReuse:
                 assert entry.error is None
                 direct = loocv(stripped, entry.config)
                 assert (entry.accuracy, entry.macro_f1) == (direct.accuracy, direct.macro_f1)
+
+    def test_int_and_numpy_scalar_axis_values_are_accepted(self, separable):
+        plain = grid_search(separable, {"lambda_g": [5.0, 0.0], "max_iters": [15000]})
+        scalars = grid_search(
+            separable, {"lambda_g": [5, np.float64(0.0)], "max_iters": [np.int64(15000)]}
+        )
+        assert [e.error for e in scalars.entries] == [None, None]
+        assert self._outcomes(scalars) == self._outcomes(plain)
 
 
 class TestAblate:

@@ -1,6 +1,7 @@
-"""fit_arrays: the reduced-coordinate Newton solver and its input checks."""
+"""fit_arrays: the reduced-coordinate Newton solver, its stacked form and its input checks."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from grmlr.compositional import clr_transform
 from grmlr.dataset import synthesize_dataset
 from grmlr.ecograph import build_graph
 from grmlr.errors import InvalidShape, InvalidValue, LengthMismatch
-from grmlr.model import GrmlrConfig, _sample_weights, fit_arrays
+from grmlr.model import GrmlrConfig, _fit_stack, _sample_weights, fit_arrays
 
 from oracles import FullSpaceNewton
 
@@ -131,3 +132,60 @@ def test_bad_input_rejected_before_solving(change, error):
     args = {"Z": Z, "y": y, "s": s, "laplacian": laplacian, **change}
     with pytest.raises(error):
         fit_arrays(args["Z"], args["y"], 3, args["s"], args["laplacian"], GrmlrConfig())
+
+
+# Stopping rules: capped at 3 iterations (some warn), the default, and a gtol
+# no fit reaches, which runs each fit into rounding noise until its line
+# search finds no step. The stiff lambda_g = 1000 fits halve their steps.
+STOPS = ({"max_iters": 3}, {}, {"gtol": 1e-300})
+STACK_CONFIGS = [
+    GrmlrConfig(lambda_l2=lam_l2, lambda_g=lam_g, class_balanced=balanced, **stop)
+    for lam_l2 in (0.0, 0.001, 0.1)
+    for lam_g in (0.0, 5.0, 1000.0)
+    for stop in STOPS
+    for balanced in (True, False)
+]
+STACK_SEEDS = (0, 7)
+
+
+def _stack_problems(K: int):
+    """(Z, y, s, laplacian, config) of each STACK_CONFIGS entry on each STACK_SEEDS dataset."""
+    problems = []
+    for seed in STACK_SEEDS:
+        Z, y, _, laplacian = _problem(K, seed)
+        for config in STACK_CONFIGS:
+            s = _sample_weights(y, K, config.class_balanced)
+            problems.append((Z, y, s, laplacian, config))
+    return problems
+
+
+def _recorded(call):
+    """call()'s result and the (category, message) of every warning it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("K", CLASSES)
+def test_stacked_fits_equal_single_fits_bit_for_bit(K):
+    problems = _stack_problems(K)
+    singles, single_warnings = _recorded(
+        lambda: [
+            fit_arrays(Z, y, K, s, laplacian, config, track_history=True)
+            for Z, y, s, laplacian, config in problems
+        ]
+    )
+    *arrays, configs = zip(*problems)
+    Z, y, s, laplacian = (np.stack(a) for a in arrays)
+    (V, infos), stack_warnings = _recorded(
+        lambda: _fit_stack(Z, y, K, s, laplacian, configs, track_history=True)
+    )
+    iterations = [info["n_iterations"] for _, _, info in singles]
+    assert min(iterations) == 3 and max(iterations) > 3  # capped and converged fits mixed
+    assert single_warnings  # some capped fits warn
+    assert stack_warnings == single_warnings
+    for (W, b, info), fitted, stacked_info in zip(singles, V, infos):
+        assert fitted[:, :-1].tobytes() == W.tobytes()
+        assert fitted[:, -1].tobytes() == b.tobytes()
+        assert stacked_info == info

@@ -504,6 +504,26 @@ def test_config_from_dict_rejects_unknown_fields():
         GrmlrConfig.from_dict({"nope": 1})
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("max_iters", 2.5),
+        ("max_iters", True),
+        ("seed", "3"),
+        ("lambda_g", True),
+        ("epsilon", "1e-6"),
+        ("class_balanced", "no"),
+        ("class_balanced", 1),
+        ("co_occurrence_scope", 1),
+    ],
+)
+def test_config_rejects_wrongly_typed_fields(name, bad):
+    with pytest.raises(InvalidValue, match=f"^{name} must be of type"):
+        GrmlrConfig(**{name: bad})
+    with pytest.raises(InvalidValue, match=f"^{name} must be of type"):
+        GrmlrConfig.from_dict({**GrmlrConfig().to_dict(), name: bad})
+
+
 @pytest.mark.parametrize("target", ["negative", "nan", "short"])
 @pytest.mark.parametrize("function", [loss, loss_gradient])
 def test_loss_checks_sample_weights(function, target):
@@ -545,4 +565,25 @@ def test_load_model_rejects_malformed_file(tmp_path, name, edit):
     save_model(model, path)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}: "):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("converged", "false"),
+        ("n_iterations", 7.9),
+        ("n_iterations", True),
+        ("final_loss", "0.1"),
+        ("class_balanced", "no"),
+    ],
+)
+def test_load_model_rejects_wrongly_typed_values(tmp_path, key, bad):
+    model = _model(np.zeros((3, 2)), np.zeros(3), taxa=["a", "b"])
+    path = tmp_path / "model.grmlr"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    (payload["config"] if key in payload["config"] else payload)[key] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}: .*{key} must be"):
         load_model(path)

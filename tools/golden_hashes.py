@@ -17,6 +17,9 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   bias and diagnostics;
 * the CSV of a 96-config ``grid_search`` with workers 1 and 2;
 * ``permutation_test(B=5)``, ``ablate`` and ``alpha_sweep``;
+* ``grid-edge``: the entries of a 32-config ``grid_search`` that mixes
+  lambda_l2 = 0 (flat directions) with fits capped at two iterations
+  (which warn), on seed 7 at 13x26 and 9x8, with workers 1 and 2;
 * every CLI output file (except ``manifest.json``), stdout, stderr and
   exit code on a synthetic CSV trio.
 
@@ -50,6 +53,14 @@ GRID_96 = {
     "co_occurrence_scope": ["train", "all"],
     "class_balanced": [True, False],
 }
+GRID_EDGE = {
+    "lambda_l2": [0.0, 0.02],
+    "max_iters": [2, 15000],
+    "lambda_g": [0.0, 5.0],
+    "alpha": [0.0, 1.0],
+    "class_balanced": [True, False],
+}
+EDGE_SCALES = {"13x26": (13, 26), "9x8": (9, 8)}
 SWEEP_GRID = {"lambda_g": [0.0, 5.0], "tau": [0.5, 0.7], "gamma": [0.8, 0.9]}
 SWEEP_ALPHAS = [0.0, 0.3, 0.7, 1.0]
 
@@ -183,6 +194,16 @@ def probe_evaluation(g, probes: Probes, dataset, tmp: Path, name: str) -> None:
             out.append(g.alpha_sweep(dataset, config, SWEEP_ALPHAS, SWEEP_GRID, workers))
 
 
+def probe_grid_edge(g, probes: Probes) -> None:
+    for scale, (n, p) in EDGE_SCALES.items():
+        dataset = g.synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=7)
+        for workers in (1, 2):
+            with probes.probe(f"grid-edge/{scale}/workers{workers}") as out:
+                result = g.grid_search(dataset, GRID_EDGE, workers=workers)
+                for e in result.entries:
+                    out.append([e.index, e.config, e.accuracy, e.macro_f1, e.error])
+
+
 def probe_cli(probes: Probes, tmp: Path) -> None:
     cli = importlib.import_module("grmlr.cli")
     root = tmp / "cli"
@@ -248,6 +269,7 @@ def main(argv=None) -> int:
         probe_loocv(g, probes, datasets)
         for seed in SEEDS:
             probe_evaluation(g, probes, datasets[f"13x26/seed{seed}"], tmp, f"seed{seed}")
+        probe_grid_edge(g, probes)
         probe_cli(probes, tmp)
     json.dump(probes.hashes, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
