@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import _make_dir, _read_file, _write_csv, _write_json, load_dataset, save_dataset
-from .dataset import synthesize_dataset
+from .dataset import STAGE_LABELS, synthesize_dataset
 from .ecograph import build_graph, export_heatmaps
 from .errors import GrmlrError, InvalidValue, NonConvergenceWarning
 from .evaluation import (
@@ -86,6 +86,8 @@ def _parse_kv_lines(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise InvalidValue(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise InvalidValue(f"{path}:{lineno}: repeats key '{key}'")
         pairs[key] = value
     return pairs
 
@@ -290,7 +292,7 @@ def cmd_synth(args) -> int:
     dataset = synthesize_dataset(
         n=args.n,
         p=args.p,
-        K=args.k,
+        K=len(STAGE_LABELS),
         n_blocks=args.blocks,
         coupling=args.coupling,
         noise=args.noise,
@@ -329,7 +331,11 @@ _COMMON_FLAGS = {
     ),
     "--out": dict(help="output directory"),
     "--seed": dict(type=int, help="override the config seed"),
-    "--workers": dict(type=int, default=1, help="parallel worker cap"),
+    "--workers": dict(
+        type=int, default=1,
+        help="worker process cap (>= 1) of permtest, grid and alpha-sweep; "
+        "the pool also stays within the task count and the usable CPUs",
+    ),
     "--strict": dict(action="store_true", help="escalate warnings to exit 2"),
     "--svg": dict(action="store_true", help="also render SVG charts"),
 }
@@ -375,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate synthetic CSVs")
     p_synth.add_argument("--n", type=int, default=13)
     p_synth.add_argument("--p", type=int, default=26)
-    p_synth.add_argument("--k", type=int, default=3, help="number of stages")
     p_synth.add_argument("--blocks", type=int, default=4)
     p_synth.add_argument("--coupling", type=float, default=0.9)
     p_synth.add_argument("--noise", type=float, default=0.1)

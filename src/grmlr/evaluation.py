@@ -4,22 +4,24 @@ ablations and the graph-mixing sensitivity sweep.
 All evaluations are leave-one-out: the held-out site never influences the
 training fold's graph (under the default ``co_occurrence_scope='train'``),
 sample weights or fit. Rank correlations are precomputed once per fold and
-shared across hyperparameter configurations, which keeps the exhaustive
-grid search cheap. Thresholding still happens per configuration. Fitting
-happens once per distinct fold problem within a grid search: configurations
-that give a fold the same sample weights, penalties, stopping rule and (when
-lambda_g > 0) Laplacian reuse that fold's held-out prediction. A grid search
-solves its distinct fold problems in stacks, one stacked Newton iteration
-per stack, while LOOCV, the permutation test and ablations fit fold by fold
-with ``fit_arrays``. Each stacked fit is bit for bit that of ``fit_arrays``
-alone, and the fit is deterministic, so results are identical to rebuilding
-everything from scratch.
+shared across configurations and label vectors; thresholding still happens
+per configuration.
+
+The grid search (and so the alpha sweep) and the permutation test run on
+one batch evaluator, ``_loocv_chunk``, whose tasks are LOOCVs of (plan,
+config, labels). It fits each distinct fold problem of a chunk of tasks
+once, in stacks. :func:`loocv`, and so the ablations, make one
+``fit_arrays`` call per fold instead: they keep each fold's model and
+diagnostics, and that call is where the benchmark's tracer times fits. A
+stacked fit is bit for bit that of ``fit_arrays`` alone, so results do not
+depend on the path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -35,7 +37,6 @@ from .errors import (
     InvalidShape,
     InvalidValue,
     LengthMismatch,
-    MissingLabels,
     TaxaMismatch,
     UnknownParameter,
 )
@@ -45,6 +46,7 @@ from .model import (
     _fit_stack,
     _fitted_model,
     _sample_weights,
+    _training_labels,
     build_features,
     fit_arrays,
 )
@@ -186,11 +188,14 @@ class LoocvPlan:
 
 
 def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> LoocvPlan:
-    """Precompute features and per-fold rank correlations for LOOCV."""
-    if dataset.stages is None:
-        raise MissingLabels("LOOCV requires stage labels")
+    """Precompute features and per-fold rank correlations for LOOCV.
+
+    Raises MissingLabels without labels, EmptyClass if no site has some
+    stage, and InvalidShape with fewer than K + 1 sites.
+    """
+    stages = _training_labels(dataset, "LOOCV")
     n = dataset.n_sites
-    K = len(dataset.stages.label_set)
+    K = len(stages.label_set)
     if n < K + 1:
         raise InvalidShape(f"LOOCV needs at least K+1={K + 1} sites, got {n}")
     feats = build_features(dataset, epsilon, feature_mode)
@@ -212,42 +217,14 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
     return LoocvPlan(
         site_ids=list(dataset.abundances.site_ids),
         taxa_names=list(dataset.abundances.taxa_names),
-        label_set=tuple(dataset.stages.label_set),
+        label_set=tuple(stages.label_set),
         features=Z,
-        y=dataset.stages.indices(),
+        y=stages.indices(),
         folds=folds,
         co_all=spearman_matrix(Z),
         feature_mode=feature_mode,
         epsilon=epsilon,
     )
-
-
-def _run_plan(
-    plan: LoocvPlan,
-    config: GrmlrConfig,
-    y: Optional[np.ndarray] = None,
-    keep_models: bool = False,
-) -> EvalReport:
-    """LOOCV of one configuration on a prepared plan, one :func:`fit_arrays` call per fold."""
-    if y is None:
-        y = plan.y
-    K = len(plan.label_set)
-    predictions: list[tuple[_Fold, int]] = []
-    skipped: list[str] = []
-    models: list[GrmlrModel] = []
-    for fold in plan.folds:
-        problem = _fold_problem(plan, fold, config, y)
-        if problem is None:
-            skipped.append(fold.site_id)
-            continue
-        y_train, laplacian = problem
-        s = _sample_weights(y_train, K, config.class_balanced)
-        W, b, info = fit_arrays(plan.features[fold.train_idx], y_train, K, s, laplacian, config)
-        predictions.append((fold, _held_out_prediction(plan, fold, W, b)))
-        if keep_models:
-            fitted = (W, b, info, plan.taxa_names, plan.label_set, config, plan.feature_mode)
-            models.append(_fitted_model(*fitted))
-    return _report(plan, config, y, predictions, skipped, models)
 
 
 def _fold_problem(
@@ -307,11 +284,12 @@ def _report(
 
 
 def _fold_fit_key(
-    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, laplacian: np.ndarray
+    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, labels: bytes, laplacian: np.ndarray
 ) -> tuple:
-    """Everything a fold fit on the plan's own labels depends on.
+    """Everything a fold fit depends on.
 
-    That is the features (``plan.epsilon``), the fold, the sample weights
+    That is the features (``plan.epsilon``), the labels (``labels``, the
+    bytes of the task's label vector), the fold, the sample weights
     (``class_balanced``), the penalties and the stopping rule. The Laplacian
     enters the objective only through lambda_g, so it is left out at
     lambda_g = 0, where every graph gives the same fit bit for bit.
@@ -323,6 +301,7 @@ def _fold_fit_key(
     )
     return (
         plan.epsilon,
+        labels,
         fold.test_index,
         config.class_balanced,
         config.lambda_l2,
@@ -344,11 +323,28 @@ def loocv(
 
     Each fold rebuilds features, graph, sample weights and model on the
     n-1 training sites and predicts the held-out site from its abundances
-    alone. Folds whose training set loses an entire class are skipped and
-    listed in ``skipped_folds``.
+    alone, with one :func:`fit_arrays` call per fold; ``keep_models`` keeps
+    each fold's model with its solver diagnostics. Folds whose training set
+    loses an entire class are skipped and listed in ``skipped_folds``.
     """
     plan = build_plan(dataset, config.epsilon, feature_mode)
-    return _run_plan(plan, config, keep_models=keep_models)
+    K = len(plan.label_set)
+    predictions: list[tuple[_Fold, int]] = []
+    skipped: list[str] = []
+    models: list[GrmlrModel] = []
+    for fold in plan.folds:
+        problem = _fold_problem(plan, fold, config, plan.y)
+        if problem is None:
+            skipped.append(fold.site_id)
+            continue
+        y_train, laplacian = problem
+        s = _sample_weights(y_train, K, config.class_balanced)
+        W, b, info = fit_arrays(plan.features[fold.train_idx], y_train, K, s, laplacian, config)
+        predictions.append((fold, _held_out_prediction(plan, fold, W, b)))
+        if keep_models:
+            fitted = (W, b, info, plan.taxa_names, plan.label_set, config, plan.feature_mode)
+            models.append(_fitted_model(*fitted))
+    return _report(plan, config, plan.y, predictions, skipped, models)
 
 
 def permutation_test(
@@ -363,27 +359,23 @@ def permutation_test(
     Labels are permuted uniformly at random B times (seeded); abundances
     and macrofauna are untouched, so the graph topology of every fold is
     identical across permutations. p = (1 + #{permuted >= observed}) / (1 + B).
+
+    The observed labels and the B permutations are B + 1 tasks of the
+    batch evaluator (``_loocv_chunk``) on one fold plan. A fold problem that
+    two label vectors share is fitted once, so a warning it raises is issued once.
     """
     if B < 1:
         raise InvalidValue(f"B must be >= 1, got {B}")
     plan = build_plan(dataset, config.epsilon)
-    observed = _run_plan(plan, config).accuracy
     rng = substream(seed, "permutation")
-    n = len(plan.site_ids)
-    perms = [rng.permutation(n) for _ in range(B)]
-    tasks = [(plan, config, plan.y[perm]) for perm in perms]
-    accuracies = _map_chunked(_permutation_chunk, tasks, workers)
+    labels = [plan.y] + [plan.y[rng.permutation(len(plan.y))] for _ in range(B)]
+    outcomes = _map_chunked([(plan, config, y) for y in labels], workers)
+    if isinstance(outcomes[0], GrmlrError):  # then every task failed, as no error depends on labels
+        raise outcomes[0]
+    observed = outcomes[0][0]
+    accuracies = [accuracy for accuracy, _ in outcomes[1:]]
     exceed = sum(1 for a in accuracies if a >= observed)
-    p_value = (1 + exceed) / (1 + B)
-    return PermutationReport(
-        observed_accuracy=observed,
-        permuted_accuracies=accuracies,
-        p_value=p_value,
-    )
-
-
-def _permutation_chunk(tasks: list) -> list[float]:
-    return [_run_plan(plan, config, y=y_perm).accuracy for plan, config, y_perm in tasks]
+    return PermutationReport(observed, accuracies, p_value=(1 + exceed) / (1 + B))
 
 
 def grid_search(
@@ -399,13 +391,10 @@ def grid_search(
     worker count. A configuration that fails is kept with its error message
     and sorts last.
 
-    Each distinct fold fit runs once per call (once per chunk of configs
-    with ``workers > 1``), and configs that need the same fit reuse its
-    held-out prediction; see ``_fold_fit_key``. A fit that warns therefore
-    warns once, not once per config that reuses it. The distinct fits are
-    solved in stacks of same-shape problems (``_grid_chunk``), in the order
-    configs first need them, each bit for bit what :func:`fit_arrays`
-    returns for that problem alone; warnings come in that order too.
+    Each configuration is one task of the batch evaluator (``_loocv_chunk``)
+    on its plan's own labels, so each distinct fold fit runs once per call
+    (once per chunk of configs with ``workers > 1``) and warns once, in the
+    order configs first need the fits; see ``_fold_fit_key``.
     """
     if base_config is None:
         base_config = GrmlrConfig()
@@ -426,60 +415,64 @@ def grid_search(
     for cfg in configs:
         if cfg.epsilon not in plans:
             plans[cfg.epsilon] = build_plan(dataset, cfg.epsilon)
-    tasks = [(plans[cfg.epsilon], cfg) for cfg in configs]
-    outcomes = _map_chunked(_grid_chunk, tasks, workers)
-    entries = [
-        GridEntry(index=i, config=cfg, accuracy=acc, macro_f1=f1, error=err)
-        for i, (cfg, (acc, f1, err)) in enumerate(zip(configs, outcomes))
-    ]
+    tasks = [(plans[cfg.epsilon], cfg, plans[cfg.epsilon].y) for cfg in configs]
+    entries = []
+    for i, (cfg, outcome) in enumerate(zip(configs, _map_chunked(tasks, workers))):
+        if isinstance(outcome, GrmlrError):  # entry marked failed, search continues
+            outcome = (float("nan"), float("nan"), f"{type(outcome).__name__}: {outcome}")
+        entries.append(GridEntry(i, cfg, *outcome))
     entries.sort(key=_entry_sort_key)
     return GridResult(entries=entries)
 
 
-def _grid_chunk(tasks: list) -> list[tuple[float, float, Optional[str]]]:
-    """(accuracy, macro-F1, error) of each (plan, config) task, fitting each fold problem once.
+def _loocv_chunk(tasks: list) -> list:
+    """(accuracy, macro-F1), or the GrmlrError raised, of each (plan, config, labels) task's LOOCV.
 
     Each task's fold graphs and fit keys are built once, and every fold
     problem not seen before joins a queue in first-seen order. A full queue
     is solved as one stack (:func:`_solve_queue`), which stores the
     held-out predictions in ``memo``; the tasks waiting on it then get
-    their reports from ``memo``.
+    their outcomes from ``memo``.
     """
     memo: dict = {}
     queue: dict = {}
     waiting: list = []
     outcomes: list = []
-    for plan, config in tasks:
+    for plan, config, y in tasks:
         keyed: list[tuple[_Fold, Optional[tuple]]] = []
         error = None
+        labels = y.tobytes()
         try:
             for fold in plan.folds:
-                problem = _fold_problem(plan, fold, config, plan.y)
-                key = None if problem is None else _fold_fit_key(plan, fold, config, problem[1])
+                problem = _fold_problem(plan, fold, config, y)
+                if problem is None:
+                    keyed.append((fold, None))
+                    continue
+                key = _fold_fit_key(plan, fold, config, labels, problem[1])
                 keyed.append((fold, key))
-                if key is not None and key not in memo and key not in queue:
+                if key not in memo and key not in queue:
                     queue[key] = (plan, fold, config, problem)
                     if len(queue) == _stack_capacity(plan):
                         _solve_queue(queue, memo)
-                        outcomes += [_grid_outcome(memo, *task) for task in waiting]
+                        outcomes += [_loocv_outcome(memo, *task) for task in waiting]
                         waiting.clear()
-        except GrmlrError as exc:  # entry marked failed, search continues
-            error = f"{type(exc).__name__}: {exc}"
-        waiting.append((plan, config, keyed, error))
+        except GrmlrError as exc:
+            error = exc.with_traceback(None)
+        waiting.append((plan, config, y, keyed, error))
     _solve_queue(queue, memo)
-    return outcomes + [_grid_outcome(memo, *task) for task in waiting]
+    return outcomes + [_loocv_outcome(memo, *task) for task in waiting]
 
 
-def _grid_outcome(
-    memo: dict, plan: LoocvPlan, config: GrmlrConfig, keyed: list, error: Optional[str]
-) -> tuple[float, float, Optional[str]]:
-    """One task's grid outcome from its folds' fit keys (None: skipped) and ``memo``."""
+def _loocv_outcome(
+    memo: dict, plan: LoocvPlan, config: GrmlrConfig, y: np.ndarray, keyed: list, error
+):
+    """One task's outcome from its folds' fit keys (None: skipped) and ``memo``."""
     if error is not None:
-        return float("nan"), float("nan"), error
+        return error
     predictions = [(fold, memo[key]) for fold, key in keyed if key is not None]
     skipped = [fold.site_id for fold, key in keyed if key is None]
-    report = _report(plan, config, plan.y, predictions, skipped, [])
-    return report.accuracy, report.macro_f1, None
+    report = _report(plan, config, y, predictions, skipped, [])
+    return report.accuracy, report.macro_f1
 
 
 def _stack_capacity(plan: LoocvPlan) -> int:
@@ -520,21 +513,26 @@ def _entry_sort_key(entry: GridEntry):
     return (failed, acc, f1, entry.index)
 
 
-def _map_chunked(fn, tasks: list, workers: int) -> list:
-    """Order-preserving parallel map of ``fn``, which maps a list of tasks to
-    a list of results; results identical for any worker count.
+def _map_chunked(tasks: list, workers: int) -> list:
+    """Order-preserving :func:`_loocv_chunk` of ``tasks``; identical for any worker count.
 
-    With ``workers > 1``, each worker runs ``fn`` on one chunk of tasks at a
-    time, and the warnings a chunk raised are issued again here, in task
-    order, so that the caller's warning filters and ``--strict`` see them.
+    The pool has min(workers, len(tasks), usable CPUs) processes; with one,
+    the tasks run here as one chunk. Otherwise each process runs one chunk
+    of tasks at a time, and the warnings a chunk raised are issued again
+    here, in task order, so that the caller's warning filters and
+    ``--strict`` see them. Raises InvalidValue if ``workers`` < 1.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        return fn(tasks)
-    chunk_size = max(1, len(tasks) // (workers * 4))
+    if workers < 1:
+        raise InvalidValue(f"workers must be >= 1, got {workers}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = min(workers, len(tasks), cpus or 1)
+    if size <= 1:
+        return _loocv_chunk(tasks)
+    chunk_size = max(1, len(tasks) // (size * 4))
     chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
     results: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
         for fut in futures:
             chunk_results, caught = fut.result()
             for message, category, filename, lineno in caught:
@@ -543,9 +541,9 @@ def _map_chunked(fn, tasks: list, workers: int) -> list:
     return results
 
 
-def _run_chunk(fn, chunk: list) -> tuple[list, list[tuple]]:
+def _run_chunk(chunk: list) -> tuple[list, list[tuple]]:
     with warnings.catch_warnings(record=True) as caught:
-        results = fn(chunk)
+        results = _loocv_chunk(chunk)
     return results, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 

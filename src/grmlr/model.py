@@ -19,9 +19,10 @@ initialization-independent.
 
 One Newton loop, ``_fit_stack``, solves a stack of same-shape problems,
 each with its own data, penalties, step lengths and stop tests.
-:func:`fit_arrays` checks its inputs and solves a stack of one; a grid
-search solves its distinct fold problems in stacks. Every stacked result
-is bit for bit what :func:`fit_arrays` returns for that problem alone.
+:func:`fit_arrays` checks its inputs and solves a stack of one; the grid
+search and the permutation test solve their distinct fold problems in
+stacks. Every stacked result is bit for bit what :func:`fit_arrays`
+returns for that problem alone.
 
 Training consumes macrofauna counts only through the graph; prediction
 needs nothing but an abundance table, which is the whole point of the
@@ -493,9 +494,9 @@ def fit_arrays(
     with a gradient max-norm above 1e-3 warns
     :class:`NonConvergenceWarning` and reports ``converged=False``.
 
-    A grid search solves its distinct fold problems in stacks through
-    :func:`_fit_stack` instead; each of those results is bit for bit what
-    this function returns for that problem alone.
+    The grid search and the permutation test solve their distinct fold
+    problems in stacks through :func:`_fit_stack` instead; each of those
+    results is bit for bit what this function returns for that problem alone.
 
     Returns (W, b, info) where W and b are views of V and info records
     convergence diagnostics; with ``track_history`` its ``loss_history``
@@ -687,16 +688,16 @@ def fit(
     ------
     MissingLabels
         If the dataset has no stage labels.
+    EmptyClass
+        If no site has some stage of the label set.
     MissingMacrofauna
         If alpha > 0 but macrofauna counts are absent.
     """
-    if dataset.stages is None:
-        raise MissingLabels("fit requires stage labels")
+    labels = _training_labels(dataset, "fit")
     features = build_features(dataset, config.epsilon, feature_mode)
     graph = build_graph(
         features, dataset.macrofauna, tau=config.tau, gamma=config.gamma, alpha=config.alpha
     )
-    labels = dataset.stages
     y = labels.indices()
     K = len(labels.label_set)
     W, b, info = fit_arrays(
@@ -710,6 +711,20 @@ def fit(
     )
     model = _fitted_model(W, b, info, features.taxa_names, labels.label_set, config, feature_mode)
     return model, graph
+
+
+def _training_labels(dataset: Dataset, task: str) -> StageLabels:
+    """The dataset's stage labels, for ``task`` ('fit', 'LOOCV') to train on.
+
+    Raises MissingLabels without labels, and EmptyClass naming every stage
+    of the label set that no site has.
+    """
+    if dataset.stages is None:
+        raise MissingLabels(f"{task} requires stage labels")
+    missing = [f"'{lab}'" for lab in dataset.stages.label_set if lab not in dataset.stages.labels]
+    if missing:
+        raise EmptyClass(f"no site has stage {' or '.join(missing)}")
+    return dataset.stages
 
 
 def _fitted_model(

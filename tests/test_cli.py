@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,6 +13,7 @@ import pytest
 
 from grmlr import cli
 from grmlr.dataset import AbundanceMatrix, Dataset, load_dataset, save_dataset
+from grmlr.errors import InvalidValue
 from grmlr.model import GrmlrConfig, load_model, predict
 
 MANIFEST_KEYS = {
@@ -128,6 +130,7 @@ def test_predictions_quote_site_ids_with_commas(tmp_path, synth_dataset, model_d
         (["eval", "loocv", "--set", "class_balanced=maybe"], "boolean"),
         (["eval", "no-such-mode"], "invalid choice"),
         (["eval", "alpha-sweep", "--alphas", "0,abc"], "bad value for 'alpha'"),
+        (["eval", "loocv", "--set", "lambda_g"], "--set expects key=value, got 'lambda_g'"),
     ],
 )
 def test_validation_errors_exit_one(tmp_path, capsys, argv, message):
@@ -251,6 +254,7 @@ REMOVED_FLAGS = [
     (["predict"], ["--seed", "3"]),
     (["synth"], ["--config", "c.txt"]),
     (["synth"], ["--set", "alpha=0"]),
+    (["synth"], ["--k", "2"]),  # synth always writes the three stages of labels.csv
 ]
 
 
@@ -294,3 +298,92 @@ def test_predict_with_wrongly_typed_model_exits_one(
     argv = ["predict", "--model", str(model_path), "--abundances", str(csv_trio["abundances"])]
     assert cli.main([*argv, "--out", str(tmp_path / "pred")]) == cli.EXIT_VALIDATION
     assert f"error: {model_path}: malformed model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "loader, text, key",
+    [
+        (cli.load_config, "lambda_g = 5\nalpha = 0\nlambda_g = 0\n", "lambda_g"),
+        (cli.load_grid, "alpha = 0, 0.5\n# comment\nalpha = 1\n", "alpha"),
+    ],
+    ids=["config", "grid"],
+)
+def test_repeated_key_in_a_file_is_rejected(tmp_path, loader, text, key):
+    path = tmp_path / "settings.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}:3: repeats key '{key}'$"):
+        loader(str(path))
+
+
+def test_repeated_grid_key_exits_one(tmp_path, csv_trio, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("alpha = 0, 0.5\nalpha = 1\n")
+    argv = ["eval", "grid", *_trio_args(csv_trio), "--grid", str(grid)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    assert f"error: {grid}:2: repeats key 'alpha'" in capsys.readouterr().err
+
+
+def test_set_still_overrides_the_config_file(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("lambda_g = 5\n")
+    assert cli.load_config(str(path), ["lambda_g=0", "lambda_g=2"]).lambda_g == 2.0
+
+
+def test_synth_trio_has_every_stage(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--n", "9", "--p", "8", "--out", str(out)]) == cli.EXIT_OK
+    labels = load_dataset(out / "abundances.csv", None, out / "labels.csv").stages
+    assert set(labels.labels) == set(labels.label_set) == {"juvenile", "adult", "dead"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit"],
+        ["eval", "loocv"],
+        ["eval", "permtest", "--B", "2"],
+        ["eval", "grid", "--grid", "GRID"],
+        ["eval", "ablate"],
+        ["eval", "alpha-sweep", "--grid", "GRID", "--alphas", "0,1"],
+    ],
+)
+def test_missing_stage_exits_one_naming_it(tmp_path, csv_trio, small_grid, capsys, argv):
+    labels = csv_trio["labels"]
+    labels.write_text(labels.read_text().replace(",dead", ",adult"))
+    argv = [str(small_grid) if arg == "GRID" else arg for arg in argv]
+    out = tmp_path / "out"
+    assert cli.main([*argv, *_trio_args(csv_trio), "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: no site has stage 'dead'\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode", [["permtest", "--B", "2"], ["grid", "--grid", "GRID"]])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_one(tmp_path, csv_trio, small_grid, capsys, mode, workers):
+    mode = [str(small_grid) if arg == "GRID" else arg for arg in mode]
+    argv = ["eval", *mode, *_trio_args(csv_trio), "--workers", workers]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+
+def test_config_line_without_equals_sign(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("alpha = 0\nlambda_g 5\n")
+    message = f"^{re.escape(str(path))}:2: expected 'key = value', got 'lambda_g 5'$"
+    with pytest.raises(InvalidValue, match=message):
+        cli.load_config(str(path))
+
+
+def test_grid_file_without_axes(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("# nothing here\n\n")
+    with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}: grid file defines no axes$"):
+        cli.load_grid(str(path))
+
+
+def test_out_directory_that_cannot_be_created_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert cli.main(["synth", "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert f"error: cannot create {out}: " in capsys.readouterr().err

@@ -111,3 +111,9 @@ def test_feature_matrix_rejects_non_finite_cell(n, p, cell, bad, seed):
     taxa = [f"t{k}" for k in range(p)]
     with pytest.raises(InvalidValue, match=f"site '{sites[i]}', taxon '{taxa[j]}'"):
         FeatureMatrix(sites, taxa, values)
+
+
+def test_feature_matrix_rejects_wrong_shape():
+    message = r"^feature matrix shape \(2, 2\) does not match 2 sites x 3 taxa$"
+    with pytest.raises(InvalidValue, match=message):
+        FeatureMatrix(["a", "b"], ["x", "y", "z"], np.zeros((2, 2)))

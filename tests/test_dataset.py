@@ -331,3 +331,83 @@ class TestTableReader:
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure, match="cannot read"):
             load_dataset(tmp_path / "absent.csv")
+
+
+def _closed(n, p):
+    return np.full((n, p), 1.0 / p)
+
+
+VALIDATION_RAISES = {
+    "duplicate-site-ids": (
+        lambda: AbundanceMatrix(["a", "a"], ["x", "y"], _closed(2, 2)),
+        InvalidValue,
+        "duplicate site ids in abundance table",
+    ),
+    "duplicate-taxa": (
+        lambda: AbundanceMatrix(["a", "b"], ["x", "x"], _closed(2, 2)),
+        InvalidValue,
+        "duplicate taxa names in abundance table",
+    ),
+    "fractional-count": (
+        lambda: MacrofaunaCounts(["a"], np.array([[1.0, 2.5, 0.0, 3.0]])),
+        NegativeCount,
+        "macrofauna counts must be integers",
+    ),
+    "macrofauna-site-ids": (
+        lambda: Dataset(
+            AbundanceMatrix(["a", "b"], ["x", "y"], _closed(2, 2)),
+            MacrofaunaCounts(["b", "a"], np.zeros((2, 4), dtype=np.int64)),
+        ),
+        MissingSite,
+        "macrofauna site ids do not match abundance site ids",
+    ),
+    "abundance-shape": (
+        lambda: AbundanceMatrix(["a", "b"], ["x", "y", "z"], _closed(2, 2)),
+        InvalidShape,
+        r"abundance matrix shape \(2, 2\) does not match 2 sites x 3 taxa",
+    ),
+    "macrofauna-shape": (
+        lambda: MacrofaunaCounts(["a", "b"], np.zeros((2, 3), dtype=np.int64)),
+        InvalidShape,
+        r"macrofauna matrix shape \(2, 3\) does not match 2 sites x 4 categories",
+    ),
+    "negative-count": (
+        lambda: MacrofaunaCounts(["a", "b"], np.array([[0, 1, 2, 3], [4, -5, 6, 7]])),
+        NegativeCount,
+        "negative count at site 'b', category 'adult'",
+    ),
+    "label-count": (
+        lambda: StageLabels(["a", "b"], ["adult"]),
+        InvalidShape,
+        "1 labels for 2 sites",
+    ),
+    "relabel-unlabeled": (
+        lambda: Dataset(AbundanceMatrix(["a"], ["x", "y"], _closed(1, 2))).with_labels(["adult"]),
+        InvalidShape,
+        "dataset has no labels to replace",
+    ),
+    "synth-coupling": (
+        lambda: synthesize_dataset(n=6, p=6, K=3, n_blocks=2, coupling=1.5, noise=0.1, seed=0),
+        InvalidShape,
+        r"coupling must be in \[0, 1\], got 1.5",
+    ),
+    "synth-noise": (
+        lambda: synthesize_dataset(n=6, p=6, K=3, n_blocks=2, coupling=0.5, noise=-0.1, seed=0),
+        InvalidShape,
+        "noise must be >= 0, got -0.1",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, error, message", VALIDATION_RAISES.values(), ids=VALIDATION_RAISES)
+def test_validation_raises(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
+def test_save_dataset_needs_the_tables_it_is_asked_to_write(tmp_path):
+    bare = Dataset(AbundanceMatrix(["a"], ["x", "y"], _closed(1, 2)))
+    with pytest.raises(InvalidValue, match="^dataset has no macrofauna counts to save$"):
+        save_dataset(bare, tmp_path / "a.csv", tmp_path / "m.csv")
+    with pytest.raises(InvalidValue, match="^dataset has no labels to save$"):
+        save_dataset(bare, tmp_path / "a.csv", None, tmp_path / "l.csv")

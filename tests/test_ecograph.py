@@ -274,3 +274,33 @@ def test_read_matrix_csv_rejects_malformed_matrix(tmp_path, body, message):
     path.write_text("taxon,x,y\n" + body)
     with pytest.raises(InvalidValue, match=f"adjacency.csv: {message}"):
         read_matrix_csv(path)
+
+
+VALIDATION_RAISES = {
+    "a-co-too-few-sites": (
+        lambda: build_a_co(_features(np.eye(2)), gamma=0.5),
+        TooFewSamples,
+        "graph construction needs at least 3 sites",
+    ),
+    "a-co-gamma": (
+        lambda: build_a_co(_features(np.eye(3)), gamma=1.5),
+        InvalidValue,
+        r"gamma must be in \[0, 1\], got 1.5",
+    ),
+    "fuse-not-square": (
+        lambda: fuse(np.zeros((2, 3)), np.zeros((2, 3)), alpha=0.5),
+        ShapeMismatch,
+        r"a_macro must be square, got \(2, 3\)",
+    ),
+    "fuse-taxa-names": (
+        lambda: fuse(np.zeros((2, 2)), np.zeros((2, 2)), alpha=0.5, taxa_names=["a"]),
+        ShapeMismatch,
+        "1 taxa names for 2 x 2 adjacency",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, error, message", VALIDATION_RAISES.values(), ids=VALIDATION_RAISES)
+def test_validation_raises(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()

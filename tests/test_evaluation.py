@@ -1,7 +1,9 @@
 """Harness: LOOCV, metrics, permutation machinery, grid, ablations, sweep."""
 
 import itertools
+import os
 import warnings
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -14,17 +16,24 @@ from grmlr.dataset import (
     Dataset,
     MacrofaunaCounts,
     StageLabels,
+    substream,
     synthesize_dataset,
 )
 from grmlr.errors import (
+    EmptyClass,
+    InvalidShape,
     InvalidValue,
     LengthMismatch,
     MissingLabels,
+    MissingMacrofauna,
     NonConvergenceWarning,
+    TaxaMismatch,
     UnknownParameter,
 )
 from grmlr.evaluation import (
     EvalReport,
+    GridEntry,
+    GridResult,
     ablate,
     alpha_sweep,
     build_plan,
@@ -196,21 +205,46 @@ class TestPermutation:
         assert 1 / 11 <= rep.p_value <= 1.0
 
     def test_matches_naive_relabeled_loocv(self, separable):
-        # the permutation fast path shares the fold plan; a from-scratch
-        # LOOCV on the relabeled dataset must agree exactly
-        from grmlr.dataset import substream
-        from grmlr.evaluation import _run_plan
-
+        # the batch evaluator shares the fold plan and stacks the fits; a
+        # from-scratch LOOCV on each relabeled dataset must agree exactly
+        config = GrmlrConfig()
+        report = permutation_test(separable, config, B=6, seed=5)
+        assert report.observed_accuracy == loocv(separable, config).accuracy
         rng = substream(5, "permutation")
-        perm = rng.permutation(9)
+        labels = separable.stages.labels
+        for accuracy in report.permuted_accuracies:
+            perm = rng.permutation(9)
+            relabeled = separable.with_labels([labels[i] for i in perm])
+            assert accuracy == loocv(relabeled, config).accuracy
+
+    def test_one_fit_per_distinct_fold_problem(self, separable, monkeypatch):
+        fitted = []  # (training features, training labels) of each stacked problem
+        calls = []
+        original = evaluation._fit_stack
+
+        def counting(Z, y, *args, **kwargs):
+            calls.append(1)
+            fitted.extend((z.tobytes(), labels.tobytes()) for z, labels in zip(Z, y))
+            return original(Z, y, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_fit_stack", counting)
+        permutation_test(separable, GrmlrConfig(), B=8, seed=5)
         plan = build_plan(separable, GrmlrConfig().epsilon)
-        fast = _run_plan(plan, GrmlrConfig(), y=plan.y[perm])
-        relabeled = separable.with_labels([separable.stages.labels[i] for i in perm])
-        slow = loocv(relabeled, GrmlrConfig())
-        assert fast.accuracy == slow.accuracy
-        assert [f.predicted_label for f in fast.per_fold] == [
-            f.predicted_label for f in slow.per_fold
-        ]
+        rng = substream(5, "permutation")
+        labels = [plan.y] + [plan.y[rng.permutation(9)] for _ in range(8)]
+        problems = {
+            (plan.features[fold.train_idx].tobytes(), y[fold.train_idx].tobytes())
+            for y in labels
+            for fold in plan.folds
+        }
+        assert len(fitted) == len(set(fitted)) == len(problems)
+        assert set(fitted) == problems
+        assert len(calls) < len(problems)
+
+    def test_observed_error_keeps_its_type(self, separable):
+        stripped = Dataset(separable.abundances, None, separable.stages)
+        with pytest.raises(MissingMacrofauna, match="alpha > 0 requires macrofauna"):
+            permutation_test(stripped, GrmlrConfig(alpha=0.5), B=3, seed=0)
 
     def test_worker_warnings_reach_the_caller_in_task_order(self):
         data = synthesize_dataset(n=9, p=8, K=3, n_blocks=2, coupling=0.9, noise=0.1, seed=0)
@@ -329,6 +363,154 @@ class TestGridFitReuse:
         )
         assert [e.error for e in scalars.entries] == [None, None]
         assert self._outcomes(scalars) == self._outcomes(plain)
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs each submit inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPool:
+    GRID = {"alpha": [0.0, 0.5], "lambda_g": [0.0, 5.0]}  # 4 configs
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        monkeypatch.setattr(_InlineExecutor, "sizes", [])
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _InlineExecutor)
+        return _InlineExecutor.sizes
+
+    @staticmethod
+    def _outcomes(result):
+        return [(e.index, e.accuracy, e.macro_f1, e.error) for e in result.entries]
+
+    @pytest.mark.parametrize(
+        "workers, cpus, size", [(64, 8, 4), (3, 8, 3), (64, 2, 2), (2, 1, None), (1, 8, None)]
+    )
+    def test_pool_is_capped_by_tasks_and_usable_cpus(
+        self, separable, monkeypatch, pool_sizes, workers, cpus, size
+    ):
+        serial = grid_search(separable, self.GRID)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        result = grid_search(separable, self.GRID, workers=workers)
+        assert pool_sizes == ([] if size is None else [size])  # None: no pool, run serially
+        assert self._outcomes(result) == self._outcomes(serial)
+
+    def test_cpu_count_where_affinity_is_missing(self, separable, monkeypatch, pool_sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        grid_search(separable, self.GRID, workers=64)
+        assert pool_sizes == [3]
+
+    def test_permutation_pool_is_capped_by_tasks(self, separable, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        report = permutation_test(separable, GrmlrConfig(), B=2, seed=5, workers=64)
+        assert pool_sizes == [3]  # the observed labels and B = 2 permutations
+        serial = permutation_test(separable, GrmlrConfig(), B=2, seed=5)
+        assert report.to_dict() == serial.to_dict()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, separable, pool_sizes, workers):
+        message = f"workers must be >= 1, got {workers}"
+        with pytest.raises(InvalidValue, match=message):
+            grid_search(separable, self.GRID, workers=workers)
+        with pytest.raises(InvalidValue, match=message):
+            permutation_test(separable, GrmlrConfig(), B=2, seed=0, workers=workers)
+        with pytest.raises(InvalidValue, match=message):
+            alpha_sweep(separable, GrmlrConfig(), [0.0], grid={"lambda_g": [0.0]}, workers=workers)
+        assert pool_sizes == []
+
+
+class TestMissingStage:
+    @pytest.fixture
+    def no_dead(self, separable):
+        return separable.with_labels(
+            ["adult" if lab == "dead" else lab for lab in separable.stages.labels]
+        )
+
+    def test_every_entry_point_names_the_missing_stage(self, no_dead):
+        config = GrmlrConfig()
+        calls = [
+            lambda: build_plan(no_dead, config.epsilon),
+            lambda: fit(no_dead, config),
+            lambda: loocv(no_dead, config),
+            lambda: permutation_test(no_dead, config, B=2, seed=0),
+            lambda: grid_search(no_dead, {"lambda_g": [0.0, 5.0]}),
+            lambda: ablate(no_dead, config),
+            lambda: alpha_sweep(no_dead, config, [0.0], grid={"lambda_g": [0.0]}),
+        ]
+        for call in calls:
+            with pytest.raises(EmptyClass, match="^no site has stage 'dead'$"):
+                call()
+
+    def test_several_missing_stages_are_all_named(self, separable):
+        only_juvenile = separable.with_labels(["juvenile"] * separable.n_sites)
+        with pytest.raises(EmptyClass, match="^no site has stage 'adult' or 'dead'$"):
+            loocv(only_juvenile, GrmlrConfig())
+
+
+def _zero_model(taxa):
+    labels = ("juvenile", "adult", "dead")
+    return GrmlrModel(np.zeros((3, len(taxa))), np.zeros(3), list(taxa), labels, GrmlrConfig())
+
+
+VALIDATION_RAISES = {
+    "grid-all-failed": (
+        lambda ds: GridResult([GridEntry(0, GrmlrConfig(), np.nan, np.nan, "X: x")]).best(),
+        InvalidValue,
+        "every grid entry failed",
+    ),
+    "loocv-too-few-sites": (
+        lambda ds: loocv(ds.subset([0, 1, 2]), GrmlrConfig()),
+        InvalidShape,
+        r"LOOCV needs at least K\+1=4 sites, got 3",
+    ),
+    "permtest-B0": (
+        lambda ds: permutation_test(ds, GrmlrConfig(), B=0, seed=0),
+        InvalidValue,
+        "B must be >= 1, got 0",
+    ),
+    "grid-no-axes": (
+        lambda ds: grid_search(ds, {}),
+        InvalidValue,
+        "grid must define at least one axis",
+    ),
+    "grid-empty-axis": (
+        lambda ds: grid_search(ds, {"alpha": [0.0], "tau": []}),
+        InvalidValue,
+        "grid axis 'tau' is empty",
+    ),
+    "ranking-no-models": (
+        lambda ds: coefficient_ranking([]),
+        InvalidValue,
+        "coefficient_ranking needs at least one model",
+    ),
+    "ranking-taxa-order": (
+        lambda ds: coefficient_ranking([_zero_model("ab"), _zero_model("ba")]),
+        TaxaMismatch,
+        "models do not share a taxa ordering",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", VALIDATION_RAISES.values(), ids=VALIDATION_RAISES)
+def test_validation_raises(separable, call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(separable)
 
 
 class TestAblate:

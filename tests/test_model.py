@@ -27,6 +27,7 @@ from grmlr.errors import (
 from grmlr.model import (
     GrmlrConfig,
     GrmlrModel,
+    build_features,
     class_balanced_weights,
     fit,
     fit_arrays,
@@ -587,3 +588,77 @@ def test_load_model_rejects_wrongly_typed_values(tmp_path, key, bad):
     path.write_text(json.dumps(payload))
     with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}: .*{key} must be"):
         load_model(path)
+
+
+VALIDATION_RAISES = {
+    "bias-shape": (
+        lambda: _model(np.zeros((3, 2)), np.zeros(2)),
+        r"bias shape \(2,\) for 3 classes",
+    ),
+    "taxa-count": (
+        lambda: _model(np.zeros((3, 2)), np.zeros(3), taxa=["a", "b", "c"]),
+        "taxa_names/label_set lengths do not match W",
+    ),
+    "label-count": (
+        lambda: _model(np.zeros((2, 2)), np.zeros(2)),
+        "taxa_names/label_set lengths do not match W",
+    ),
+    "non-finite-weight": (
+        lambda: _model(np.array([[0.0, np.inf], [0.0, 0.0], [0.0, 0.0]]), np.zeros(3)),
+        "model parameters must be finite",
+    ),
+    "non-finite-bias": (
+        lambda: _model(np.zeros((3, 2)), np.array([0.0, np.nan, 0.0])),
+        "model parameters must be finite",
+    ),
+    "features-feature-mode": (
+        lambda: build_features(_features(np.eye(2)), 1e-6, "log"),
+        re.escape("feature_mode must be one of ('clr', 'raw'), got 'log'"),
+    ),
+    "feature-mode": (
+        lambda: _model(np.zeros((3, 2)), np.zeros(3), feature_mode="log"),
+        re.escape("feature_mode must be one of ('clr', 'raw')"),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, message", VALIDATION_RAISES.values(), ids=VALIDATION_RAISES)
+def test_model_validation_raises(make, message):
+    with pytest.raises(InvalidValue, match=f"^{message}$"):
+        make()
+
+
+def test_load_model_rejects_invalid_json(tmp_path):
+    path = tmp_path / "model.grmlr"
+    path.write_text('{"format": ')
+    with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}: not a valid model file: "):
+        load_model(path)
+
+
+def test_load_model_rejects_other_format_versions(tmp_path):
+    path = tmp_path / "model.grmlr"
+    save_model(_model(np.zeros((3, 2)), np.zeros(3)), path)
+    payload = json.loads(path.read_text())
+    payload["format_version"] = 2
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}: unsupported format version 2$"):
+        load_model(path)
+
+
+def test_taxa_in_another_order_are_rejected():
+    model = _model(np.zeros((3, 2)), np.zeros(3), taxa=["a", "b"])
+    with pytest.raises(TaxaMismatch, match="^taxa are present but ordered differently$"):
+        predict_proba(model, _features(np.zeros((1, 2)), taxa=["b", "a"]))
+
+
+def test_loss_rejects_misaligned_graph_and_label_set():
+    model, feats, labels, graph, s = _random_instance(0)
+    reordered = fuse(
+        graph.adjacency, np.zeros_like(graph.adjacency), alpha=1.0,
+        taxa_names=list(reversed(graph.taxa_names)),
+    )
+    with pytest.raises(Misalignment, match="^graph taxa order does not match the model$"):
+        loss(model, feats, labels, reordered, s)
+    relabeled = StageLabels(labels.site_ids, labels.labels, ("dead", "adult", "juvenile"))
+    with pytest.raises(Misalignment, match="^label set does not match the model$"):
+        loss(model, feats, relabeled, graph, s)

@@ -20,6 +20,10 @@ Probes, on synthetic datasets at 13x26 and 40x160:
 * ``grid-edge``: the entries of a 32-config ``grid_search`` that mixes
   lambda_l2 = 0 (flat directions) with fits capped at two iterations
   (which warn), on seed 7 at 13x26 and 9x8, with workers 1 and 2;
+* ``permtest-edge``: ``permutation_test(B=5, seed=3)`` with fits capped
+  at two iterations (which warn) and with lambda_l2 = 0, on seed 7 at
+  13x26 and 9x8, with workers 1 and 2, and ``ablate-edge``: ``ablate``
+  with fits capped at two iterations at both scales;
 * every CLI output file (except ``manifest.json``), stdout, stderr and
   exit code on a synthetic CSV trio.
 
@@ -204,6 +208,20 @@ def probe_grid_edge(g, probes: Probes) -> None:
                     out.append([e.index, e.config, e.accuracy, e.macro_f1, e.error])
 
 
+def probe_permtest_edge(g, probes: Probes) -> None:
+    base = g.GrmlrConfig()
+    configs = {"iters2": replace(base, max_iters=2), "l2zero": replace(base, lambda_l2=0.0)}
+    for scale, (n, p) in EDGE_SCALES.items():
+        dataset = g.synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=7)
+        for cname, config in configs.items():
+            for workers in (1, 2):
+                with probes.probe(f"permtest-edge/{scale}/{cname}/workers{workers}") as out:
+                    out.append(g.permutation_test(dataset, config, B=5, seed=3, workers=workers))
+        with probes.probe(f"ablate-edge/{scale}") as out:
+            reports = g.ablate(dataset, configs["iters2"])
+            out.append({k: v.to_dict() for k, v in reports.items()})
+
+
 def probe_cli(probes: Probes, tmp: Path) -> None:
     cli = importlib.import_module("grmlr.cli")
     root = tmp / "cli"
@@ -270,6 +288,7 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             probe_evaluation(g, probes, datasets[f"13x26/seed{seed}"], tmp, f"seed{seed}")
         probe_grid_edge(g, probes)
+        probe_permtest_edge(g, probes)
         probe_cli(probes, tmp)
     json.dump(probes.hashes, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
