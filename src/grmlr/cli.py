@@ -4,13 +4,16 @@ Commands
 --------
 fit            train on abundances + labels (+ macrofauna when alpha > 0)
 predict        classify new sites from a model and abundances only
-eval loocv     leave-one-out report, coefficient ranking
-eval permtest  label-permutation significance test
-eval grid      exhaustive hyperparameter grid search
+eval loocv     leave-one-out report, coefficient ranking [--svg]
+eval permtest  label-permutation significance test [--B --workers]
+eval grid      exhaustive hyperparameter grid search [--grid --workers]
 eval ablate    component-removal study
-eval alpha-sweep  best accuracy per graph-mixing weight
+eval alpha-sweep  best accuracy per graph-mixing weight [--grid --alphas --workers --svg]
 synth          generate a synthetic dataset in the CSV schemas
 graph export   write adjacency heatmap CSVs without training
+
+Each eval mode takes the input tables, --config, --set, --seed, --out and
+--strict, plus the flags listed after it; a command rejects any other flag.
 
 Configuration is a flat ``key = value`` text file mirroring the config
 field names; ``--set key=value`` overrides file values, and ``--seed``
@@ -27,8 +30,6 @@ import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import __version__
 from .dataset import _make_dir, _read_file, _write_csv, _write_json, load_dataset, save_dataset
@@ -51,7 +52,8 @@ from .evaluation import (
     write_grid_csv,
     write_permutation_report,
 )
-from .model import GrmlrConfig, build_features, fit, load_model, predict_proba, save_model
+from .model import GrmlrConfig, _predicted_classes, build_features, fit, load_model
+from .model import predict_proba, save_model
 from .svgplot import bar_chart, line_chart
 
 EXIT_OK = 0
@@ -199,11 +201,12 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     features = build_features(dataset, model.hyperparams.epsilon, model.feature_mode)
     proba = predict_proba(model, features)
+    picks = _predicted_classes(features.values, model.weights, model.bias)
     path = out / "predictions.csv"
     header = ["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]]
     rows = [
         [sid, model.label_set[pick], *[repr(float(v)) for v in row]]
-        for sid, pick, row in zip(features.site_ids, np.argmax(proba, axis=1), proba)
+        for sid, pick, row in zip(features.site_ids, picks, proba)
     ]
     _write_csv(path, header, rows, lineterminator="\n")
     write_manifest(out, "predict", None, [model_path, abundance_path], model.hyperparams.seed)
@@ -230,7 +233,6 @@ def cmd_eval(args) -> int:
     need_macro = any(a > 0 for a in alphas)
     dataset, paths = _load_inputs(args, need_labels=True, need_macrofauna=need_macro)
     out = _out_dir(args)
-    workers = args.workers
 
     if args.mode == "loocv":
         report = loocv(dataset, config, keep_models=True)
@@ -248,14 +250,14 @@ def cmd_eval(args) -> int:
             )
         print(f"loocv accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     elif args.mode == "permtest":
-        report = permutation_test(dataset, config, B=args.B, seed=config.seed, workers=workers)
+        report = permutation_test(dataset, config, B=args.B, seed=config.seed, workers=args.workers)
         write_permutation_report(report, out / "permutation_report.json")
         print(
             f"observed={report.observed_accuracy:.4f} "
             f"p={report.p_value:.4f} (B={len(report.permuted_accuracies)})"
         )
     elif args.mode == "grid":
-        result = grid_search(dataset, grid, workers=workers, base_config=config)
+        result = grid_search(dataset, grid, workers=args.workers, base_config=config)
         write_grid_csv(result, out / "grid_results.csv")
         best = result.best()
         print(
@@ -267,8 +269,8 @@ def cmd_eval(args) -> int:
         write_ablation_report(reports, out / "ablation_report.json")
         for name, rep in reports.items():
             print(f"{name}: accuracy={rep.accuracy:.4f} macro_f1={rep.macro_f1:.4f}")
-    elif args.mode == "alpha-sweep":
-        rows = alpha_sweep(dataset, config, alphas, grid=grid, workers=workers)
+    else:  # alpha-sweep
+        rows = alpha_sweep(dataset, config, alphas, grid=grid, workers=args.workers)
         write_alpha_sweep_csv(rows, out / "alpha_sweep.csv")
         if args.svg:
             line_chart(
@@ -280,8 +282,6 @@ def cmd_eval(args) -> int:
             )
         for alpha, acc in rows:
             print(f"alpha={alpha:g} best_accuracy={acc:.4f}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidValue(f"unknown eval mode {args.mode!r}")
 
     write_manifest(out, f"eval {args.mode}", args.config, paths, config.seed)
     return EXIT_OK
@@ -324,6 +324,9 @@ def cmd_graph_export(args) -> int:
 
 
 _COMMON_FLAGS = {
+    "--abundances": dict(help="abundance table CSV"),
+    "--macrofauna": dict(help="macrofauna count table CSV"),
+    "--labels": dict(help="stage label table CSV"),
     "--config": dict(help="flat key=value config file"),
     "--set": dict(
         action="append", default=[], metavar="KEY=VALUE",
@@ -333,11 +336,24 @@ _COMMON_FLAGS = {
     "--seed": dict(type=int, help="override the config seed"),
     "--workers": dict(
         type=int, default=1,
-        help="worker process cap (>= 1) of permtest, grid and alpha-sweep; "
+        help="worker process cap (>= 1); "
         "the pool also stays within the task count and the usable CPUs",
     ),
     "--strict": dict(action="store_true", help="escalate warnings to exit 2"),
     "--svg": dict(action="store_true", help="also render SVG charts"),
+    "--B": dict(type=int, default=50, help="permutation count"),
+    "--grid": dict(default="default", help="'default' or a grid file"),
+    "--alphas": dict(help="comma-separated mixing weights"),
+}
+_TABLES = ("--abundances", "--macrofauna", "--labels")
+
+# The common flags that each eval mode reads besides the tables, --config, --set and --seed.
+_EVAL_FLAGS = {
+    "loocv": ("--svg",),
+    "permtest": ("--B", "--workers"),
+    "grid": ("--grid", "--workers"),
+    "ablate": (),
+    "alpha-sweep": ("--grid", "--alphas", "--workers", "--svg"),
 }
 
 
@@ -353,30 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_fit = sub.add_parser("fit", help="train a model")
-    p_fit.add_argument("--abundances")
-    p_fit.add_argument("--macrofauna")
-    p_fit.add_argument("--labels")
-    _add_common(p_fit, "--config", "--set", "--seed")
+    _add_common(p_fit, *_TABLES, "--config", "--set", "--seed")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="classify sites from abundances only")
     p_pred.add_argument("--model")
-    p_pred.add_argument("--abundances")
-    _add_common(p_pred)
+    _add_common(p_pred, "--abundances")
     p_pred.set_defaults(func=cmd_predict)
 
     p_eval = sub.add_parser("eval", help="evaluation harness")
-    p_eval.add_argument(
-        "mode", choices=["loocv", "permtest", "grid", "ablate", "alpha-sweep"]
-    )
-    p_eval.add_argument("--abundances")
-    p_eval.add_argument("--macrofauna")
-    p_eval.add_argument("--labels")
-    p_eval.add_argument("--B", type=int, default=50, help="permutation count")
-    p_eval.add_argument("--grid", default="default", help="'default' or a grid file")
-    p_eval.add_argument("--alphas", help="comma-separated mixing weights")
-    _add_common(p_eval, "--config", "--set", "--seed", "--workers", "--svg")
-    p_eval.set_defaults(func=cmd_eval)
+    modes = p_eval.add_subparsers(dest="mode", required=True)
+    for mode, flags in _EVAL_FLAGS.items():
+        p_mode = modes.add_parser(mode)
+        _add_common(p_mode, *_TABLES, "--config", "--set", "--seed", *flags)
+        p_mode.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate synthetic CSVs")
     p_synth.add_argument("--n", type=int, default=13)
@@ -390,10 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", help="graph utilities")
     graph_sub = p_graph.add_subparsers(dest="graph_command")
     p_export = graph_sub.add_parser("export", help="write adjacency heatmap CSVs")
-    p_export.add_argument("--abundances")
-    p_export.add_argument("--macrofauna")
-    p_export.add_argument("--labels")
-    _add_common(p_export, "--config", "--set", "--seed")
+    _add_common(p_export, *_TABLES, "--config", "--set", "--seed")
     p_export.set_defaults(func=cmd_graph_export)
 
     return parser

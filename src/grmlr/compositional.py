@@ -21,8 +21,6 @@ import numpy as np
 from .dataset import AbundanceMatrix, reject_non_finite
 from .errors import InvalidValue
 
-DEFAULT_EPSILON = 1e-6
-
 
 @dataclass(eq=False)
 class FeatureMatrix:
@@ -43,7 +41,7 @@ class FeatureMatrix:
         self.values.setflags(write=False)
 
 
-def clr(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def clr(values: np.ndarray, epsilon: float) -> np.ndarray:
     """Row-wise CLR transform of a positive matrix.
 
     Parameters
@@ -53,7 +51,7 @@ def clr(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
         is 0. Rows need not be closed to 1 (the transform is invariant to
         row scale at ``epsilon=0``).
     epsilon : float
-        Pseudo-count added inside the logarithm, >= 0.
+        Pseudo-count added inside the logarithm, >= 0; no default.
 
     Returns
     -------
@@ -70,10 +68,11 @@ def clr(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     return logs - logs.mean(axis=1, keepdims=True)
 
 
-def clr_transform(abundances: AbundanceMatrix, epsilon: float = DEFAULT_EPSILON) -> FeatureMatrix:
+def clr_transform(abundances: AbundanceMatrix, epsilon: float) -> FeatureMatrix:
     """CLR-transform an abundance matrix into a :class:`FeatureMatrix`.
 
-    Taxa order is preserved; every output row sums to 0 up to rounding.
+    ``epsilon`` is the pseudo-count of :func:`clr`, with no default. Taxa
+    order is preserved; every output row sums to 0 up to rounding.
     """
     return FeatureMatrix(
         site_ids=list(abundances.site_ids),

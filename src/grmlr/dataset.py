@@ -185,7 +185,6 @@ class Dataset:
     abundances: AbundanceMatrix
     macrofauna: Optional[MacrofaunaCounts] = None
     stages: Optional[StageLabels] = None
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         ids = self.abundances.site_ids
@@ -223,14 +222,14 @@ class Dataset:
             st = StageLabels(
                 list(ids), [self.stages.labels[i] for i in idx], self.stages.label_set
             )
-        return Dataset(ab, mf, st, provenance=self.provenance)
+        return Dataset(ab, mf, st)
 
     def with_labels(self, labels: Sequence[str]) -> "Dataset":
         """Same observations with a replacement label column."""
         if self.stages is None:
             raise InvalidShape("dataset has no labels to replace")
         st = StageLabels(list(self.abundances.site_ids), list(labels), self.stages.label_set)
-        return Dataset(self.abundances, self.macrofauna, st, provenance=self.provenance)
+        return Dataset(self.abundances, self.macrofauna, st)
 
 
 def _read_file(path: str | Path) -> str:
@@ -312,9 +311,10 @@ def load_dataset(
     abundance_path: str | Path,
     macrofauna_path: str | Path | None = None,
     labels_path: str | Path | None = None,
-    label_set: tuple[str, ...] = STAGE_LABELS,
 ) -> Dataset:
     """Load and validate the site tables; rows follow abundance-file order.
+
+    Stage labels must be in STAGE_LABELS, whose order is the class order.
 
     Raises
     ------
@@ -345,10 +345,8 @@ def load_dataset(
         if columns != ["stage"]:
             raise InvalidValue(f"{labels_path}: expected header 'site_id,stage'")
         ordered_labels = [row[0] for row in _align(labels, site_ids, labels_path, abundance_path)]
-        stages = StageLabels(list(site_ids), ordered_labels, label_set)
-
-    parts = [p.name for p in (abundance_path, macrofauna_path, labels_path) if p is not None]
-    return Dataset(abundances, macrofauna, stages, provenance="loaded:" + ",".join(parts))
+        stages = StageLabels(list(site_ids), ordered_labels)
+    return Dataset(abundances, macrofauna, stages)
 
 
 def _align(by_site: dict, site_ids: list[str], path: Path, authority: Path) -> list:
@@ -505,12 +503,7 @@ def synthesize_dataset(
 
     label_set = _label_set_for(K)
     stages = StageLabels(list(site_ids), [label_set[k] for k in classes], label_set)
-
-    prov = (
-        f"synthetic:n={n},p={p},K={K},n_blocks={n_blocks},"
-        f"coupling={coupling},noise={noise},seed={seed}"
-    )
-    return Dataset(abundances, macrofauna, stages, provenance=prov)
+    return Dataset(abundances, macrofauna, stages)
 
 
 def _dense_rank(values: np.ndarray) -> np.ndarray:

@@ -39,16 +39,13 @@ SYMMETRY_TOLERANCE = 1e-12
 
 @dataclass(eq=False)
 class EcologicalGraph:
-    """Fused taxa graph: both adjacency sources plus the Laplacian."""
+    """Fused taxa graph: both adjacency sources, their fusion and its Laplacian."""
 
     taxa_names: list[str]
     a_macro: np.ndarray
     a_co: np.ndarray
-    alpha: float
     adjacency: np.ndarray
     laplacian: np.ndarray
-    tau: float
-    gamma: float
 
     def __post_init__(self) -> None:
         for name in ("a_macro", "a_co", "adjacency", "laplacian"):
@@ -124,10 +121,8 @@ def fuse(
     a_co: np.ndarray,
     alpha: float,
     taxa_names: list[str] | None = None,
-    tau: float = float("nan"),
-    gamma: float = float("nan"),
 ) -> EcologicalGraph:
-    """Convex fusion of the two adjacency sources plus the Laplacian.
+    """Convex fusion alpha * a_macro + (1 - alpha) * a_co plus its Laplacian.
 
     Raises
     ------
@@ -157,11 +152,8 @@ def fuse(
         taxa_names=list(taxa_names),
         a_macro=a_macro,
         a_co=a_co,
-        alpha=float(alpha),
         adjacency=adjacency,
         laplacian=laplacian_of(adjacency),
-        tau=float(tau),
-        gamma=float(gamma),
     )
 
 
@@ -204,7 +196,7 @@ def graph_from_correlations(
     else:
         a_macro = np.zeros_like(co_correlations)
     a_co = a_co_from_correlations(co_correlations, gamma)
-    return fuse(a_macro, a_co, alpha, taxa_names, tau=tau, gamma=gamma)
+    return fuse(a_macro, a_co, alpha, taxa_names)
 
 
 def export_heatmaps(graph: EcologicalGraph, out_dir: str | Path) -> list[Path]:

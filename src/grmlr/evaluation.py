@@ -45,7 +45,9 @@ from .model import (
     GrmlrModel,
     _fit_stack,
     _fitted_model,
+    _predicted_classes,
     _sample_weights,
+    _stack_capacity,
     _training_labels,
     build_features,
     fit_arrays,
@@ -61,16 +63,6 @@ DEFAULT_GRID: dict[str, list] = {
 }
 
 DEFAULT_ALPHAS = DEFAULT_GRID["alpha"]
-
-# Bytes of the reduced Hessians, (K - 1)(p + 1) squared doubles per fold
-# problem, that one stacked solve of a grid chunk may hold. It bounds peak
-# memory: a chunk queues its distinct fold problems and solves the queue
-# whenever it holds this many, so only one stack's Hessians, curvatures and
-# Laplacians exist at a time; solving a whole default grid's queue at once
-# would hold thousands. 256 KiB stacks 11 problems at 13 x 26 (K = 3), where
-# one problem is too small to amortize numpy's per-call overhead, and holds
-# one problem at 40 x 160, whose Newton steps are large solves already.
-_STACK_HESSIAN_BYTES = 256 * 1024
 
 
 @dataclass(eq=False)
@@ -176,7 +168,6 @@ class _Fold:
 class LoocvPlan:
     """Per-fold data and rank correlations, reusable across configurations."""
 
-    site_ids: list[str]
     taxa_names: list[str]
     label_set: tuple[str, ...]
     features: np.ndarray
@@ -215,7 +206,6 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
             )
         )
     return LoocvPlan(
-        site_ids=list(dataset.abundances.site_ids),
         taxa_names=list(dataset.abundances.taxa_names),
         label_set=tuple(stages.label_set),
         features=Z,
@@ -246,7 +236,7 @@ def _fold_problem(
 
 def _held_out_prediction(plan: LoocvPlan, fold: _Fold, W: np.ndarray, b: np.ndarray) -> int:
     """Class index that the fold's fitted W, b predict for its held-out site."""
-    return int(np.argmax(plan.features[fold.test_index] @ W.T + b))
+    return int(_predicted_classes(plan.features[fold.test_index], W, b))
 
 
 def _report(
@@ -442,6 +432,7 @@ def _loocv_chunk(tasks: list) -> list:
         keyed: list[tuple[_Fold, Optional[tuple]]] = []
         error = None
         labels = y.tobytes()
+        capacity = _stack_capacity(len(plan.label_set), len(plan.taxa_names))
         try:
             for fold in plan.folds:
                 problem = _fold_problem(plan, fold, config, y)
@@ -452,7 +443,7 @@ def _loocv_chunk(tasks: list) -> list:
                 keyed.append((fold, key))
                 if key not in memo and key not in queue:
                     queue[key] = (plan, fold, config, problem)
-                    if len(queue) == _stack_capacity(plan):
+                    if len(queue) == capacity:
                         _solve_queue(queue, memo)
                         outcomes += [_loocv_outcome(memo, *task) for task in waiting]
                         waiting.clear()
@@ -473,12 +464,6 @@ def _loocv_outcome(
     skipped = [fold.site_id for fold, key in keyed if key is None]
     report = _report(plan, config, y, predictions, skipped, [])
     return report.accuracy, report.macro_f1
-
-
-def _stack_capacity(plan: LoocvPlan) -> int:
-    """Fold problems of ``plan`` per stacked solve: what _STACK_HESSIAN_BYTES holds, at least 1."""
-    unknowns = max(1, (len(plan.label_set) - 1) * (len(plan.taxa_names) + 1))
-    return max(1, _STACK_HESSIAN_BYTES // (8 * unknowns * unknowns))
 
 
 def _solve_queue(queue: dict, memo: dict) -> None:

@@ -205,6 +205,14 @@ def predict_proba(model: GrmlrModel, features: FeatureMatrix) -> np.ndarray:
     return softmax_rows(features.values @ model.weights.T + model.bias)
 
 
+def _predicted_classes(Z: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Class index of each row of Z: argmax of its scores Z W^T + b, ties to the lowest.
+
+    Not the argmax of the softmax, which can round a near tie to a tie.
+    """
+    return np.argmax(Z @ W.T + b, axis=-1)
+
+
 def class_balanced_weights(labels: StageLabels) -> np.ndarray:
     """Per-sample weights n / (K * n_class); they sum to n."""
     return _sample_weights(labels.indices(), len(labels.label_set), class_balanced=True)
@@ -554,6 +562,24 @@ class _Stack:
         return np.concatenate([reduced, -reduced.sum(axis=1, keepdims=True)], axis=1)
 
 
+# Bytes of the reduced Hessians, (K - 1)(p + 1) squared doubles per
+# problem, that one _fit_stack call of a batch evaluation may hold. It
+# bounds peak memory: a chunk of grid or permutation tasks queues its
+# distinct fold problems and solves the queue whenever it holds
+# _stack_capacity of them, so only one stack's Hessians, curvatures and
+# Laplacians exist at a time; solving a whole default grid's queue at once
+# would hold thousands. 256 KiB stacks 11 problems at 13 x 26 (K = 3), where
+# one problem is too small to amortize numpy's per-call overhead, and holds
+# one problem at 40 x 160, whose Newton steps are large solves already.
+_STACK_HESSIAN_BYTES = 256 * 1024
+
+
+def _stack_capacity(K: int, p: int) -> int:
+    """Problems of K classes and p features that _STACK_HESSIAN_BYTES holds, at least 1."""
+    unknowns = max(1, (K - 1) * (p + 1))
+    return max(1, _STACK_HESSIAN_BYTES // (8 * unknowns * unknowns))
+
+
 def _fit_stack(
     Z: np.ndarray,
     y: np.ndarray,
@@ -748,11 +774,12 @@ def _fitted_model(
 def predict(model: GrmlrModel, abundances) -> StageLabels:
     """Stage labels for an abundance table, using only microbial features.
 
-    Ties in the probability row resolve to the lowest label index.
+    Each site gets the label of its highest score z W^T + b; ties resolve
+    to the lowest label index.
     """
     features = build_features(abundances, model.hyperparams.epsilon, model.feature_mode)
-    proba = predict_proba(model, features)
-    picks = np.argmax(proba, axis=1)
+    _check_taxa(model.taxa_names, features.taxa_names)
+    picks = _predicted_classes(features.values, model.weights, model.bias)
     labels = [model.label_set[i] for i in picks]
     return StageLabels(list(features.site_ids), labels, tuple(model.label_set))
 

@@ -129,11 +129,11 @@ def _unit_ranks(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r / np.where(ok, norms, 1.0), ok
 
 
-def snap_to_unit(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Round magnitudes within ``tol`` of 1 to exactly +/-1.
+def snap_to_unit(values: np.ndarray) -> np.ndarray:
+    """Round magnitudes within 1e-12 of 1 to exactly +/-1.
 
     Correlations and cosines are bounded by 1; exact collinearity can land
     one ulp short after normalization, which would otherwise fail a
     threshold of exactly 1.
     """
-    return np.where(np.abs(np.abs(values) - 1.0) <= tol, np.sign(values), values)
+    return np.where(np.abs(np.abs(values) - 1.0) <= 1e-12, np.sign(values), values)

@@ -18,7 +18,7 @@ def tiny_dataset():
     abundances = AbundanceMatrix(sites, taxa, closed)
     counts = MacrofaunaCounts(list(sites), rng.integers(0, 9, size=(6, 4)))
     labels = StageLabels(list(sites), ["juvenile", "adult", "dead"] * 2)
-    return Dataset(abundances, counts, labels, provenance="fixture")
+    return Dataset(abundances, counts, labels)
 
 
 @pytest.fixture

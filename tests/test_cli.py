@@ -9,12 +9,13 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grmlr import cli
-from grmlr.dataset import AbundanceMatrix, Dataset, load_dataset, save_dataset
+from grmlr.dataset import STAGE_LABELS, AbundanceMatrix, Dataset, load_dataset, save_dataset
 from grmlr.errors import InvalidValue
-from grmlr.model import GrmlrConfig, load_model, predict
+from grmlr.model import GrmlrConfig, GrmlrModel, load_model, predict, save_model
 
 MANIFEST_KEYS = {
     "command",
@@ -96,6 +97,22 @@ def test_predictions_match_predict_on_the_loaded_model(tmp_path, csv_trio, model
     expected = predict(load_model(model_path), load_dataset(csv_trio["abundances"]).abundances)
     assert [r["site_id"] for r in rows] == expected.site_ids
     assert [r["stage"] for r in rows] == expected.labels
+
+
+def test_near_tie_goes_to_the_highest_score(tmp_path):
+    # softmax rounds the scores 0 and 1e-17 to one probability; the scores still differ
+    bias = np.array([0.0, 1e-17, 0.0])
+    model = GrmlrModel(np.zeros((3, 2)), bias, ["t1", "t2"], STAGE_LABELS, GrmlrConfig())
+    save_model(model, tmp_path / "tie.grmlr")
+    values = np.array([[0.5, 0.5], [0.2, 0.8]])
+    table = tmp_path / "abundances.csv"
+    save_dataset(Dataset(AbundanceMatrix(["s1", "s2"], ["t1", "t2"], values), None, None), table)
+    assert predict(model, load_dataset(table)).labels == ["adult", "adult"]
+    out = tmp_path / "pred"
+    argv = ["predict", "--model", str(tmp_path / "tie.grmlr"), "--abundances", str(table)]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    with open(out / "predictions.csv", newline="") as fh:
+        assert [row["stage"] for row in csv.DictReader(fh)] == ["adult", "adult"]
 
 
 def test_unwritable_predictions_exit_one(tmp_path, csv_trio, model_dir, capsys):
@@ -262,6 +279,36 @@ REMOVED_FLAGS = [
 def test_commands_reject_flags_they_ignore(tmp_path, capsys, command, flag):
     out = tmp_path / "out"
     assert cli.main([*command, *flag, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+EVAL_IGNORED_FLAGS = [
+    ("loocv", ["--B", "5"]),
+    ("loocv", ["--grid", "g.txt"]),
+    ("loocv", ["--alphas", "0,1"]),
+    ("loocv", ["--workers", "0"]),
+    ("permtest", ["--grid", "g.txt"]),
+    ("permtest", ["--alphas", "0,1"]),
+    ("permtest", ["--svg"]),
+    ("grid", ["--B", "5"]),
+    ("grid", ["--alphas", "0,1"]),
+    ("grid", ["--svg"]),
+    ("ablate", ["--B", "5"]),
+    ("ablate", ["--grid", "g.txt"]),
+    ("ablate", ["--alphas", "0,1"]),
+    ("ablate", ["--workers", "-3"]),
+    ("ablate", ["--svg"]),
+    ("alpha-sweep", ["--B", "5"]),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, flag", EVAL_IGNORED_FLAGS, ids=[f"{m} {' '.join(f)}" for m, f in EVAL_IGNORED_FLAGS]
+)
+def test_eval_modes_reject_flags_they_ignore(tmp_path, capsys, mode, flag):
+    out = tmp_path / "out"
+    assert cli.main(["eval", mode, *flag, "--out", str(out)]) == cli.EXIT_VALIDATION
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
 
