@@ -10,7 +10,7 @@ eval grid      exhaustive hyperparameter grid search [--grid --workers]
 eval ablate    component-removal study
 eval alpha-sweep  best accuracy per graph-mixing weight [--grid --alphas --workers --svg]
 synth          generate a synthetic dataset in the CSV schemas
-graph export   write adjacency heatmap CSVs without training
+graph export   write adjacency heatmap CSVs from abundances (+ macrofauna), no labels
 
 Each eval mode takes the input tables, --config, --set, --seed, --out and
 --strict, plus the flags listed after it; a command rejects any other flag.
@@ -171,13 +171,16 @@ def write_manifest(
 
 
 def _load_inputs(args, need_labels: bool, need_macrofauna: bool):
+    """The dataset of the table flags and their paths.
+
+    Commands without ``need_labels`` have no --labels flag.
+    """
     abundances = _require(args.abundances, "--abundances")
-    if need_labels:
-        _require(args.labels, "--labels")
+    labels = _require(args.labels, "--labels") if need_labels else None
     if need_macrofauna:
         _require(args.macrofauna, "--macrofauna")
-    dataset = load_dataset(abundances, args.macrofauna, args.labels)
-    paths = [p for p in (abundances, args.macrofauna, args.labels) if p]
+    dataset = load_dataset(abundances, args.macrofauna, labels)
+    paths = [p for p in (abundances, args.macrofauna, labels) if p]
     return dataset, paths
 
 
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", help="graph utilities")
     graph_sub = p_graph.add_subparsers(dest="graph_command")
     p_export = graph_sub.add_parser("export", help="write adjacency heatmap CSVs")
-    _add_common(p_export, *_TABLES, "--config", "--set", "--seed")
+    _add_common(p_export, "--abundances", "--macrofauna", "--config", "--set", "--seed")
     p_export.set_defaults(func=cmd_graph_export)
 
     return parser

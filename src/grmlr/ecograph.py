@@ -124,6 +124,11 @@ def fuse(
 ) -> EcologicalGraph:
     """Convex fusion alpha * a_macro + (1 - alpha) * a_co plus its Laplacian.
 
+    Checks its input as coming from outside: shapes, alpha, and that both
+    matrices are symmetric, nonnegative and zero on the diagonal. The LOOCV
+    fold graphs, whose adjacencies this module built, skip these checks
+    through :func:`_fused`.
+
     Raises
     ------
     ShapeMismatch, AsymmetricInput, InvalidAdjacency
@@ -147,9 +152,16 @@ def fuse(
         taxa_names = [f"taxon_{j + 1:02d}" for j in range(p)]
     if len(taxa_names) != p:
         raise ShapeMismatch(f"{len(taxa_names)} taxa names for {p} x {p} adjacency")
+    return _fused(a_macro, a_co, alpha, list(taxa_names))
+
+
+def _fused(
+    a_macro: np.ndarray, a_co: np.ndarray, alpha: float, taxa_names: list[str]
+) -> EcologicalGraph:
+    """The fusion step of :func:`fuse`, without its checks."""
     adjacency = alpha * a_macro + (1.0 - alpha) * a_co
     return EcologicalGraph(
-        taxa_names=list(taxa_names),
+        taxa_names=taxa_names,
         a_macro=a_macro,
         a_co=a_co,
         adjacency=adjacency,
@@ -189,14 +201,25 @@ def graph_from_correlations(
     MissingMacrofauna
         If ``profiles`` is None and alpha > 0.
     """
-    if profiles is not None:
-        a_macro = a_macro_from_profiles(profiles, tau)
-    elif alpha > 0.0:
-        raise MissingMacrofauna("alpha > 0 requires macrofauna counts to build the graph")
-    else:
-        a_macro = np.zeros_like(co_correlations)
+    _require_macrofauna(profiles, alpha)
+    a_macro = _a_macro_or_zeros(profiles, tau, co_correlations)
     a_co = a_co_from_correlations(co_correlations, gamma)
     return fuse(a_macro, a_co, alpha, taxa_names)
+
+
+def _require_macrofauna(profiles: np.ndarray | None, alpha: float) -> None:
+    """Raise MissingMacrofauna if there are no macro-coupling profiles and alpha > 0."""
+    if profiles is None and alpha > 0.0:
+        raise MissingMacrofauna("alpha > 0 requires macrofauna counts to build the graph")
+
+
+def _a_macro_or_zeros(
+    profiles: np.ndarray | None, tau: float, co_correlations: np.ndarray
+) -> np.ndarray:
+    """A_macro of ``profiles``, or zeros shaped like ``co_correlations`` without them."""
+    if profiles is None:
+        return np.zeros_like(co_correlations)
+    return a_macro_from_profiles(profiles, tau)
 
 
 def export_heatmaps(graph: EcologicalGraph, out_dir: str | Path) -> list[Path]:

@@ -4,14 +4,17 @@ ablations and the graph-mixing sensitivity sweep.
 All evaluations are leave-one-out: the held-out site never influences the
 training fold's graph (under the default ``co_occurrence_scope='train'``),
 sample weights or fit. Rank correlations are precomputed once per fold and
-shared across configurations and label vectors; thresholding still happens
-per configuration.
+shared across configurations and label vectors; thresholding happens per
+fold graph, in ``_FoldGraphs``, the one place fold graphs are assembled.
+No fold graph is built for lambda_g = 0, where the Laplacian does not enter
+the objective: such fits get a zero Laplacian.
 
 The grid search (and so the alpha sweep) and the permutation test run on
 one batch evaluator, ``_loocv_chunk``, whose tasks are LOOCVs of (plan,
-config, labels). It fits each distinct fold problem of a chunk of tasks
-once, in stacks. :func:`loocv`, and so the ablations, make one
-``fit_arrays`` call per fold instead: they keep each fold's model and
+config, labels). It builds each distinct fold graph of a chunk of tasks
+once, and fits each distinct fold problem once, in stacks. :func:`loocv`,
+and so the ablations, evaluate one config, so they keep no graphs and
+make one ``fit_arrays`` call per fold: they keep each fold's model and
 diagnostics, and that call is where the benchmark's tracer times fits. A
 stacked fit is bit for bit that of ``fit_arrays`` alone, so results do not
 depend on the path.
@@ -19,6 +22,7 @@ depend on the path.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
@@ -31,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset, _write_csv, _write_json, substream
-from .ecograph import graph_from_correlations
+from .ecograph import _a_macro_or_zeros, _fused, _require_macrofauna, a_co_from_correlations
 from .errors import (
     GrmlrError,
     InvalidShape,
@@ -41,6 +45,7 @@ from .errors import (
     UnknownParameter,
 )
 from .model import (
+    _GRAPH_CACHE_BYTES,
     GrmlrConfig,
     GrmlrModel,
     _fit_stack,
@@ -217,21 +222,93 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
     )
 
 
+@dataclass(eq=False)
+class _FoldGraph:
+    """A fold's read-only graph Laplacian, with its digest made on first use."""
+
+    laplacian: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.laplacian.setflags(write=False)
+
+    @property
+    def nbytes(self) -> int:
+        return self.laplacian.nbytes
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        return hashlib.blake2b(self.laplacian.tobytes(), digest_size=16).digest()
+
+
+class _FoldGraphs:
+    """Fold graphs and their adjacency parts, each built once while it is kept.
+
+    A_macro is kept per (plan, fold, tau), A_co per (plan, fold,
+    ``co_occurrence_scope``, gamma) and a fold graph per (plan, fold,
+    scope, tau, gamma, alpha and alpha's type). Plans count by identity,
+    so every plan must outlive the cache, as a chunk's tasks do. A part
+    that would take the kept bytes past ``limit`` empties the cache first,
+    and is not kept if it alone is larger; so ``_FoldGraphs(0)`` keeps
+    nothing and builds every graph anew.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.parts: dict = {}
+        self.nbytes = 0
+
+    def graph(self, plan: LoocvPlan, fold: _Fold, config: GrmlrConfig) -> _FoldGraph:
+        """The fold's graph under ``config``: all zeros at lambda_g = 0, where no fit reads it.
+
+        Raises MissingMacrofauna if the plan has no macrofauna counts and
+        alpha > 0, at any lambda_g.
+        """
+        _require_macrofauna(fold.profiles, config.alpha)
+        if config.lambda_g == 0.0:
+            p = len(plan.taxa_names)
+            return self._part(("zero", p), lambda: _FoldGraph(np.zeros((p, p))))
+        scope, tau, gamma, alpha = (
+            config.co_occurrence_scope, config.tau, config.gamma, config.alpha
+        )
+        co = plan.co_all if scope == "all" else fold.co_train
+        where = (id(plan), fold.test_index)
+
+        def build() -> _FoldGraph:
+            a_macro = self._part(
+                ("macro", *where, tau), lambda: _a_macro_or_zeros(fold.profiles, tau, co)
+            )
+            a_co = self._part(
+                ("co", *where, scope, gamma), lambda: a_co_from_correlations(co, gamma)
+            )
+            return _FoldGraph(_fused(a_macro, a_co, alpha, plan.taxa_names).laplacian)
+
+        # 1 - alpha is a float32 for a float32 alpha, unlike for an equal float
+        return self._part(("graph", *where, scope, tau, gamma, alpha, type(alpha)), build)
+
+    def _part(self, key: tuple, build):
+        if key in self.parts:
+            return self.parts[key]
+        part = build()
+        if self.nbytes + part.nbytes > self.limit:
+            self.parts.clear()
+            self.nbytes = 0
+        if part.nbytes <= self.limit:
+            self.parts[key] = part
+            self.nbytes += part.nbytes
+        return part
+
+
 def _fold_problem(
-    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, y: np.ndarray
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Training labels and graph Laplacian of one fold.
+    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, y: np.ndarray, graphs: _FoldGraphs
+) -> Optional[tuple[np.ndarray, _FoldGraph]]:
+    """Training labels and graph (from ``graphs``) of one fold.
 
     None when the fold's training labels miss a class, so the fold is skipped.
     """
     y_train = y[fold.train_idx]
     if np.any(np.bincount(y_train, minlength=len(plan.label_set)) == 0):
         return None
-    co = plan.co_all if config.co_occurrence_scope == "all" else fold.co_train
-    graph = graph_from_correlations(
-        fold.profiles, co, config.tau, config.gamma, config.alpha, plan.taxa_names
-    )
-    return y_train, graph.laplacian
+    return y_train, graphs.graph(plan, fold, config)
 
 
 def _held_out_prediction(plan: LoocvPlan, fold: _Fold, W: np.ndarray, b: np.ndarray) -> int:
@@ -274,21 +351,18 @@ def _report(
 
 
 def _fold_fit_key(
-    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, labels: bytes, laplacian: np.ndarray
+    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, labels: bytes, graph: _FoldGraph
 ) -> tuple:
     """Everything a fold fit depends on.
 
     That is the features (``plan.epsilon``), the labels (``labels``, the
     bytes of the task's label vector), the fold, the sample weights
-    (``class_balanced``), the penalties and the stopping rule. The Laplacian
-    enters the objective only through lambda_g, so it is left out at
-    lambda_g = 0, where every graph gives the same fit bit for bit.
+    (``class_balanced``), the penalties, the stopping rule and the
+    Laplacian, as ``graph.digest``: a blake2b digest made once per fold
+    graph, however many label vectors and configs share the graph. The
+    Laplacian enters the objective only through lambda_g, so it is left
+    out at lambda_g = 0, where every graph gives the same fit bit for bit.
     """
-    graph = (
-        hashlib.blake2b(laplacian.tobytes(), digest_size=16).digest()
-        if config.lambda_g != 0.0
-        else None
-    )
     return (
         plan.epsilon,
         labels,
@@ -299,7 +373,7 @@ def _fold_fit_key(
         config.ftol,
         config.gtol,
         config.max_iters,
-        graph,
+        graph.digest if config.lambda_g != 0.0 else None,
     )
 
 
@@ -316,20 +390,24 @@ def loocv(
     alone, with one :func:`fit_arrays` call per fold; ``keep_models`` keeps
     each fold's model with its solver diagnostics. Folds whose training set
     loses an entire class are skipped and listed in ``skipped_folds``.
+    No two folds share a graph, so none is kept once its fold is fitted.
     """
     plan = build_plan(dataset, config.epsilon, feature_mode)
     K = len(plan.label_set)
+    graphs = _FoldGraphs(0)
     predictions: list[tuple[_Fold, int]] = []
     skipped: list[str] = []
     models: list[GrmlrModel] = []
     for fold in plan.folds:
-        problem = _fold_problem(plan, fold, config, plan.y)
+        problem = _fold_problem(plan, fold, config, plan.y, graphs)
         if problem is None:
             skipped.append(fold.site_id)
             continue
-        y_train, laplacian = problem
+        y_train, graph = problem
         s = _sample_weights(y_train, K, config.class_balanced)
-        W, b, info = fit_arrays(plan.features[fold.train_idx], y_train, K, s, laplacian, config)
+        W, b, info = fit_arrays(
+            plan.features[fold.train_idx], y_train, K, s, graph.laplacian, config
+        )
         predictions.append((fold, _held_out_prediction(plan, fold, W, b)))
         if keep_models:
             fitted = (W, b, info, plan.taxa_names, plan.label_set, config, plan.feature_mode)
@@ -351,8 +429,10 @@ def permutation_test(
     identical across permutations. p = (1 + #{permuted >= observed}) / (1 + B).
 
     The observed labels and the B permutations are B + 1 tasks of the
-    batch evaluator (``_loocv_chunk``) on one fold plan. A fold problem that
-    two label vectors share is fitted once, so a warning it raises is issued once.
+    batch evaluator (``_loocv_chunk``) on one fold plan. Each fold graph is
+    built and digested once per chunk of tasks, as no graph depends on the
+    labels. A fold problem that two label vectors share is fitted once, so
+    a warning it raises is issued once.
     """
     if B < 1:
         raise InvalidValue(f"B must be >= 1, got {B}")
@@ -418,12 +498,15 @@ def grid_search(
 def _loocv_chunk(tasks: list) -> list:
     """(accuracy, macro-F1), or the GrmlrError raised, of each (plan, config, labels) task's LOOCV.
 
-    Each task's fold graphs and fit keys are built once, and every fold
-    problem not seen before joins a queue in first-seen order. A full queue
-    is solved as one stack (:func:`_solve_queue`), which stores the
-    held-out predictions in ``memo``; the tasks waiting on it then get
-    their outcomes from ``memo``.
+    Fold graphs come from one ``_FoldGraphs`` of ``_GRAPH_CACHE_BYTES`` for
+    the whole chunk, so a graph that several tasks share is built and
+    digested once while it stays kept. Each task's fit keys are made once,
+    and every fold problem not seen before joins a queue in first-seen
+    order. A full queue is solved as one stack (:func:`_solve_queue`),
+    which stores the held-out predictions in ``memo``; the tasks waiting on
+    it then get their outcomes from ``memo``.
     """
+    graphs = _FoldGraphs(_GRAPH_CACHE_BYTES)
     memo: dict = {}
     queue: dict = {}
     waiting: list = []
@@ -435,7 +518,7 @@ def _loocv_chunk(tasks: list) -> list:
         capacity = _stack_capacity(len(plan.label_set), len(plan.taxa_names))
         try:
             for fold in plan.folds:
-                problem = _fold_problem(plan, fold, config, y)
+                problem = _fold_problem(plan, fold, config, y, graphs)
                 if problem is None:
                     keyed.append((fold, None))
                     continue
@@ -476,14 +559,14 @@ def _solve_queue(queue: dict, memo: dict) -> None:
     if not queue:
         return
     plans, folds, configs, problems = zip(*queue.values())
-    y_train, laplacians = zip(*problems)
+    y_train, graphs = zip(*problems)
     K, p = len(plans[0].label_set), len(plans[0].taxa_names)
     V, _ = _fit_stack(
         np.stack([plan.features[fold.train_idx] for plan, fold in zip(plans, folds)]),
         np.stack(y_train),
         K,
         np.stack([_sample_weights(y, K, cfg.class_balanced) for y, cfg in zip(y_train, configs)]),
-        np.stack(laplacians),
+        np.stack([graph.laplacian for graph in graphs]),
         configs,
     )
     for key, plan, fold, fitted in zip(queue, plans, folds, V):

@@ -568,10 +568,20 @@ class _Stack:
 # distinct fold problems and solves the queue whenever it holds
 # _stack_capacity of them, so only one stack's Hessians, curvatures and
 # Laplacians exist at a time; solving a whole default grid's queue at once
-# would hold thousands. 256 KiB stacks 11 problems at 13 x 26 (K = 3), where
+# would hold thousands. 600 KiB stacks 26 problems at 13 x 26 (K = 3), where
 # one problem is too small to amortize numpy's per-call overhead, and holds
 # one problem at 40 x 160, whose Newton steps are large solves already.
-_STACK_HESSIAN_BYTES = 256 * 1024
+# Measured against 11, 18 and 52 problems at 13 x 26 in interleaved
+# in-process pairs on 2 vCPUs, 26 was fastest on a 6-config grid and, like
+# 18 and 52, faster than 11 on a 96-config grid.
+_STACK_HESSIAN_BYTES = 600 * 1024
+
+# Bytes of fold Laplacians and adjacency parts that one batch evaluation
+# chunk keeps, so that the configs and label vectors sharing a fold graph
+# build it once. The whole default grid's 1716 distinct fold graphs at
+# 13 x 26 take about 9.3 MB; at 40 x 160 one graph takes 200 KiB, and the
+# cache is emptied whenever it is full.
+_GRAPH_CACHE_BYTES = 16 * 1024 * 1024
 
 
 def _stack_capacity(K: int, p: int) -> int:

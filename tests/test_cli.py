@@ -70,7 +70,14 @@ def _commands(trio, grid, model_path):
             ["alpha_sweep.csv", "alpha_sweep.svg"],
         ),
         (["synth", "--n", "9", "--p", "8"], ["abundances.csv", "macrofauna.csv", "labels.csv"]),
-        (["graph", "export", *trio_args], ["a_macro.csv", "a_co.csv", "adjacency.csv"]),
+        (
+            [
+                "graph", "export",
+                "--abundances", str(trio["abundances"]),
+                "--macrofauna", str(trio["macrofauna"]),
+            ],
+            ["a_macro.csv", "a_co.csv", "adjacency.csv"],
+        ),
     ]
 
 
@@ -272,6 +279,7 @@ REMOVED_FLAGS = [
     (["synth"], ["--config", "c.txt"]),
     (["synth"], ["--set", "alpha=0"]),
     (["synth"], ["--k", "2"]),  # synth always writes the three stages of labels.csv
+    (["graph", "export"], ["--labels", "l.csv"]),  # no graph output depends on the labels
 ]
 
 

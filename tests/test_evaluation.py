@@ -1,5 +1,6 @@
 """Harness: LOOCV, metrics, permutation machinery, grid, ablations, sweep."""
 
+import hashlib
 import itertools
 import os
 import warnings
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from grmlr import evaluation
+from grmlr import ecograph, evaluation
 from grmlr.compositional import clr_transform
 from grmlr.dataset import (
     AbundanceMatrix,
@@ -45,7 +46,12 @@ from grmlr.evaluation import (
     write_eval_report,
     write_grid_csv,
 )
-from grmlr.ecograph import build_graph
+from grmlr.ecograph import (
+    build_graph,
+    compute_co_correlations,
+    compute_macro_profiles,
+    graph_from_correlations,
+)
 from grmlr.model import GrmlrConfig, GrmlrModel, class_balanced_weights, fit, loss
 
 SMALL_GRID = {
@@ -63,6 +69,45 @@ def separable():
 @pytest.fixture
 def noisy():
     return synthesize_dataset(n=9, p=12, K=3, n_blocks=3, coupling=0.6, noise=1.5, seed=11)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Counts of A_macro, A_co and Laplacian builds and of blake2b digests while the test runs."""
+    counts = {"a_macro_from_profiles": 0, "a_co_from_correlations": 0, "laplacian_of": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in list(counts):
+        wrapped = counting(name, getattr(ecograph, name))
+        for module in (ecograph, evaluation):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    counts["blake2b"] = 0
+    monkeypatch.setattr(hashlib, "blake2b", counting("blake2b", hashlib.blake2b))
+    return counts
+
+
+@pytest.fixture
+def fitted_problems(monkeypatch):
+    """(training features, lambda_g, Laplacian or None at lambda_g = 0) of each stacked fold fit."""
+    problems = []
+    original = evaluation._fit_stack
+
+    def recording(Z, y, K, s, laplacian, configs, *args, **kwargs):
+        problems.extend(
+            (z.tobytes(), cfg.lambda_g, lap.tobytes() if cfg.lambda_g else None)
+            for z, lap, cfg in zip(Z, laplacian, configs)
+        )
+        return original(Z, y, K, s, laplacian, configs, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_fit_stack", recording)
+    return problems
 
 
 class TestMacroF1:
@@ -241,6 +286,17 @@ class TestPermutation:
         assert set(fitted) == problems
         assert len(calls) < len(problems)
 
+    def test_each_fold_graph_built_and_digested_once(self, separable, graph_builds):
+        # no graph depends on the labels, so B = 8 permutations share the observed ones
+        permutation_test(separable, GrmlrConfig(), B=8, seed=5)
+        n = separable.n_sites
+        assert graph_builds == {
+            "a_macro_from_profiles": n,
+            "a_co_from_correlations": n,
+            "laplacian_of": n,
+            "blake2b": n,
+        }
+
     def test_observed_error_keeps_its_type(self, separable):
         stripped = Dataset(separable.abundances, None, separable.stages)
         with pytest.raises(MissingMacrofauna, match="alpha > 0 requires macrofauna"):
@@ -309,34 +365,84 @@ class TestGrid:
 
 class TestGridFitReuse:
     GRID = {"alpha": [0.0, 0.5, 1.0], "lambda_g": [0.0, 5.0]}
+    # every field of the fold-graph key takes two values or more
+    GRAPH_GRID = {
+        **GRID,
+        "co_occurrence_scope": ["train", "all"],
+        "tau": [0.5, 0.9],
+        "gamma": [0.8, 0.9],
+    }
 
     @staticmethod
     def _outcomes(result):
         return [(e.index, e.config, e.accuracy, e.macro_f1, e.error) for e in result.entries]
 
-    def test_one_fit_per_distinct_fold_problem(self, separable, monkeypatch):
-        calls = []
-        original = evaluation._fit_stack
-
-        def counting(Z, *args, **kwargs):
-            calls.extend([1] * len(Z))  # one per fold problem in the stack
-            return original(Z, *args, **kwargs)
-
-        monkeypatch.setattr(evaluation, "_fit_stack", counting)
-        result = grid_search(separable, self.GRID)
-        base = GrmlrConfig()
-        keys = set()
+    def test_one_fit_per_distinct_fold_problem(self, separable, fitted_problems):
+        result = grid_search(separable, self.GRAPH_GRID)
+        epsilon = GrmlrConfig().epsilon
+        co_all = compute_co_correlations(clr_transform(separable.abundances, epsilon))
+        expected = set()
         for i in range(separable.n_sites):
             train = separable.subset([j for j in range(separable.n_sites) if j != i])
-            features = clr_transform(train.abundances, base.epsilon)
-            for alpha, lambda_g in itertools.product(*self.GRID.values()):
-                graph = build_graph(features, train.macrofauna, base.tau, base.gamma, alpha)
-                keys.add((i, lambda_g, graph.laplacian.tobytes() if lambda_g else None))
-        assert len(keys) < 6 * separable.n_sites
-        assert len(calls) == len(keys)
+            features = clr_transform(train.abundances, epsilon)
+            profiles = compute_macro_profiles(features, train.macrofauna)
+            co = {"train": compute_co_correlations(features), "all": co_all}
+            for alpha, lambda_g, scope, tau, gamma in itertools.product(
+                *self.GRAPH_GRID.values()
+            ):
+                laplacian = graph_from_correlations(
+                    profiles, co[scope], tau, gamma, alpha, features.taxa_names
+                ).laplacian
+                expected.add(
+                    (features.values.tobytes(), lambda_g, laplacian.tobytes() if lambda_g else None)
+                )
+        assert len(expected) < len(result.entries) * separable.n_sites
+        assert len(fitted_problems) == len(set(fitted_problems))
+        assert set(fitted_problems) == expected
         for entry in result.entries:
             direct = loocv(separable, entry.config)
             assert (entry.accuracy, entry.macro_f1) == (direct.accuracy, direct.macro_f1)
+
+    def test_equal_alphas_of_two_types_keep_their_own_graphs(self, separable, fitted_problems):
+        # 1 - alpha rounds to float32 for a float32 alpha, so the two graphs differ
+        alphas = [np.float32(0.1), float(np.float32(0.1))]
+        grid_search(separable, {"alpha": alphas, "lambda_g": [5.0]})
+        plan = build_plan(separable, GrmlrConfig().epsilon)
+        expected = {
+            (
+                plan.features[fold.train_idx].tobytes(),
+                5.0,
+                graph_from_correlations(
+                    fold.profiles, fold.co_train, 0.7, 0.9, alpha, plan.taxa_names
+                ).laplacian.tobytes(),
+            )
+            for fold in plan.folds
+            for alpha in alphas
+        }
+        assert len(expected) == 2 * separable.n_sites
+        assert set(fitted_problems) == expected
+
+    def test_one_graph_per_fold_and_alpha_and_none_at_lambda_g_zero(
+        self, separable, graph_builds
+    ):
+        grid_search(separable, self.GRID)
+        n = separable.n_sites  # one tau, one gamma and one scope
+        assert graph_builds["a_macro_from_profiles"] == n
+        assert graph_builds["a_co_from_correlations"] == n
+        assert graph_builds["laplacian_of"] == n * len(self.GRID["alpha"])
+
+    @pytest.mark.parametrize("graphs_kept", [0, 3])
+    def test_graph_byte_bound_changes_no_fit(
+        self, separable, fitted_problems, monkeypatch, graphs_kept
+    ):
+        unbounded = grid_search(separable, self.GRAPH_GRID)
+        reference = list(fitted_problems)
+        fitted_problems.clear()
+        p = separable.n_taxa
+        monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", max(1, graphs_kept * p * p * 8))
+        bounded = grid_search(separable, self.GRAPH_GRID)
+        assert fitted_problems == reference
+        assert self._outcomes(bounded) == self._outcomes(unbounded)
 
     def test_worker_count_invariance(self, separable):
         # 24 configs make chunks of 3, so fits are also reused within a worker chunk

@@ -5,6 +5,11 @@ Imports ``grmlr`` from ``--src DIR`` (the directory that holds the
 SHA-256 of its output. Run it on two source trees and diff the two
 outputs: identical lines mean identical bytes.
 
+The object's first entry, ``_env``, is not a probe: it records the BLAS
+and OpenMP thread counts (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``)
+and the numpy version. The 40x160 fits depend on the thread count in
+their last bits, so compare only runs whose ``_env`` lines agree.
+
     python3 tools/golden_hashes.py --src /path/to/parent/src > parent.json
     python3 tools/golden_hashes.py --src src > change.json
     diff parent.json change.json
@@ -39,6 +44,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import sys
 import tempfile
 import warnings
@@ -255,7 +261,7 @@ def probe_cli(probes: Probes, tmp: Path) -> None:
     run("grid", ["eval", "grid", *data, "--grid", str(grid)])
     run("ablate", ["eval", "ablate", *data])
     run("alpha-sweep", ["eval", "alpha-sweep", *data, "--grid", str(grid), "--alphas", "0,0.5,1", "--svg"])
-    run("graph-export", ["graph", "export", *data])
+    run("graph-export", ["graph", "export", *data[:4]])  # the abundances and macrofauna
 
 
 def import_grmlr(parser: argparse.ArgumentParser, src: str):
@@ -290,7 +296,12 @@ def main(argv=None) -> int:
         probe_grid_edge(g, probes)
         probe_permtest_edge(g, probes)
         probe_cli(probes, tmp)
-    json.dump(probes.hashes, sys.stdout, indent=1, sort_keys=True)
+    env = {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "numpy": np.__version__,
+    }
+    json.dump({"_env": env, **probes.hashes}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 
