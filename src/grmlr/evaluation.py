@@ -12,12 +12,19 @@ the objective: such fits get a zero Laplacian.
 The grid search (and so the alpha sweep) and the permutation test run on
 one batch evaluator, ``_loocv_chunk``, whose tasks are LOOCVs of (plan,
 config, labels). It builds each distinct fold graph of a chunk of tasks
-once, and fits each distinct fold problem once, in stacks. :func:`loocv`,
-and so the ablations, evaluate one config, so they keep no graphs and
-make one ``fit_arrays`` call per fold: they keep each fold's model and
-diagnostics, and that call is where the benchmark's tracer times fits. A
-stacked fit is bit for bit that of ``fit_arrays`` alone, so results do not
-depend on the path.
+once, and fits each distinct fold problem once, in batches through
+``model._fit_batch``. That solver fits a fold with a firm ridge and fewer
+training sites than taxa in kernel form, in n_train-dimensional
+coordinates, and every other fold in feature space; both forms take the
+same Newton iterates up to rounding, so held-out predictions agree.
+
+:func:`loocv`, and so the ablations, evaluate one config, so they keep no
+graphs and make one ``fit_arrays`` call per fold, in feature space: they
+keep each fold's model and diagnostics, and that call is where the
+benchmark's tracer times fits. Moving them onto the batch evaluator, and
+so onto kernel fits, waits for the benchmark to stop keeping every
+repetition's ``loocv`` report: a faster ``loocv`` makes more repetitions
+and so reads a higher peak RSS.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -48,7 +56,7 @@ from .model import (
     _GRAPH_CACHE_BYTES,
     GrmlrConfig,
     GrmlrModel,
-    _fit_stack,
+    _fit_batch,
     _fitted_model,
     _predicted_classes,
     _sample_weights,
@@ -432,10 +440,11 @@ def permutation_test(
     batch evaluator (``_loocv_chunk``) on one fold plan. Each fold graph is
     built and digested once per chunk of tasks, as no graph depends on the
     labels. A fold problem that two label vectors share is fitted once, so
-    a warning it raises is issued once.
+    a warning it raises is issued once. Raises InvalidValue unless ``B``
+    and ``workers`` are integers >= 1.
     """
-    if B < 1:
-        raise InvalidValue(f"B must be >= 1, got {B}")
+    _check_count("B", B)
+    _check_count("workers", workers)
     plan = build_plan(dataset, config.epsilon)
     rng = substream(seed, "permutation")
     labels = [plan.y] + [plan.y[rng.permutation(len(plan.y))] for _ in range(B)]
@@ -464,8 +473,10 @@ def grid_search(
     Each configuration is one task of the batch evaluator (``_loocv_chunk``)
     on its plan's own labels, so each distinct fold fit runs once per call
     (once per chunk of configs with ``workers > 1``) and warns once, in the
-    order configs first need the fits; see ``_fold_fit_key``.
+    order configs first need the fits; see ``_fold_fit_key``. Raises
+    InvalidValue unless ``workers`` is an integer >= 1.
     """
+    _check_count("workers", workers)
     if base_config is None:
         base_config = GrmlrConfig()
     if not grid:
@@ -502,9 +513,11 @@ def _loocv_chunk(tasks: list) -> list:
     the whole chunk, so a graph that several tasks share is built and
     digested once while it stays kept. Each task's fit keys are made once,
     and every fold problem not seen before joins a queue in first-seen
-    order. A full queue is solved as one stack (:func:`_solve_queue`),
+    order. A full queue is solved in one batch (:func:`_solve_queue`),
     which stores the held-out predictions in ``memo``; the tasks waiting on
-    it then get their outcomes from ``memo``.
+    it then get their outcomes from ``memo``. Fits in kernel form take the
+    iterates of ``fit_arrays`` up to rounding (see ``model._fit_batch``),
+    so a task's outcome is that of :func:`loocv` on its config and labels.
     """
     graphs = _FoldGraphs(_GRAPH_CACHE_BYTES)
     memo: dict = {}
@@ -550,18 +563,19 @@ def _loocv_outcome(
 
 
 def _solve_queue(queue: dict, memo: dict) -> None:
-    """Fit every queued fold problem in one :func:`_fit_stack` call and empty the queue.
+    """Fit every queued fold problem in one :func:`_fit_batch` call and empty the queue.
 
     ``queue`` maps fold-fit keys to (plan, fold, config, fold problem) in
     first-seen order, all of one shape; each key's held-out prediction goes
-    into ``memo``.
+    into ``memo``. ``_fit_batch`` splits the queue into one stack in kernel
+    form and one in feature space, and warns in queue order.
     """
     if not queue:
         return
     plans, folds, configs, problems = zip(*queue.values())
     y_train, graphs = zip(*problems)
     K, p = len(plans[0].label_set), len(plans[0].taxa_names)
-    V, _ = _fit_stack(
+    V, _ = _fit_batch(
         np.stack([plan.features[fold.train_idx] for plan, fold in zip(plans, folds)]),
         np.stack(y_train),
         K,
@@ -588,10 +602,8 @@ def _map_chunked(tasks: list, workers: int) -> list:
     the tasks run here as one chunk. Otherwise each process runs one chunk
     of tasks at a time, and the warnings a chunk raised are issued again
     here, in task order, so that the caller's warning filters and
-    ``--strict`` see them. Raises InvalidValue if ``workers`` < 1.
+    ``--strict`` see them. ``workers`` must be an integer >= 1.
     """
-    if workers < 1:
-        raise InvalidValue(f"workers must be >= 1, got {workers}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = min(workers, len(tasks), cpus or 1)
     if size <= 1:
@@ -607,6 +619,14 @@ def _map_chunked(tasks: list, workers: int) -> list:
                 warnings.warn_explicit(message, category, filename, lineno)
             results.extend(chunk_results)
     return results
+
+
+def _check_count(name: str, value) -> None:
+    """Raise InvalidValue unless ``value`` is an integer >= 1; ``bool`` is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidValue(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidValue(f"{name} must be >= 1, got {value}")
 
 
 def _run_chunk(chunk: list) -> tuple[list, list[tuple]]:
@@ -642,7 +662,9 @@ def alpha_sweep(
     This is one :func:`grid_search` over ``grid`` (``DEFAULT_GRID`` when None)
     with ``alphas`` as its alpha axis; each row is the best entry at that alpha.
     A fit that several alphas share runs once, so a warning it raises is issued once.
+    Raises InvalidValue unless ``workers`` is an integer >= 1.
     """
+    _check_count("workers", workers)
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise InvalidValue(f"alpha values must lie in [0, 1], got {alpha}")

@@ -17,12 +17,18 @@ summing to zero and runs damped Newton with the exact Hessian in the first
 K - 1 rows, from W = 0, b = 0. The fit is reproducible and
 initialization-independent.
 
-One Newton loop, ``_fit_stack``, solves a stack of same-shape problems,
+One Newton loop, ``_newton``, solves a stack of same-shape problems,
 each with its own data, penalties, step lengths and stop tests.
-:func:`fit_arrays` checks its inputs and solves a stack of one; the grid
-search and the permutation test solve their distinct fold problems in
-stacks. Every stacked result is bit for bit what :func:`fit_arrays`
-returns for that problem alone.
+:func:`fit_arrays` checks its inputs and solves a stack of one in feature
+space (``_fit_stack``); a stacked result there is bit for bit what
+:func:`fit_arrays` returns for that problem alone. The grid search, the
+alpha sweep and the permutation test solve their distinct fold problems
+in batches through ``_fit_batch``. It solves a problem with a firm ridge
+and fewer sites than features, n < p, in kernel form: by the representer
+theorem the fit lies in an n-dimensional space, so each Newton system has
+(K - 1)(n + 1) unknowns instead of (K - 1)(p + 1). Both forms take the
+same iterates and stop tests, on the gradient over W and b, up to
+rounding.
 
 Training consumes macrofauna counts only through the graph; prediction
 needs nothing but an abundance table, which is the whole point of the
@@ -83,7 +89,8 @@ class GrmlrConfig:
     loss keeps falling as W grows along a separating direction. The fit
     stops on ``gtol`` or ``ftol`` at a loss near zero and reports
     convergence, and the W it returns depends on the solver's path and
-    stopping rule, not on the data alone.
+    stopping rule, not on the data alone. A positive ``lambda_l2`` that
+    rounding loses against the data (e.g. 1e-20) is solved like 0.
     """
 
     epsilon: float = 1e-6
@@ -389,8 +396,9 @@ def _class_pairs(J: int) -> tuple[np.ndarray, np.ndarray]:
 def _flat_directions(X: np.ndarray, c: np.ndarray, curvature: np.ndarray, J: int) -> np.ndarray:
     """Orthonormal basis of the reduced directions along which the objective is constant.
 
-    Needed only without a ridge (lambda_l2 = 0): with one, the reduced
-    Hessian is positive definite. Columns follow theta.ravel(), as in
+    Needed only without a ridge, or with a negligible one
+    (:func:`_ridge_regimes`): with any other, the reduced Hessian is
+    positive definite. Columns follow theta.ravel(), as in
     :func:`_data_hessian`. A direction is flat when it moves all K scores
     of every sample by one common amount and the penalty ``curvature``
     (reduced, like the Hessian) does not see it: CLR rows and Laplacian
@@ -405,30 +413,73 @@ def _flat_directions(X: np.ndarray, c: np.ndarray, curvature: np.ndarray, J: int
     return evecs[:, evals <= evals[-1] * J * d * np.finfo(float).eps]
 
 
+def _ridge_regimes(
+    Z: np.ndarray,
+    s: np.ndarray,
+    laplacian: np.ndarray,
+    lambda_l2: np.ndarray,
+    lambda_g: np.ndarray,
+    K: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which problems of a stack have a negligible ridge, and which a firm one.
+
+    Z is B x n x p and s is B x n. A ridge is measured against the scale
+    of the ridge-free Hessian, the largest diagonal entry of
+    X^T diag(s / n) X (for X = [Z, 1]) plus that of 2 lambda_g L, and
+    against tol = (K - 1)(p + 1) eps, the null-space tolerance of
+    :func:`_flat_directions`. The rule depends on the inputs only.
+
+    * Negligible: 2 lambda_l2 <= tol * scale. Along the flat directions
+      such a ridge is below the rounding of the other entries, so a Newton
+      system that relies on it can be exactly singular (lambda_l2 = 1e-20
+      raised numpy's LinAlgError). These problems, lambda_l2 = 0 among
+      them, are solved as without a ridge: their Newton systems fix the
+      flat directions instead (:func:`_curvature`), while their objective
+      keeps the ridge.
+    * Firm: 2 lambda_l2 > sqrt(tol) * scale. Only these are solved in
+      kernel form (:func:`_fit_batch`). Its rounding grows with the
+      condition number of 2 lambda_l2 I + 2 lambda_g L, and its Newton
+      systems pair the unpenalized bias with features scaled by up to
+      1 / sqrt(2 lambda_l2). Below the bound, kernel fits of synthetic
+      folds measured objectives up to 7e-6 relative above feature-space
+      fits (13 x 26, lambda_l2 = 1e-8, lambda_g = 1000) and a singular
+      Newton system (40 x 160, lambda_l2 = 1e-10, lambda_g = 0).
+    """
+    _, n, p = Z.shape
+    c = s / n
+    data = np.maximum(np.einsum("bi,bij->bj", c, Z * Z).max(axis=1, initial=0.0), c.sum(axis=1))
+    graph = 2.0 * lambda_g * np.diagonal(laplacian, axis1=1, axis2=2).max(axis=1, initial=0.0)
+    scale = data + graph
+    tol = (K - 1) * (p + 1) * np.finfo(float).eps
+    return 2.0 * lambda_l2 <= tol * scale, 2.0 * lambda_l2 > np.sqrt(tol) * scale
+
+
 def _curvature(
     X: np.ndarray,
     c: np.ndarray,
     laplacian: np.ndarray,
     lambda_l2: np.ndarray,
     lambda_g: np.ndarray,
+    flat: np.ndarray,
     J: int,
 ) -> np.ndarray:
     """Each problem's penalty Hessian in reduced coordinates, B x J(p + 1) x J(p + 1).
 
-    That is (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]],
-    plus N N^T for an orthonormal basis N of the flat directions
-    (:func:`_flat_directions`) of each problem without a ridge.
+    That is (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]].
+    For each problem marked in ``flat`` (:func:`_ridge_regimes`) the
+    ridge is left out and N N^T added instead, for an orthonormal basis N
+    of its flat directions (:func:`_flat_directions`).
     """
     B, _, d = X.shape
     p = d - 1
     penalty = np.zeros((B, d, d))
-    ridge = (2.0 * lambda_l2)[:, None, None] * np.eye(p)
+    ridge = (2.0 * np.where(flat, 0.0, lambda_l2))[:, None, None] * np.eye(p)
     penalty[:, :p, :p] = ridge + (2.0 * lambda_g)[:, None, None] * laplacian
     curvature = np.kron(np.eye(J) + 1.0, penalty)
     if J:  # K = 1 leaves nothing to solve for
-        for i in np.flatnonzero(lambda_l2 == 0.0):
-            flat = _flat_directions(X[i], c[i], curvature[i], J)
-            curvature[i] += flat @ flat.T
+        for i in np.flatnonzero(flat):
+            basis = _flat_directions(X[i], c[i], curvature[i], J)
+            curvature[i] += basis @ basis.T
     return curvature
 
 
@@ -494,6 +545,10 @@ def fit_arrays(
     makes the system nonsingular; the gradient is orthogonal to them, so
     a step moves along them only by rounding.
 
+    A ridge that rounding loses (:func:`_ridge_regimes`, e.g. lambda_l2
+    = 1e-20) is handled like none: the Newton systems leave it out and add
+    N N^T, while the objective keeps it.
+
     It stops when the gradient max-norm, taken over the full K x (p + 1)
     gradient, is at most ``config.gtol``, when the relative decrease
     (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) of an accepted step is at most
@@ -502,9 +557,10 @@ def fit_arrays(
     with a gradient max-norm above 1e-3 warns
     :class:`NonConvergenceWarning` and reports ``converged=False``.
 
-    The grid search and the permutation test solve their distinct fold
-    problems in stacks through :func:`_fit_stack` instead; each of those
-    results is bit for bit what this function returns for that problem alone.
+    :func:`fit`, :func:`~grmlr.evaluation.loocv` and the ablations fit
+    through this function. The grid search, the alpha sweep and the
+    permutation test solve their distinct fold problems in batches through
+    :func:`_fit_batch`, which takes the same iterates up to rounding.
 
     Returns (W, b, info) where W and b are views of V and info records
     convergence diagnostics; with ``track_history`` its ``loss_history``
@@ -535,12 +591,23 @@ class _Stack:
     curvature: np.ndarray  # B x J(p + 1) x J(p + 1), from _curvature
     lambda_l2: np.ndarray
     lambda_g: np.ndarray
+    # B x (n + 1) x (p + 1) for problems in kernel form (_fit_batch): maps
+    # the gradient over [W~ | b] to the gradient over [W | b]. None for
+    # problems in feature space.
+    to_weights: Optional[np.ndarray] = None
 
     def take(self, rows: list[int]) -> "_Stack":
         """The problems at the increasing positions ``rows``; the stack itself when that is all."""
         if len(rows) == len(self.Z):
             return self
-        return _Stack(*(getattr(self, f.name)[rows] for f in fields(self)))
+        arrays = (getattr(self, f.name) for f in fields(self))
+        return _Stack(*(None if a is None else a[rows] for a in arrays))
+
+    def max_norms(self, grad: np.ndarray) -> list[float]:
+        """Each problem's gradient max-norm, over W and b even for a problem in kernel form."""
+        if self.to_weights is not None:
+            grad = grad @ self.to_weights
+        return np.abs(grad).reshape(len(grad), -1).max(axis=1).tolist()
 
     def objective(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _objective(
@@ -563,7 +630,7 @@ class _Stack:
 
 
 # Bytes of the reduced Hessians, (K - 1)(p + 1) squared doubles per
-# problem, that one _fit_stack call of a batch evaluation may hold. It
+# problem, that one _fit_batch call of a batch evaluation may hold. It
 # bounds peak memory: a chunk of grid or permutation tasks queues its
 # distinct fold problems and solves the queue whenever it holds
 # _stack_capacity of them, so only one stack's Hessians, curvatures and
@@ -573,7 +640,10 @@ class _Stack:
 # one problem at 40 x 160, whose Newton steps are large solves already.
 # Measured against 11, 18 and 52 problems at 13 x 26 in interleaved
 # in-process pairs on 2 vCPUs, 26 was fastest on a 6-config grid and, like
-# 18 and 52, faster than 11 on a 96-config grid.
+# 18 and 52, faster than 11 on a 96-config grid. Capacity counts
+# feature-space Hessians even where _fit_batch solves in kernel form, whose
+# Hessians, (K - 1)(n + 1) squared, are smaller: such a stack holds the
+# same problems in less memory.
 _STACK_HESSIAN_BYTES = 600 * 1024
 
 # Bytes of fold Laplacians and adjacency parts that one batch evaluation
@@ -603,23 +673,144 @@ def _fit_stack(
 
     Z is B x n x p, y and s are B x n, laplacian is B x p x p, and
     ``configs`` holds each problem's penalties and stopping rule; the inputs
-    are not checked. The objectives, Hessians, Newton systems and trial
-    points of all live problems are computed stacked, each array operation
-    working on every problem's slice as it would on that problem alone.
-    Step lengths, Armijo tests and stop tests are scalar, per problem, and
-    a problem leaves the stack when it stops. So problem i's V and info are
-    bit for bit those of :func:`fit_arrays` on problem i. Returns V,
+    are not checked. Problem i's V and info are bit for bit those of
+    :func:`fit_arrays` on problem i (see :func:`_newton`). Returns V,
     B x K x (p + 1), and the info dicts; NonConvergenceWarnings are issued
     in stack order.
+    """
+    lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
+    lambda_g = np.array([cfg.lambda_g for cfg in configs], dtype=float)
+    flat, _ = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
+    V, f, n_iter, norms, history = _newton(
+        Z, y, K, s, laplacian, lambda_l2, lambda_g, flat, configs, track_history
+    )
+    return V, _fit_infos(configs, f, n_iter, norms, history)
+
+
+def _fit_batch(
+    Z: np.ndarray,
+    y: np.ndarray,
+    K: int,
+    s: np.ndarray,
+    laplacian: np.ndarray,
+    configs: Sequence[GrmlrConfig],
+) -> tuple[np.ndarray, list[dict]]:
+    """:func:`_fit_stack` for the batch evaluator, in kernel coordinates where those are fewer.
+
+    Takes the inputs of :func:`_fit_stack` and returns V and the info
+    dicts, warning in stack order. A problem with a firm ridge
+    (:func:`_ridge_regimes`) and fewer sites than features, n < p, is
+    solved in kernel form. Its P = 2 lambda_l2 I + 2 lambda_g L is positive
+    definite, and by the representer theorem its minimizer, like every
+    Newton iterate from W = 0, has the form A Z P^-1. So Newton runs on the
+    features F of :func:`_kernel_features` with the penalty 1/2 ||W~||^2,
+    in systems of (K - 1)(n + 1) unknowns instead of (K - 1)(p + 1), and
+    returns W = W~ M^T. The objective is the same function of the scores
+    and its gradient maps exactly to W-space, so the two forms take the
+    same iterates and stop at the same tests up to rounding: ``gtol``, the
+    non-convergence rule, the warning and ``grad_max_norm`` use the
+    gradient over W and b, as :func:`fit_arrays` does. The other problems,
+    all of them when n >= p, where the kernel is no smaller, are solved
+    in feature space as by :func:`_fit_stack`, in a stack of their own.
+    No info has a ``loss_history``.
+    """
+    B, n, p = Z.shape
+    lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
+    lambda_g = np.array([cfg.lambda_g for cfg in configs], dtype=float)
+    flat, firm = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
+    kernel = firm & (n < p)
+    V = np.empty((B, K, p + 1))
+    f, n_iter, norms = np.empty(B), np.empty(B, dtype=int), np.empty(B)
+    rows = np.flatnonzero(~kernel)
+    if rows.size:
+        V[rows], f[rows], n_iter[rows], norms[rows], _ = _newton(
+            Z[rows], y[rows], K, s[rows], laplacian[rows], lambda_l2[rows], lambda_g[rows],
+            flat[rows], [configs[i] for i in rows],
+        )
+    rows = np.flatnonzero(kernel)
+    if rows.size:
+        F, M, to_weights = _kernel_features(
+            Z[rows], laplacian[rows], lambda_l2[rows], lambda_g[rows]
+        )
+        m = len(rows)
+        reduced, f[rows], n_iter[rows], norms[rows], _ = _newton(
+            F, y[rows], K, s[rows], np.zeros((m, n, n)), np.full(m, 0.5), np.zeros(m),
+            np.zeros(m, dtype=bool), [configs[i] for i in rows], to_weights=to_weights,
+        )
+        V[rows, :, :p] = reduced[:, :, :n] @ M.transpose(0, 2, 1)
+        V[rows, :, p] = reduced[:, :, n]
+    return V, _fit_infos(configs, f.tolist(), n_iter.tolist(), norms.tolist(), None)
+
+
+def _kernel_features(
+    Z: np.ndarray, laplacian: np.ndarray, lambda_l2: np.ndarray, lambda_g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each problem's kernel form: its features F, back-map M and gradient map.
+
+    With P = 2 lambda_l2 I + 2 lambda_g L positive definite, the kernel
+    G = Z P^-1 Z^T = U diag(sigma) U^T gives the n x n features
+    F = U diag(sqrt(sigma)) and the p x n back-map
+    M = P^-1 Z^T U diag(1 / sqrt(sigma)). Then Z M = F and M^T P M = I, so
+    W = W~ M^T has the scores F W~^T and the penalty 1/2 ||W~||^2. The
+    gradient over W is the gradient over W~ times M^T P
+    = diag(1 / sqrt(sigma)) U^T Z, so the gradient over [W~ | b] times the
+    (n + 1) x (p + 1) map [[M^T P, 0], [0, 1]] is the gradient over
+    [W | b]. Columns whose sigma is at most sigma_max n eps (numpy's
+    matrix-rank tolerance) are zeros in F and M, which keeps their weights
+    at zero.
+    """
+    B, n, p = Z.shape
+    P = (2.0 * lambda_l2)[:, None, None] * np.eye(p) + (2.0 * lambda_g)[:, None, None] * laplacian
+    solved = np.linalg.solve(P, Z.transpose(0, 2, 1))
+    sigma, U = np.linalg.eigh(Z @ solved)
+    kept = sigma > sigma[:, -1:] * n * np.finfo(float).eps
+    root = np.sqrt(np.where(kept, sigma, 1.0))
+    F = U * np.where(kept, root, 0.0)[:, None, :]
+    scaled = U * np.where(kept, 1.0 / root, 0.0)[:, None, :]
+    to_weights = np.zeros((B, n + 1, p + 1))
+    to_weights[:, :n, :p] = scaled.transpose(0, 2, 1) @ Z
+    to_weights[:, n, p] = 1.0
+    return F, solved @ scaled, to_weights
+
+
+def _newton(
+    Z: np.ndarray,
+    y: np.ndarray,
+    K: int,
+    s: np.ndarray,
+    laplacian: np.ndarray,
+    lambda_l2: np.ndarray,
+    lambda_g: np.ndarray,
+    flat: np.ndarray,
+    configs: Sequence[GrmlrConfig],
+    track_history: bool = False,
+    to_weights: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, list, list, list, Optional[list]]:
+    """The damped Newton loop of :func:`fit_arrays` on a stack of B same-shape problems.
+
+    Takes :func:`_fit_stack`'s inputs, except that the penalties are the
+    arrays ``lambda_l2`` and ``lambda_g`` and that ``flat`` marks the
+    problems solved as without a ridge (:func:`_ridge_regimes`);
+    ``configs`` gives only the stopping rules. The objectives, Hessians,
+    Newton systems and trial points of all live problems are computed
+    stacked, each array operation working on every problem's slice as it
+    would on that problem alone. Step lengths, Armijo tests and stop tests
+    are scalar, per problem, and a problem leaves the stack when it stops.
+    So a problem's results do not depend on the rest of the stack. For
+    problems in kernel form (:func:`_fit_batch`), ``to_weights`` maps each
+    gradient to W-space before its max-norm is taken. Returns V,
+    B x K x (p + 1), and per problem its final objective, iteration count
+    and gradient max-norm, and its objective history (None without
+    ``track_history``). Issues no warning.
     """
     B, n, p = Z.shape
     d, J = p + 1, K - 1
     X = np.concatenate([Z, np.ones((B, n, 1))], axis=2)
     c = s / n
-    lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
-    lambda_g = np.array([cfg.lambda_g for cfg in configs], dtype=float)
-    curvature = _curvature(X, c, laplacian, lambda_l2, lambda_g, J)
-    live = _Stack(Z, X, _one_hot(y, K), s, c, laplacian, curvature, lambda_l2, lambda_g)
+    curvature = _curvature(X, c, laplacian, lambda_l2, lambda_g, flat, J)
+    live = _Stack(
+        Z, X, _one_hot(y, K), s, c, laplacian, curvature, lambda_l2, lambda_g, to_weights
+    )
     hessians = np.empty_like(curvature)
     V = np.zeros((B, K, d))
     value, grad = live.objective(V)
@@ -632,7 +823,7 @@ def _fit_stack(
     problems = list(range(B))
     stopped = [False] * B
     while True:
-        norms = np.abs(grad).reshape(len(problems), -1).max(axis=1).tolist()
+        norms = live.max_norms(grad)
         going = []
         for row, i in enumerate(problems):
             cfg = configs[i]
@@ -680,26 +871,41 @@ def _fit_stack(
             pending = failed
         for row in pending:  # no step along the Newton direction passed the Armijo test
             stopped[row] = True
+    return final_V, f, n_iter, final_norm, history
+
+
+def _fit_infos(
+    configs: Sequence[GrmlrConfig],
+    f: list[float],
+    n_iter: list[int],
+    norms: list[float],
+    history: Optional[list],
+) -> list[dict]:
+    """Each fit's info dict, warning NonConvergenceWarning in stack order for each that did not converge.
+
+    A fit has not converged when it hit ``max_iters`` with a gradient
+    max-norm above 1e-3.
+    """
     infos = []
     for i, cfg in enumerate(configs):
-        converged = not (n_iter[i] >= cfg.max_iters and final_norm[i] > _NONCONVERGENCE_GRAD_NORM)
+        converged = not (n_iter[i] >= cfg.max_iters and norms[i] > _NONCONVERGENCE_GRAD_NORM)
         if not converged:
             warnings.warn(
                 f"optimizer hit max_iters={cfg.max_iters} with gradient max-norm "
-                f"{final_norm[i]:.3e}",
+                f"{norms[i]:.3e}",
                 NonConvergenceWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         infos.append(
             {
                 "converged": converged,
                 "n_iterations": n_iter[i],
                 "final_loss": f[i],
-                "grad_max_norm": final_norm[i],
+                "grad_max_norm": norms[i],
                 "loss_history": None if history is None else history[i],
             }
         )
-    return final_V, infos
+    return infos
 
 
 def build_features(dataset_or_abundances, epsilon: float, feature_mode: str) -> FeatureMatrix:

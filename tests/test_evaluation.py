@@ -97,7 +97,7 @@ def graph_builds(monkeypatch):
 def fitted_problems(monkeypatch):
     """(training features, lambda_g, Laplacian or None at lambda_g = 0) of each stacked fold fit."""
     problems = []
-    original = evaluation._fit_stack
+    original = evaluation._fit_batch
 
     def recording(Z, y, K, s, laplacian, configs, *args, **kwargs):
         problems.extend(
@@ -106,7 +106,7 @@ def fitted_problems(monkeypatch):
         )
         return original(Z, y, K, s, laplacian, configs, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "_fit_stack", recording)
+    monkeypatch.setattr(evaluation, "_fit_batch", recording)
     return problems
 
 
@@ -265,14 +265,14 @@ class TestPermutation:
     def test_one_fit_per_distinct_fold_problem(self, separable, monkeypatch):
         fitted = []  # (training features, training labels) of each stacked problem
         calls = []
-        original = evaluation._fit_stack
+        original = evaluation._fit_batch
 
         def counting(Z, y, *args, **kwargs):
             calls.append(1)
             fitted.extend((z.tobytes(), labels.tobytes()) for z, labels in zip(Z, y))
             return original(Z, y, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "_fit_stack", counting)
+        monkeypatch.setattr(evaluation, "_fit_batch", counting)
         permutation_test(separable, GrmlrConfig(), B=8, seed=5)
         plan = build_plan(separable, GrmlrConfig().epsilon)
         rng = substream(5, "permutation")
@@ -539,6 +539,57 @@ class TestPool:
         with pytest.raises(InvalidValue, match=message):
             alpha_sweep(separable, GrmlrConfig(), [0.0], grid={"lambda_g": [0.0]}, workers=workers)
         assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [2.5, 2.0, True])
+    def test_workers_not_an_integer_rejected(self, separable, pool_sizes, workers):
+        message = f"workers must be an integer, got {workers!r}"
+        with pytest.raises(InvalidValue, match=message):
+            grid_search(separable, self.GRID, workers=workers)
+        with pytest.raises(InvalidValue, match=message):
+            permutation_test(separable, GrmlrConfig(), B=2, seed=0, workers=workers)
+        with pytest.raises(InvalidValue, match=message):
+            alpha_sweep(separable, GrmlrConfig(), [], workers=workers)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("B", [2.0, True, "2"])
+    def test_permutation_count_not_an_integer_rejected(self, separable, B):
+        with pytest.raises(InvalidValue, match=f"B must be an integer, got {B!r}"):
+            permutation_test(separable, GrmlrConfig(), B=B, seed=0)
+
+    def test_numpy_integers_are_counts(self, separable):
+        report = permutation_test(separable, GrmlrConfig(), B=np.int64(2), seed=5, workers=np.int32(1))
+        assert report.to_dict() == permutation_test(separable, GrmlrConfig(), B=2, seed=5).to_dict()
+
+
+class TestNegligibleRidge:
+    """A ridge below rounding is solved like lambda_l2 = 0, not as a singular Newton system."""
+
+    @pytest.mark.parametrize(
+        "shape, seed, lambda_g, alpha, lambda_l2",
+        [
+            ((13, 26), 0, 5.0, 1.0, 1e-20),
+            ((9, 8), 7, 0.0, 0.0, 1e-300),
+            ((9, 8), 7, 0.0, 0.0, 1e-20),
+            ((40, 8), 7, 0.0, 0.0, 1e-300),
+            ((40, 8), 7, 0.0, 0.0, 1e-20),
+        ],
+    )
+    def test_loocv_predicts_as_without_a_ridge(self, shape, seed, lambda_g, alpha, lambda_l2):
+        n, p = shape
+        ds = synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=seed)
+        config = GrmlrConfig(lambda_g=lambda_g, alpha=alpha)
+        report = loocv(ds, replace(config, lambda_l2=lambda_l2))
+        no_ridge = loocv(ds, replace(config, lambda_l2=0.0))
+        assert report.to_dict()["per_fold"] == no_ridge.to_dict()["per_fold"]
+
+    def test_grid_search_keeps_every_entry(self):
+        ds = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        grid = {"lambda_l2": [0.0, 1e-300, 1e-20, 0.02], "alpha": [1.0]}
+        entries = sorted(grid_search(ds, grid).entries, key=lambda e: e.index)
+        assert [e.error for e in entries] == [None] * 4
+        no_ridge, *tiny, _ = entries
+        for entry in tiny:
+            assert (entry.accuracy, entry.macro_f1) == (no_ridge.accuracy, no_ridge.macro_f1)
 
 
 class TestMissingStage:

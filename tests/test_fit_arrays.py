@@ -1,4 +1,4 @@
-"""fit_arrays: the reduced-coordinate Newton solver, its stacked form and its input checks."""
+"""fit_arrays: the reduced-coordinate Newton solver, its stacked and batch forms and its input checks."""
 
 import functools
 import warnings
@@ -9,8 +9,9 @@ import pytest
 from grmlr.compositional import clr_transform
 from grmlr.dataset import synthesize_dataset
 from grmlr.ecograph import build_graph
-from grmlr.errors import InvalidShape, InvalidValue, LengthMismatch
-from grmlr.model import GrmlrConfig, _fit_stack, _sample_weights, fit_arrays
+from grmlr import model
+from grmlr.errors import InvalidShape, InvalidValue, LengthMismatch, NonConvergenceWarning
+from grmlr.model import GrmlrConfig, _fit_batch, _fit_stack, _sample_weights, fit_arrays
 
 from oracles import FullSpaceNewton
 
@@ -189,3 +190,108 @@ def test_stacked_fits_equal_single_fits_bit_for_bit(K):
         assert fitted[:, :-1].tobytes() == W.tobytes()
         assert fitted[:, -1].tobytes() == b.tobytes()
         assert stacked_info == info
+
+
+# The batch solver against fit_arrays. It solves a problem with a firm ridge
+# and fewer sites than taxa in kernel form, and every other problem in
+# feature space. Each fold is the training part of a LOOCV fold (site 0 held
+# out): "wide" has fewer sites than taxa, "tall" more (so it stays in
+# feature space), and "duplicate" is "wide" with two identical training
+# sites, which makes its kernel rank-deficient. lambda_g = 1000 makes some
+# ridges too weak for the kernel form, so wide stacks mix both forms.
+BATCH_CONFIGS = [
+    GrmlrConfig(lambda_l2=lam_l2, lambda_g=lam_g, class_balanced=balanced, max_iters=cap)
+    for lam_l2 in LAMBDA_L2
+    for lam_g in (0.0, 5.0, 1000.0)
+    for balanced in (True, False)
+    for cap in (1, 2, 15000)
+]
+FOLD_SHAPES = {"wide": (13, 26), "tall": (9, 8), "duplicate": (13, 26)}
+
+
+@functools.lru_cache(maxsize=None)
+def _fold(K: int, seed: int, shape: str):
+    """Training features, labels and a Laplacian of a fold, and the held-out site's features."""
+    n, p = FOLD_SHAPES[shape]
+    ds = synthesize_dataset(n=n, p=p, K=K, n_blocks=4, coupling=0.9, noise=0.1, seed=seed)
+    feats = clr_transform(ds.abundances, 1e-6)
+    laplacian = build_graph(feats, ds.macrofauna, tau=0.7, gamma=0.9, alpha=0.5).laplacian
+    Z, y = feats.values[1:].copy(), ds.stages.indices()[1:].copy()
+    if shape == "duplicate":
+        Z[1], y[1] = Z[0], y[0]
+    return Z, y, laplacian, feats.values[0]
+
+
+@pytest.fixture
+def kernel_problems(monkeypatch):
+    """Counts of the problems that each _fit_batch call solves in kernel form."""
+    counts = []
+    original = model._kernel_features
+
+    def counting(Z, *args):
+        counts.append(len(Z))
+        return original(Z, *args)
+
+    monkeypatch.setattr(model, "_kernel_features", counting)
+    return counts
+
+
+def _single_and_batch_fits(K: int, problems):
+    """fit_arrays on each (Z, y, laplacian, config) and _fit_batch on them all, with their warnings."""
+    weights = [_sample_weights(y, K, cfg.class_balanced) for _, y, _, cfg in problems]
+    singles, single_warnings = _recorded(
+        lambda: [
+            fit_arrays(Z, y, K, s, laplacian, cfg)
+            for (Z, y, laplacian, cfg), s in zip(problems, weights)
+        ]
+    )
+    Z, y, laplacian, configs = zip(*problems)
+    batch, batch_warnings = _recorded(
+        lambda: _fit_batch(np.stack(Z), np.stack(y), K, np.stack(weights), np.stack(laplacian), configs)
+    )
+    return singles, single_warnings, batch, batch_warnings, weights
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES)
+@pytest.mark.parametrize("K", (1, 2, 3, 4))
+def test_batch_fits_match_fit_arrays(K, shape, kernel_problems):
+    folds = [_fold(K, seed, shape) for seed in STACK_SEEDS]
+    problems = [(Z, y, laplacian, cfg) for Z, y, laplacian, _ in folds for cfg in BATCH_CONFIGS]
+    singles, single_warnings, (V, infos), batch_warnings, weights = _single_and_batch_fits(
+        K, problems
+    )
+    if shape == "tall":
+        assert not kernel_problems
+    else:
+        assert sum(kernel_problems) > 0
+    if K > 1:
+        assert single_warnings  # the fits capped at one or two iterations warn
+    assert batch_warnings == single_warnings
+    held_out = [fold[3] for fold in folds for _ in BATCH_CONFIGS]
+    for (Z, y, laplacian, cfg), s, z, (W, b, info), fitted, batch_info in zip(
+        problems, weights, held_out, singles, V, infos
+    ):
+        reference = np.column_stack([W, b])
+        assert batch_info["converged"] == info["converged"]
+        assert np.argmax(fitted[:, :-1] @ z + fitted[:, -1]) == np.argmax(W @ z + b)
+        if cfg.max_iters <= 2:
+            assert np.abs(fitted - reference).max() <= 1e-8 * np.abs(reference).max()
+        else:
+            oracle = FullSpaceNewton(Z, y, K, s, laplacian, cfg.lambda_l2, cfg.lambda_g)
+            batch_value, value = oracle.objective(fitted)[0], oracle.objective(reference)[0]
+            assert batch_value - value <= 1e-9 * abs(value)
+
+
+def test_mixed_batch_warns_in_queue_order(kernel_problems):
+    K = 3
+    problems = [
+        (*_fold(K, seed, "wide")[:3], GrmlrConfig(lambda_l2=lam_l2, max_iters=cap))
+        for seed in STACK_SEEDS
+        for cap in (2, 15000)
+        for lam_l2 in (0.0, 0.02)
+    ]
+    singles, single_warnings, (V, infos), batch_warnings, _ = _single_and_batch_fits(K, problems)
+    assert kernel_problems == [len(problems) // 2]  # the lambda_l2 = 0.02 half
+    assert [category for category, _ in single_warnings] == [NonConvergenceWarning] * 4
+    assert batch_warnings == single_warnings
+    assert [info["converged"] for info in infos] == [info["converged"] for *_, info in singles]

@@ -29,6 +29,10 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   at two iterations (which warn) and with lambda_l2 = 0, on seed 7 at
   13x26 and 9x8, with workers 1 and 2, and ``ablate-edge``: ``ablate``
   with fits capped at two iterations at both scales;
+* ``grid-tall``: the entries of a 24-config ``grid_search`` on tall data
+  (40x8, seed 7, more training sites than taxa) that mixes lambda_l2 = 0
+  with ridge fits and caps some fits at two iterations, with workers 1
+  and 2;
 * every CLI output file (except ``manifest.json``), stdout, stderr and
   exit code on a synthetic CSV trio.
 
@@ -71,6 +75,12 @@ GRID_EDGE = {
     "class_balanced": [True, False],
 }
 EDGE_SCALES = {"13x26": (13, 26), "9x8": (9, 8)}
+GRID_TALL = {
+    "lambda_l2": [0.0, 0.001, 0.02],
+    "lambda_g": [0.0, 5.0],
+    "alpha": [0.0, 1.0],
+    "max_iters": [2, 15000],
+}
 SWEEP_GRID = {"lambda_g": [0.0, 5.0], "tau": [0.5, 0.7], "gamma": [0.8, 0.9]}
 SWEEP_ALPHAS = [0.0, 0.3, 0.7, 1.0]
 
@@ -205,11 +215,13 @@ def probe_evaluation(g, probes: Probes, dataset, tmp: Path, name: str) -> None:
 
 
 def probe_grid_edge(g, probes: Probes) -> None:
-    for scale, (n, p) in EDGE_SCALES.items():
+    scales = [("grid-edge", scale, shape, GRID_EDGE) for scale, shape in EDGE_SCALES.items()]
+    scales.append(("grid-tall", "40x8", (40, 8), GRID_TALL))
+    for name, scale, (n, p), grid in scales:
         dataset = g.synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=7)
         for workers in (1, 2):
-            with probes.probe(f"grid-edge/{scale}/workers{workers}") as out:
-                result = g.grid_search(dataset, GRID_EDGE, workers=workers)
+            with probes.probe(f"{name}/{scale}/workers{workers}") as out:
+                result = g.grid_search(dataset, grid, workers=workers)
                 for e in result.entries:
                     out.append([e.index, e.config, e.accuracy, e.macro_f1, e.error])
 
