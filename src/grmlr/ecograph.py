@@ -176,35 +176,24 @@ def build_graph(
     gamma: float,
     alpha: float,
 ) -> EcologicalGraph:
-    """Construct the full graph from features (and counts when alpha > 0)."""
-    profiles = None if macrofauna is None else compute_macro_profiles(features, macrofauna)
-    co_correlations = compute_co_correlations(features)
-    return graph_from_correlations(profiles, co_correlations, tau, gamma, alpha, features.taxa_names)
+    """Construct the full graph from features (and counts when alpha > 0).
 
-
-def graph_from_correlations(
-    profiles: np.ndarray | None,
-    co_correlations: np.ndarray,
-    tau: float,
-    gamma: float,
-    alpha: float,
-    taxa_names: list[str],
-) -> EcologicalGraph:
-    """Fused graph from precomputed rank correlations.
-
-    ``profiles`` are the macro-coupling profiles of
-    :func:`compute_macro_profiles`, or None when there are no macrofauna
-    counts; A_macro is then all zeros, which only alpha = 0 allows.
+    Without macrofauna counts A_macro is all zeros, which only alpha = 0
+    allows.
 
     Raises
     ------
     MissingMacrofauna
-        If ``profiles`` is None and alpha > 0.
+        If ``macrofauna`` is None and alpha > 0.
+    TooFewSamples
+        With fewer than 3 sites.
     """
+    profiles = None if macrofauna is None else compute_macro_profiles(features, macrofauna)
+    co_correlations = compute_co_correlations(features)
     _require_macrofauna(profiles, alpha)
     a_macro = _a_macro_or_zeros(profiles, tau, co_correlations)
     a_co = a_co_from_correlations(co_correlations, gamma)
-    return fuse(a_macro, a_co, alpha, taxa_names)
+    return fuse(a_macro, a_co, alpha, features.taxa_names)
 
 
 def _require_macrofauna(profiles: np.ndarray | None, alpha: float) -> None:

@@ -50,10 +50,10 @@ from .errors import (
     InvalidValue,
     LengthMismatch,
     TaxaMismatch,
+    TooFewSamples,
     UnknownParameter,
 )
 from .model import (
-    _GRAPH_CACHE_BYTES,
     GrmlrConfig,
     GrmlrModel,
     _fit_batch,
@@ -195,13 +195,16 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
     """Precompute features and per-fold rank correlations for LOOCV.
 
     Raises MissingLabels without labels, EmptyClass if no site has some
-    stage, and InvalidShape with fewer than K + 1 sites.
+    stage, InvalidShape with fewer than K + 1 sites, and TooFewSamples
+    with fewer than 4, as a fold's graph needs 3 training sites.
     """
     stages = _training_labels(dataset, "LOOCV")
     n = dataset.n_sites
     K = len(stages.label_set)
     if n < K + 1:
         raise InvalidShape(f"LOOCV needs at least K+1={K + 1} sites, got {n}")
+    if n < 4:
+        raise TooFewSamples(f"graph construction needs at least 3 sites, LOOCV folds have {n - 1}")
     feats = build_features(dataset, epsilon, feature_mode)
     Z = feats.values
     counts = None if dataset.macrofauna is None else np.asarray(dataset.macrofauna.values, float)
@@ -248,16 +251,24 @@ class _FoldGraph:
         return hashlib.blake2b(self.laplacian.tobytes(), digest_size=16).digest()
 
 
+# Bytes of fold Laplacians and adjacency parts that one batch evaluation
+# chunk keeps, so that the configs and label vectors sharing a fold graph
+# build it once. The whole default grid's 1716 distinct fold graphs at
+# 13 x 26 take about 9.3 MB; at 40 x 160 one graph takes 200 KiB, and the
+# cache is emptied whenever it is full.
+_GRAPH_CACHE_BYTES = 16 * 1024 * 1024
+
+
 class _FoldGraphs:
     """Fold graphs and their adjacency parts, each built once while it is kept.
 
     A_macro is kept per (plan, fold, tau), A_co per (plan, fold,
     ``co_occurrence_scope``, gamma) and a fold graph per (plan, fold,
-    scope, tau, gamma, alpha and alpha's type). Plans count by identity,
-    so every plan must outlive the cache, as a chunk's tasks do. A part
-    that would take the kept bytes past ``limit`` empties the cache first,
-    and is not kept if it alone is larger; so ``_FoldGraphs(0)`` keeps
-    nothing and builds every graph anew.
+    scope, tau, gamma, alpha). Plans count by identity, so every plan must
+    outlive the cache, as a chunk's tasks do. A part that would take the
+    kept bytes past ``limit`` empties the cache first, and is not kept if
+    it alone is larger; so ``_FoldGraphs(0)`` keeps nothing and builds
+    every graph anew.
     """
 
     def __init__(self, limit: int) -> None:
@@ -290,8 +301,7 @@ class _FoldGraphs:
             )
             return _FoldGraph(_fused(a_macro, a_co, alpha, plan.taxa_names).laplacian)
 
-        # 1 - alpha is a float32 for a float32 alpha, unlike for an equal float
-        return self._part(("graph", *where, scope, tau, gamma, alpha, type(alpha)), build)
+        return self._part(("graph", *where, scope, tau, gamma, alpha), build)
 
     def _part(self, key: tuple, build):
         if key in self.parts:

@@ -18,17 +18,18 @@ K - 1 rows, from W = 0, b = 0. The fit is reproducible and
 initialization-independent.
 
 One Newton loop, ``_newton``, solves a stack of same-shape problems,
-each with its own data, penalties, step lengths and stop tests.
-:func:`fit_arrays` checks its inputs and solves a stack of one in feature
-space (``_fit_stack``); a stacked result there is bit for bit what
-:func:`fit_arrays` returns for that problem alone. The grid search, the
-alpha sweep and the permutation test solve their distinct fold problems
-in batches through ``_fit_batch``. It solves a problem with a firm ridge
-and fewer sites than features, n < p, in kernel form: by the representer
+each with its own data, penalties, step lengths and stop tests, and a
+problem's result does not depend on the rest of the stack. It has two
+entries. :func:`fit_arrays` checks one problem and solves it in feature
+space; the tests use it as the reference. ``_fit_batch`` solves the
+distinct fold problems of the grid search, the alpha sweep and the
+permutation test in batches. It solves a problem with a firm ridge and
+fewer sites than features, n < p, in kernel form: by the representer
 theorem the fit lies in an n-dimensional space, so each Newton system has
-(K - 1)(n + 1) unknowns instead of (K - 1)(p + 1). Both forms take the
-same iterates and stop tests, on the gradient over W and b, up to
-rounding.
+(K - 1)(n + 1) unknowns instead of (K - 1)(p + 1). Every other problem it
+solves in feature space, bit for bit as :func:`fit_arrays` does. Both
+forms take the same iterates and stop tests, on the gradient over W and
+b, up to rounding.
 
 Training consumes macrofauna counts only through the graph; prediction
 needs nothing but an abundance table, which is the whole point of the
@@ -82,7 +83,9 @@ class GrmlrConfig:
 
     Each field must have its default's type: ``bool`` and ``str`` fields
     exactly, int fields any integral number and float fields any real
-    number (numpy scalars included, ``bool`` excluded in both).
+    number (numpy scalars included, ``bool`` excluded in both). Numbers are
+    stored as builtin ``int`` and ``float``, so a config built from numpy
+    scalars equals, fits and serializes like one built from their values.
 
     ``lambda_l2 = 0`` is allowed, but on a fold whose training classes are
     separable (typical when p > n) the objective then has no minimizer: the
@@ -117,6 +120,10 @@ class GrmlrConfig:
                 valid = isinstance(value, number) and not isinstance(value, bool)
             if not valid:
                 raise InvalidValue(f"{spec.name} must be of type {kind.__name__}, got {value!r}")
+            try:
+                object.__setattr__(self, spec.name, kind(value))
+            except OverflowError:
+                raise InvalidValue(f"{spec.name} must be finite, got {value!r}") from None
         for name in ("epsilon", "lambda_l2", "lambda_g", "ftol", "gtol"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidValue(f"{name} must be finite, got {getattr(self, name)}")
@@ -524,12 +531,12 @@ def fit_arrays(
     """Damped exact-Newton minimization of the regularized objective from zero.
 
     Low-level core shared by :func:`fit` and the evaluation harness; it
-    checks its inputs and runs :func:`_fit_stack` on a stack of one
-    problem. The parameters are one K x (p + 1) array V = [W | b] from
-    start to return, and so is the gradient. Adding one vector to every
-    row of V changes no probability, so the fit keeps the rows of V
-    summing to zero and solves each Newton system in the J = K - 1 free
-    rows theta = V[:J], with V[J] = -sum(theta). Starting from V = 0, each
+    checks its inputs and runs :func:`_newton` on a stack of one problem.
+    The parameters are one K x (p + 1) array V = [W | b] from start to
+    return, and so is the gradient. Adding one vector to every row of V
+    changes no probability, so the fit keeps the rows of V summing to zero
+    and solves each Newton system in the J = K - 1 free rows
+    theta = V[:J], with V[J] = -sum(theta). Starting from V = 0, each
     iteration solves for the step of theta with the reduced gradient
     g[:J] - g[J] and the exact reduced Hessian: :func:`_data_hessian` plus
     the penalty (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0],
@@ -560,7 +567,8 @@ def fit_arrays(
     :func:`fit`, :func:`~grmlr.evaluation.loocv` and the ablations fit
     through this function. The grid search, the alpha sweep and the
     permutation test solve their distinct fold problems in batches through
-    :func:`_fit_batch`, which takes the same iterates up to rounding.
+    :func:`_fit_batch`, the other solver entry, which takes the same
+    iterates up to rounding.
 
     Returns (W, b, info) where W and b are views of V and info records
     convergence diagnostics; with ``track_history`` its ``loss_history``
@@ -574,7 +582,14 @@ def fit_arrays(
     """
     Z, y, s, laplacian = _checked_fit_inputs(Z, y, K, sample_weights, laplacian)
     p = Z.shape[1]
-    V, (info,) = _fit_stack(Z[None], y[None], K, s[None], laplacian[None], [config], track_history)
+    Z, y, s, laplacian = Z[None], y[None], s[None], laplacian[None]
+    lambda_l2 = np.array([config.lambda_l2], dtype=float)
+    lambda_g = np.array([config.lambda_g], dtype=float)
+    flat, _ = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
+    V, f, n_iter, norms, history = _newton(
+        Z, y, K, s, laplacian, lambda_l2, lambda_g, flat, [config], track_history
+    )
+    (info,) = _fit_infos([config], f, n_iter, norms, history)
     return V[0, :, :p], V[0, :, p], info
 
 
@@ -646,45 +661,11 @@ class _Stack:
 # same problems in less memory.
 _STACK_HESSIAN_BYTES = 600 * 1024
 
-# Bytes of fold Laplacians and adjacency parts that one batch evaluation
-# chunk keeps, so that the configs and label vectors sharing a fold graph
-# build it once. The whole default grid's 1716 distinct fold graphs at
-# 13 x 26 take about 9.3 MB; at 40 x 160 one graph takes 200 KiB, and the
-# cache is emptied whenever it is full.
-_GRAPH_CACHE_BYTES = 16 * 1024 * 1024
-
 
 def _stack_capacity(K: int, p: int) -> int:
     """Problems of K classes and p features that _STACK_HESSIAN_BYTES holds, at least 1."""
     unknowns = max(1, (K - 1) * (p + 1))
     return max(1, _STACK_HESSIAN_BYTES // (8 * unknowns * unknowns))
-
-
-def _fit_stack(
-    Z: np.ndarray,
-    y: np.ndarray,
-    K: int,
-    s: np.ndarray,
-    laplacian: np.ndarray,
-    configs: Sequence[GrmlrConfig],
-    track_history: bool = False,
-) -> tuple[np.ndarray, list[dict]]:
-    """:func:`fit_arrays`' Newton iteration on a stack of B same-shape problems.
-
-    Z is B x n x p, y and s are B x n, laplacian is B x p x p, and
-    ``configs`` holds each problem's penalties and stopping rule; the inputs
-    are not checked. Problem i's V and info are bit for bit those of
-    :func:`fit_arrays` on problem i (see :func:`_newton`). Returns V,
-    B x K x (p + 1), and the info dicts; NonConvergenceWarnings are issued
-    in stack order.
-    """
-    lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
-    lambda_g = np.array([cfg.lambda_g for cfg in configs], dtype=float)
-    flat, _ = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
-    V, f, n_iter, norms, history = _newton(
-        Z, y, K, s, laplacian, lambda_l2, lambda_g, flat, configs, track_history
-    )
-    return V, _fit_infos(configs, f, n_iter, norms, history)
 
 
 def _fit_batch(
@@ -695,24 +676,27 @@ def _fit_batch(
     laplacian: np.ndarray,
     configs: Sequence[GrmlrConfig],
 ) -> tuple[np.ndarray, list[dict]]:
-    """:func:`_fit_stack` for the batch evaluator, in kernel coordinates where those are fewer.
+    """The batch evaluator's stacked fits, in kernel coordinates where those are fewer.
 
-    Takes the inputs of :func:`_fit_stack` and returns V and the info
-    dicts, warning in stack order. A problem with a firm ridge
-    (:func:`_ridge_regimes`) and fewer sites than features, n < p, is
-    solved in kernel form. Its P = 2 lambda_l2 I + 2 lambda_g L is positive
+    Z is B x n x p, y and s are B x n, laplacian is B x p x p, and
+    ``configs`` holds each problem's penalties and stopping rule; the inputs
+    are not checked. Returns V, B x K x (p + 1), and the info dicts, warning
+    NonConvergenceWarning in stack order. A problem with a firm ridge
+    (:func:`_ridge_regimes`) and fewer sites than features, n < p, is solved
+    in kernel form. Its P = 2 lambda_l2 I + 2 lambda_g L is positive
     definite, and by the representer theorem its minimizer, like every
     Newton iterate from W = 0, has the form A Z P^-1. So Newton runs on the
-    features F of :func:`_kernel_features` with the penalty 1/2 ||W~||^2,
-    in systems of (K - 1)(n + 1) unknowns instead of (K - 1)(p + 1), and
-    returns W = W~ M^T. The objective is the same function of the scores
-    and its gradient maps exactly to W-space, so the two forms take the
-    same iterates and stop at the same tests up to rounding: ``gtol``, the
-    non-convergence rule, the warning and ``grad_max_norm`` use the
-    gradient over W and b, as :func:`fit_arrays` does. The other problems,
-    all of them when n >= p, where the kernel is no smaller, are solved
-    in feature space as by :func:`_fit_stack`, in a stack of their own.
-    No info has a ``loss_history``.
+    features F of :func:`_kernel_features` with the penalty 1/2 ||W~||^2, in
+    systems of (K - 1)(n + 1) unknowns instead of (K - 1)(p + 1), and
+    returns W = W~ M^T. The objective is the same function of the scores and
+    its gradient maps exactly to W-space, so the two forms take the same
+    iterates and stop at the same tests up to rounding: ``gtol``, the
+    non-convergence rule, the warning and ``grad_max_norm`` use the gradient
+    over W and b, as :func:`fit_arrays` does. The other problems, all of
+    them when n >= p, where the kernel is no smaller, are solved in feature
+    space in a stack of their own: each one's V and info are bit for bit
+    those of :func:`fit_arrays` on it alone, without ``track_history``. No
+    info has a ``loss_history``.
     """
     B, n, p = Z.shape
     lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
@@ -788,15 +772,17 @@ def _newton(
 ) -> tuple[np.ndarray, list, list, list, Optional[list]]:
     """The damped Newton loop of :func:`fit_arrays` on a stack of B same-shape problems.
 
-    Takes :func:`_fit_stack`'s inputs, except that the penalties are the
-    arrays ``lambda_l2`` and ``lambda_g`` and that ``flat`` marks the
-    problems solved as without a ridge (:func:`_ridge_regimes`);
-    ``configs`` gives only the stopping rules. The objectives, Hessians,
-    Newton systems and trial points of all live problems are computed
-    stacked, each array operation working on every problem's slice as it
-    would on that problem alone. Step lengths, Armijo tests and stop tests
-    are scalar, per problem, and a problem leaves the stack when it stops.
-    So a problem's results do not depend on the rest of the stack. For
+    Z is B x n x p, y and s are B x n and laplacian is B x p x p, all
+    unchecked. The penalties are the arrays ``lambda_l2`` and ``lambda_g``,
+    ``flat`` marks the problems solved as without a ridge
+    (:func:`_ridge_regimes`), and ``configs`` gives only the stopping
+    rules. Its two callers are :func:`fit_arrays`, with a stack of one,
+    and :func:`_fit_batch`. The objectives, Hessians, Newton systems and
+    trial points of all live problems are computed stacked, each array
+    operation working on every problem's slice as it would on that problem
+    alone. Step lengths, Armijo tests and stop tests are scalar, per
+    problem, and a problem leaves the stack when it stops. So a problem's
+    results do not depend on the rest of the stack. For
     problems in kernel form (:func:`_fit_batch`), ``to_weights`` maps each
     gradient to W-space before its max-norm is taken. Returns V,
     B x K x (p + 1), and per problem its final objective, iteration count
@@ -884,7 +870,8 @@ def _fit_infos(
     """Each fit's info dict, warning NonConvergenceWarning in stack order for each that did not converge.
 
     A fit has not converged when it hit ``max_iters`` with a gradient
-    max-norm above 1e-3.
+    max-norm above 1e-3. Each warning names the line that called the
+    solver entry, :func:`fit_arrays` or :func:`_fit_batch`, that called this.
     """
     infos = []
     for i, cfg in enumerate(configs):
@@ -894,7 +881,7 @@ def _fit_infos(
                 f"optimizer hit max_iters={cfg.max_iters} with gradient max-norm "
                 f"{norms[i]:.3e}",
                 NonConvergenceWarning,
-                stacklevel=4,
+                stacklevel=3,
             )
         infos.append(
             {

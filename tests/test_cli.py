@@ -214,6 +214,18 @@ def test_alpha_sweep_needs_macrofauna_only_for_positive_alphas(tmp_path, csv_tri
     )
 
 
+def test_eval_loocv_on_three_sites_exits_one(tmp_path, synth_dataset, capsys):
+    # one site per stage: a CLI label set holds all three stages, so LOOCV
+    # needs 4 sites before its folds' graphs would need 3 training sites
+    stages = synth_dataset.stages.labels
+    three = synth_dataset.subset([stages.index(stage) for stage in STAGE_LABELS])
+    trio = {name: tmp_path / f"{name}.csv" for name in ("abundances", "macrofauna", "labels")}
+    save_dataset(three, trio["abundances"], trio["macrofauna"], trio["labels"])
+    argv = ["eval", "loocv", *_trio_args(trio), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "LOOCV needs at least K+1=4 sites, got 3" in capsys.readouterr().err
+
+
 def test_ablate_always_needs_macrofauna(tmp_path, csv_trio, capsys):
     argv = ["eval", "ablate", *_trio_args(csv_trio, macrofauna=False), "--set", "alpha=0"]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION

@@ -29,6 +29,7 @@ from grmlr.errors import (
     MissingMacrofauna,
     NonConvergenceWarning,
     TaxaMismatch,
+    TooFewSamples,
     UnknownParameter,
 )
 from grmlr.evaluation import (
@@ -43,16 +44,27 @@ from grmlr.evaluation import (
     loocv,
     macro_f1,
     permutation_test,
+    write_ablation_report,
     write_eval_report,
     write_grid_csv,
 )
 from grmlr.ecograph import (
+    a_co_from_correlations,
+    a_macro_from_profiles,
     build_graph,
     compute_co_correlations,
     compute_macro_profiles,
-    graph_from_correlations,
+    fuse,
 )
-from grmlr.model import GrmlrConfig, GrmlrModel, class_balanced_weights, fit, loss
+from grmlr.model import (
+    GrmlrConfig,
+    GrmlrModel,
+    class_balanced_weights,
+    fit,
+    load_model,
+    loss,
+    save_model,
+)
 
 SMALL_GRID = {
     "alpha": [0.0, 0.5],
@@ -390,8 +402,10 @@ class TestGridFitReuse:
             for alpha, lambda_g, scope, tau, gamma in itertools.product(
                 *self.GRAPH_GRID.values()
             ):
-                laplacian = graph_from_correlations(
-                    profiles, co[scope], tau, gamma, alpha, features.taxa_names
+                laplacian = fuse(
+                    a_macro_from_profiles(profiles, tau),
+                    a_co_from_correlations(co[scope], gamma),
+                    alpha,
                 ).laplacian
                 expected.add(
                     (features.values.tobytes(), lambda_g, laplacian.tobytes() if lambda_g else None)
@@ -403,24 +417,27 @@ class TestGridFitReuse:
             direct = loocv(separable, entry.config)
             assert (entry.accuracy, entry.macro_f1) == (direct.accuracy, direct.macro_f1)
 
-    def test_equal_alphas_of_two_types_keep_their_own_graphs(self, separable, fitted_problems):
-        # 1 - alpha rounds to float32 for a float32 alpha, so the two graphs differ
+    def test_equal_alphas_of_two_types_share_one_graph(self, separable, fitted_problems):
+        # the config stores a float32 alpha as the float of its value
         alphas = [np.float32(0.1), float(np.float32(0.1))]
-        grid_search(separable, {"alpha": alphas, "lambda_g": [5.0]})
+        result = grid_search(separable, {"alpha": alphas, "lambda_g": [5.0]})
         plan = build_plan(separable, GrmlrConfig().epsilon)
-        expected = {
+        expected = [
             (
                 plan.features[fold.train_idx].tobytes(),
                 5.0,
-                graph_from_correlations(
-                    fold.profiles, fold.co_train, 0.7, 0.9, alpha, plan.taxa_names
+                fuse(
+                    a_macro_from_profiles(fold.profiles, 0.7),
+                    a_co_from_correlations(fold.co_train, 0.9),
+                    alphas[1],
                 ).laplacian.tobytes(),
             )
             for fold in plan.folds
-            for alpha in alphas
-        }
-        assert len(expected) == 2 * separable.n_sites
-        assert set(fitted_problems) == expected
+        ]
+        assert fitted_problems == expected  # one fit per fold, shared by both alphas
+        first, second = sorted(result.entries, key=lambda e: e.index)
+        assert type(first.config.alpha) is float and first.config == second.config
+        assert (first.accuracy, first.macro_f1) == (second.accuracy, second.macro_f1)
 
     def test_one_graph_per_fold_and_alpha_and_none_at_lambda_g_zero(
         self, separable, graph_builds
@@ -789,7 +806,49 @@ class TestCoefficientRanking:
         assert ranking[0][1] == pytest.approx(expected)
 
 
+class TestTooFewTrainingSites:
+    """LOOCV folds of 3 sites would train on 2, too few for a graph."""
+
+    @pytest.fixture
+    def three_sites(self):
+        return synthesize_dataset(n=3, p=6, K=2, n_blocks=2, coupling=0.9, noise=0.1, seed=0)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda ds: loocv(ds, GrmlrConfig()),
+            lambda ds: grid_search(ds, {"alpha": [0.0, 0.1]}),
+            lambda ds: permutation_test(ds, GrmlrConfig(), B=2, seed=0),
+            lambda ds: ablate(ds, GrmlrConfig()),
+        ],
+        ids=["loocv", "grid_search", "permutation_test", "ablate"],
+    )
+    def test_raises_like_fit(self, three_sites, evaluate):
+        with pytest.raises(TooFewSamples, match="needs at least 3 sites, LOOCV folds have 2"):
+            evaluate(three_sites)
+        with pytest.raises(TooFewSamples, match="needs at least 3 sites"):
+            fit(three_sites.subset([0, 1]), GrmlrConfig())
+
+
 class TestReportFiles:
+    def test_numpy_scalar_config_writes_the_files_of_its_values(self, tmp_path, separable):
+        numpy_scalars = GrmlrConfig(
+            alpha=np.float32(0.1), lambda_g=np.float32(5), max_iters=np.int64(200), seed=np.int64(3)
+        )
+        builtins = GrmlrConfig(alpha=float(np.float32(0.1)), lambda_g=5.0, max_iters=200, seed=3)
+        written = []
+        for name, config in (("numpy", numpy_scalars), ("builtin", builtins)):
+            out = tmp_path / name
+            out.mkdir()
+            write_eval_report(loocv(separable, config), out / "loocv.json")
+            write_ablation_report(ablate(separable, config), out / "ablate.json")
+            model, _ = fit(separable, config)
+            save_model(model, out / "model.json")
+            assert load_model(out / "model.json").hyperparams == config
+            files = ("loocv.json", "ablate.json", "model.json")
+            written.append([(out / f).read_bytes() for f in files])
+        assert written[0] == written[1]
+
     def test_eval_report_schema(self, tmp_path, separable):
         report = loocv(separable, GrmlrConfig())
         path = tmp_path / "report.json"

@@ -1,6 +1,7 @@
-"""fit_arrays: the reduced-coordinate Newton solver, its stacked and batch forms and its input checks."""
+"""fit_arrays: the reduced-coordinate Newton solver, its batch form and its input checks."""
 
 import functools
+import inspect
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from grmlr.dataset import synthesize_dataset
 from grmlr.ecograph import build_graph
 from grmlr import model
 from grmlr.errors import InvalidShape, InvalidValue, LengthMismatch, NonConvergenceWarning
-from grmlr.model import GrmlrConfig, _fit_batch, _fit_stack, _sample_weights, fit_arrays
+from grmlr.model import GrmlrConfig, _fit_batch, _sample_weights, fit_arrays
 
 from oracles import FullSpaceNewton
 
@@ -169,27 +170,44 @@ def _recorded(call):
 
 
 @pytest.mark.parametrize("K", CLASSES)
-def test_stacked_fits_equal_single_fits_bit_for_bit(K):
-    problems = _stack_problems(K)
-    singles, single_warnings = _recorded(
-        lambda: [
-            fit_arrays(Z, y, K, s, laplacian, config, track_history=True)
+def test_stacked_fits_equal_single_fits_bit_for_bit(K, kernel_problems):
+    # _fit_batch keeps the lambda_l2 = 0 problems at 13 x 26 in feature
+    # space, and every problem of the tall fold, where n >= p
+    tall = [
+        (Z, y, _sample_weights(y, K, config.class_balanced), laplacian, config)
+        for Z, y, laplacian, _ in (_fold(K, seed, "tall") for seed in STACK_SEEDS)
+        for config in STACK_CONFIGS
+    ]
+    kept = []
+    for problems in (_stack_problems(K), tall):
+        singles = [
+            _recorded(lambda: fit_arrays(Z, y, K, s, laplacian, config))
             for Z, y, s, laplacian, config in problems
         ]
-    )
-    *arrays, configs = zip(*problems)
-    Z, y, s, laplacian = (np.stack(a) for a in arrays)
-    (V, infos), stack_warnings = _recorded(
-        lambda: _fit_stack(Z, y, K, s, laplacian, configs, track_history=True)
-    )
-    iterations = [info["n_iterations"] for _, _, info in singles]
+        *arrays, configs = zip(*problems)
+        Z, y, s, laplacian = (np.stack(a) for a in arrays)
+        (V, infos), warned = _recorded(lambda: _fit_batch(Z, y, K, s, laplacian, configs))
+        # _fit_batch warns in stack order, once for each fit that did not converge
+        failed = [i for i, info in enumerate(infos) if not info["converged"]]
+        assert len(warned) == len(failed)
+        batch_warnings = [[] for _ in problems]
+        for i, warning in zip(failed, warned):
+            batch_warnings[i].append(warning)
+        for single, fitted, info, warnings_of_fit, config in zip(
+            singles, V, infos, batch_warnings, configs
+        ):
+            if problems is tall or config.lambda_l2 == 0.0:
+                kept.append((single, (fitted, info, warnings_of_fit)))
+    assert kernel_problems == [2 * len(STACK_CONFIGS) * 2 // 3]  # the wide lambda_l2 > 0 ones
+    assert len(kept) == 2 * len(STACK_CONFIGS) // 3 + len(tall)
+    iterations = [info["n_iterations"] for ((_, _, info), _), _ in kept]
     assert min(iterations) == 3 and max(iterations) > 3  # capped and converged fits mixed
-    assert single_warnings  # some capped fits warn
-    assert stack_warnings == single_warnings
-    for (W, b, info), fitted, stacked_info in zip(singles, V, infos):
+    assert any(single_warnings for (_, single_warnings), _ in kept)  # some capped fits warn
+    for ((W, b, info), single_warnings), (fitted, batch_info, batch_warnings) in kept:
         assert fitted[:, :-1].tobytes() == W.tobytes()
         assert fitted[:, -1].tobytes() == b.tobytes()
-        assert stacked_info == info
+        assert batch_info == info
+        assert batch_warnings == single_warnings
 
 
 # The batch solver against fit_arrays. It solves a problem with a firm ridge
@@ -295,3 +313,14 @@ def test_mixed_batch_warns_in_queue_order(kernel_problems):
     assert [category for category, _ in single_warnings] == [NonConvergenceWarning] * 4
     assert batch_warnings == single_warnings
     assert [info["converged"] for info in infos] == [info["converged"] for *_, info in singles]
+
+
+def test_nonconvergence_warnings_name_the_line_that_called_the_solver():
+    Z, y, s, laplacian = _problem(3, 0)
+    config = GrmlrConfig(max_iters=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        here = inspect.currentframe().f_lineno
+        fit_arrays(Z, y, 3, s, laplacian, config)
+        _fit_batch(Z[None], y[None], 3, s[None], laplacian[None], [config])
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, here + 1), (__file__, here + 2)]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -523,6 +524,22 @@ def test_config_rejects_wrongly_typed_fields(name, bad):
         GrmlrConfig(**{name: bad})
     with pytest.raises(InvalidValue, match=f"^{name} must be of type"):
         GrmlrConfig.from_dict({**GrmlrConfig().to_dict(), name: bad})
+
+
+def test_config_stores_numbers_as_builtins():
+    config = GrmlrConfig(
+        alpha=np.float32(0.1), lambda_g=np.int64(5), max_iters=np.int64(200), seed=np.uint8(3)
+    )
+    for spec in fields(config):
+        assert type(getattr(config, spec.name)) is type(spec.default), spec.name
+    assert config == GrmlrConfig(alpha=float(np.float32(0.1)), lambda_g=5.0, max_iters=200, seed=3)
+    assert json.loads(json.dumps(config.to_dict())) == config.to_dict()
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_ints_beyond_float_range(name):
+    with pytest.raises(InvalidValue, match=f"^{name} must be finite"):
+        GrmlrConfig(**{name: 10**400})
 
 
 @pytest.mark.parametrize("target", ["negative", "nan", "short"])
