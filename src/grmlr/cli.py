@@ -15,7 +15,7 @@ graph export   write adjacency heatmap CSVs from abundances (+ macrofauna), no l
 Each eval mode takes the input tables, --config, --set, --seed, --out and
 --strict, plus the flags listed after it; a command rejects any other flag.
 
-Configuration is a flat ``key = value`` text file mirroring the config
+Configuration is a plain ``key = value`` text file mirroring the config
 field names; ``--set key=value`` overrides file values, and ``--seed``
 overrides the seed from either. Every run writes ``manifest.json`` into
 the output directory. Exit codes: 0 ok, 1 input/validation error,
@@ -228,7 +228,7 @@ def cmd_eval(args) -> int:
         grid = load_grid(args.grid) if args.grid != "default" else None
         alphas = (
             [_coerce("alpha", a, "--alphas") for a in args.alphas.split(",")]
-            if args.alphas
+            if args.alphas is not None
             else list(DEFAULT_ALPHAS)
         )
     elif args.mode == "ablate":
@@ -330,7 +330,7 @@ _COMMON_FLAGS = {
     "--abundances": dict(help="abundance table CSV"),
     "--macrofauna": dict(help="macrofauna count table CSV"),
     "--labels": dict(help="stage label table CSV"),
-    "--config": dict(help="flat key=value config file"),
+    "--config": dict(help="plain key=value config file"),
     "--set": dict(
         action="append", default=[], metavar="KEY=VALUE",
         help="override a config field (repeatable)",

@@ -179,7 +179,10 @@ class _Fold:
 
 @dataclass(eq=False)
 class LoocvPlan:
-    """Per-fold data and rank correlations, reusable across configurations."""
+    """Per-fold data and rank correlations, reusable across configurations.
+
+    The batch evaluator keys fold fits and graphs on a plan's identity.
+    """
 
     taxa_names: list[str]
     label_set: tuple[str, ...]
@@ -188,7 +191,6 @@ class LoocvPlan:
     folds: list[_Fold]
     co_all: np.ndarray
     feature_mode: str
-    epsilon: float
 
 
 def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> LoocvPlan:
@@ -229,7 +231,6 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
         folds=folds,
         co_all=spearman_matrix(Z),
         feature_mode=feature_mode,
-        epsilon=epsilon,
     )
 
 
@@ -373,7 +374,9 @@ def _fold_fit_key(
 ) -> tuple:
     """Everything a fold fit depends on.
 
-    That is the features (``plan.epsilon``), the labels (``labels``, the
+    That is the features, as the plan's identity (plans of one epsilon may
+    differ in feature mode or data; each outlives its chunk, as in
+    ``_FoldGraphs``), the labels (``labels``, the
     bytes of the task's label vector), the fold, the sample weights
     (``class_balanced``), the penalties, the stopping rule and the
     Laplacian, as ``graph.digest``: a blake2b digest made once per fold
@@ -382,7 +385,7 @@ def _fold_fit_key(
     out at lambda_g = 0, where every graph gives the same fit bit for bit.
     """
     return (
-        plan.epsilon,
+        id(plan),
         labels,
         fold.test_index,
         config.class_balanced,
@@ -459,8 +462,9 @@ def permutation_test(
     rng = substream(seed, "permutation")
     labels = [plan.y] + [plan.y[rng.permutation(len(plan.y))] for _ in range(B)]
     outcomes = _map_chunked([(plan, config, y) for y in labels], workers)
-    if isinstance(outcomes[0], GrmlrError):  # then every task failed, as no error depends on labels
-        raise outcomes[0]
+    failed = [outcome for outcome in outcomes if isinstance(outcome, GrmlrError)]
+    if failed:  # the observed task's first; a lost ridge can depend on the labels' weights
+        raise failed[0]
     observed = outcomes[0][0]
     accuracies = [accuracy for accuracy, _ in outcomes[1:]]
     exceed = sum(1 for a in accuracies if a >= observed)
@@ -524,10 +528,12 @@ def _loocv_chunk(tasks: list) -> list:
     digested once while it stays kept. Each task's fit keys are made once,
     and every fold problem not seen before joins a queue in first-seen
     order. A full queue is solved in one batch (:func:`_solve_queue`),
-    which stores the held-out predictions in ``memo``; the tasks waiting on
-    it then get their outcomes from ``memo``. Fits in kernel form take the
-    iterates of ``fit_arrays`` up to rounding (see ``model._fit_batch``),
-    so a task's outcome is that of :func:`loocv` on its config and labels.
+    which stores the held-out predictions in ``memo``, or the InvalidValue
+    of a fold whose ridge is lost; the tasks waiting on it then get their
+    outcomes, or their first such error, from ``memo``. Fits in kernel form
+    take the iterates of ``fit_arrays`` up to rounding (see
+    ``model._fit_batch``), so a task's outcome is that of :func:`loocv` on
+    its config and labels.
     """
     graphs = _FoldGraphs(_GRAPH_CACHE_BYTES)
     memo: dict = {}
@@ -567,6 +573,9 @@ def _loocv_outcome(
     if error is not None:
         return error
     predictions = [(fold, memo[key]) for fold, key in keyed if key is not None]
+    failed = [pred for _, pred in predictions if isinstance(pred, GrmlrError)]
+    if failed:  # the first in fold order
+        return failed[0]
     skipped = [fold.site_id for fold, key in keyed if key is None]
     report = _report(plan, config, y, predictions, skipped, [])
     return report.accuracy, report.macro_f1
@@ -577,15 +586,16 @@ def _solve_queue(queue: dict, memo: dict) -> None:
 
     ``queue`` maps fold-fit keys to (plan, fold, config, fold problem) in
     first-seen order, all of one shape; each key's held-out prediction goes
-    into ``memo``. ``_fit_batch`` splits the queue into one stack in kernel
-    form and one in feature space, and warns in queue order.
+    into ``memo``, or the InvalidValue of an unsolved negligible ridge.
+    ``_fit_batch`` splits the rest into one stack in kernel form and one in
+    feature space, and warns in queue order.
     """
     if not queue:
         return
     plans, folds, configs, problems = zip(*queue.values())
     y_train, graphs = zip(*problems)
     K, p = len(plans[0].label_set), len(plans[0].taxa_names)
-    V, _ = _fit_batch(
+    V, infos = _fit_batch(
         np.stack([plan.features[fold.train_idx] for plan, fold in zip(plans, folds)]),
         np.stack(y_train),
         K,
@@ -593,8 +603,9 @@ def _solve_queue(queue: dict, memo: dict) -> None:
         np.stack([graph.laplacian for graph in graphs]),
         configs,
     )
-    for key, plan, fold, fitted in zip(queue, plans, folds, V):
-        memo[key] = _held_out_prediction(plan, fold, fitted[:, :p], fitted[:, p])
+    for key, plan, fold, fitted, info in zip(queue, plans, folds, V, infos):
+        W, b = fitted[:, :p], fitted[:, p]
+        memo[key] = info if isinstance(info, GrmlrError) else _held_out_prediction(plan, fold, W, b)
     queue.clear()
 
 

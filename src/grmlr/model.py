@@ -17,6 +17,11 @@ summing to zero and runs damped Newton with the exact Hessian in the first
 K - 1 rows, from W = 0, b = 0. The fit is reproducible and
 initialization-independent.
 
+Every fit needs a ridge: with fewer sites than taxa the classes are
+typically separable, and the objective then has no minimizer without one
+(Albert & Anderson, Biometrika 1984). A fit raises InvalidValue when
+rounding loses its lambda_l2 against its data, as it loses 0.
+
 One Newton loop, ``_newton``, solves a stack of same-shape problems,
 each with its own data, penalties, step lengths and stop tests, and a
 problem's result does not depend on the rest of the stack. It has two
@@ -27,7 +32,8 @@ permutation test in batches. It solves a problem with a firm ridge and
 fewer sites than features, n < p, in kernel form: by the representer
 theorem the fit lies in an n-dimensional space, so each Newton system has
 (K - 1)(n + 1) unknowns instead of (K - 1)(p + 1). Every other problem it
-solves in feature space, bit for bit as :func:`fit_arrays` does. Both
+solves in feature space, bit for bit as :func:`fit_arrays` does, except
+those whose ridge is negligible: it returns their errors instead. Both
 forms take the same iterates and stop tests, on the gradient over W and
 b, up to rounding.
 
@@ -87,13 +93,12 @@ class GrmlrConfig:
     stored as builtin ``int`` and ``float``, so a config built from numpy
     scalars equals, fits and serializes like one built from their values.
 
-    ``lambda_l2 = 0`` is allowed, but on a fold whose training classes are
-    separable (typical when p > n) the objective then has no minimizer: the
-    loss keeps falling as W grows along a separating direction. The fit
-    stops on ``gtol`` or ``ftol`` at a loss near zero and reports
-    convergence, and the W it returns depends on the solver's path and
-    stopping rule, not on the data alone. A positive ``lambda_l2`` that
-    rounding loses against the data (e.g. 1e-20) is solved like 0.
+    ``lambda_l2 = 0`` is a valid config, and :func:`loss` evaluates the
+    objective under it, but no fit accepts it: on a fold whose training
+    classes are separable (typical when p > n) the objective then has no
+    minimizer. A fit raises InvalidValue for any ``lambda_l2`` that rounding
+    loses against its data (:func:`_ridge_regimes`), 0 and e.g. 1e-20
+    alike; whether a small positive ridge is lost depends on the data.
     """
 
     epsilon: float = 1e-6
@@ -400,26 +405,6 @@ def _class_pairs(J: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _flat_directions(X: np.ndarray, c: np.ndarray, curvature: np.ndarray, J: int) -> np.ndarray:
-    """Orthonormal basis of the reduced directions along which the objective is constant.
-
-    Needed only without a ridge, or with a negligible one
-    (:func:`_ridge_regimes`): with any other, the reduced Hessian is
-    positive definite. Columns follow theta.ravel(), as in
-    :func:`_data_hessian`. A direction is flat when it moves all K scores
-    of every sample by one common amount and the penalty ``curvature``
-    (reduced, like the Hessian) does not see it: CLR rows and Laplacian
-    rows both sum to zero, so each w_k can move along the all-ones vector
-    for free, which leaves J flat directions once the w_k sum to zero. That
-    set does not depend on the probabilities, so it is the numerical null
-    space of the reduced Hessian at V = 0 (numpy's matrix-rank tolerance).
-    """
-    d = X.shape[1]
-    data = _data_hessian(np.zeros((1, J + 1, d)), X[None], c[None])[0]
-    evals, evecs = np.linalg.eigh(data + curvature)
-    return evecs[:, evals <= evals[-1] * J * d * np.finfo(float).eps]
-
-
 def _ridge_regimes(
     Z: np.ndarray,
     s: np.ndarray,
@@ -433,16 +418,16 @@ def _ridge_regimes(
     Z is B x n x p and s is B x n. A ridge is measured against the scale
     of the ridge-free Hessian, the largest diagonal entry of
     X^T diag(s / n) X (for X = [Z, 1]) plus that of 2 lambda_g L, and
-    against tol = (K - 1)(p + 1) eps, the null-space tolerance of
-    :func:`_flat_directions`. The rule depends on the inputs only.
+    against tol = (K - 1)(p + 1) eps, the rank tolerance of a reduced
+    Hessian. The rule depends on the inputs only.
 
-    * Negligible: 2 lambda_l2 <= tol * scale. Along the flat directions
-      such a ridge is below the rounding of the other entries, so a Newton
-      system that relies on it can be exactly singular (lambda_l2 = 1e-20
-      raised numpy's LinAlgError). These problems, lambda_l2 = 0 among
-      them, are solved as without a ridge: their Newton systems fix the
-      flat directions instead (:func:`_curvature`), while their objective
-      keeps the ridge.
+    * Negligible: 2 lambda_l2 <= tol * scale. Such a ridge is below the
+      rounding of the Hessian's other entries, so a Newton system that
+      relies on it can be exactly singular (lambda_l2 = 1e-20 raised
+      numpy's LinAlgError), and without it a fold whose classes are
+      separable has no minimizer. These problems, lambda_l2 = 0 among
+      them and every one with K = 1, where tol is 0, are not solved
+      (:func:`_negligible_ridge`).
     * Firm: 2 lambda_l2 > sqrt(tol) * scale. Only these are solved in
       kernel form (:func:`_fit_batch`). Its rounding grows with the
       condition number of 2 lambda_l2 I + 2 lambda_g L, and its Newton
@@ -461,33 +446,9 @@ def _ridge_regimes(
     return 2.0 * lambda_l2 <= tol * scale, 2.0 * lambda_l2 > np.sqrt(tol) * scale
 
 
-def _curvature(
-    X: np.ndarray,
-    c: np.ndarray,
-    laplacian: np.ndarray,
-    lambda_l2: np.ndarray,
-    lambda_g: np.ndarray,
-    flat: np.ndarray,
-    J: int,
-) -> np.ndarray:
-    """Each problem's penalty Hessian in reduced coordinates, B x J(p + 1) x J(p + 1).
-
-    That is (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]].
-    For each problem marked in ``flat`` (:func:`_ridge_regimes`) the
-    ridge is left out and N N^T added instead, for an orthonormal basis N
-    of its flat directions (:func:`_flat_directions`).
-    """
-    B, _, d = X.shape
-    p = d - 1
-    penalty = np.zeros((B, d, d))
-    ridge = (2.0 * np.where(flat, 0.0, lambda_l2))[:, None, None] * np.eye(p)
-    penalty[:, :p, :p] = ridge + (2.0 * lambda_g)[:, None, None] * laplacian
-    curvature = np.kron(np.eye(J) + 1.0, penalty)
-    if J:  # K = 1 leaves nothing to solve for
-        for i in np.flatnonzero(flat):
-            basis = _flat_directions(X[i], c[i], curvature[i], J)
-            curvature[i] += basis @ basis.T
-    return curvature
+def _negligible_ridge(lambda_l2: float) -> InvalidValue:
+    """The error of a fit whose ridge is negligible (:func:`_ridge_regimes`)."""
+    return InvalidValue(f"lambda_l2={lambda_l2!r} is lost to rounding on this fit")
 
 
 def _checked_fit_inputs(
@@ -545,16 +506,12 @@ def fit_arrays(
     holds. Newton on all K(p + 1) parameters from V = 0 keeps the rows
     summing to zero too, so its iterates are these, up to rounding.
 
-    With lambda_l2 > 0 the reduced Hessian is positive definite. Without
-    a ridge the objective is still exactly flat along a few reduced
-    directions (:func:`_flat_directions`): for CLR features, each w_k along
-    the all-ones vector. Adding N N^T for an orthonormal basis N of them
-    makes the system nonsingular; the gradient is orthogonal to them, so
-    a step moves along them only by rounding.
-
-    A ridge that rounding loses (:func:`_ridge_regimes`, e.g. lambda_l2
-    = 1e-20) is handled like none: the Newton systems leave it out and add
-    N N^T, while the objective keeps it.
+    With lambda_l2 > 0 the reduced Hessian is positive definite. A ridge
+    that rounding loses against the data (:func:`_ridge_regimes`), such as
+    lambda_l2 = 0 or 1e-20, is rejected before any iteration: without it
+    the objective is constant along a few reduced directions (for CLR
+    features, each w_k along the all-ones vector), and a fold whose classes
+    are separable has no minimizer.
 
     It stops when the gradient max-norm, taken over the full K x (p + 1)
     gradient, is at most ``config.gtol``, when the relative decrease
@@ -578,16 +535,19 @@ def fit_arrays(
     ``laplacian`` is not p x p, LengthMismatch if ``y`` or
     ``sample_weights`` does not have length n, and InvalidValue if ``Z``,
     ``sample_weights`` or ``laplacian`` holds NaN or +/-inf, a sample
-    weight is negative, or a label is not an integer in [0, K).
+    weight is negative, a label is not an integer in [0, K), or
+    ``config.lambda_l2`` is negligible against the data.
     """
     Z, y, s, laplacian = _checked_fit_inputs(Z, y, K, sample_weights, laplacian)
     p = Z.shape[1]
     Z, y, s, laplacian = Z[None], y[None], s[None], laplacian[None]
     lambda_l2 = np.array([config.lambda_l2], dtype=float)
     lambda_g = np.array([config.lambda_g], dtype=float)
-    flat, _ = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
+    negligible, _ = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
+    if negligible[0]:
+        raise _negligible_ridge(config.lambda_l2)
     V, f, n_iter, norms, history = _newton(
-        Z, y, K, s, laplacian, lambda_l2, lambda_g, flat, [config], track_history
+        Z, y, K, s, laplacian, lambda_l2, lambda_g, [config], track_history
     )
     (info,) = _fit_infos([config], f, n_iter, norms, history)
     return V[0, :, :p], V[0, :, p], info
@@ -603,7 +563,7 @@ class _Stack:
     s: np.ndarray  # B x n sample weights
     c: np.ndarray  # B x n, s / n
     laplacian: np.ndarray  # B x p x p
-    curvature: np.ndarray  # B x J(p + 1) x J(p + 1), from _curvature
+    curvature: np.ndarray  # B x J(p + 1) x J(p + 1) penalty Hessians, from _newton
     lambda_l2: np.ndarray
     lambda_g: np.ndarray
     # B x (n + 1) x (p + 1) for problems in kernel form (_fit_batch): maps
@@ -681,9 +641,11 @@ def _fit_batch(
     Z is B x n x p, y and s are B x n, laplacian is B x p x p, and
     ``configs`` holds each problem's penalties and stopping rule; the inputs
     are not checked. Returns V, B x K x (p + 1), and the info dicts, warning
-    NonConvergenceWarning in stack order. A problem with a firm ridge
-    (:func:`_ridge_regimes`) and fewer sites than features, n < p, is solved
-    in kernel form. Its P = 2 lambda_l2 I + 2 lambda_g L is positive
+    NonConvergenceWarning in stack order. A problem with a negligible ridge
+    (:func:`_ridge_regimes`) is not solved: its V is NaN and in place of its
+    info stands the InvalidValue that :func:`fit_arrays` raises for it. A
+    problem with a firm ridge and fewer sites than features, n < p, is
+    solved in kernel form. Its P = 2 lambda_l2 I + 2 lambda_g L is positive
     definite, and by the representer theorem its minimizer, like every
     Newton iterate from W = 0, has the form A Z P^-1. So Newton runs on the
     features F of :func:`_kernel_features` with the penalty 1/2 ||W~||^2, in
@@ -701,15 +663,16 @@ def _fit_batch(
     B, n, p = Z.shape
     lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
     lambda_g = np.array([cfg.lambda_g for cfg in configs], dtype=float)
-    flat, firm = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
+    negligible, firm = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
     kernel = firm & (n < p)
-    V = np.empty((B, K, p + 1))
-    f, n_iter, norms = np.empty(B), np.empty(B, dtype=int), np.empty(B)
-    rows = np.flatnonzero(~kernel)
+    V = np.full((B, K, p + 1), np.nan)
+    # 0 iterations: _fit_infos warns for no problem left unsolved
+    f, n_iter, norms = np.empty(B), np.zeros(B, dtype=int), np.empty(B)
+    rows = np.flatnonzero(~kernel & ~negligible)
     if rows.size:
         V[rows], f[rows], n_iter[rows], norms[rows], _ = _newton(
             Z[rows], y[rows], K, s[rows], laplacian[rows], lambda_l2[rows], lambda_g[rows],
-            flat[rows], [configs[i] for i in rows],
+            [configs[i] for i in rows],
         )
     rows = np.flatnonzero(kernel)
     if rows.size:
@@ -719,11 +682,15 @@ def _fit_batch(
         m = len(rows)
         reduced, f[rows], n_iter[rows], norms[rows], _ = _newton(
             F, y[rows], K, s[rows], np.zeros((m, n, n)), np.full(m, 0.5), np.zeros(m),
-            np.zeros(m, dtype=bool), [configs[i] for i in rows], to_weights=to_weights,
+            [configs[i] for i in rows], to_weights=to_weights,
         )
         V[rows, :, :p] = reduced[:, :, :n] @ M.transpose(0, 2, 1)
         V[rows, :, p] = reduced[:, :, n]
-    return V, _fit_infos(configs, f.tolist(), n_iter.tolist(), norms.tolist(), None)
+    infos = _fit_infos(configs, f.tolist(), n_iter.tolist(), norms.tolist(), None)
+    return V, [
+        _negligible_ridge(cfg.lambda_l2) if lost else info
+        for cfg, lost, info in zip(configs, negligible.tolist(), infos)
+    ]
 
 
 def _kernel_features(
@@ -765,7 +732,6 @@ def _newton(
     laplacian: np.ndarray,
     lambda_l2: np.ndarray,
     lambda_g: np.ndarray,
-    flat: np.ndarray,
     configs: Sequence[GrmlrConfig],
     track_history: bool = False,
     to_weights: Optional[np.ndarray] = None,
@@ -774,10 +740,9 @@ def _newton(
 
     Z is B x n x p, y and s are B x n and laplacian is B x p x p, all
     unchecked. The penalties are the arrays ``lambda_l2`` and ``lambda_g``,
-    ``flat`` marks the problems solved as without a ridge
-    (:func:`_ridge_regimes`), and ``configs`` gives only the stopping
-    rules. Its two callers are :func:`fit_arrays`, with a stack of one,
-    and :func:`_fit_batch`. The objectives, Hessians, Newton systems and
+    none of whose ridges is negligible (:func:`_ridge_regimes`), and
+    ``configs`` gives only the stopping rules. Its two callers are
+    :func:`fit_arrays`, with a stack of one, and :func:`_fit_batch`. The objectives, Hessians, Newton systems and
     trial points of all live problems are computed stacked, each array
     operation working on every problem's slice as it would on that problem
     alone. Step lengths, Armijo tests and stop tests are scalar, per
@@ -793,7 +758,12 @@ def _newton(
     d, J = p + 1, K - 1
     X = np.concatenate([Z, np.ones((B, n, 1))], axis=2)
     c = s / n
-    curvature = _curvature(X, c, laplacian, lambda_l2, lambda_g, flat, J)
+    # Each penalty Hessian in reduced coordinates:
+    # (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]]
+    penalty = np.zeros((B, d, d))
+    ridge = (2.0 * lambda_l2)[:, None, None] * np.eye(p)
+    penalty[:, :p, :p] = ridge + (2.0 * lambda_g)[:, None, None] * laplacian
+    curvature = np.kron(np.eye(J) + 1.0, penalty)
     live = _Stack(
         Z, X, _one_hot(y, K), s, c, laplacian, curvature, lambda_l2, lambda_g, to_weights
     )
@@ -921,6 +891,9 @@ def fit(
         If no site has some stage of the label set.
     MissingMacrofauna
         If alpha > 0 but macrofauna counts are absent.
+    InvalidValue
+        If ``config.lambda_l2`` is negligible against the data, as 0 always
+        is (see :func:`fit_arrays`).
     """
     labels = _training_labels(dataset, "fit")
     features = build_features(dataset, config.epsilon, feature_mode)

@@ -8,7 +8,7 @@ used because it is invalid under ties, and ties are essentially guaranteed
 at the sample sizes this package targets.
 
 Convention: if either input is constant, the correlation is defined as 0.
-A flat vector carries no rank information, and 0 translates into "no graph
+A constant vector carries no rank information, and 0 translates into "no graph
 edge" downstream, which is the conservative choice.
 """
 

@@ -155,11 +155,23 @@ def test_predictions_quote_site_ids_with_commas(tmp_path, synth_dataset, model_d
         (["eval", "no-such-mode"], "invalid choice"),
         (["eval", "alpha-sweep", "--alphas", "0,abc"], "bad value for 'alpha'"),
         (["eval", "loocv", "--set", "lambda_g"], "--set expects key=value, got 'lambda_g'"),
+        (["eval", "alpha-sweep", "--alphas", ""], "error: --alphas: bad value for 'alpha': ''"),
     ],
 )
 def test_validation_errors_exit_one(tmp_path, capsys, argv, message):
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["fit"], ["eval", "loocv"], ["eval", "ablate"]], ids=["fit", "loocv", "ablate"]
+)
+def test_fit_without_a_ridge_exits_one(tmp_path, capsys, csv_trio, command):
+    argv = [*command, *_trio_args(csv_trio), "--set", "lambda_l2=0", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: lambda_l2=0.0 is lost to rounding on this fit\n"
+    )
 
 
 def test_config_file_setting_every_field(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import os
+import re
 import warnings
 from concurrent.futures import Future
 from dataclasses import replace
@@ -479,6 +480,17 @@ class TestGridFitReuse:
                 direct = loocv(stripped, entry.config)
                 assert (entry.accuracy, entry.macro_f1) == (direct.accuracy, direct.macro_f1)
 
+    def test_plans_of_equal_epsilon_share_no_fit(self):
+        # at lambda_g = 0 no graph digest tells a raw-feature plan's fold
+        # fits from a CLR plan's: only the plan itself does
+        ds = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=1.0, seed=0)
+        config = replace(GrmlrConfig(), lambda_g=0.0)
+        clr, raw = (build_plan(ds, config.epsilon, mode) for mode in ("clr", "raw"))
+        outcomes = evaluation._loocv_chunk([(clr, config, clr.y), (raw, config, raw.y)])
+        direct = [loocv(ds, config, feature_mode=mode) for mode in ("clr", "raw")]
+        assert outcomes == [(r.accuracy, r.macro_f1) for r in direct]
+        assert outcomes[0] != outcomes[1]
+
     def test_int_and_numpy_scalar_axis_values_are_accepted(self, separable):
         plain = grid_search(separable, {"lambda_g": [5.0, 0.0], "max_iters": [15000]})
         scalars = grid_search(
@@ -578,8 +590,16 @@ class TestPool:
         assert report.to_dict() == permutation_test(separable, GrmlrConfig(), B=2, seed=5).to_dict()
 
 
+# A ridge that rounding loses against the data, lambda_l2 = 0 included
+NEGLIGIBLE_RIDGES = (0.0, 1e-300, 1e-20)
+
+
+def _negligible_message(lambda_l2: float) -> str:
+    return re.escape(f"lambda_l2={lambda_l2!r} is lost to rounding on this fit")
+
+
 class TestNegligibleRidge:
-    """A ridge below rounding is solved like lambda_l2 = 0, not as a singular Newton system."""
+    """A ridge below rounding fails every fit with InvalidValue; nothing solves without one."""
 
     @pytest.mark.parametrize(
         "shape, seed, lambda_g, alpha, lambda_l2",
@@ -591,22 +611,52 @@ class TestNegligibleRidge:
             ((40, 8), 7, 0.0, 0.0, 1e-20),
         ],
     )
-    def test_loocv_predicts_as_without_a_ridge(self, shape, seed, lambda_g, alpha, lambda_l2):
+    def test_loocv_rejects_the_ridge(self, shape, seed, lambda_g, alpha, lambda_l2):
         n, p = shape
         ds = synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=seed)
-        config = GrmlrConfig(lambda_g=lambda_g, alpha=alpha)
-        report = loocv(ds, replace(config, lambda_l2=lambda_l2))
-        no_ridge = loocv(ds, replace(config, lambda_l2=0.0))
-        assert report.to_dict()["per_fold"] == no_ridge.to_dict()["per_fold"]
+        config = GrmlrConfig(lambda_g=lambda_g, alpha=alpha, lambda_l2=lambda_l2)
+        with pytest.raises(InvalidValue, match=_negligible_message(lambda_l2)):
+            loocv(ds, config)
+
+    @pytest.mark.parametrize("lambda_l2", NEGLIGIBLE_RIDGES)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda ds, cfg: fit(ds, cfg),
+            lambda ds, cfg: loocv(ds, cfg),
+            lambda ds, cfg: ablate(ds, cfg),
+            lambda ds, cfg: permutation_test(ds, cfg, B=3, seed=0),
+            lambda ds, cfg: permutation_test(ds, cfg, B=3, seed=0, workers=2),
+        ],
+        ids=["fit", "loocv", "ablate", "permutation_test", "permutation_test-workers2"],
+    )
+    def test_every_entry_point_rejects_the_ridge(self, separable, entry, lambda_l2):
+        with pytest.raises(InvalidValue, match=_negligible_message(lambda_l2)):
+            entry(separable, GrmlrConfig(lambda_l2=lambda_l2))
+
+    def test_a_permutation_can_lose_the_ridge_alone(self):
+        # class-balanced weights move the data's scale with the labels:
+        # 1.1e-14 is lost on folds of permuted labels, not on the observed ones
+        ds = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        config = GrmlrConfig(lambda_l2=1.1e-14, lambda_g=0.0)
+        assert loocv(ds, config).accuracy == 1.0
+        with pytest.raises(InvalidValue, match=_negligible_message(1.1e-14)):
+            permutation_test(ds, config, B=3, seed=0)
 
     def test_grid_search_keeps_every_entry(self):
         ds = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
-        grid = {"lambda_l2": [0.0, 1e-300, 1e-20, 0.02], "alpha": [1.0]}
-        entries = sorted(grid_search(ds, grid).entries, key=lambda e: e.index)
-        assert [e.error for e in entries] == [None] * 4
-        no_ridge, *tiny, _ = entries
-        for entry in tiny:
-            assert (entry.accuracy, entry.macro_f1) == (no_ridge.accuracy, no_ridge.macro_f1)
+        grid = {"lambda_l2": [0.0, 1e-20, 0.02], "alpha": [1.0]}
+        alone = grid_search(ds, {"lambda_l2": [0.02], "alpha": [1.0]}).entries[0]
+        for workers in (1, 2):
+            entries = sorted(grid_search(ds, grid, workers=workers).entries, key=lambda e: e.index)
+            assert len(entries) == 3
+            for entry, lambda_l2 in zip(entries[:2], grid["lambda_l2"]):
+                assert np.isnan(entry.accuracy) and np.isnan(entry.macro_f1)
+                assert re.match("InvalidValue: " + _negligible_message(lambda_l2), entry.error)
+            ridge = entries[2]
+            assert (ridge.config, ridge.accuracy, ridge.macro_f1, ridge.error) == (
+                alone.config, alone.accuracy, alone.macro_f1, None
+            )
 
 
 class TestMissingStage:

@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import re
 import warnings
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_class_rows_sum_to_zero(K, seed, lam_l2, lam_g):
     assert abs(b.sum()) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("lam_l2", [0.0, 0.02])
+@pytest.mark.parametrize("lam_l2", [1e-9, 0.02])
 def test_one_class_needs_no_iteration(lam_l2):
     Z, _, _, laplacian = _problem(2, 0)
     n, p = Z.shape
@@ -90,6 +91,29 @@ def test_one_class_needs_no_iteration(lam_l2):
     assert info["converged"]
     assert W.shape == (1, p) and b.shape == (1,)
     assert not W.any() and not b.any()
+
+
+def _negligible_message(lambda_l2: float) -> str:
+    return re.escape(f"lambda_l2={lambda_l2!r} is lost to rounding on this fit")
+
+
+@pytest.mark.parametrize("lam_l2", [0.0, 1e-300, 1e-20])
+@pytest.mark.parametrize("K", CLASSES)
+def test_negligible_ridge_rejected_before_solving(K, lam_l2):
+    Z, y, s, laplacian = _problem(K, 0)
+    with pytest.raises(InvalidValue, match=_negligible_message(lam_l2)):
+        fit_arrays(Z, y, K, s, laplacian, GrmlrConfig(lambda_l2=lam_l2))
+
+
+def test_one_class_rejects_only_a_zero_ridge():
+    # with K = 1 the rounding tolerance is 0: nothing to solve, but one rule
+    Z, _, _, laplacian = _problem(2, 0)
+    n = len(Z)
+    y, s = np.zeros(n, dtype=int), np.ones(n)
+    with pytest.raises(InvalidValue, match=_negligible_message(0.0)):
+        fit_arrays(Z, y, 1, s, laplacian, GrmlrConfig(lambda_l2=0.0))
+    _, _, info = fit_arrays(Z, y, 1, s, laplacian, GrmlrConfig(lambda_l2=1e-300))
+    assert info["n_iterations"] == 0
 
 
 def _valid_inputs():
@@ -142,7 +166,7 @@ def test_bad_input_rejected_before_solving(change, error):
 STOPS = ({"max_iters": 3}, {}, {"gtol": 1e-300})
 STACK_CONFIGS = [
     GrmlrConfig(lambda_l2=lam_l2, lambda_g=lam_g, class_balanced=balanced, **stop)
-    for lam_l2 in (0.0, 0.001, 0.1)
+    for lam_l2 in (1e-9, 0.001, 0.1)
     for lam_g in (0.0, 5.0, 1000.0)
     for stop in STOPS
     for balanced in (True, False)
@@ -171,8 +195,8 @@ def _recorded(call):
 
 @pytest.mark.parametrize("K", CLASSES)
 def test_stacked_fits_equal_single_fits_bit_for_bit(K, kernel_problems):
-    # _fit_batch keeps the lambda_l2 = 0 problems at 13 x 26 in feature
-    # space, and every problem of the tall fold, where n >= p
+    # _fit_batch keeps the weak-ridge problems (lambda_l2 = 1e-9) at 13 x 26
+    # in feature space, and every problem of the tall fold, where n >= p
     tall = [
         (Z, y, _sample_weights(y, K, config.class_balanced), laplacian, config)
         for Z, y, laplacian, _ in (_fold(K, seed, "tall") for seed in STACK_SEEDS)
@@ -196,9 +220,9 @@ def test_stacked_fits_equal_single_fits_bit_for_bit(K, kernel_problems):
         for single, fitted, info, warnings_of_fit, config in zip(
             singles, V, infos, batch_warnings, configs
         ):
-            if problems is tall or config.lambda_l2 == 0.0:
+            if problems is tall or config.lambda_l2 == 1e-9:
                 kept.append((single, (fitted, info, warnings_of_fit)))
-    assert kernel_problems == [2 * len(STACK_CONFIGS) * 2 // 3]  # the wide lambda_l2 > 0 ones
+    assert kernel_problems == [2 * len(STACK_CONFIGS) * 2 // 3]  # the wide firm-ridge ones
     assert len(kept) == 2 * len(STACK_CONFIGS) // 3 + len(tall)
     iterations = [info["n_iterations"] for ((_, _, info), _), _ in kept]
     assert min(iterations) == 3 and max(iterations) > 3  # capped and converged fits mixed
@@ -254,18 +278,24 @@ def kernel_problems(monkeypatch):
     return counts
 
 
+def _batch_fits(K: int, problems):
+    """_fit_batch on (Z, y, laplacian, config) problems, its warnings, and their sample weights."""
+    weights = [_sample_weights(y, K, cfg.class_balanced) for _, y, _, cfg in problems]
+    Z, y, laplacian, configs = zip(*problems)
+    batch, batch_warnings = _recorded(
+        lambda: _fit_batch(np.stack(Z), np.stack(y), K, np.stack(weights), np.stack(laplacian), configs)
+    )
+    return batch, batch_warnings, weights
+
+
 def _single_and_batch_fits(K: int, problems):
     """fit_arrays on each (Z, y, laplacian, config) and _fit_batch on them all, with their warnings."""
-    weights = [_sample_weights(y, K, cfg.class_balanced) for _, y, _, cfg in problems]
+    batch, batch_warnings, weights = _batch_fits(K, problems)
     singles, single_warnings = _recorded(
         lambda: [
             fit_arrays(Z, y, K, s, laplacian, cfg)
             for (Z, y, laplacian, cfg), s in zip(problems, weights)
         ]
-    )
-    Z, y, laplacian, configs = zip(*problems)
-    batch, batch_warnings = _recorded(
-        lambda: _fit_batch(np.stack(Z), np.stack(y), K, np.stack(weights), np.stack(laplacian), configs)
     )
     return singles, single_warnings, batch, batch_warnings, weights
 
@@ -306,13 +336,41 @@ def test_mixed_batch_warns_in_queue_order(kernel_problems):
         (*_fold(K, seed, "wide")[:3], GrmlrConfig(lambda_l2=lam_l2, max_iters=cap))
         for seed in STACK_SEEDS
         for cap in (2, 15000)
-        for lam_l2 in (0.0, 0.02)
+        for lam_l2 in (1e-9, 0.02)
     ]
     singles, single_warnings, (V, infos), batch_warnings, _ = _single_and_batch_fits(K, problems)
     assert kernel_problems == [len(problems) // 2]  # the lambda_l2 = 0.02 half
     assert [category for category, _ in single_warnings] == [NonConvergenceWarning] * 4
     assert batch_warnings == single_warnings
     assert [info["converged"] for info in infos] == [info["converged"] for *_, info in singles]
+
+
+def test_batch_returns_the_error_of_a_negligible_ridge(kernel_problems):
+    # a negligible ridge is not solved; the other problems keep their
+    # order, fits and warnings, as in a batch without it
+    K = 3
+    problems = [
+        (*_fold(K, seed, "wide")[:3], GrmlrConfig(lambda_l2=lam_l2, max_iters=cap))
+        for seed in STACK_SEEDS
+        for cap in (2, 15000)
+        for lam_l2 in (0.0, 1e-9, 1e-20, 0.02)
+    ]
+    lost = [cfg.lambda_l2 in (0.0, 1e-20) for *_, cfg in problems]
+    (V, infos), warned, _ = _batch_fits(K, problems)
+    kept = [problem for problem, skip in zip(problems, lost) if not skip]
+    (V_kept, infos_kept), warned_kept, _ = _batch_fits(K, kept)
+    assert kernel_problems == [len(kept) // 2, len(kept) // 2]
+    assert warned == warned_kept and len(warned) == 4
+    solved = iter(zip(V_kept, infos_kept))
+    for (*_, cfg), skip, fitted, info in zip(problems, lost, V, infos):
+        if skip:
+            assert isinstance(info, InvalidValue)
+            assert re.match(_negligible_message(cfg.lambda_l2), str(info))
+            assert np.isnan(fitted).all()
+        else:
+            fitted_kept, info_kept = next(solved)
+            assert fitted.tobytes() == fitted_kept.tobytes()
+            assert info == info_kept
 
 
 def test_nonconvergence_warnings_name_the_line_that_called_the_solver():

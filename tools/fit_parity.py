@@ -110,8 +110,7 @@ def _compare_fits(fits_a: list, fits_b: list) -> dict:
 def report(a: dict, b: dict) -> int:
     """Print the per-probe table and the summary; return the exit code."""
     mismatches = []
-    ridge = {"fits": 0, "iters_differ": 0, "rel_dv": 0.0}
-    no_ridge = {"abs_dloss": 0.0, "rel_dv": 0.0}
+    totals = {"fits": 0, "iters_differ": 0, "rel_dv": 0.0}
     flag = {True: "T", False: "F"}
     print(
         f"{'probe':<40} {'l2':>6} {'iters A/B':>11} {'conv':>4} "
@@ -134,15 +133,11 @@ def report(a: dict, b: dict) -> int:
             preds = "DIFFER"
             mismatches.append(name)
         l2 = ra["lambda_l2"]
-        if l2 > 0.0:
-            ridge["fits"] += len(ra["fits"])
-            ridge["iters_differ"] += sum(
-                fa["n_iterations"] != fb["n_iterations"] for fa, fb in zip(ra["fits"], rb["fits"])
-            )
-            ridge["rel_dv"] = max(ridge["rel_dv"], cmp["rel_dv"])
-        else:
-            no_ridge["abs_dloss"] = max(no_ridge["abs_dloss"], cmp["abs_dloss"])
-            no_ridge["rel_dv"] = max(no_ridge["rel_dv"], cmp["rel_dv"])
+        totals["fits"] += len(ra["fits"])
+        totals["iters_differ"] += sum(
+            fa["n_iterations"] != fb["n_iterations"] for fa, fb in zip(ra["fits"], rb["fits"])
+        )
+        totals["rel_dv"] = max(totals["rel_dv"], cmp["rel_dv"])
         iters = "{}/{}".format(*cmp["iters"])
         conv = "/".join(flag[c] for c in cmp["converged"])
         print(
@@ -151,12 +146,8 @@ def report(a: dict, b: dict) -> int:
         )
     print()
     print(
-        f"lambda_l2 > 0: {ridge['fits']} fits, {ridge['iters_differ']} with other iteration "
-        f"counts, worst relative dV {ridge['rel_dv']:.2e}"
-    )
-    print(
-        f"lambda_l2 = 0: worst absolute dfinal_loss {no_ridge['abs_dloss']:.2e}, "
-        f"worst relative dV {no_ridge['rel_dv']:.2e}"
+        f"{totals['fits']} fits, {totals['iters_differ']} with other iteration "
+        f"counts, worst relative dV {totals['rel_dv']:.2e}"
     )
     if mismatches:
         print(f"predictions or grid entries differ in: {', '.join(mismatches)}")

@@ -22,17 +22,18 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   bias and diagnostics;
 * the CSV of a 96-config ``grid_search`` with workers 1 and 2;
 * ``permutation_test(B=5)``, ``ablate`` and ``alpha_sweep``;
-* ``grid-edge``: the entries of a 32-config ``grid_search`` that mixes
-  lambda_l2 = 0 (flat directions) with fits capped at two iterations
-  (which warn), on seed 7 at 13x26 and 9x8, with workers 1 and 2;
+* ``grid-edge``: the entries of a 48-config ``grid_search`` that mixes
+  lambda_l2 = 0 (entries that fail with InvalidValue), a weak ridge
+  (1e-9) and fits capped at two iterations (which warn), on seed 7 at
+  13x26 and 9x8, with workers 1 and 2;
 * ``permtest-edge``: ``permutation_test(B=5, seed=3)`` with fits capped
-  at two iterations (which warn) and with lambda_l2 = 0, on seed 7 at
-  13x26 and 9x8, with workers 1 and 2, and ``ablate-edge``: ``ablate``
-  with fits capped at two iterations at both scales;
-* ``grid-tall``: the entries of a 24-config ``grid_search`` on tall data
+  at two iterations (which warn) and with a weak ridge (lambda_l2 = 1e-9),
+  on seed 7 at 13x26 and 9x8, with workers 1 and 2, and ``ablate-edge``:
+  ``ablate`` with fits capped at two iterations at both scales;
+* ``grid-tall``: the entries of a 32-config ``grid_search`` on tall data
   (40x8, seed 7, more training sites than taxa) that mixes lambda_l2 = 0
-  with ridge fits and caps some fits at two iterations, with workers 1
-  and 2;
+  (failed entries) and a weak ridge with firmer ridges and caps some fits
+  at two iterations, with workers 1 and 2;
 * every CLI output file (except ``manifest.json``), stdout, stderr and
   exit code on a synthetic CSV trio.
 
@@ -68,7 +69,7 @@ GRID_96 = {
     "class_balanced": [True, False],
 }
 GRID_EDGE = {
-    "lambda_l2": [0.0, 0.02],
+    "lambda_l2": [0.0, 1e-9, 0.02],
     "max_iters": [2, 15000],
     "lambda_g": [0.0, 5.0],
     "alpha": [0.0, 1.0],
@@ -76,7 +77,7 @@ GRID_EDGE = {
 }
 EDGE_SCALES = {"13x26": (13, 26), "9x8": (9, 8)}
 GRID_TALL = {
-    "lambda_l2": [0.0, 0.001, 0.02],
+    "lambda_l2": [0.0, 1e-9, 0.001, 0.02],
     "lambda_g": [0.0, 5.0],
     "alpha": [0.0, 1.0],
     "max_iters": [2, 15000],
@@ -154,7 +155,7 @@ def fit_configs(g) -> dict:
     return {
         "default": base,
         "a0-unbalanced": replace(base, alpha=0.0, class_balanced=False),
-        "a1-all-l2zero": replace(base, alpha=1.0, co_occurrence_scope="all", lambda_l2=0.0),
+        "a1-all-l2weak": replace(base, alpha=1.0, co_occurrence_scope="all", lambda_l2=1e-9),
         "l2small-lg10": replace(base, lambda_l2=0.001, lambda_g=10.0),
     }
 
@@ -228,7 +229,7 @@ def probe_grid_edge(g, probes: Probes) -> None:
 
 def probe_permtest_edge(g, probes: Probes) -> None:
     base = g.GrmlrConfig()
-    configs = {"iters2": replace(base, max_iters=2), "l2zero": replace(base, lambda_l2=0.0)}
+    configs = {"iters2": replace(base, max_iters=2), "l2weak": replace(base, lambda_l2=1e-9)}
     for scale, (n, p) in EDGE_SCALES.items():
         dataset = g.synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=7)
         for cname, config in configs.items():
