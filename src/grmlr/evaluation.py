@@ -3,9 +3,11 @@ ablations and the graph-mixing sensitivity sweep.
 
 All evaluations are leave-one-out: the held-out site never influences the
 training fold's graph (under the default ``co_occurrence_scope='train'``),
-sample weights or fit. Rank correlations are precomputed once per fold and
-shared across configurations and label vectors; thresholding happens per
-fold graph, in ``_FoldGraphs``, the one place fold graphs are assembled.
+sample weights or fit. A fold plan (:func:`build_plan`) ranks the features
+and the macrofauna counts once, downdates those ranks to every fold's
+training sites and keeps each fold's rank correlations, shared across
+configurations and label vectors; thresholding happens per fold graph, in
+``_FoldGraphs``, the one place fold graphs are assembled.
 No fold graph is built for lambda_g = 0, where the Laplacian does not enter
 the objective: such fits get a zero Laplacian.
 
@@ -65,7 +67,7 @@ from .model import (
     build_features,
     fit_arrays,
 )
-from .rankstats import spearman_cross, spearman_matrix
+from .rankstats import _correlations, _leave_one_out, _unit, rank_matrix
 
 DEFAULT_GRID: dict[str, list] = {
     "alpha": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
@@ -181,7 +183,9 @@ class _Fold:
 class LoocvPlan:
     """Per-fold data and rank correlations, reusable across configurations.
 
-    The batch evaluator keys fold fits and graphs on a plan's identity.
+    The folds' ``train_idx``, ``co_train`` and ``profiles`` (None without
+    macrofauna) are slices of one stacked array each. The batch evaluator
+    keys fold fits and graphs on a plan's identity.
     """
 
     taxa_names: list[str]
@@ -196,6 +200,11 @@ class LoocvPlan:
 def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> LoocvPlan:
     """Precompute features and per-fold rank correlations for LOOCV.
 
+    The features and the macrofauna counts are ranked once each. Every
+    fold's ranks are downdated from them, and all folds' correlations of a
+    kind come from one stacked product; they equal, bit for bit, the
+    ``spearman_matrix`` and ``spearman_cross`` of the fold's training rows.
+
     Raises MissingLabels without labels, EmptyClass if no site has some
     stage, InvalidShape with fewer than K + 1 sites, and TooFewSamples
     with fewer than 4, as a fold's graph needs 3 training sites.
@@ -207,29 +216,36 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
         raise InvalidShape(f"LOOCV needs at least K+1={K + 1} sites, got {n}")
     if n < 4:
         raise TooFewSamples(f"graph construction needs at least 3 sites, LOOCV folds have {n - 1}")
-    feats = build_features(dataset, epsilon, feature_mode)
-    Z = feats.values
-    counts = None if dataset.macrofauna is None else np.asarray(dataset.macrofauna.values, float)
-    folds = []
-    for i in range(n):
-        train_idx = np.array([j for j in range(n) if j != i])
-        z_train = Z[train_idx]
-        folds.append(
-            _Fold(
-                site_id=dataset.abundances.site_ids[i],
-                test_index=i,
-                train_idx=train_idx,
-                co_train=spearman_matrix(z_train),
-                profiles=None if counts is None else spearman_cross(z_train, counts[train_idx]),
-            )
+    Z = build_features(dataset, epsilon, feature_mode).values
+    # each table is ranked once: every fold's ranks are downdated from the
+    # ranks of all sites, which _unit then rescales in place for co_all
+    ranks = rank_matrix(Z)
+    fold_ranks, fold_ok = _leave_one_out(Z, ranks)
+    co_train = _correlations(fold_ranks, fold_ok, fold_ranks, fold_ok)
+    profiles = [None] * n
+    if dataset.macrofauna is not None:
+        counts = np.asarray(dataset.macrofauna.values, float)
+        profiles = _correlations(fold_ranks, fold_ok, *_leave_one_out(counts, rank_matrix(counts)))
+    unit, ok = _unit(ranks)
+    # row i: every site but i, in order
+    train = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    folds = [
+        _Fold(
+            site_id=dataset.abundances.site_ids[i],
+            test_index=i,
+            train_idx=train[i],
+            co_train=co_train[i],
+            profiles=profiles[i],
         )
+        for i in range(n)
+    ]
     return LoocvPlan(
         taxa_names=list(dataset.abundances.taxa_names),
         label_set=tuple(stages.label_set),
         features=Z,
         y=stages.indices(),
         folds=folds,
-        co_all=spearman_matrix(Z),
+        co_all=_correlations(unit, ok, unit, ok),
         feature_mode=feature_mode,
     )
 

@@ -10,6 +10,20 @@ at the sample sizes this package targets.
 Convention: if either input is constant, the correlation is defined as 0.
 A constant vector carries no rank information, and 0 translates into "no graph
 edge" downstream, which is the conservative choice.
+
+Leave-one-out evaluation needs the correlations of every training set that
+leaves out one row. Those are not ranked anew: with row i removed, the
+average rank of row j in a column z becomes
+
+    r_-i(j) = r(j) - [z_i < z_j] - 1/2 * [z_i == z_j]
+
+because row j's rank is the count of smaller values plus half of one more
+than the count of values equal to its own. Ranks are multiples of 1/2, far
+below 2**53, so the subtraction is exact in floating point, and so are the
+centring and the sum of squares that follow. Each fold's unit ranks are
+therefore bit-identical to those of its training rows ranked from scratch,
+and so are its correlations, which a stacked product computes slice by
+slice with the call a lone matrix gets.
 """
 
 from __future__ import annotations
@@ -87,13 +101,7 @@ def spearman_matrix(columns: np.ndarray) -> np.ndarray:
     diagonal is 1 except for constant columns, which get 0 everywhere.
     """
     r, ok = _unit_ranks(columns)
-    # r.T @ r on one array takes numpy's symmetric kernel, so the result is
-    # exactly symmetric
-    corr = r.T @ r
-    corr[~ok, :] = 0.0
-    corr[:, ~ok] = 0.0
-    np.fill_diagonal(corr, np.where(ok, 1.0, 0.0))
-    return snap_to_unit(np.clip(corr, -1.0, 1.0))
+    return _correlations(r, ok, r, ok)
 
 
 def spearman_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -106,12 +114,7 @@ def spearman_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise LengthMismatch(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    rx, okx = _unit_ranks(x)
-    ry, oky = _unit_ranks(y)
-    corr = rx.T @ ry
-    corr[~okx, :] = 0.0
-    corr[:, ~oky] = 0.0
-    return snap_to_unit(np.clip(corr, -1.0, 1.0))
+    return _correlations(*_unit_ranks(x), *_unit_ranks(y))
 
 
 def _unit_ranks(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,11 +125,68 @@ def _unit_ranks(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(columns, dtype=float)
     if m.shape[0] < 2:
         raise TooFewSamples("Spearman correlation needs at least 2 observations")
-    r = rank_matrix(m)
-    r = r - r.mean(axis=0, keepdims=True)
-    norms = np.sqrt((r * r).sum(axis=0))
+    return _unit(rank_matrix(m))
+
+
+def _unit(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre the ranks ``r`` (..., rows, columns) and scale each column to unit norm, in place.
+
+    Returns ``r`` and the (..., columns) mask of non-constant columns;
+    constant columns are left at zero. Every step but the last division is
+    exact (see the module docstring), so a column's unit ranks do not
+    depend on the stack it sits in.
+    """
+    r -= r.mean(axis=-2, keepdims=True)
+    norms = np.sqrt(np.einsum("...ij,...ij->...j", r, r))
     ok = norms > 0.0
-    return r / np.where(ok, norms, 1.0), ok
+    r /= np.where(ok, norms, 1.0)[..., None, :]
+    return r, ok
+
+
+def _leave_one_out(values: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit ranks of ``values`` without each of its n rows in turn.
+
+    ``ranks`` is ``rank_matrix(values)``. Returns the (n, n-1, columns)
+    stack whose slice i holds what ``_unit_ranks`` gives for every row but
+    i, in row order, and the (n, columns) non-constant masks. Each slice is
+    downdated from ``ranks``, which is left unchanged, by the identity
+    stated in the module docstring; no slice is ranked anew.
+    """
+    n = values.shape[0]
+    others = ~np.eye(n, dtype=bool)
+    r = np.broadcast_to(ranks, (n, *ranks.shape))[others].reshape(n, n - 1, -1)
+    # [i, j, c] compares the removed row i with the kept row j in column c
+    r -= (values[:, None, :] < values)[others].reshape(r.shape)
+    np.subtract(r, 0.5, out=r, where=(values[:, None, :] == values)[others].reshape(r.shape))
+    return _unit(r)
+
+
+def _correlations(rx: np.ndarray, okx: np.ndarray, ry: np.ndarray, oky: np.ndarray) -> np.ndarray:
+    """Correlations of the unit-rank columns ``rx`` (..., m, a) with ``ry`` (..., m, b).
+
+    ``okx`` and ``oky`` are the non-constant masks of :func:`_unit`.
+    Stacks are multiplied in one ``np.matmul``, which fits each slice the
+    same BLAS call as a lone matrix, so a slice's result does not depend on
+    the stack. Entries of constant columns are then zeroed, the result is
+    clipped to [-1, 1] and snapped to +/-1, in place and one slice at a
+    time, so no step makes a temporary the size of the stack. With ``ry``
+    the same array as ``rx``, numpy's symmetric kernel makes every slice
+    exactly symmetric, and its diagonal is 1 for non-constant columns and
+    0 for constant ones.
+    """
+    a, b = rx.shape[-1], ry.shape[-1]
+    corr = np.empty((*rx.shape[:-2], a, b))
+    np.matmul(np.swapaxes(rx, -1, -2), ry, out=corr)
+    for c, ok_rows, ok_cols in zip(
+        corr.reshape(-1, a, b), okx.reshape(-1, a), oky.reshape(-1, b)
+    ):
+        c[~ok_rows, :] = 0.0
+        c[:, ~ok_cols] = 0.0
+        if ry is rx:
+            np.fill_diagonal(c, np.where(ok_rows, 1.0, 0.0))
+        np.clip(c, -1.0, 1.0, out=c)
+        c[...] = snap_to_unit(c)
+    return corr
 
 
 def snap_to_unit(values: np.ndarray) -> np.ndarray:

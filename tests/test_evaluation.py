@@ -4,14 +4,18 @@ import hashlib
 import itertools
 import os
 import re
+import tracemalloc
 import warnings
 from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from grmlr import ecograph, evaluation
+from grmlr import ecograph, evaluation, rankstats
 from grmlr.compositional import clr_transform
 from grmlr.dataset import (
     AbundanceMatrix,
@@ -60,12 +64,14 @@ from grmlr.ecograph import (
 from grmlr.model import (
     GrmlrConfig,
     GrmlrModel,
+    build_features,
     class_balanced_weights,
     fit,
     load_model,
     loss,
     save_model,
 )
+from grmlr.rankstats import spearman_cross, spearman_matrix
 
 SMALL_GRID = {
     "alpha": [0.0, 0.5],
@@ -878,6 +884,87 @@ class TestTooFewTrainingSites:
             evaluate(three_sites)
         with pytest.raises(TooFewSamples, match="needs at least 3 sites"):
             fit(three_sites.subset([0, 1]), GrmlrConfig())
+
+
+@st.composite
+def tie_heavy_datasets(draw):
+    """Small-integer tables: abundance rows drawn from a pool of three, with and
+    without macrofauna; each table has an all-constant column and a column
+    that is constant once one site is removed."""
+    n = draw(st.integers(4, 12))
+    p = draw(st.integers(3, 7))
+    pool = draw(arrays(np.int64, (3, p), elements=st.integers(0, 3)))
+    table = pool[draw(arrays(np.int64, n, elements=st.integers(0, 2)))]
+    odd = draw(st.integers(0, n - 1))
+    table[:, 1] = 2
+    table[:, 2] = 1
+    table[odd, 2] = 3
+    total = 3 * (p - 1) + 1  # every row sums to this, so equal counts stay equal abundances
+    table[:, 0] = total - table[:, 1:].sum(axis=1)
+    sites = [f"s{i}" for i in range(n)]
+    abundances = AbundanceMatrix(sites, [f"t{j}" for j in range(p)], table / total)
+    labels = StageLabels(list(sites), [("juvenile", "adult", "dead")[i % 3] for i in range(n)])
+    macrofauna = None
+    if draw(st.booleans()):
+        counts = draw(arrays(np.int64, (n, 4), elements=st.integers(0, 2)))
+        counts[:, 0] = 1
+        counts[:, 1] = 0
+        counts[draw(st.integers(0, n - 1)), 1] = 5
+        macrofauna = MacrofaunaCounts(list(sites), counts)
+    return Dataset(abundances, macrofauna, labels)
+
+
+class TestBuildPlan:
+    @given(tie_heavy_datasets(), st.sampled_from(["clr", "raw"]))
+    @settings(max_examples=80, deadline=None)
+    def test_fold_correlations_equal_those_of_each_training_set(self, dataset, feature_mode):
+        plan = build_plan(dataset, 1e-6, feature_mode)
+        Z = build_features(dataset, 1e-6, feature_mode).values
+        assert plan.features.tobytes() == Z.tobytes()
+        assert plan.co_all.tobytes() == spearman_matrix(Z).tobytes()
+        n = dataset.n_sites
+        counts = None if dataset.macrofauna is None else dataset.macrofauna.values
+        for i, fold in enumerate(plan.folds):
+            train = np.array([j for j in range(n) if j != i])
+            assert fold.test_index == i
+            assert fold.train_idx.tobytes() == train.tobytes()
+            assert fold.co_train.tobytes() == spearman_matrix(Z[train]).tobytes()
+            if counts is None:
+                assert fold.profiles is None
+            else:
+                cross = spearman_cross(Z[train], counts[train])
+                assert fold.profiles.tobytes() == cross.tobytes()
+
+    @pytest.mark.parametrize("with_macrofauna", [True, False])
+    def test_ranks_each_table_once(self, monkeypatch, synth_dataset, with_macrofauna):
+        ranked = []
+        original = rankstats.rank_matrix
+
+        def counting(values):
+            ranked.append(np.shape(values))
+            return original(values)
+
+        for module in (rankstats, evaluation):
+            monkeypatch.setattr(module, "rank_matrix", counting, raising=False)
+        if not with_macrofauna:
+            synth_dataset = Dataset(synth_dataset.abundances, None, synth_dataset.stages)
+        build_plan(synth_dataset, 1e-6)
+        assert ranked == [(13, 26), (13, 4)][: 1 + with_macrofauna]
+
+    def test_peak_memory_beyond_the_plan(self):
+        # the fold stacks are finished one slice at a time, so building the
+        # plan needs little beyond the plan itself
+        dataset = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        tracemalloc.start()
+        try:
+            plan = build_plan(dataset, 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = [plan.features, plan.co_all, plan.y]
+        for fold in plan.folds:
+            held += [fold.train_idx, fold.co_train, fold.profiles]
+        assert peak - sum(a.nbytes for a in held) <= 3 * 2**20
 
 
 class TestReportFiles:

@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from grmlr.errors import LengthMismatch, TooFewSamples
 from grmlr.rankstats import (
+    _leave_one_out,
+    _unit,
     average_ranks,
     rank_matrix,
     spearman,
@@ -54,6 +56,26 @@ def test_rank_matrix_matches_counting_by_column(m):
     got = rank_matrix(m)
     for j in range(m.shape[1]):
         assert got[:, j].tolist() == rank_by_counting(m[:, j].tolist())
+
+
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=13),
+        elements=st.integers(min_value=-2, max_value=2).map(float),
+    )
+)
+def test_leave_one_out_ranks_match_counting_by_fold(m):
+    # each fold's unit ranks are those of its column's counting ranks, bit for bit
+    n, c = m.shape
+    unit, ok = _leave_one_out(m, rank_matrix(m))
+    assert unit.shape == (n, n - 1, c) and ok.shape == (n, c)
+    for i in range(n):
+        kept = np.delete(m, i, axis=0)
+        for j in range(c):
+            expected, expected_ok = _unit(np.array([rank_by_counting(kept[:, j].tolist())]).T)
+            assert unit[i, :, j].tobytes() == expected[:, 0].tobytes()
+            assert ok[i, j] == expected_ok[0] == (len(set(kept[:, j])) > 1)
 
 
 class TestSpearman:

@@ -34,11 +34,17 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   (40x8, seed 7, more training sites than taxa) that mixes lambda_l2 = 0
   (failed entries) and a weak ridge with firmer ridges and caps some fits
   at two iterations, with workers 1 and 2;
+* ``plan/<scale>/<seed>/<mode>``: the LOOCV plan of ``evaluation.build_plan``
+  (features, ``co_all``, and each fold's ``train_idx``, ``co_train`` and
+  ``profiles``) in ``clr`` and ``raw`` feature modes, on the 13x26 and
+  40x160 datasets and on a tie-heavy 12x10 table of small integers with
+  repeated rows and with columns that are constant, or constant once one
+  site is removed;
 * every CLI output file (except ``manifest.json``), stdout, stderr and
   exit code on a synthetic CSV trio.
 
-Every probe also hashes the warnings it raised. A full run takes about
-30 s on two cores.
+Every probe also hashes the warnings it raised; there are 95 probes. A
+full run takes about 30 s on two cores.
 """
 
 from __future__ import annotations
@@ -241,6 +247,41 @@ def probe_permtest_edge(g, probes: Probes) -> None:
             out.append({k: v.to_dict() for k, v in reports.items()})
 
 
+def tie_heavy_dataset(g):
+    """12x10 dataset of small integers: every fold plan has ties and constant columns.
+
+    Abundance rows come from a pool of three (so CLR features tie too) and
+    all sum to 28, so equal counts give equal abundances. Column 1 is
+    constant and column 2 is constant once site 5 is removed; the
+    macrofauna counts have such columns too.
+    """
+    rng = np.random.default_rng(0)
+    table = rng.integers(0, 4, size=(3, 10))[rng.integers(0, 3, size=12)]
+    table[:, 1] = 2
+    table[:, 2] = 1
+    table[5, 2] = 3
+    table[:, 0] = 28 - table[:, 1:].sum(axis=1)
+    counts = rng.integers(0, 3, size=(12, 4))
+    counts[:, 0] = 1
+    counts[:, 1] = 0
+    counts[8, 1] = 5
+    sites = [f"s{i}" for i in range(12)]
+    return g.Dataset(
+        g.AbundanceMatrix(sites, [f"t{j}" for j in range(10)], table / 28),
+        g.MacrofaunaCounts(list(sites), counts),
+        g.StageLabels(list(sites), [("juvenile", "adult", "dead")[i % 3] for i in range(12)]),
+    )
+
+
+def probe_plans(g, probes: Probes, datasets: dict) -> None:
+    for dname, dataset in {**datasets, "12x10-ties/seed0": tie_heavy_dataset(g)}.items():
+        for mode in ("clr", "raw"):
+            with probes.probe(f"plan/{dname}/{mode}") as out:
+                plan = g.evaluation.build_plan(dataset, g.GrmlrConfig().epsilon, mode)
+                out += [plan.features, plan.co_all]
+                out += [[f.train_idx, f.co_train, f.profiles] for f in plan.folds]
+
+
 def probe_cli(probes: Probes, tmp: Path) -> None:
     cli = importlib.import_module("grmlr.cli")
     root = tmp / "cli"
@@ -308,6 +349,7 @@ def main(argv=None) -> int:
             probe_evaluation(g, probes, datasets[f"13x26/seed{seed}"], tmp, f"seed{seed}")
         probe_grid_edge(g, probes)
         probe_permtest_edge(g, probes)
+        probe_plans(g, probes, datasets)
         probe_cli(probes, tmp)
     env = {
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
