@@ -3,11 +3,13 @@ ablations and the graph-mixing sensitivity sweep.
 
 All evaluations are leave-one-out: the held-out site never influences the
 training fold's graph (under the default ``co_occurrence_scope='train'``),
-sample weights or fit. A fold plan (:func:`build_plan`) ranks the features
-and the macrofauna counts once, downdates those ranks to every fold's
-training sites and keeps each fold's rank correlations, shared across
-configurations and label vectors; thresholding happens per fold graph, in
-``_FoldGraphs``, the one place fold graphs are assembled.
+sample weights or fit. Fold i holds out site i, and every function here
+names a fold by that position. A fold plan (:func:`build_plan`) ranks the
+features and the macrofauna counts once, downdates those ranks to every
+fold's training sites and keeps one stack per kind of fold data, its row i
+holding fold i's, shared across configurations and label vectors;
+thresholding happens per fold graph, in ``_FoldGraphs``, the one place fold
+graphs are assembled.
 No fold graph is built for lambda_g = 0, where the Laplacian does not enter
 the objective: such fits get a zero Laplacian.
 
@@ -170,29 +172,35 @@ def macro_f1(
     return float(np.mean(scores))
 
 
-@dataclass(eq=False)
-class _Fold:
-    site_id: str
-    test_index: int
-    train_idx: np.ndarray
-    co_train: np.ndarray
-    profiles: Optional[np.ndarray]
+# Working-memory bytes with two uses. build_plan downdates the ranks of as
+# many folds at a time as fit: all folds up to 40 x 160, and at 120 x 400
+# 44 of the 120, whose ranks take 46 MB. And a batch evaluation chunk keeps
+# this much of fold Laplacians and adjacency parts, so that the configs and
+# label vectors sharing a fold graph build it once, emptying it when full:
+# the default grid's 1716 distinct fold graphs at 13 x 26 take about 9.3 MB,
+# one graph at 40 x 160 takes 200 KiB.
+_GRAPH_CACHE_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(eq=False)
 class LoocvPlan:
-    """Per-fold data and rank correlations, reusable across configurations.
+    """Features, labels and every fold's rank correlations, reusable across configurations.
 
-    The folds' ``train_idx``, ``co_train`` and ``profiles`` (None without
-    macrofauna) are slices of one stacked array each. The batch evaluator
-    keys fold fits and graphs on a plan's identity.
+    Fold i holds out site i. ``train[i]`` lists its training sites (every
+    site but i, in order), ``co_train[i]`` is their Spearman matrix and
+    ``profiles[i]`` their feature-macrofauna Spearman cross matrix;
+    ``profiles`` is None without macrofauna. The batch evaluator keys fold
+    fits and graphs on a plan's identity.
     """
 
     taxa_names: list[str]
     label_set: tuple[str, ...]
+    site_ids: list[str]
     features: np.ndarray
     y: np.ndarray
-    folds: list[_Fold]
+    train: np.ndarray
+    co_train: np.ndarray
+    profiles: Optional[np.ndarray]
     co_all: np.ndarray
     feature_mode: str
 
@@ -201,9 +209,11 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
     """Precompute features and per-fold rank correlations for LOOCV.
 
     The features and the macrofauna counts are ranked once each. Every
-    fold's ranks are downdated from them, and all folds' correlations of a
-    kind come from one stacked product; they equal, bit for bit, the
-    ``spearman_matrix`` and ``spearman_cross`` of the fold's training rows.
+    fold's ranks are downdated from them, in blocks of folds whose rank
+    stack fits in ``_GRAPH_CACHE_BYTES``, and each block's correlations of
+    a kind come from one stacked product written into the plan's stack;
+    they equal, bit for bit, the ``spearman_matrix`` and ``spearman_cross``
+    of the fold's training rows, whatever the blocks.
 
     Raises MissingLabels without labels, EmptyClass if no site has some
     stage, InvalidShape with fewer than K + 1 sites, and TooFewSamples
@@ -220,31 +230,31 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
     # each table is ranked once: every fold's ranks are downdated from the
     # ranks of all sites, which _unit then rescales in place for co_all
     ranks = rank_matrix(Z)
-    fold_ranks, fold_ok = _leave_one_out(Z, ranks)
-    co_train = _correlations(fold_ranks, fold_ok, fold_ranks, fold_ok)
-    profiles = [None] * n
+    p = Z.shape[1]
+    co_train = np.empty((n, p, p))
+    profiles = None
     if dataset.macrofauna is not None:
-        counts = np.asarray(dataset.macrofauna.values, float)
-        profiles = _correlations(fold_ranks, fold_ok, *_leave_one_out(counts, rank_matrix(counts)))
+        count_ranks = rank_matrix(np.asarray(dataset.macrofauna.values, float))
+        profiles = np.empty((n, p, count_ranks.shape[1]))
+    block = max(1, _GRAPH_CACHE_BYTES // (8 * (n - 1) * p))
+    for start in range(0, n, block):
+        folds = slice(start, start + block)
+        fold_ranks, fold_ok = _leave_one_out(ranks, folds)
+        _correlations(fold_ranks, fold_ok, fold_ranks, fold_ok, out=co_train[folds])
+        if profiles is not None:
+            removed = _leave_one_out(count_ranks, folds)
+            _correlations(fold_ranks, fold_ok, *removed, out=profiles[folds])
+        del fold_ranks  # before the next block's ranks are made
     unit, ok = _unit(ranks)
-    # row i: every site but i, in order
-    train = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    folds = [
-        _Fold(
-            site_id=dataset.abundances.site_ids[i],
-            test_index=i,
-            train_idx=train[i],
-            co_train=co_train[i],
-            profiles=profiles[i],
-        )
-        for i in range(n)
-    ]
     return LoocvPlan(
         taxa_names=list(dataset.abundances.taxa_names),
         label_set=tuple(stages.label_set),
+        site_ids=list(dataset.abundances.site_ids),
         features=Z,
         y=stages.indices(),
-        folds=folds,
+        train=np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]),
+        co_train=co_train,
+        profiles=profiles,
         co_all=_correlations(unit, ok, unit, ok),
         feature_mode=feature_mode,
     )
@@ -268,20 +278,12 @@ class _FoldGraph:
         return hashlib.blake2b(self.laplacian.tobytes(), digest_size=16).digest()
 
 
-# Bytes of fold Laplacians and adjacency parts that one batch evaluation
-# chunk keeps, so that the configs and label vectors sharing a fold graph
-# build it once. The whole default grid's 1716 distinct fold graphs at
-# 13 x 26 take about 9.3 MB; at 40 x 160 one graph takes 200 KiB, and the
-# cache is emptied whenever it is full.
-_GRAPH_CACHE_BYTES = 16 * 1024 * 1024
-
-
 class _FoldGraphs:
     """Fold graphs and their adjacency parts, each built once while it is kept.
 
-    A_macro is kept per (plan, fold, tau), A_co per (plan, fold,
-    ``co_occurrence_scope``, gamma) and a fold graph per (plan, fold,
-    scope, tau, gamma, alpha). Plans count by identity, so every plan must
+    A_macro is kept per (plan, fold i, tau), A_co per (plan, i,
+    ``co_occurrence_scope``, gamma) and a fold graph per (plan, i, scope,
+    tau, gamma, alpha). Plans count by identity, so every plan must
     outlive the cache, as a chunk's tasks do. A part that would take the
     kept bytes past ``limit`` empties the cache first, and is not kept if
     it alone is larger; so ``_FoldGraphs(0)`` keeps nothing and builds
@@ -293,25 +295,26 @@ class _FoldGraphs:
         self.parts: dict = {}
         self.nbytes = 0
 
-    def graph(self, plan: LoocvPlan, fold: _Fold, config: GrmlrConfig) -> _FoldGraph:
-        """The fold's graph under ``config``: all zeros at lambda_g = 0, where no fit reads it.
+    def graph(self, plan: LoocvPlan, i: int, config: GrmlrConfig) -> _FoldGraph:
+        """Fold i's graph under ``config``: all zeros at lambda_g = 0, where no fit reads it.
 
         Raises MissingMacrofauna if the plan has no macrofauna counts and
         alpha > 0, at any lambda_g.
         """
-        _require_macrofauna(fold.profiles, config.alpha)
+        _require_macrofauna(plan.profiles, config.alpha)
         if config.lambda_g == 0.0:
             p = len(plan.taxa_names)
             return self._part(("zero", p), lambda: _FoldGraph(np.zeros((p, p))))
         scope, tau, gamma, alpha = (
             config.co_occurrence_scope, config.tau, config.gamma, config.alpha
         )
-        co = plan.co_all if scope == "all" else fold.co_train
-        where = (id(plan), fold.test_index)
+        co = plan.co_all if scope == "all" else plan.co_train[i]
+        profiles = None if plan.profiles is None else plan.profiles[i]
+        where = (id(plan), i)
 
         def build() -> _FoldGraph:
             a_macro = self._part(
-                ("macro", *where, tau), lambda: _a_macro_or_zeros(fold.profiles, tau, co)
+                ("macro", *where, tau), lambda: _a_macro_or_zeros(profiles, tau, co)
             )
             a_co = self._part(
                 ("co", *where, scope, gamma), lambda: a_co_from_correlations(co, gamma)
@@ -334,39 +337,35 @@ class _FoldGraphs:
 
 
 def _fold_problem(
-    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, y: np.ndarray, graphs: _FoldGraphs
+    plan: LoocvPlan, i: int, config: GrmlrConfig, y: np.ndarray, graphs: _FoldGraphs
 ) -> Optional[tuple[np.ndarray, _FoldGraph]]:
-    """Training labels and graph (from ``graphs``) of one fold.
+    """Training labels and graph (from ``graphs``) of fold i.
 
     None when the fold's training labels miss a class, so the fold is skipped.
     """
-    y_train = y[fold.train_idx]
+    y_train = y[plan.train[i]]
     if np.any(np.bincount(y_train, minlength=len(plan.label_set)) == 0):
         return None
-    return y_train, graphs.graph(plan, fold, config)
+    return y_train, graphs.graph(plan, i, config)
 
 
-def _held_out_prediction(plan: LoocvPlan, fold: _Fold, W: np.ndarray, b: np.ndarray) -> int:
-    """Class index that the fold's fitted W, b predict for its held-out site."""
-    return int(_predicted_classes(plan.features[fold.test_index], W, b))
+def _held_out_prediction(plan: LoocvPlan, i: int, W: np.ndarray, b: np.ndarray) -> int:
+    """Class index that fold i's fitted W, b predict for its held-out site i."""
+    return int(_predicted_classes(plan.features[i], W, b))
 
 
 def _report(
     plan: LoocvPlan,
     config: GrmlrConfig,
     y: np.ndarray,
-    predictions: list[tuple[_Fold, int]],
-    skipped: list[str],
+    predictions: list[Optional[int]],
     models: list[GrmlrModel],
 ) -> EvalReport:
-    """EvalReport of the held-out class indices ``predictions`` under true labels ``y``."""
+    """EvalReport of each fold's predicted class index (None: skipped) under true labels ``y``."""
     per_fold = [
-        FoldPrediction(
-            site_id=fold.site_id,
-            true_label=plan.label_set[y[fold.test_index]],
-            predicted_label=plan.label_set[pred],
-        )
-        for fold, pred in predictions
+        FoldPrediction(plan.site_ids[i], plan.label_set[y[i]], plan.label_set[pred])
+        for i, pred in enumerate(predictions)
+        if pred is not None
     ]
     stage_correct = {lab: 0 for lab in plan.label_set}
     for f in per_fold:
@@ -380,20 +379,20 @@ def _report(
         ),
         stage_correct=stage_correct,
         config=config,
-        skipped_folds=skipped,
+        skipped_folds=[plan.site_ids[i] for i, pred in enumerate(predictions) if pred is None],
         fold_models=models,
     )
 
 
 def _fold_fit_key(
-    plan: LoocvPlan, fold: _Fold, config: GrmlrConfig, labels: bytes, graph: _FoldGraph
+    plan: LoocvPlan, i: int, config: GrmlrConfig, labels: bytes, graph: _FoldGraph
 ) -> tuple:
     """Everything a fold fit depends on.
 
     That is the features, as the plan's identity (plans of one epsilon may
     differ in feature mode or data; each outlives its chunk, as in
     ``_FoldGraphs``), the labels (``labels``, the
-    bytes of the task's label vector), the fold, the sample weights
+    bytes of the task's label vector), the fold i, the sample weights
     (``class_balanced``), the penalties, the stopping rule and the
     Laplacian, as ``graph.digest``: a blake2b digest made once per fold
     graph, however many label vectors and configs share the graph. The
@@ -403,7 +402,7 @@ def _fold_fit_key(
     return (
         id(plan),
         labels,
-        fold.test_index,
+        i,
         config.class_balanced,
         config.lambda_l2,
         config.lambda_g,
@@ -432,24 +431,21 @@ def loocv(
     plan = build_plan(dataset, config.epsilon, feature_mode)
     K = len(plan.label_set)
     graphs = _FoldGraphs(0)
-    predictions: list[tuple[_Fold, int]] = []
-    skipped: list[str] = []
+    predictions: list[Optional[int]] = []
     models: list[GrmlrModel] = []
-    for fold in plan.folds:
-        problem = _fold_problem(plan, fold, config, plan.y, graphs)
+    for i, train in enumerate(plan.train):
+        problem = _fold_problem(plan, i, config, plan.y, graphs)
         if problem is None:
-            skipped.append(fold.site_id)
+            predictions.append(None)
             continue
         y_train, graph = problem
         s = _sample_weights(y_train, K, config.class_balanced)
-        W, b, info = fit_arrays(
-            plan.features[fold.train_idx], y_train, K, s, graph.laplacian, config
-        )
-        predictions.append((fold, _held_out_prediction(plan, fold, W, b)))
+        W, b, info = fit_arrays(plan.features[train], y_train, K, s, graph.laplacian, config)
+        predictions.append(_held_out_prediction(plan, i, W, b))
         if keep_models:
             fitted = (W, b, info, plan.taxa_names, plan.label_set, config, plan.feature_mode)
             models.append(_fitted_model(*fitted))
-    return _report(plan, config, plan.y, predictions, skipped, models)
+    return _report(plan, config, plan.y, predictions, models)
 
 
 def permutation_test(
@@ -541,66 +537,59 @@ def _loocv_chunk(tasks: list) -> list:
 
     Fold graphs come from one ``_FoldGraphs`` of ``_GRAPH_CACHE_BYTES`` for
     the whole chunk, so a graph that several tasks share is built and
-    digested once while it stays kept. Each task's fit keys are made once,
-    and every fold problem not seen before joins a queue in first-seen
-    order. A full queue is solved in one batch (:func:`_solve_queue`),
-    which stores the held-out predictions in ``memo``, or the InvalidValue
-    of a fold whose ridge is lost; the tasks waiting on it then get their
-    outcomes, or their first such error, from ``memo``. Fits in kernel form
-    take the iterates of ``fit_arrays`` up to rounding (see
-    ``model._fit_batch``), so a task's outcome is that of :func:`loocv` on
-    its config and labels.
+    digested once while it stays kept. Each task's fold-fit keys are made
+    once (None for a skipped fold), and every fold problem not seen before
+    joins a queue in first-seen order. A full queue is solved in one batch
+    (:func:`_solve_queue`), which stores the held-out predictions in
+    ``memo``, or the InvalidValue of a fold whose ridge is lost. ``memo``
+    keeps every entry, so after the last batch each task's outcome, or its
+    first such error, is read from it. Fits in kernel form take the
+    iterates of ``fit_arrays`` up to rounding (see ``model._fit_batch``),
+    so a task's outcome is that of :func:`loocv` on its config and labels.
     """
     graphs = _FoldGraphs(_GRAPH_CACHE_BYTES)
     memo: dict = {}
     queue: dict = {}
-    waiting: list = []
-    outcomes: list = []
+    keyed: list = []  # per task: its folds' fit keys, or the GrmlrError it raised
     for plan, config, y in tasks:
-        keyed: list[tuple[_Fold, Optional[tuple]]] = []
-        error = None
+        keys: list = []
         labels = y.tobytes()
         capacity = _stack_capacity(len(plan.label_set), len(plan.taxa_names))
         try:
-            for fold in plan.folds:
-                problem = _fold_problem(plan, fold, config, y, graphs)
+            for i in range(len(y)):
+                problem = _fold_problem(plan, i, config, y, graphs)
                 if problem is None:
-                    keyed.append((fold, None))
+                    keys.append(None)
                     continue
-                key = _fold_fit_key(plan, fold, config, labels, problem[1])
-                keyed.append((fold, key))
+                key = _fold_fit_key(plan, i, config, labels, problem[1])
+                keys.append(key)
                 if key not in memo and key not in queue:
-                    queue[key] = (plan, fold, config, problem)
+                    queue[key] = (plan, i, config, problem)
                     if len(queue) == capacity:
                         _solve_queue(queue, memo)
-                        outcomes += [_loocv_outcome(memo, *task) for task in waiting]
-                        waiting.clear()
         except GrmlrError as exc:
-            error = exc.with_traceback(None)
-        waiting.append((plan, config, y, keyed, error))
+            keys = exc.with_traceback(None)
+        keyed.append(keys)
     _solve_queue(queue, memo)
-    return outcomes + [_loocv_outcome(memo, *task) for task in waiting]
+    return [_loocv_outcome(memo, *task, keys) for task, keys in zip(tasks, keyed)]
 
 
-def _loocv_outcome(
-    memo: dict, plan: LoocvPlan, config: GrmlrConfig, y: np.ndarray, keyed: list, error
-):
-    """One task's outcome from its folds' fit keys (None: skipped) and ``memo``."""
-    if error is not None:
-        return error
-    predictions = [(fold, memo[key]) for fold, key in keyed if key is not None]
-    failed = [pred for _, pred in predictions if isinstance(pred, GrmlrError)]
+def _loocv_outcome(memo: dict, plan: LoocvPlan, config: GrmlrConfig, y: np.ndarray, keys):
+    """One task's outcome from its folds' fit keys (None: skipped), or its error, and ``memo``."""
+    if isinstance(keys, GrmlrError):
+        return keys
+    predictions = [None if key is None else memo[key] for key in keys]
+    failed = [pred for pred in predictions if isinstance(pred, GrmlrError)]
     if failed:  # the first in fold order
         return failed[0]
-    skipped = [fold.site_id for fold, key in keyed if key is None]
-    report = _report(plan, config, y, predictions, skipped, [])
+    report = _report(plan, config, y, predictions, [])
     return report.accuracy, report.macro_f1
 
 
 def _solve_queue(queue: dict, memo: dict) -> None:
     """Fit every queued fold problem in one :func:`_fit_batch` call and empty the queue.
 
-    ``queue`` maps fold-fit keys to (plan, fold, config, fold problem) in
+    ``queue`` maps fold-fit keys to (plan, fold index, config, fold problem) in
     first-seen order, all of one shape; each key's held-out prediction goes
     into ``memo``, or the InvalidValue of an unsolved negligible ridge.
     ``_fit_batch`` splits the rest into one stack in kernel form and one in
@@ -612,16 +601,16 @@ def _solve_queue(queue: dict, memo: dict) -> None:
     y_train, graphs = zip(*problems)
     K, p = len(plans[0].label_set), len(plans[0].taxa_names)
     V, infos = _fit_batch(
-        np.stack([plan.features[fold.train_idx] for plan, fold in zip(plans, folds)]),
+        np.stack([plan.features[plan.train[i]] for plan, i in zip(plans, folds)]),
         np.stack(y_train),
         K,
         np.stack([_sample_weights(y, K, cfg.class_balanced) for y, cfg in zip(y_train, configs)]),
         np.stack([graph.laplacian for graph in graphs]),
         configs,
     )
-    for key, plan, fold, fitted, info in zip(queue, plans, folds, V, infos):
+    for key, plan, i, fitted, info in zip(queue, plans, folds, V, infos):
         W, b = fitted[:, :p], fitted[:, p]
-        memo[key] = info if isinstance(info, GrmlrError) else _held_out_prediction(plan, fold, W, b)
+        memo[key] = info if isinstance(info, GrmlrError) else _held_out_prediction(plan, i, W, b)
     queue.clear()
 
 

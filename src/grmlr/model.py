@@ -357,9 +357,7 @@ def _one_hot(y: np.ndarray, K: int) -> np.ndarray:
     return y[..., None] == np.arange(K)
 
 
-def _data_hessian(
-    V: np.ndarray, X: np.ndarray, c: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _data_hessian(V: np.ndarray, X: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Hessian of the weighted cross-entropy in the reduced coordinates of each V of a stack.
 
     V = [W | b] is B x K x (p + 1), each with rows summing to zero, so it
@@ -374,7 +372,7 @@ def _data_hessian(
 
     Each of the J(J+1)/2 distinct blocks comes from one batched matrix
     product, one matrix product per problem, written into ``out``
-    (B x J(p + 1) x J(p + 1), contiguous) when given.
+    (B x J(p + 1) x J(p + 1), contiguous).
     """
     B, K, d = V.shape
     J = K - 1
@@ -387,7 +385,7 @@ def _data_hessian(
         + last
         - centred.take(rows, axis=2) * centred.take(cols, axis=2)
     )
-    H = (np.empty((B, J * d, J * d)) if out is None else out).reshape(B, J, d, J, d)
+    H = out.reshape(B, J, d, J, d)
     for pair, (k, m) in enumerate(zip(rows, cols)):
         weighted = weights[:, :, pair, None] * X
         np.matmul(weighted.transpose(0, 2, 1), X, out=H[:, k, :, m, :])

@@ -15,11 +15,12 @@ Leave-one-out evaluation needs the correlations of every training set that
 leaves out one row. Those are not ranked anew: with row i removed, the
 average rank of row j in a column z becomes
 
-    r_-i(j) = r(j) - [z_i < z_j] - 1/2 * [z_i == z_j]
+    r_-i(j) = r(j) - [r(i) < r(j)] - 1/2 * [r(i) == r(j)]
 
 because row j's rank is the count of smaller values plus half of one more
-than the count of values equal to its own. Ranks are multiples of 1/2, far
-below 2**53, so the subtraction is exact in floating point, and so are the
+than the count of values equal to its own, and ranks order the rows as
+their values z do, ties included. Ranks are multiples of 1/2, far below
+2**53, so the subtraction is exact in floating point, and so are the
 centring and the sum of squares that follow. Each fold's unit ranks are
 therefore bit-identical to those of its training rows ranked from scratch,
 and so are its correlations, which a stacked product computes slice by
@@ -143,28 +144,34 @@ def _unit(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, ok
 
 
-def _leave_one_out(values: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit ranks of ``values`` without each of its n rows in turn.
+def _leave_one_out(ranks: np.ndarray, removed: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Unit ranks of a table without each of its rows ``removed`` in turn.
 
-    ``ranks`` is ``rank_matrix(values)``. Returns the (n, n-1, columns)
-    stack whose slice i holds what ``_unit_ranks`` gives for every row but
-    i, in row order, and the (n, columns) non-constant masks. Each slice is
+    ``ranks`` is the table's ``rank_matrix``, n x columns. Returns the
+    (b, n-1, columns) stack, b rows being removed, whose slice i holds what
+    ``_unit_ranks`` gives for every row but the i-th removed one, in row
+    order, and the (b, columns) non-constant masks. Each slice is
     downdated from ``ranks``, which is left unchanged, by the identity
-    stated in the module docstring; no slice is ranked anew.
+    stated in the module docstring; no slice is ranked anew, and none
+    depends on the other rows removed.
     """
-    n = values.shape[0]
-    others = ~np.eye(n, dtype=bool)
-    r = np.broadcast_to(ranks, (n, *ranks.shape))[others].reshape(n, n - 1, -1)
-    # [i, j, c] compares the removed row i with the kept row j in column c
-    r -= (values[:, None, :] < values)[others].reshape(r.shape)
-    np.subtract(r, 0.5, out=r, where=(values[:, None, :] == values)[others].reshape(r.shape))
+    n = ranks.shape[0]
+    r = ranks[np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[removed, None])]
+    # [i, j, c] compares the i-th removed row with the j-th kept one in column c
+    gone = ranks[removed, None, :]
+    tied = gone == r
+    r -= gone < r
+    np.subtract(r, 0.5, out=r, where=tied)
     return _unit(r)
 
 
-def _correlations(rx: np.ndarray, okx: np.ndarray, ry: np.ndarray, oky: np.ndarray) -> np.ndarray:
+def _correlations(
+    rx: np.ndarray, okx: np.ndarray, ry: np.ndarray, oky: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Correlations of the unit-rank columns ``rx`` (..., m, a) with ``ry`` (..., m, b).
 
-    ``okx`` and ``oky`` are the non-constant masks of :func:`_unit`.
+    ``okx`` and ``oky`` are the non-constant masks of :func:`_unit`. The
+    result is written into ``out`` (..., a, b), contiguous, when given.
     Stacks are multiplied in one ``np.matmul``, which fits each slice the
     same BLAS call as a lone matrix, so a slice's result does not depend on
     the stack. Entries of constant columns are then zeroed, the result is
@@ -175,7 +182,7 @@ def _correlations(rx: np.ndarray, okx: np.ndarray, ry: np.ndarray, oky: np.ndarr
     0 for constant ones.
     """
     a, b = rx.shape[-1], ry.shape[-1]
-    corr = np.empty((*rx.shape[:-2], a, b))
+    corr = np.empty((*rx.shape[:-2], a, b)) if out is None else out
     np.matmul(np.swapaxes(rx, -1, -2), ry, out=corr)
     for c, ok_rows, ok_cols in zip(
         corr.reshape(-1, a, b), okx.reshape(-1, a), oky.reshape(-1, b)

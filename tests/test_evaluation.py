@@ -91,6 +91,20 @@ def noisy():
 
 
 @pytest.fixture
+def one_dead_site():
+    """5 sites, one of them the only 'dead' one, so the fold holding it out is skipped."""
+    rng = np.random.default_rng(0)
+    raw = rng.uniform(0.1, 1.0, size=(5, 4))
+    ab = AbundanceMatrix(
+        [f"s{i}" for i in range(5)],
+        ["a", "b", "c", "d"],
+        raw / raw.sum(1, keepdims=True),
+    )
+    labels = StageLabels(list(ab.site_ids), ["juvenile", "juvenile", "adult", "adult", "dead"])
+    return Dataset(ab, None, labels)
+
+
+@pytest.fixture
 def graph_builds(monkeypatch):
     """Counts of A_macro, A_co and Laplacian builds and of blake2b digests while the test runs."""
     counts = {"a_macro_from_profiles": 0, "a_co_from_correlations": 0, "laplacian_of": 0}
@@ -172,20 +186,19 @@ class TestLoocv:
         with pytest.raises(MissingLabels):
             loocv(unlabeled, GrmlrConfig())
 
-    def test_degenerate_fold_skipped_and_flagged(self):
-        rng = np.random.default_rng(0)
-        raw = rng.uniform(0.1, 1.0, size=(5, 4))
-        ab = AbundanceMatrix(
-            [f"s{i}" for i in range(5)],
-            ["a", "b", "c", "d"],
-            raw / raw.sum(1, keepdims=True),
-        )
-        labels = StageLabels(list(ab.site_ids), ["juvenile", "juvenile", "adult", "adult", "dead"])
-        ds = Dataset(ab, None, labels)
-        report = loocv(ds, GrmlrConfig(alpha=0.0))
+    def test_degenerate_fold_skipped_and_flagged(self, one_dead_site):
+        report = loocv(one_dead_site, GrmlrConfig(alpha=0.0))
         assert report.skipped_folds == ["s4"]
         assert len(report.per_fold) == 4
         assert 0.0 <= report.accuracy <= 1.0
+
+    def test_batch_evaluator_skips_the_degenerate_fold_as_loocv_does(self, one_dead_site):
+        config = GrmlrConfig(alpha=0.0)
+        direct = loocv(one_dead_site, config)
+        (entry,) = grid_search(one_dead_site, {"alpha": [0.0]}, base_config=config).entries
+        assert (entry.accuracy, entry.macro_f1) == (direct.accuracy, direct.macro_f1)
+        observed = permutation_test(one_dead_site, config, B=2, seed=0).observed_accuracy
+        assert observed == direct.accuracy
 
     def test_fold_models_keep_solver_diagnostics(self, noisy):
         config = GrmlrConfig()
@@ -297,9 +310,9 @@ class TestPermutation:
         rng = substream(5, "permutation")
         labels = [plan.y] + [plan.y[rng.permutation(9)] for _ in range(8)]
         problems = {
-            (plan.features[fold.train_idx].tobytes(), y[fold.train_idx].tobytes())
+            (plan.features[train].tobytes(), y[train].tobytes())
             for y in labels
-            for fold in plan.folds
+            for train in plan.train
         }
         assert len(fitted) == len(set(fitted)) == len(problems)
         assert set(fitted) == problems
@@ -431,15 +444,15 @@ class TestGridFitReuse:
         plan = build_plan(separable, GrmlrConfig().epsilon)
         expected = [
             (
-                plan.features[fold.train_idx].tobytes(),
+                plan.features[train].tobytes(),
                 5.0,
                 fuse(
-                    a_macro_from_profiles(fold.profiles, 0.7),
-                    a_co_from_correlations(fold.co_train, 0.9),
+                    a_macro_from_profiles(profiles, 0.7),
+                    a_co_from_correlations(co_train, 0.9),
                     alphas[1],
                 ).laplacian.tobytes(),
             )
-            for fold in plan.folds
+            for train, co_train, profiles in zip(plan.train, plan.co_train, plan.profiles)
         ]
         assert fitted_problems == expected  # one fit per fold, shared by both alphas
         first, second = sorted(result.entries, key=lambda e: e.index)
@@ -924,16 +937,16 @@ class TestBuildPlan:
         assert plan.co_all.tobytes() == spearman_matrix(Z).tobytes()
         n = dataset.n_sites
         counts = None if dataset.macrofauna is None else dataset.macrofauna.values
-        for i, fold in enumerate(plan.folds):
+        assert plan.site_ids == dataset.abundances.site_ids
+        assert len(plan.train) == len(plan.co_train) == n
+        assert (plan.profiles is None) == (counts is None)
+        for i in range(n):
             train = np.array([j for j in range(n) if j != i])
-            assert fold.test_index == i
-            assert fold.train_idx.tobytes() == train.tobytes()
-            assert fold.co_train.tobytes() == spearman_matrix(Z[train]).tobytes()
-            if counts is None:
-                assert fold.profiles is None
-            else:
+            assert plan.train[i].tobytes() == train.tobytes()
+            assert plan.co_train[i].tobytes() == spearman_matrix(Z[train]).tobytes()
+            if counts is not None:
                 cross = spearman_cross(Z[train], counts[train])
-                assert fold.profiles.tobytes() == cross.tobytes()
+                assert plan.profiles[i].tobytes() == cross.tobytes()
 
     @pytest.mark.parametrize("with_macrofauna", [True, False])
     def test_ranks_each_table_once(self, monkeypatch, synth_dataset, with_macrofauna):
@@ -961,10 +974,28 @@ class TestBuildPlan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = [plan.features, plan.co_all, plan.y]
-        for fold in plan.folds:
-            held += [fold.train_idx, fold.co_train, fold.profiles]
+        held = [plan.features, plan.co_all, plan.y, plan.train, plan.co_train, plan.profiles]
         assert peak - sum(a.nbytes for a in held) <= 3 * 2**20
+
+    def test_blocks_of_folds_change_no_byte_and_bound_the_peak(self, monkeypatch):
+        # 256 KiB holds the ranks of 5 of the 40 folds, so the stacks are formed in 8 blocks
+        dataset = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        whole = build_plan(dataset, 1e-6)
+        budget = 256 * 2**10
+        monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", budget)
+        tracemalloc.start()
+        try:
+            blocks = build_plan(dataset, 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = [name for name, value in vars(whole).items() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 6
+        for name in arrays:
+            assert getattr(blocks, name).tobytes() == getattr(whole, name).tobytes(), name
+        # all folds' ranks take 2 MB, so a 1 MiB margin shows the blocks
+        held = sum(getattr(blocks, name).nbytes for name in arrays)
+        assert peak - held <= budget + 2**20
 
 
 class TestReportFiles:

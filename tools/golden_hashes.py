@@ -35,8 +35,9 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   (failed entries) and a weak ridge with firmer ridges and caps some fits
   at two iterations, with workers 1 and 2;
 * ``plan/<scale>/<seed>/<mode>``: the LOOCV plan of ``evaluation.build_plan``
-  (features, ``co_all``, and each fold's ``train_idx``, ``co_train`` and
-  ``profiles``) in ``clr`` and ``raw`` feature modes, on the 13x26 and
+  (features, ``co_all``, and for each fold i the rows ``train[i]``,
+  ``co_train[i]`` and ``profiles[i]``, None without macrofauna, of the
+  plan's stacks) in ``clr`` and ``raw`` feature modes, on the 13x26 and
   40x160 datasets and on a tie-heavy 12x10 table of small integers with
   repeated rows and with columns that are constant, or constant once one
   site is removed;
@@ -279,7 +280,8 @@ def probe_plans(g, probes: Probes, datasets: dict) -> None:
             with probes.probe(f"plan/{dname}/{mode}") as out:
                 plan = g.evaluation.build_plan(dataset, g.GrmlrConfig().epsilon, mode)
                 out += [plan.features, plan.co_all]
-                out += [[f.train_idx, f.co_train, f.profiles] for f in plan.folds]
+                profiles = [None] * len(plan.y) if plan.profiles is None else plan.profiles
+                out += [list(fold) for fold in zip(plan.train, plan.co_train, profiles)]
 
 
 def probe_cli(probes: Probes, tmp: Path) -> None:
