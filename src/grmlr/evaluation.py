@@ -14,13 +14,14 @@ No fold graph is built for lambda_g = 0, where the Laplacian does not enter
 the objective: such fits get a zero Laplacian.
 
 The grid search (and so the alpha sweep) and the permutation test run on
-one batch evaluator, ``_loocv_chunk``, whose tasks are LOOCVs of (plan,
-config, labels). It builds each distinct fold graph of a chunk of tasks
-once, and fits each distinct fold problem once, in batches through
-``model._fit_batch``. That solver fits a fold with a firm ridge and fewer
-training sites than taxa in kernel form, in n_train-dimensional
-coordinates, and every other fold in feature space; both forms take the
-same Newton iterates up to rounding, so held-out predictions agree.
+one batch evaluator, ``_loocv_tasks``, whose tasks are LOOCVs of (plan,
+config, labels). Whatever the worker count, it builds each fold graph that
+the tasks share once while it is kept, and fits each distinct fold problem
+once, in stacks that it forms from the tasks alone and that an executor,
+inline or a process pool, fits through ``model._fit_batch``. That solver
+fits a fold with a firm ridge and fewer training sites than taxa in
+kernel form, in n_train-dimensional coordinates, and every other fold in
+feature space; both take the same Newton iterates up to rounding.
 
 :func:`loocv`, and so the ablations, evaluate one config, so they keep no
 graphs and make one ``fit_arrays`` call per fold, in feature space: they
@@ -33,13 +34,14 @@ and so reads a higher peak RSS.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
 import numbers
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -174,7 +176,7 @@ def macro_f1(
 
 # Working-memory bytes with two uses. build_plan downdates the ranks of as
 # many folds at a time as fit: all folds up to 40 x 160, and at 120 x 400
-# 44 of the 120, whose ranks take 46 MB. And a batch evaluation chunk keeps
+# 44 of the 120, whose ranks take 46 MB. And a batch evaluation keeps
 # this much of fold Laplacians and adjacency parts, so that the configs and
 # label vectors sharing a fold graph build it once, emptying it when full:
 # the default grid's 1716 distinct fold graphs at 13 x 26 take about 9.3 MB,
@@ -236,13 +238,14 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
     if dataset.macrofauna is not None:
         count_ranks = rank_matrix(np.asarray(dataset.macrofauna.values, float))
         profiles = np.empty((n, p, count_ranks.shape[1]))
+    train = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
     block = max(1, _GRAPH_CACHE_BYTES // (8 * (n - 1) * p))
     for start in range(0, n, block):
         folds = slice(start, start + block)
-        fold_ranks, fold_ok = _leave_one_out(ranks, folds)
+        fold_ranks, fold_ok = _leave_one_out(ranks, folds, train[folds])
         _correlations(fold_ranks, fold_ok, fold_ranks, fold_ok, out=co_train[folds])
         if profiles is not None:
-            removed = _leave_one_out(count_ranks, folds)
+            removed = _leave_one_out(count_ranks, folds, train[folds])
             _correlations(fold_ranks, fold_ok, *removed, out=profiles[folds])
         del fold_ranks  # before the next block's ranks are made
     unit, ok = _unit(ranks)
@@ -252,7 +255,7 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
         site_ids=list(dataset.abundances.site_ids),
         features=Z,
         y=stages.indices(),
-        train=np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]),
+        train=train,
         co_train=co_train,
         profiles=profiles,
         co_all=_correlations(unit, ok, unit, ok),
@@ -284,10 +287,10 @@ class _FoldGraphs:
     A_macro is kept per (plan, fold i, tau), A_co per (plan, i,
     ``co_occurrence_scope``, gamma) and a fold graph per (plan, i, scope,
     tau, gamma, alpha). Plans count by identity, so every plan must
-    outlive the cache, as a chunk's tasks do. A part that would take the
-    kept bytes past ``limit`` empties the cache first, and is not kept if
-    it alone is larger; so ``_FoldGraphs(0)`` keeps nothing and builds
-    every graph anew.
+    outlive the cache, as the batch evaluator's tasks do. A part that
+    would take the kept bytes past ``limit`` empties the cache first, and
+    is not kept if it alone is larger; so ``_FoldGraphs(0)`` keeps nothing
+    and builds every graph anew.
     """
 
     def __init__(self, limit: int) -> None:
@@ -390,14 +393,12 @@ def _fold_fit_key(
     """Everything a fold fit depends on.
 
     That is the features, as the plan's identity (plans of one epsilon may
-    differ in feature mode or data; each outlives its chunk, as in
-    ``_FoldGraphs``), the labels (``labels``, the
-    bytes of the task's label vector), the fold i, the sample weights
-    (``class_balanced``), the penalties, the stopping rule and the
-    Laplacian, as ``graph.digest``: a blake2b digest made once per fold
-    graph, however many label vectors and configs share the graph. The
-    Laplacian enters the objective only through lambda_g, so it is left
-    out at lambda_g = 0, where every graph gives the same fit bit for bit.
+    differ in feature mode or data; each outlives its tasks, as in
+    ``_FoldGraphs``), the labels (``labels``, the bytes of the task's label
+    vector), the fold i, the sample weights (``class_balanced``), the
+    penalties, the stopping rule and the Laplacian, as ``graph.digest``: a
+    blake2b digest made once per fold graph, however many label vectors and
+    configs share the graph; at lambda_g = 0 that is the zero graph's.
     """
     return (
         id(plan),
@@ -409,7 +410,7 @@ def _fold_fit_key(
         config.ftol,
         config.gtol,
         config.max_iters,
-        graph.digest if config.lambda_g != 0.0 else None,
+        graph.digest,
     )
 
 
@@ -462,18 +463,18 @@ def permutation_test(
     identical across permutations. p = (1 + #{permuted >= observed}) / (1 + B).
 
     The observed labels and the B permutations are B + 1 tasks of the
-    batch evaluator (``_loocv_chunk``) on one fold plan. Each fold graph is
-    built and digested once per chunk of tasks, as no graph depends on the
-    labels. A fold problem that two label vectors share is fitted once, so
-    a warning it raises is issued once. Raises InvalidValue unless ``B``
-    and ``workers`` are integers >= 1.
+    batch evaluator (``_loocv_tasks``) on one fold plan. Each fold graph is
+    built and digested once while kept, as no graph depends on the labels.
+    A fold problem that two label vectors share is fitted once, so a
+    warning it raises is issued once. Raises InvalidValue unless ``B`` and
+    ``workers`` are integers >= 1.
     """
     _check_count("B", B)
     _check_count("workers", workers)
     plan = build_plan(dataset, config.epsilon)
     rng = substream(seed, "permutation")
     labels = [plan.y] + [plan.y[rng.permutation(len(plan.y))] for _ in range(B)]
-    outcomes = _map_chunked([(plan, config, y) for y in labels], workers)
+    outcomes = _loocv_tasks([(plan, config, y) for y in labels], workers)
     failed = [outcome for outcome in outcomes if isinstance(outcome, GrmlrError)]
     if failed:  # the observed task's first; a lost ridge can depend on the labels' weights
         raise failed[0]
@@ -496,11 +497,11 @@ def grid_search(
     worker count. A configuration that fails is kept with its error message
     and sorts last.
 
-    Each configuration is one task of the batch evaluator (``_loocv_chunk``)
+    Each configuration is one task of the batch evaluator (``_loocv_tasks``)
     on its plan's own labels, so each distinct fold fit runs once per call
-    (once per chunk of configs with ``workers > 1``) and warns once, in the
-    order configs first need the fits; see ``_fold_fit_key``. Raises
-    InvalidValue unless ``workers`` is an integer >= 1.
+    and warns once, in the order configs first need the fits; see
+    ``_fold_fit_key``. Raises InvalidValue unless ``workers`` is an integer
+    >= 1.
     """
     _check_count("workers", workers)
     if base_config is None:
@@ -524,7 +525,7 @@ def grid_search(
             plans[cfg.epsilon] = build_plan(dataset, cfg.epsilon)
     tasks = [(plans[cfg.epsilon], cfg, plans[cfg.epsilon].y) for cfg in configs]
     entries = []
-    for i, (cfg, outcome) in enumerate(zip(configs, _map_chunked(tasks, workers))):
+    for i, (cfg, outcome) in enumerate(zip(configs, _loocv_tasks(tasks, workers))):
         if isinstance(outcome, GrmlrError):  # entry marked failed, search continues
             outcome = (float("nan"), float("nan"), f"{type(outcome).__name__}: {outcome}")
         entries.append(GridEntry(i, cfg, *outcome))
@@ -532,45 +533,50 @@ def grid_search(
     return GridResult(entries=entries)
 
 
-def _loocv_chunk(tasks: list) -> list:
+def _loocv_tasks(tasks: list, workers: int) -> list:
     """(accuracy, macro-F1), or the GrmlrError raised, of each (plan, config, labels) task's LOOCV.
 
-    Fold graphs come from one ``_FoldGraphs`` of ``_GRAPH_CACHE_BYTES`` for
-    the whole chunk, so a graph that several tasks share is built and
-    digested once while it stays kept. Each task's fold-fit keys are made
-    once (None for a skipped fold), and every fold problem not seen before
-    joins a queue in first-seen order. A full queue is solved in one batch
-    (:func:`_solve_queue`), which stores the held-out predictions in
-    ``memo``, or the InvalidValue of a fold whose ridge is lost. ``memo``
-    keeps every entry, so after the last batch each task's outcome, or its
-    first such error, is read from it. Fits in kernel form take the
-    iterates of ``fit_arrays`` up to rounding (see ``model._fit_batch``),
-    so a task's outcome is that of :func:`loocv` on its config and labels.
+    Fold graphs come from one ``_FoldGraphs``, so tasks share them. Each
+    task's fold-fit keys (None: fold skipped) are made once; a fold problem
+    not seen before joins a queue in first-seen order, and a full queue is
+    one stack. An executor fits the stacks: a ProcessPoolExecutor of
+    min(workers, len(tasks), usable CPUs) processes, or with one, an inline
+    one. They are settled oldest first into ``memo``, at most 2 x that size
+    unsettled at once, so every worker count makes the same fits and
+    warnings in the same order. Each outcome, :func:`loocv`'s on the task up
+    to rounding (see ``model._fit_batch``), is read from ``memo`` at the end.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = min(workers, len(tasks), cpus or 1)
     graphs = _FoldGraphs(_GRAPH_CACHE_BYTES)
-    memo: dict = {}
-    queue: dict = {}
+    memo: dict = {}  # fit key -> held-out prediction; None while queued or unsettled
+    queue: list = []  # (fit key, plan, fold, config, y_train, graph), all of one shape
+    unsettled: collections.deque = collections.deque()
     keyed: list = []  # per task: its folds' fit keys, or the GrmlrError it raised
-    for plan, config, y in tasks:
-        keys: list = []
-        labels = y.tobytes()
-        capacity = _stack_capacity(len(plan.label_set), len(plan.taxa_names))
-        try:
-            for i in range(len(y)):
-                problem = _fold_problem(plan, i, config, y, graphs)
-                if problem is None:
-                    keys.append(None)
-                    continue
-                key = _fold_fit_key(plan, i, config, labels, problem[1])
-                keys.append(key)
-                if key not in memo and key not in queue:
-                    queue[key] = (plan, i, config, problem)
-                    if len(queue) == capacity:
-                        _solve_queue(queue, memo)
-        except GrmlrError as exc:
-            keys = exc.with_traceback(None)
-        keyed.append(keys)
-    _solve_queue(queue, memo)
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else _InlineExecutor() as pool:
+        for plan, config, y in tasks:
+            keys: list = []
+            labels = y.tobytes()
+            capacity = _stack_capacity(len(plan.label_set), len(plan.taxa_names))
+            try:
+                for i in range(len(y)):
+                    problem = _fold_problem(plan, i, config, y, graphs)
+                    if problem is None:
+                        keys.append(None)
+                        continue
+                    key = _fold_fit_key(plan, i, config, labels, problem[1])
+                    keys.append(key)
+                    if key not in memo:
+                        memo[key] = None
+                        queue.append((key, plan, i, config, *problem))
+                        if len(queue) == capacity:
+                            _submit(pool, queue, unsettled, memo, 2 * size)
+            except GrmlrError as exc:
+                keys = exc.with_traceback(None)
+            keyed.append(keys)
+        if queue:
+            _submit(pool, queue, unsettled, memo, 2 * size)
+        _settle(unsettled, memo, 0)
     return [_loocv_outcome(memo, *task, keys) for task, keys in zip(tasks, keyed)]
 
 
@@ -586,21 +592,26 @@ def _loocv_outcome(memo: dict, plan: LoocvPlan, config: GrmlrConfig, y: np.ndarr
     return report.accuracy, report.macro_f1
 
 
-def _solve_queue(queue: dict, memo: dict) -> None:
-    """Fit every queued fold problem in one :func:`_fit_batch` call and empty the queue.
+class _InlineExecutor(Executor):
+    """An executor that runs each submitted call at once, in this process."""
 
-    ``queue`` maps fold-fit keys to (plan, fold index, config, fold problem) in
-    first-seen order, all of one shape; each key's held-out prediction goes
-    into ``memo``, or the InvalidValue of an unsolved negligible ridge.
-    ``_fit_batch`` splits the rest into one stack in kernel form and one in
-    feature space, and warns in queue order.
-    """
-    if not queue:
-        return
-    plans, folds, configs, problems = zip(*queue.values())
-    y_train, graphs = zip(*problems)
-    K, p = len(plans[0].label_set), len(plans[0].taxa_names)
-    V, infos = _fit_batch(
+    def submit(self, fn, /, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _submit(pool: Executor, queue: list, unsettled, memo: dict, limit: int) -> None:
+    """Once fewer than ``limit`` stacks are unsettled, submit the queue as one; empty it."""
+    _settle(unsettled, memo, limit - 1)
+    keys, plans, folds, configs, y_train, graphs = zip(*queue)
+    queue.clear()
+    K = len(plans[0].label_set)
+    future = pool.submit(
+        _fit_stack,
         np.stack([plan.features[plan.train[i]] for plan, i in zip(plans, folds)]),
         np.stack(y_train),
         K,
@@ -608,10 +619,32 @@ def _solve_queue(queue: dict, memo: dict) -> None:
         np.stack([graph.laplacian for graph in graphs]),
         configs,
     )
-    for key, plan, i, fitted, info in zip(queue, plans, folds, V, infos):
-        W, b = fitted[:, :p], fitted[:, p]
-        memo[key] = info if isinstance(info, GrmlrError) else _held_out_prediction(plan, i, W, b)
-    queue.clear()
+    unsettled.append((keys, plans, folds, future))
+
+
+def _fit_stack(*stack) -> tuple:
+    """``_fit_batch(*stack)`` and its warnings, as (message, category, filename, lineno)."""
+    with warnings.catch_warnings(record=True) as caught:
+        V, infos = _fit_batch(*stack)
+    return V, infos, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _settle(unsettled: collections.deque, memo: dict, keep: int) -> None:
+    """Settle the oldest submitted stacks until at most ``keep`` remain.
+
+    Each stack's warnings are issued again here, for the caller's warning
+    filters and ``--strict``; its held-out predictions, or the InvalidValue
+    of a fold whose ridge is lost, go into ``memo``.
+    """
+    while len(unsettled) > keep:
+        keys, plans, folds, future = unsettled.popleft()
+        V, infos, caught = future.result()
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        p = len(plans[0].taxa_names)
+        for key, plan, i, v, info in zip(keys, plans, folds, V, infos):
+            lost = isinstance(info, GrmlrError)
+            memo[key] = info if lost else _held_out_prediction(plan, i, v[:, :p], v[:, p])
 
 
 def _entry_sort_key(entry: GridEntry):
@@ -621,44 +654,12 @@ def _entry_sort_key(entry: GridEntry):
     return (failed, acc, f1, entry.index)
 
 
-def _map_chunked(tasks: list, workers: int) -> list:
-    """Order-preserving :func:`_loocv_chunk` of ``tasks``; identical for any worker count.
-
-    The pool has min(workers, len(tasks), usable CPUs) processes; with one,
-    the tasks run here as one chunk. Otherwise each process runs one chunk
-    of tasks at a time, and the warnings a chunk raised are issued again
-    here, in task order, so that the caller's warning filters and
-    ``--strict`` see them. ``workers`` must be an integer >= 1.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = min(workers, len(tasks), cpus or 1)
-    if size <= 1:
-        return _loocv_chunk(tasks)
-    chunk_size = max(1, len(tasks) // (size * 4))
-    chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
-    results: list = []
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
-        for fut in futures:
-            chunk_results, caught = fut.result()
-            for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno)
-            results.extend(chunk_results)
-    return results
-
-
 def _check_count(name: str, value) -> None:
     """Raise InvalidValue unless ``value`` is an integer >= 1; ``bool`` is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidValue(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise InvalidValue(f"{name} must be >= 1, got {value}")
-
-
-def _run_chunk(chunk: list) -> tuple[list, list[tuple]]:
-    with warnings.catch_warnings(record=True) as caught:
-        results = _loocv_chunk(chunk)
-    return results, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def ablate(dataset: Dataset, config: GrmlrConfig) -> dict[str, EvalReport]:

@@ -604,11 +604,10 @@ class _Stack:
 
 # Bytes of the reduced Hessians, (K - 1)(p + 1) squared doubles per
 # problem, that one _fit_batch call of a batch evaluation may hold. It
-# bounds peak memory: a chunk of grid or permutation tasks queues its
-# distinct fold problems and solves the queue whenever it holds
-# _stack_capacity of them, so only one stack's Hessians, curvatures and
-# Laplacians exist at a time; solving a whole default grid's queue at once
-# would hold thousands. 600 KiB stacks 26 problems at 13 x 26 (K = 3), where
+# bounds peak memory: grid or permutation tasks queue their distinct fold
+# problems, each _stack_capacity of them a stack, so a process solves one
+# stack's Hessians, curvatures and Laplacians at a time, not a default
+# grid's thousands. 600 KiB stacks 26 problems at 13 x 26 (K = 3), where
 # one problem is too small to amortize numpy's per-call overhead, and holds
 # one problem at 40 x 160, whose Newton steps are large solves already.
 # Measured against 11, 18 and 52 problems at 13 x 26 in interleaved
@@ -740,17 +739,17 @@ def _newton(
     unchecked. The penalties are the arrays ``lambda_l2`` and ``lambda_g``,
     none of whose ridges is negligible (:func:`_ridge_regimes`), and
     ``configs`` gives only the stopping rules. Its two callers are
-    :func:`fit_arrays`, with a stack of one, and :func:`_fit_batch`. The objectives, Hessians, Newton systems and
-    trial points of all live problems are computed stacked, each array
-    operation working on every problem's slice as it would on that problem
-    alone. Step lengths, Armijo tests and stop tests are scalar, per
-    problem, and a problem leaves the stack when it stops. So a problem's
-    results do not depend on the rest of the stack. For
-    problems in kernel form (:func:`_fit_batch`), ``to_weights`` maps each
-    gradient to W-space before its max-norm is taken. Returns V,
-    B x K x (p + 1), and per problem its final objective, iteration count
-    and gradient max-norm, and its objective history (None without
-    ``track_history``). Issues no warning.
+    :func:`fit_arrays`, with a stack of one, and :func:`_fit_batch`. The
+    objectives, Hessians, Newton systems and trial points of all live
+    problems are computed stacked, each array operation working on every
+    problem's slice as it would on that problem alone. Step lengths, Armijo
+    tests and stop tests are scalar, per problem, and a problem leaves the
+    stack when it stops. So a problem's results do not depend on the rest
+    of the stack. For problems in kernel form (:func:`_fit_batch`),
+    ``to_weights`` maps each gradient to W-space before its max-norm is
+    taken. Returns V, B x K x (p + 1), and per problem its final objective,
+    iteration count and gradient max-norm, and its objective history (None
+    without ``track_history``). Issues no warning.
     """
     B, n, p = Z.shape
     d, J = p + 1, K - 1

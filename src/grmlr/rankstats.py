@@ -144,19 +144,17 @@ def _unit(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, ok
 
 
-def _leave_one_out(ranks: np.ndarray, removed: slice) -> tuple[np.ndarray, np.ndarray]:
+def _leave_one_out(ranks: np.ndarray, removed: slice, kept: np.ndarray) -> tuple:
     """Unit ranks of a table without each of its rows ``removed`` in turn.
 
-    ``ranks`` is the table's ``rank_matrix``, n x columns. Returns the
-    (b, n-1, columns) stack, b rows being removed, whose slice i holds what
-    ``_unit_ranks`` gives for every row but the i-th removed one, in row
-    order, and the (b, columns) non-constant masks. Each slice is
-    downdated from ``ranks``, which is left unchanged, by the identity
-    stated in the module docstring; no slice is ranked anew, and none
-    depends on the other rows removed.
+    ``ranks`` is the table's ``rank_matrix``, n x columns, and ``kept[i]``
+    lists the n - 1 other rows of the i-th removed, in order. Returns the
+    (b, n-1, columns) stack of what ``_unit_ranks`` gives for rows
+    ``kept[i]``, b rows being removed, and the (b, columns) non-constant
+    masks. Each slice is downdated from ``ranks``, left unchanged, by the
+    module docstring's identity; none is ranked anew or reads the others.
     """
-    n = ranks.shape[0]
-    r = ranks[np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[removed, None])]
+    r = ranks[kept]
     # [i, j, c] compares the i-th removed row with the j-th kept one in column c
     gone = ranks[removed, None, :]
     tied = gone == r

@@ -482,7 +482,7 @@ class TestGridFitReuse:
         assert self._outcomes(bounded) == self._outcomes(unbounded)
 
     def test_worker_count_invariance(self, separable):
-        # 24 configs make chunks of 3, so fits are also reused within a worker chunk
+        # 24 configs, of which those that differ only in alpha share fits at lambda_g = 0
         grid = {**self.GRID, "tau": [0.5, 0.9], "gamma": [0.8, 0.9]}
         serial = grid_search(separable, grid, workers=1)
         parallel = grid_search(separable, grid, workers=2)
@@ -505,7 +505,7 @@ class TestGridFitReuse:
         ds = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=1.0, seed=0)
         config = replace(GrmlrConfig(), lambda_g=0.0)
         clr, raw = (build_plan(ds, config.epsilon, mode) for mode in ("clr", "raw"))
-        outcomes = evaluation._loocv_chunk([(clr, config, clr.y), (raw, config, raw.y)])
+        outcomes = evaluation._loocv_tasks([(clr, config, clr.y), (raw, config, raw.y)], 1)
         direct = [loocv(ds, config, feature_mode=mode) for mode in ("clr", "raw")]
         assert outcomes == [(r.accuracy, r.macro_f1) for r in direct]
         assert outcomes[0] != outcomes[1]
@@ -537,6 +537,49 @@ class _InlineExecutor:
         future = Future()
         future.set_result(fn(*args))
         return future
+
+
+class _Deferred:
+    """A future whose call runs only when its result is first asked for."""
+
+    def __init__(self, executor, fn, args):
+        self.executor, self.call, self.value = executor, (fn, args), None
+
+    def result(self):
+        if self.call is not None:
+            fn, args = self.call
+            self.call, self.value = None, fn(*args)
+            self.executor.waiting -= 1
+        return self.value
+
+
+class _DeferringExecutor(_InlineExecutor):
+    """Stands in for ProcessPoolExecutor: no call runs before its result is asked for.
+
+    ``peaks`` records, after each submit, how many submitted calls wait unsettled.
+    """
+
+    peaks: list = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.waiting = 0
+
+    def submit(self, fn, *args):
+        self.waiting += 1
+        self.peaks.append(self.waiting)
+        return _Deferred(self, fn, args)
+
+
+# GRID_EDGE of tools/golden_hashes.py: failed entries (lambda_l2 = 0), a weak
+# ridge and fits capped at two iterations, which warn
+GRID_EDGE = {
+    "lambda_l2": [0.0, 1e-9, 0.02],
+    "max_iters": [2, 15000],
+    "lambda_g": [0.0, 5.0],
+    "alpha": [0.0, 1.0],
+    "class_balanced": [True, False],
+}
 
 
 class TestPool:
@@ -575,6 +618,62 @@ class TestPool:
         report = permutation_test(separable, GrmlrConfig(), B=2, seed=5, workers=64)
         assert pool_sizes == [3]  # the observed labels and B = 2 permutations
         serial = permutation_test(separable, GrmlrConfig(), B=2, seed=5)
+        assert report.to_dict() == serial.to_dict()
+
+    def test_pool_warns_as_serial(self, monkeypatch):
+        # configs that share a fold fit lie far apart in the task list, so a
+        # pool that split the tasks among workers would fit and warn twice
+        data = synthesize_dataset(n=9, p=8, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen, outcomes = {}, {}
+        for workers in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcomes[workers] = self._outcomes(grid_search(data, GRID_EDGE, workers=workers))
+            seen[workers] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        assert seen[1] and all(cat is NonConvergenceWarning for cat, *_ in seen[1])
+        assert seen[2] == seen[1]
+        assert repr(outcomes[2]) == repr(outcomes[1])  # failed entries' NaNs included
+
+    def test_every_worker_count_fits_each_distinct_problem_once(
+        self, separable, monkeypatch, pool_sizes
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        fit_batch, fit_key = evaluation._fit_batch, evaluation._fold_fit_key
+        fitted, keys = [], set()
+
+        def counting(Z, *args):
+            fitted.append(len(Z))
+            return fit_batch(Z, *args)
+
+        def recording(*args):
+            key = fit_key(*args)
+            keys.add(key)
+            return key
+
+        monkeypatch.setattr(evaluation, "_fit_batch", counting)
+        monkeypatch.setattr(evaluation, "_fold_fit_key", recording)
+        counts = {}
+        for workers in (1, 4):
+            fitted.clear()
+            keys.clear()
+            grid_search(separable, self.GRID, workers=workers)
+            counts[workers] = (sum(fitted), len(keys))
+        assert pool_sizes == [4]
+        assert counts[4] == counts[1]
+        assert counts[1][0] == counts[1][1] == 3 * separable.n_sites  # alphas share at lambda_g = 0
+
+    def test_unsettled_stacks_stay_within_twice_the_pool_size(self, monkeypatch):
+        monkeypatch.setattr(_DeferringExecutor, "sizes", [])
+        monkeypatch.setattr(_DeferringExecutor, "peaks", [])
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _DeferringExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        data = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        report = permutation_test(data, GrmlrConfig(), B=20, seed=1, workers=2)
+        assert _DeferringExecutor.sizes == [2]
+        assert len(_DeferringExecutor.peaks) > 4  # more stacks than may wait at once
+        assert max(_DeferringExecutor.peaks) == 2 * 2
+        serial = permutation_test(data, GrmlrConfig(), B=20, seed=1)
         assert report.to_dict() == serial.to_dict()
 
     @pytest.mark.parametrize("workers", [0, -2])

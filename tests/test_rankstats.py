@@ -68,7 +68,8 @@ def test_rank_matrix_matches_counting_by_column(m):
 def test_leave_one_out_ranks_match_counting_by_fold(m):
     # each fold's unit ranks are those of its column's counting ranks, bit for bit
     n, c = m.shape
-    unit, ok = _leave_one_out(rank_matrix(m), slice(None))
+    kept = np.array([np.delete(np.arange(n), i) for i in range(n)])
+    unit, ok = _leave_one_out(rank_matrix(m), slice(None), kept)
     assert unit.shape == (n, n - 1, c) and ok.shape == (n, c)
     for i in range(n):
         kept = np.delete(m, i, axis=0)

@@ -14,6 +14,10 @@ their last bits, so compare only runs whose ``_env`` lines agree.
     python3 tools/golden_hashes.py --src src > change.json
     diff parent.json change.json
 
+It also checks that results do not depend on the worker count: when any
+``.../workers2`` probe's hash differs from its ``.../workers1`` twin's, it
+names each such probe on stderr and exits 1, after printing the JSON.
+
 Probes, on synthetic datasets at 13x26 and 40x160:
 
 * ``fit`` weights, bias, info and loss history for four configs;
@@ -360,7 +364,15 @@ def main(argv=None) -> int:
     }
     json.dump({"_env": env, **probes.hashes}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
-    return 0
+    hashes = probes.hashes
+    split = [
+        name
+        for name in hashes
+        if name.endswith("/workers2") and hashes[name] != hashes[name[:-1] + "1"]
+    ]
+    for name in split:
+        print(f"{name}: hash differs from its workers1 twin", file=sys.stderr)
+    return 1 if split else 0
 
 
 if __name__ == "__main__":
