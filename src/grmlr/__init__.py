@@ -22,8 +22,6 @@ from .dataset import (
 )
 from .ecograph import (
     EcologicalGraph,
-    build_a_co,
-    build_a_macro,
     build_graph,
     export_heatmaps,
     fuse,
@@ -72,8 +70,6 @@ __all__ = [
     "ablate",
     "alpha_sweep",
     "average_ranks",
-    "build_a_co",
-    "build_a_macro",
     "build_graph",
     "class_balanced_weights",
     "clr",

@@ -47,9 +47,9 @@ def clr(values: np.ndarray, epsilon: float) -> np.ndarray:
     Parameters
     ----------
     values : array_like, shape (n, p)
-        Non-negative entries; strictly positive required when ``epsilon``
-        is 0. Rows need not be closed to 1 (the transform is invariant to
-        row scale at ``epsilon=0``).
+        Finite non-negative entries; strictly positive required when
+        ``epsilon`` is 0. Rows need not be closed to 1 (the transform is
+        invariant to row scale at ``epsilon=0``).
     epsilon : float
         Pseudo-count added inside the logarithm, >= 0; no default.
 
@@ -62,6 +62,8 @@ def clr(values: np.ndarray, epsilon: float) -> np.ndarray:
     if epsilon < 0:
         raise InvalidValue(f"pseudo-count must be >= 0, got {epsilon}")
     shifted = x + epsilon
+    if not np.isfinite(shifted).all():
+        raise InvalidValue("CLR requires finite entries")
     if np.any(shifted <= 0):
         raise InvalidValue("CLR requires strictly positive entries after the pseudo-count")
     logs = np.log(shifted)

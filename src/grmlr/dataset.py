@@ -11,7 +11,8 @@ abundances.csv : header ``site_id,<taxon_1>,...,<taxon_p>``; decimal fractions.
 macrofauna.csv : header ``site_id,dead,adult,juvenile,clam``; integer counts.
 labels.csv     : header ``site_id,stage``; stage in {juvenile, adult, dead}
                  (case-insensitive on read, lowercase on write).
-adjacency.csv  : header ``taxon,<taxon_1>,...``; rows follow the header's taxa order.
+adjacency.csv  : header ``taxon,<taxon_1>,...``; rows follow the header's taxa order
+                 (written by graph export, never read).
 
 In every table the first header column is the key and another column
 follows it, every row is as wide as the header, and the key column is
@@ -131,6 +132,8 @@ class MacrofaunaCounts:
     def __post_init__(self) -> None:
         arr = np.asarray(self.values)
         n, k = len(self.site_ids), len(self.category_names)
+        if len(set(self.category_names)) != k:
+            raise InvalidValue("duplicate category names in macrofauna table")
         if arr.shape != (n, k):
             raise InvalidShape(
                 f"macrofauna matrix shape {arr.shape} does not match "
@@ -234,7 +237,7 @@ class Dataset:
 
 def _read_file(path: str | Path) -> str:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
@@ -453,7 +456,7 @@ def synthesize_dataset(
         )
     if not 0.0 <= coupling <= 1.0:
         raise InvalidShape(f"coupling must be in [0, 1], got {coupling}")
-    if noise < 0.0:
+    if not noise >= 0.0:
         raise InvalidShape(f"noise must be >= 0, got {noise}")
 
     rng = substream(seed, "synthesize")

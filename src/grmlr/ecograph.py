@@ -8,10 +8,15 @@ Two evidence sources produce weighted adjacency matrices over the p taxa:
 * co-occurrence: taxa whose feature columns have pairwise Spearman
   correlation >= gamma are connected.
 
+Both similarities come from one kernel, ``rankstats._correlations``: the
+Spearman matrices correlate unit-norm rank columns, and the cosines are
+the same Gram product of unit-norm profiles. Both sources then apply one
+edge rule: an entry below its cut and the diagonal become 0, and every
+other entry keeps its similarity as the edge weight, so negative
+similarities never form edges.
+
 The fused adjacency A = alpha * A_macro + (1 - alpha) * A_co feeds the
 combinatorial Laplacian L = D - A used as a smoothing penalty downstream.
-Edges keep their thresholded similarity value; negative correlations never
-form edges.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .compositional import FeatureMatrix
-from .dataset import MacrofaunaCounts, _make_dir, _parse_float, _read_table, _write_csv
+from .dataset import MacrofaunaCounts, _make_dir, _write_csv
 from .errors import (
     AsymmetricInput,
     InvalidAdjacency,
@@ -32,7 +37,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from .rankstats import snap_to_unit, spearman_cross, spearman_matrix
+from .rankstats import _correlations, spearman_cross, spearman_matrix
 
 SYMMETRY_TOLERANCE = 1e-12
 
@@ -73,22 +78,11 @@ def a_macro_from_profiles(profiles: np.ndarray, tau: float) -> np.ndarray:
     Taxa with an all-zero profile (e.g. constant feature columns) get no
     incident edges. Diagonal is 0; the result is exactly symmetric.
     """
-    _check_unit_interval(tau, "tau")
-    p = profiles.shape[0]
     norms = np.sqrt((profiles * profiles).sum(axis=1))
     ok = norms > 0.0
-    unit = profiles / np.where(ok, norms, 1.0)[:, None]
-    cos = snap_to_unit(np.clip(unit @ unit.T, -1.0, 1.0))
-    a = np.where(cos >= tau, cos, 0.0)
-    a[~ok, :] = 0.0
-    a[:, ~ok] = 0.0
-    np.fill_diagonal(a, 0.0)
-    return a
-
-
-def build_a_macro(features: FeatureMatrix, macrofauna: MacrofaunaCounts, tau: float) -> np.ndarray:
-    """Macro-coupling adjacency from site-aligned features and counts."""
-    return a_macro_from_profiles(compute_macro_profiles(features, macrofauna), tau)
+    # the Spearman kernel correlates unit columns, so the cosines are its Gram product
+    unit = (profiles / np.where(ok, norms, 1.0)[:, None]).T
+    return _edges(_correlations(unit, ok, unit, ok), tau, "tau")
 
 
 def compute_co_correlations(features: FeatureMatrix) -> np.ndarray:
@@ -100,15 +94,15 @@ def compute_co_correlations(features: FeatureMatrix) -> np.ndarray:
 
 def a_co_from_correlations(correlations: np.ndarray, gamma: float) -> np.ndarray:
     """Keep positive correlations >= ``gamma`` as edge weights, zero diagonal."""
-    _check_unit_interval(gamma, "gamma")
-    a = np.where(correlations >= gamma, correlations, 0.0)
+    return _edges(correlations, gamma, "gamma")
+
+
+def _edges(similarity: np.ndarray, cut: float, name: str) -> np.ndarray:
+    """``similarity`` with entries below ``cut`` (``name``, in [0, 1]) and the diagonal 0."""
+    _check_unit_interval(cut, name)
+    a = np.where(similarity >= cut, similarity, 0.0)
     np.fill_diagonal(a, 0.0)
     return a
-
-
-def build_a_co(features: FeatureMatrix, gamma: float) -> np.ndarray:
-    """Co-occurrence adjacency from feature columns."""
-    return a_co_from_correlations(compute_co_correlations(features), gamma)
 
 
 def laplacian_of(adjacency: np.ndarray) -> np.ndarray:
@@ -125,9 +119,9 @@ def fuse(
     """Convex fusion alpha * a_macro + (1 - alpha) * a_co plus its Laplacian.
 
     Checks its input as coming from outside: shapes, alpha, and that both
-    matrices are symmetric, nonnegative and zero on the diagonal. The LOOCV
-    fold graphs, whose adjacencies this module built, skip these checks
-    through :func:`_fused`.
+    matrices are finite, symmetric, nonnegative and zero on the diagonal.
+    The LOOCV fold graphs, whose adjacencies this module built, skip these
+    checks through :func:`_fused`.
 
     Raises
     ------
@@ -141,6 +135,8 @@ def fuse(
         raise ShapeMismatch(f"adjacency shapes differ: {a_macro.shape} vs {a_co.shape}")
     _check_unit_interval(alpha, "alpha")
     for name, a in (("a_macro", a_macro), ("a_co", a_co)):
+        if not np.isfinite(a).all():
+            raise InvalidAdjacency(f"{name} has non-finite entries")
         if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
             raise AsymmetricInput(f"{name} is not symmetric")
         if np.any(a < 0.0):
@@ -233,21 +229,6 @@ def write_matrix_csv(path: str | Path, taxa_names: list[str], matrix: np.ndarray
         ["taxon", *taxa_names],
         [[name, *[repr(float(v)) for v in row]] for name, row in zip(taxa_names, matrix)],
     )
-
-
-def read_matrix_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Inverse of :func:`write_matrix_csv`.
-
-    Raises IoFailure, or InvalidValue if the file breaks a table rule of
-    :mod:`grmlr.dataset` or has a cell that is not a finite number.
-    """
-    taxa, rows = _read_table(path, "taxon", _parse_float)
-    if list(rows) != taxa:
-        raise InvalidValue(f"{path}: rows must list the header's taxa in header order")
-    matrix = np.array(list(rows.values()), dtype=float)
-    if not np.isfinite(matrix).all():
-        raise InvalidValue(f"{path}: matrix entries must be finite")
-    return taxa, matrix
 
 
 def _check_unit_interval(value: float, name: str) -> None:

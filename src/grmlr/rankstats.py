@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, TooFewSamples
+from .errors import InvalidValue, LengthMismatch, TooFewSamples
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -54,8 +54,13 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def rank_matrix(values: np.ndarray) -> np.ndarray:
-    """Column-wise :func:`average_ranks` for a 2-D array."""
+    """Column-wise :func:`average_ranks` for a 2-D array.
+
+    NaN has no rank, so it raises InvalidValue; +/-inf rank as the extremes.
+    """
     m = np.asarray(values, dtype=float)
+    if np.isnan(m).any():
+        raise InvalidValue("cannot rank NaN")
     order = np.argsort(m, axis=0, kind="stable")
     ordered = np.take_along_axis(m, order, axis=0)
     # sorted positions i..j of a tie group share the rank (i + j) / 2 + 1
@@ -86,6 +91,8 @@ def spearman(a: np.ndarray, b: np.ndarray) -> float:
 
     Raises
     ------
+    InvalidValue
+        If either vector holds NaN.
     LengthMismatch
         If the vectors differ in length.
     TooFewSamples
@@ -166,18 +173,23 @@ def _leave_one_out(ranks: np.ndarray, removed: slice, kept: np.ndarray) -> tuple
 def _correlations(
     rx: np.ndarray, okx: np.ndarray, ry: np.ndarray, oky: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Correlations of the unit-rank columns ``rx`` (..., m, a) with ``ry`` (..., m, b).
+    """Correlations of the unit-norm columns ``rx`` (..., m, a) with ``ry`` (..., m, b).
 
-    ``okx`` and ``oky`` are the non-constant masks of :func:`_unit`. The
+    The columns are centred ranks from :func:`_unit`, whose Gram products
+    are Spearman correlations, or any other unit-norm columns, such as the
+    macro-coupling profiles whose Gram product is their cosine similarity.
+    ``okx`` and ``oky`` are the masks of the columns that are not zero. The
     result is written into ``out`` (..., a, b), contiguous, when given.
     Stacks are multiplied in one ``np.matmul``, which fits each slice the
     same BLAS call as a lone matrix, so a slice's result does not depend on
-    the stack. Entries of constant columns are then zeroed, the result is
-    clipped to [-1, 1] and snapped to +/-1, in place and one slice at a
-    time, so no step makes a temporary the size of the stack. With ``ry``
-    the same array as ``rx``, numpy's symmetric kernel makes every slice
-    exactly symmetric, and its diagonal is 1 for non-constant columns and
-    0 for constant ones.
+    the stack. Entries of zero columns are then zeroed, and the result is
+    clipped to [-1, 1], in place and one slice at a time, so no step makes a
+    temporary the size of the stack. Magnitudes within 1e-12 of 1 are
+    snapped to exactly +/-1: exact collinearity can land one ulp short after
+    normalization, which would otherwise fail a threshold of exactly 1. With
+    ``ry`` the same array as ``rx``, numpy's symmetric kernel makes every
+    slice exactly symmetric, and its diagonal is 1 for nonzero columns and 0
+    for zero ones.
     """
     a, b = rx.shape[-1], ry.shape[-1]
     corr = np.empty((*rx.shape[:-2], a, b)) if out is None else out
@@ -190,15 +202,5 @@ def _correlations(
         if ry is rx:
             np.fill_diagonal(c, np.where(ok_rows, 1.0, 0.0))
         np.clip(c, -1.0, 1.0, out=c)
-        c[...] = snap_to_unit(c)
+        np.copyto(c, np.sign(c), where=np.abs(np.abs(c) - 1.0) <= 1e-12)
     return corr
-
-
-def snap_to_unit(values: np.ndarray) -> np.ndarray:
-    """Round magnitudes within 1e-12 of 1 to exactly +/-1.
-
-    Correlations and cosines are bounded by 1; exact collinearity can land
-    one ulp short after normalization, which would otherwise fail a
-    threshold of exactly 1.
-    """
-    return np.where(np.abs(np.abs(values) - 1.0) <= 1e-12, np.sign(values), values)

@@ -394,6 +394,47 @@ def test_repeated_key_in_a_file_is_rejected(tmp_path, loader, text, key):
         loader(str(path))
 
 
+def _loaded_model_fields(path):
+    model = load_model(path)
+    return (
+        model.weights.tolist(),
+        model.bias.tolist(),
+        model.taxa_names,
+        model.label_set,
+        model.hyperparams,
+        (model.feature_mode, model.converged, model.n_iterations, model.final_loss),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, text, load",
+    [
+        ("config.txt", "epsilon = 1e-5\nlambda_g = 2\n", cli.load_config),
+        ("grid.txt", "alpha = 0, 0.5\nlambda_g = 1\n", cli.load_grid),
+        ("model.grmlr", None, _loaded_model_fields),
+    ],
+    ids=["config", "grid", "model"],
+)
+def test_byte_order_mark_is_ignored(tmp_path, name, text, load):
+    plain = tmp_path / name
+    if text is None:
+        model = GrmlrModel(
+            np.arange(6.0).reshape(3, 2),
+            np.array([0.5, -0.5, 0.0]),
+            ["t1", "t2"],
+            STAGE_LABELS,
+            GrmlrConfig(lambda_g=2.0),
+            n_iterations=3,
+            final_loss=0.25,
+        )
+        save_model(model, plain)
+    else:
+        plain.write_text(text)
+    marked = tmp_path / f"marked_{name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load(str(marked)) == load(str(plain))
+
+
 def test_repeated_grid_key_exits_one(tmp_path, csv_trio, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("alpha = 0, 0.5\nalpha = 1\n")

@@ -77,6 +77,12 @@ def test_negative_epsilon_rejected():
         clr(np.array([[0.5, 0.5]]), epsilon=-1e-3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(InvalidValue, match="^CLR requires finite entries$"):
+        clr(np.array([[0.5, 0.25, 0.25], [0.5, bad, 0.5]]), epsilon=1e-6)
+
+
 def test_zeros_fine_with_pseudocount():
     out = clr(np.array([[0.0, 0.5, 0.5]]), epsilon=1e-6)
     assert np.isfinite(out).all()

@@ -89,6 +89,14 @@ class TestLoad:
         with pytest.raises(InvalidValue):
             load_dataset(ab, mf)
 
+    def test_duplicate_macrofauna_category(self, tmp_path):
+        ab = tmp_path / "a.csv"
+        ab.write_text("site_id,a,b\ns1,0.5,0.5\n")
+        mf = tmp_path / "m.csv"
+        mf.write_text("site_id,dead,adult,juvenile,dead\ns1,1,2,3,4\n")
+        with pytest.raises(InvalidValue, match="^duplicate category names in macrofauna table$"):
+            load_dataset(ab, mf)
+
     def test_unknown_label(self, tmp_path):
         ab = tmp_path / "a.csv"
         ab.write_text(
@@ -328,6 +336,19 @@ class TestTableReader:
         with pytest.raises(InvalidValue, match="expected header 'site_id,stage'"):
             load_dataset(csv_trio["abundances"], labels_path=path)
 
+    @pytest.mark.parametrize("table", ["abundances", "macrofauna", "labels"])
+    def test_byte_order_mark_is_ignored(self, csv_trio, table):
+        plain = load_dataset(csv_trio["abundances"], csv_trio["macrofauna"], csv_trio["labels"])
+        path = csv_trio[table]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = load_dataset(csv_trio["abundances"], csv_trio["macrofauna"], csv_trio["labels"])
+        assert marked.abundances.site_ids == plain.abundances.site_ids
+        assert marked.abundances.taxa_names == plain.abundances.taxa_names
+        assert np.array_equal(marked.abundances.values, plain.abundances.values)
+        assert marked.macrofauna.category_names == plain.macrofauna.category_names
+        assert np.array_equal(marked.macrofauna.values, plain.macrofauna.values)
+        assert marked.stages.labels == plain.stages.labels
+
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure, match="cannot read"):
             load_dataset(tmp_path / "absent.csv")
@@ -347,6 +368,13 @@ VALIDATION_RAISES = {
         lambda: AbundanceMatrix(["a", "b"], ["x", "x"], _closed(2, 2)),
         InvalidValue,
         "duplicate taxa names in abundance table",
+    ),
+    "duplicate-categories": (
+        lambda: MacrofaunaCounts(
+            ["a"], np.zeros((1, 4), dtype=np.int64), ["dead", "adult", "juvenile", "dead"]
+        ),
+        InvalidValue,
+        "duplicate category names in macrofauna table",
     ),
     "fractional-count": (
         lambda: MacrofaunaCounts(["a"], np.array([[1.0, 2.5, 0.0, 3.0]])),
@@ -395,6 +423,13 @@ VALIDATION_RAISES = {
         lambda: synthesize_dataset(n=6, p=6, K=3, n_blocks=2, coupling=0.5, noise=-0.1, seed=0),
         InvalidShape,
         "noise must be >= 0, got -0.1",
+    ),
+    "synth-noise-nan": (
+        lambda: synthesize_dataset(
+            n=6, p=6, K=3, n_blocks=2, coupling=0.5, noise=float("nan"), seed=0
+        ),
+        InvalidShape,
+        "noise must be >= 0, got nan",
     ),
 }
 

@@ -1,19 +1,21 @@
 """Knowledge-graph construction: adjacency sources, fusion, Laplacian."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from grmlr.compositional import FeatureMatrix, clr_transform
 from grmlr.dataset import MacrofaunaCounts, synthesize_dataset, taxa_blocks
 from grmlr.ecograph import (
-    build_a_co,
-    build_a_macro,
+    a_co_from_correlations,
+    a_macro_from_profiles,
     build_graph,
+    compute_co_correlations,
     compute_macro_profiles,
     export_heatmaps,
     fuse,
     laplacian_of,
-    read_matrix_csv,
 )
 from grmlr.errors import (
     AsymmetricInput,
@@ -48,7 +50,7 @@ class TestAMacro:
         col = np.array([1.0, 3.0, 2.0, 5.0, 4.0])
         feats = _features(np.column_stack([col, col, col[::-1]]))
         counts = _counts(np.array([[1, 2, 0, 1], [3, 1, 2, 0], [2, 0, 1, 2], [5, 4, 3, 1], [4, 3, 1, 3]]))
-        a = build_a_macro(feats, counts, tau=1.0)
+        a = a_macro_from_profiles(compute_macro_profiles(feats, counts), tau=1.0)
         assert a[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert a[0, 0] == 0.0
 
@@ -56,14 +58,14 @@ class TestAMacro:
         base = np.array([1.0, 3.0, 2.0, 5.0, 4.0])
         feats = _features(np.column_stack([base, np.full(5, 2.0), base * 2]))
         counts = _counts(np.array([[1, 2, 0, 1], [3, 1, 2, 0], [2, 0, 1, 2], [5, 4, 3, 1], [4, 3, 1, 3]]))
-        a = build_a_macro(feats, counts, tau=0.0)
+        a = a_macro_from_profiles(compute_macro_profiles(feats, counts), tau=0.0)
         assert np.all(a[1, :] == 0.0)
         assert np.all(a[:, 1] == 0.0)
 
     def test_planted_blocks_have_stronger_within_edges(self):
         ds = synthesize_dataset(n=13, p=8, K=2, n_blocks=2, coupling=1.0, noise=0.0, seed=2)
         feats = clr_transform(ds.abundances, 1e-6)
-        a = build_a_macro(feats, ds.macrofauna, tau=0.0)
+        a = a_macro_from_profiles(compute_macro_profiles(feats, ds.macrofauna), tau=0.0)
         blocks = taxa_blocks(8, 2)
         within, cross = [], []
         for u in range(8):
@@ -76,7 +78,7 @@ class TestAMacro:
         rng = np.random.default_rng(0)
         feats = _features(rng.normal(size=(9, 5)))
         counts = _counts(rng.integers(0, 10, size=(9, 4)))
-        a = build_a_macro(feats, counts, tau=0.3)
+        a = a_macro_from_profiles(compute_macro_profiles(feats, counts), tau=0.3)
         # brute force: per-taxon profile, then cosine, then threshold
         profiles = np.array(
             [
@@ -104,14 +106,14 @@ class TestAMacro:
         feats = _features(np.ones((2, 3)))
         counts = _counts(np.zeros((2, 4), dtype=int))
         with pytest.raises(TooFewSamples):
-            build_a_macro(feats, counts, tau=0.5)
+            a_macro_from_profiles(compute_macro_profiles(feats, counts), tau=0.5)
 
 
 class TestACo:
     def test_duplicate_columns_unit_edge(self):
         col = np.array([0.3, -1.0, 2.0, 0.5])
         feats = _features(np.column_stack([col, col, -col]))
-        a = build_a_co(feats, gamma=0.5)
+        a = a_co_from_correlations(compute_co_correlations(feats), gamma=0.5)
         assert a[0, 1] == 1.0
         assert a[0, 2] == 0.0  # negative correlation dropped
 
@@ -119,14 +121,14 @@ class TestACo:
         feats = _features(
             np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 5.0], [4.0, 4.0]])
         )
-        a = build_a_co(feats, gamma=1.0)
+        a = a_co_from_correlations(compute_co_correlations(feats), gamma=1.0)
         assert np.all(a == 0.0)
 
     def test_toy_matrix_exactly_one_edge(self):
         base = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         wiggly = np.array([2.0, 1.0, 4.0, 3.0, 5.0])
         feats = _features(np.column_stack([base, base * 2, -base, wiggly]))
-        a = build_a_co(feats, gamma=0.9)
+        a = a_co_from_correlations(compute_co_correlations(feats), gamma=0.9)
         nonzero = {(u, v) for u in range(4) for v in range(4) if a[u, v] != 0.0}
         assert nonzero == {(0, 1), (1, 0)}
         # brute-force check of the surviving pair
@@ -136,7 +138,7 @@ class TestACo:
         rng = np.random.default_rng(4)
         feats = _features(rng.normal(size=(10, 7)))
         for gamma in (0.0, 0.3, 0.8):
-            a = build_a_co(feats, gamma)
+            a = a_co_from_correlations(compute_co_correlations(feats), gamma)
             nz = a[a != 0.0]
             assert np.all(nz >= gamma)
 
@@ -176,6 +178,14 @@ class TestFuse:
         diag = np.array([[0.2, 0.0], [0.0, 0.0]])
         with pytest.raises(InvalidAdjacency):
             fuse(diag, np.zeros((2, 2)), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["a_macro", "a_co"])
+    def test_non_finite_entries_rejected(self, name, bad):
+        matrices = {"a_macro": np.zeros((2, 2)), "a_co": np.zeros((2, 2))}
+        matrices[name][0, 1] = matrices[name][1, 0] = bad
+        with pytest.raises(InvalidAdjacency, match=f"^{name} has non-finite entries$"):
+            fuse(matrices["a_macro"], matrices["a_co"], 0.5)
 
     def test_fusion_monotone_in_alpha(self):
         rng = np.random.default_rng(6)
@@ -237,12 +247,13 @@ class TestBuildGraphAndExport:
             ("a_co.csv", g.a_co),
             ("adjacency.csv", g.adjacency),
         ):
-            taxa, loaded = read_matrix_csv(tmp_path / name)
-            assert taxa == g.taxa_names
+            header, *rows = csv.reader((tmp_path / name).read_text().splitlines())
+            assert header == ["taxon", *g.taxa_names]
+            assert [row[0] for row in rows] == g.taxa_names
+            loaded = np.array([[float(v) for v in row[1:]] for row in rows])
             assert np.array_equal(loaded, matrix)
         # recomputing L from the re-imported adjacency reproduces it
-        _, adj = read_matrix_csv(tmp_path / "adjacency.csv")
-        assert np.allclose(laplacian_of(adj), g.laplacian, atol=1e-9)
+        assert np.allclose(laplacian_of(loaded), g.laplacian, atol=1e-9)
 
     def test_export_schema_small_graph(self, tmp_path):
         g = fuse(
@@ -257,33 +268,14 @@ class TestBuildGraphAndExport:
         assert lines[0] == "taxon,x,y"
 
 
-@pytest.mark.parametrize(
-    "body, message",
-    [
-        ("x,0.0,abc\ny,1.0,0.0\n", "taxon 'x', column 'y': not a number: 'abc'"),
-        ("x,0.0,nan\ny,1.0,0.0\n", "matrix entries must be finite"),
-        ("x,0.0,inf\ny,1.0,0.0\n", "matrix entries must be finite"),
-        ("x,0.0\ny,1.0,0.0\n", "row 2 has 2 cells, expected 3"),
-        ("y,1.0,0.0\nx,0.0,1.0\n", "rows must list the header's taxa in header order"),
-        ("x,0.0,1.0\n", "rows must list the header's taxa in header order"),
-        ("x,0.0,1.0\nx,0.0,1.0\n", "row 3 repeats taxon 'x'"),
-    ],
-)
-def test_read_matrix_csv_rejects_malformed_matrix(tmp_path, body, message):
-    path = tmp_path / "adjacency.csv"
-    path.write_text("taxon,x,y\n" + body)
-    with pytest.raises(InvalidValue, match=f"adjacency.csv: {message}"):
-        read_matrix_csv(path)
-
-
 VALIDATION_RAISES = {
     "a-co-too-few-sites": (
-        lambda: build_a_co(_features(np.eye(2)), gamma=0.5),
+        lambda: a_co_from_correlations(compute_co_correlations(_features(np.eye(2))), gamma=0.5),
         TooFewSamples,
         "graph construction needs at least 3 sites",
     ),
     "a-co-gamma": (
-        lambda: build_a_co(_features(np.eye(3)), gamma=1.5),
+        lambda: a_co_from_correlations(compute_co_correlations(_features(np.eye(3))), gamma=1.5),
         InvalidValue,
         r"gamma must be in \[0, 1\], got 1.5",
     ),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from grmlr.errors import LengthMismatch, TooFewSamples
+from grmlr.errors import InvalidValue, LengthMismatch, TooFewSamples
 from grmlr.rankstats import (
     _leave_one_out,
     _unit,
@@ -29,6 +29,18 @@ class TestAverageRanks:
 
     def test_all_tied(self):
         assert average_ranks([5.0, 5.0, 5.0]).tolist() == [2.0, 2.0, 2.0]
+
+    def test_nan_has_no_rank_but_infinities_are_the_extremes(self):
+        assert average_ranks([np.inf, 1.0, -np.inf, np.inf]).tolist() == [3.5, 2.0, 1.0, 3.5]
+        for rank in (average_ranks, rank_matrix):
+            with pytest.raises(InvalidValue, match="^cannot rank NaN$"):
+                rank(np.array([[np.nan], [1.0], [2.0]]))
+        with pytest.raises(InvalidValue, match="^cannot rank NaN$"):
+            spearman([np.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(InvalidValue, match="^cannot rank NaN$"):
+            spearman_cross(np.ones((3, 2)), np.array([[1.0], [np.nan], [2.0]]))
+        with pytest.raises(InvalidValue, match="^cannot rank NaN$"):
+            spearman_matrix(np.array([[1.0, 2.0], [np.nan, 1.0], [2.0, 0.0]]))
 
     @given(
         st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=13)

@@ -1,9 +1,20 @@
-"""Source checks: every private module-level name in grmlr has a use."""
+"""Source checks: every module-level name in grmlr is exported or has a use."""
 
 import ast
 from pathlib import Path
 
+import grmlr
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "grmlr"
+
+
+def _statements() -> list[tuple[str, ast.stmt]]:
+    """(module file name, statement) of every module-level statement in src/grmlr."""
+    return [
+        (path.name, statement)
+        for path in sorted(SRC.glob("*.py"))
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
 
 
 def _defined_names(statement: ast.stmt) -> list[str]:
@@ -30,21 +41,41 @@ def _referenced_names(statement: ast.stmt) -> set[str]:
     return names
 
 
-def test_every_private_module_name_is_used():
-    # (module, name, defining statement) of each private function, class and constant
-    private = []
-    statements = []
-    for path in sorted(SRC.glob("*.py")):
-        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-            statements.append(statement)
-            for name in _defined_names(statement):
-                if name.startswith("_") and not name.startswith("__"):
-                    private.append((path.name, name, statement))
-    references = [(statement, _referenced_names(statement)) for statement in statements]
-    unused = [
+def _unreferenced(defined: list, statements: list) -> list[str]:
+    """'module: name' of each (module, name, definition) that no other statement references."""
+    references = [(statement, _referenced_names(statement)) for _, statement in statements]
+    return [
         f"{module}: {name}"
-        for module, name, definition in private
+        for module, name, definition in defined
         if not any(name in names for statement, names in references if statement is not definition)
     ]
+
+
+def test_every_private_module_name_is_used():
+    statements = _statements()
+    # (module, name, defining statement) of each private function, class and constant
+    private = [
+        (module, name, statement)
+        for module, statement in statements
+        for name in _defined_names(statement)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    unused = _unreferenced(private, statements)
     assert private
     assert not unused, f"private names that nothing in src/grmlr uses: {unused}"
+
+
+def test_every_public_function_and_class_is_exported_or_used():
+    # an import alone is no use: the importer must call or read the name
+    statements = _statements()
+    public = [
+        (module, statement.name, statement)
+        for module, statement in statements
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not statement.name.startswith("_")
+        and statement.name not in grmlr.__all__
+    ]
+    uses = [(m, s) for m, s in statements if not isinstance(s, (ast.Import, ast.ImportFrom))]
+    unused = _unreferenced(public, uses)
+    assert public
+    assert not unused, f"public names outside grmlr.__all__ that src/grmlr never uses: {unused}"
