@@ -221,11 +221,11 @@ def cmd_eval(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     # the macrofauna counts are needed when some evaluated config has alpha > 0
     alphas = [config.alpha]
-    if args.mode == "grid":
+    if args.mode in ("grid", "alpha-sweep"):
         grid = load_grid(args.grid)
+    if args.mode == "grid":
         alphas = grid.get("alpha", alphas)
     elif args.mode == "alpha-sweep":
-        grid = load_grid(args.grid) if args.grid != "default" else None
         alphas = (
             [_coerce("alpha", a, "--alphas") for a in args.alphas.split(",")]
             if args.alphas is not None

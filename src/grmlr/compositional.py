@@ -37,6 +37,10 @@ class FeatureMatrix:
                 f"feature matrix shape {self.values.shape} does not match "
                 f"{len(self.site_ids)} sites x {len(self.taxa_names)} taxa"
             )
+        if len(set(self.site_ids)) != len(self.site_ids):
+            raise InvalidValue("duplicate site ids in feature matrix")
+        if len(set(self.taxa_names)) != len(self.taxa_names):
+            raise InvalidValue("duplicate taxa names in feature matrix")
         reject_non_finite(self.values, self.site_ids, self.taxa_names, "feature", "taxon")
         self.values.setflags(write=False)
 

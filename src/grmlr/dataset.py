@@ -132,6 +132,8 @@ class MacrofaunaCounts:
     def __post_init__(self) -> None:
         arr = np.asarray(self.values)
         n, k = len(self.site_ids), len(self.category_names)
+        if len(set(self.site_ids)) != n:
+            raise InvalidValue("duplicate site ids in macrofauna table")
         if len(set(self.category_names)) != k:
             raise InvalidValue("duplicate category names in macrofauna table")
         if arr.shape != (n, k):

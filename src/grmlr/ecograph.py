@@ -58,10 +58,6 @@ class EcologicalGraph:
             arr.setflags(write=False)
             setattr(self, name, arr)
 
-    @property
-    def n_taxa(self) -> int:
-        return len(self.taxa_names)
-
 
 def compute_macro_profiles(features: FeatureMatrix, macrofauna: MacrofaunaCounts) -> np.ndarray:
     """Per-taxon Spearman profile against every macrofauna category (p x k)."""
@@ -114,12 +110,14 @@ def fuse(
     a_macro: np.ndarray,
     a_co: np.ndarray,
     alpha: float,
-    taxa_names: list[str] | None = None,
+    taxa_names: list[str],
 ) -> EcologicalGraph:
     """Convex fusion alpha * a_macro + (1 - alpha) * a_co plus its Laplacian.
 
-    Checks its input as coming from outside: shapes, alpha, and that both
-    matrices are finite, symmetric, nonnegative and zero on the diagonal.
+    ``taxa_names`` names the p rows and columns of both p x p matrices.
+    Checks its input as coming from outside: shapes, alpha, one name per
+    row, and that both matrices are finite, symmetric, nonnegative and
+    zero on the diagonal.
     The LOOCV fold graphs, whose adjacencies this module built, skip these
     checks through :func:`_fused`.
 
@@ -144,8 +142,6 @@ def fuse(
         if np.abs(np.diag(a)).max(initial=0.0) != 0.0:
             raise InvalidAdjacency(f"{name} has a nonzero diagonal")
     p = a_macro.shape[0]
-    if taxa_names is None:
-        taxa_names = [f"taxon_{j + 1:02d}" for j in range(p)]
     if len(taxa_names) != p:
         raise ShapeMismatch(f"{len(taxa_names)} taxa names for {p} x {p} adjacency")
     return _fused(a_macro, a_co, alpha, list(taxa_names))

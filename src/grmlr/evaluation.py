@@ -681,13 +681,14 @@ def alpha_sweep(
     dataset: Dataset,
     config: GrmlrConfig,
     alphas: Sequence[float],
-    grid: Optional[dict[str, list]] = None,
+    grid: dict[str, list],
     workers: int = 1,
 ) -> list[tuple[float, float]]:
     """Best grid-search LOOCV accuracy attainable at each mixing weight.
 
-    This is one :func:`grid_search` over ``grid`` (``DEFAULT_GRID`` when None)
-    with ``alphas`` as its alpha axis; each row is the best entry at that alpha.
+    This is one :func:`grid_search` over ``grid`` (the CLI's default is
+    ``DEFAULT_GRID``) with ``alphas`` as its alpha axis, in place of any
+    alpha axis ``grid`` has; each row is the best entry at that alpha.
     A fit that several alphas share runs once, so a warning it raises is issued once.
     Raises InvalidValue unless ``workers`` is an integer >= 1.
     """
@@ -697,7 +698,7 @@ def alpha_sweep(
             raise InvalidValue(f"alpha values must lie in [0, 1], got {alpha}")
     if not alphas:
         return []
-    axes = {**(DEFAULT_GRID if grid is None else grid), "alpha": list(alphas)}
+    axes = {**grid, "alpha": list(alphas)}
     entries = grid_search(dataset, axes, workers=workers, base_config=config).entries
     return [
         (float(alpha), GridResult([e for e in entries if e.config.alpha == alpha]).best().accuracy)

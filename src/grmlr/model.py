@@ -48,7 +48,7 @@ import functools
 import json
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -174,7 +174,6 @@ class GrmlrModel:
     converged: bool = True
     n_iterations: int = 0
     final_loss: float = float("nan")
-    loss_history: Optional[list[float]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
@@ -196,10 +195,6 @@ class GrmlrModel:
     @property
     def n_classes(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def n_taxa(self) -> int:
-        return self.weights.shape[1]
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -485,7 +480,6 @@ def fit_arrays(
     sample_weights: np.ndarray,
     laplacian: np.ndarray,
     config: GrmlrConfig,
-    track_history: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Damped exact-Newton minimization of the regularized objective from zero.
 
@@ -526,8 +520,7 @@ def fit_arrays(
     iterates up to rounding.
 
     Returns (W, b, info) where W and b are views of V and info records
-    convergence diagnostics; with ``track_history`` its ``loss_history``
-    holds the objective at the start and after every accepted step.
+    the convergence diagnostics of :func:`_fit_infos`.
 
     Raises InvalidShape if ``Z`` is not an n x p matrix with n >= 1 or
     ``laplacian`` is not p x p, LengthMismatch if ``y`` or
@@ -544,10 +537,8 @@ def fit_arrays(
     negligible, _ = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
     if negligible[0]:
         raise _negligible_ridge(config.lambda_l2)
-    V, f, n_iter, norms, history = _newton(
-        Z, y, K, s, laplacian, lambda_l2, lambda_g, [config], track_history
-    )
-    (info,) = _fit_infos([config], f, n_iter, norms, history)
+    V, f, n_iter, norms = _newton(Z, y, K, s, laplacian, lambda_l2, lambda_g, [config])
+    (info,) = _fit_infos([config], f, n_iter, norms)
     return V[0, :, :p], V[0, :, p], info
 
 
@@ -654,8 +645,7 @@ def _fit_batch(
     over W and b, as :func:`fit_arrays` does. The other problems, all of
     them when n >= p, where the kernel is no smaller, are solved in feature
     space in a stack of their own: each one's V and info are bit for bit
-    those of :func:`fit_arrays` on it alone, without ``track_history``. No
-    info has a ``loss_history``.
+    those of :func:`fit_arrays` on it alone.
     """
     B, n, p = Z.shape
     lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
@@ -667,7 +657,7 @@ def _fit_batch(
     f, n_iter, norms = np.empty(B), np.zeros(B, dtype=int), np.empty(B)
     rows = np.flatnonzero(~kernel & ~negligible)
     if rows.size:
-        V[rows], f[rows], n_iter[rows], norms[rows], _ = _newton(
+        V[rows], f[rows], n_iter[rows], norms[rows] = _newton(
             Z[rows], y[rows], K, s[rows], laplacian[rows], lambda_l2[rows], lambda_g[rows],
             [configs[i] for i in rows],
         )
@@ -677,13 +667,13 @@ def _fit_batch(
             Z[rows], laplacian[rows], lambda_l2[rows], lambda_g[rows]
         )
         m = len(rows)
-        reduced, f[rows], n_iter[rows], norms[rows], _ = _newton(
+        reduced, f[rows], n_iter[rows], norms[rows] = _newton(
             F, y[rows], K, s[rows], np.zeros((m, n, n)), np.full(m, 0.5), np.zeros(m),
             [configs[i] for i in rows], to_weights=to_weights,
         )
         V[rows, :, :p] = reduced[:, :, :n] @ M.transpose(0, 2, 1)
         V[rows, :, p] = reduced[:, :, n]
-    infos = _fit_infos(configs, f.tolist(), n_iter.tolist(), norms.tolist(), None)
+    infos = _fit_infos(configs, f.tolist(), n_iter.tolist(), norms.tolist())
     return V, [
         _negligible_ridge(cfg.lambda_l2) if lost else info
         for cfg, lost, info in zip(configs, negligible.tolist(), infos)
@@ -730,9 +720,8 @@ def _newton(
     lambda_l2: np.ndarray,
     lambda_g: np.ndarray,
     configs: Sequence[GrmlrConfig],
-    track_history: bool = False,
     to_weights: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, list, list, list, Optional[list]]:
+) -> tuple[np.ndarray, list, list, list]:
     """The damped Newton loop of :func:`fit_arrays` on a stack of B same-shape problems.
 
     Z is B x n x p, y and s are B x n and laplacian is B x p x p, all
@@ -748,8 +737,7 @@ def _newton(
     of the stack. For problems in kernel form (:func:`_fit_batch`),
     ``to_weights`` maps each gradient to W-space before its max-norm is
     taken. Returns V, B x K x (p + 1), and per problem its final objective,
-    iteration count and gradient max-norm, and its objective history (None
-    without ``track_history``). Issues no warning.
+    iteration count and gradient max-norm. Issues no warning.
     """
     B, n, p = Z.shape
     d, J = p + 1, K - 1
@@ -770,7 +758,6 @@ def _newton(
     # Per problem, by position in the input stack:
     f = value.tolist()
     n_iter = [0] * B
-    history = [[v] for v in f] if track_history else None
     final_V, final_norm = np.empty_like(V), [0.0] * B
     # Per live problem, by row of V and grad:
     problems = list(range(B))
@@ -809,8 +796,6 @@ def _newton(
                     accepted.append((row, k))
                     n_iter[i] += 1
                     f[i] = new
-                    if history is not None:
-                        history[i].append(new)
                     decrease = (old - new) / max(abs(old), abs(new), 1.0)
                     stopped[row] = decrease <= configs[i].ftol
                 else:
@@ -824,7 +809,7 @@ def _newton(
             pending = failed
         for row in pending:  # no step along the Newton direction passed the Armijo test
             stopped[row] = True
-    return final_V, f, n_iter, final_norm, history
+    return final_V, f, n_iter, final_norm
 
 
 def _fit_infos(
@@ -832,13 +817,14 @@ def _fit_infos(
     f: list[float],
     n_iter: list[int],
     norms: list[float],
-    history: Optional[list],
 ) -> list[dict]:
     """Each fit's info dict, warning NonConvergenceWarning in stack order for each that did not converge.
 
-    A fit has not converged when it hit ``max_iters`` with a gradient
-    max-norm above 1e-3. Each warning names the line that called the
-    solver entry, :func:`fit_arrays` or :func:`_fit_batch`, that called this.
+    An info holds ``converged``, ``n_iterations``, ``final_loss`` (the
+    objective at the returned V) and ``grad_max_norm``. A fit has not
+    converged when it hit ``max_iters`` with a gradient max-norm above
+    1e-3. Each warning names the line that called the solver entry,
+    :func:`fit_arrays` or :func:`_fit_batch`, that called this.
     """
     infos = []
     for i, cfg in enumerate(configs):
@@ -856,7 +842,6 @@ def _fit_infos(
                 "n_iterations": n_iter[i],
                 "final_loss": f[i],
                 "grad_max_norm": norms[i],
-                "loss_history": None if history is None else history[i],
             }
         )
     return infos
@@ -872,13 +857,13 @@ def build_features(dataset_or_abundances, epsilon: float, feature_mode: str) -> 
     raise InvalidValue(f"feature_mode must be one of {_FEATURE_MODES}, got {feature_mode!r}")
 
 
-def fit(
-    dataset: Dataset,
-    config: GrmlrConfig,
-    feature_mode: str = "clr",
-    track_history: bool = False,
-) -> tuple[GrmlrModel, EcologicalGraph]:
+def fit(dataset: Dataset, config: GrmlrConfig) -> tuple[GrmlrModel, EcologicalGraph]:
     """Train a model on a labelled dataset; returns it with the graph used.
+
+    The features are the CLR coordinates of the abundances, as in the
+    paper's pipeline; raw features serve only the no-CLR arm of
+    :func:`~grmlr.evaluation.ablate`, through
+    :func:`~grmlr.evaluation.loocv`.
 
     Raises
     ------
@@ -893,7 +878,7 @@ def fit(
         is (see :func:`fit_arrays`).
     """
     labels = _training_labels(dataset, "fit")
-    features = build_features(dataset, config.epsilon, feature_mode)
+    features = clr_transform(dataset.abundances, config.epsilon)
     graph = build_graph(
         features, dataset.macrofauna, tau=config.tau, gamma=config.gamma, alpha=config.alpha
     )
@@ -906,9 +891,8 @@ def fit(
         _sample_weights(y, K, config.class_balanced),
         graph.laplacian,
         config,
-        track_history=track_history,
     )
-    model = _fitted_model(W, b, info, features.taxa_names, labels.label_set, config, feature_mode)
+    model = _fitted_model(W, b, info, features.taxa_names, labels.label_set, config, "clr")
     return model, graph
 
 
@@ -940,7 +924,6 @@ def _fitted_model(
         converged=info["converged"],
         n_iterations=info["n_iterations"],
         final_loss=info["final_loss"],
-        loss_history=info["loss_history"],
     )
 
 

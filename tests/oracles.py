@@ -139,7 +139,7 @@ def random_fused_graph(rng: np.random.Generator, p: int):
     alpha = float(rng.uniform(0.0, 1.0))
     a_macro = a_macro_from_profiles(profiles, tau)
     a_co = a_co_from_correlations(corr, gamma)
-    return fuse(a_macro, a_co, alpha)
+    return fuse(a_macro, a_co, alpha, [f"t{j}" for j in range(p)])
 
 
 class FullSpaceNewton:

@@ -123,3 +123,16 @@ def test_feature_matrix_rejects_wrong_shape():
     message = r"^feature matrix shape \(2, 2\) does not match 2 sites x 3 taxa$"
     with pytest.raises(InvalidValue, match=message):
         FeatureMatrix(["a", "b"], ["x", "y", "z"], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "sites, taxa, message",
+    [
+        (["a", "a", "b"], ["x", "y"], "duplicate site ids in feature matrix"),
+        (["a", "b", "c"], ["t"] * 2, "duplicate taxa names in feature matrix"),
+    ],
+    ids=["site-ids", "taxa-names"],
+)
+def test_feature_matrix_rejects_duplicate_names(sites, taxa, message):
+    with pytest.raises(InvalidValue, match=f"^{message}$"):
+        FeatureMatrix(sites, taxa, np.zeros((len(sites), len(taxa))))

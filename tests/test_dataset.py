@@ -376,6 +376,11 @@ VALIDATION_RAISES = {
         InvalidValue,
         "duplicate category names in macrofauna table",
     ),
+    "duplicate-macrofauna-site-ids": (
+        lambda: MacrofaunaCounts(["a", "a"], np.zeros((2, 4), dtype=np.int64)),
+        InvalidValue,
+        "duplicate site ids in macrofauna table",
+    ),
     "fractional-count": (
         lambda: MacrofaunaCounts(["a"], np.array([[1.0, 2.5, 0.0, 3.0]])),
         NegativeCount,

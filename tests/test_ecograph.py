@@ -31,12 +31,15 @@ from grmlr.rankstats import spearman
 from oracles import random_fused_graph, trace_penalty_bruteforce
 
 
+def _taxa(p):
+    return [f"t{j}" for j in range(p)]
+
+
 def _features(values, sites=None, taxa=None):
     values = np.asarray(values, dtype=float)
     n, p = values.shape
     sites = sites or [f"s{i}" for i in range(n)]
-    taxa = taxa or [f"t{j}" for j in range(p)]
-    return FeatureMatrix(sites, taxa, values)
+    return FeatureMatrix(sites, taxa or _taxa(p), values)
 
 
 def _counts(values, sites=None):
@@ -152,32 +155,32 @@ class TestFuse:
         c = np.abs(rng.normal(size=(4, 4)))
         c = (c + c.T) / 2
         np.fill_diagonal(c, 0.0)
-        assert np.array_equal(fuse(m, c, alpha=0.0).adjacency, c)
-        assert np.array_equal(fuse(m, c, alpha=1.0).adjacency, m)
+        assert np.array_equal(fuse(m, c, alpha=0.0, taxa_names=_taxa(4)).adjacency, c)
+        assert np.array_equal(fuse(m, c, alpha=1.0, taxa_names=_taxa(4)).adjacency, m)
 
     def test_hand_worked_laplacian(self):
         a_macro = np.array([[0.0, 1.0], [1.0, 0.0]])
         a_co = np.zeros((2, 2))
-        g = fuse(a_macro, a_co, alpha=0.5)
+        g = fuse(a_macro, a_co, alpha=0.5, taxa_names=_taxa(2))
         assert np.array_equal(g.adjacency, [[0.0, 0.5], [0.5, 0.0]])
         assert np.array_equal(g.laplacian, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            fuse(np.zeros((3, 3)), np.zeros((2, 2)), 0.5)
+            fuse(np.zeros((3, 3)), np.zeros((2, 2)), 0.5, _taxa(3))
 
     def test_asymmetric_rejected(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(AsymmetricInput):
-            fuse(bad, np.zeros((2, 2)), 0.5)
+            fuse(bad, np.zeros((2, 2)), 0.5, _taxa(2))
 
     def test_negative_or_diagonal_rejected(self):
         neg = np.array([[0.0, -0.1], [-0.1, 0.0]])
         with pytest.raises(InvalidAdjacency):
-            fuse(neg, np.zeros((2, 2)), 0.5)
+            fuse(neg, np.zeros((2, 2)), 0.5, _taxa(2))
         diag = np.array([[0.2, 0.0], [0.0, 0.0]])
         with pytest.raises(InvalidAdjacency):
-            fuse(diag, np.zeros((2, 2)), 0.5)
+            fuse(diag, np.zeros((2, 2)), 0.5, _taxa(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["a_macro", "a_co"])
@@ -185,7 +188,7 @@ class TestFuse:
         matrices = {"a_macro": np.zeros((2, 2)), "a_co": np.zeros((2, 2))}
         matrices[name][0, 1] = matrices[name][1, 0] = bad
         with pytest.raises(InvalidAdjacency, match=f"^{name} has non-finite entries$"):
-            fuse(matrices["a_macro"], matrices["a_co"], 0.5)
+            fuse(matrices["a_macro"], matrices["a_co"], 0.5, _taxa(2))
 
     def test_fusion_monotone_in_alpha(self):
         rng = np.random.default_rng(6)
@@ -193,9 +196,9 @@ class TestFuse:
         m = (m + m.T) / 2
         np.fill_diagonal(m, 0.0)
         zeros = np.zeros_like(m)
-        prev = fuse(m, zeros, alpha=0.0).adjacency
+        prev = fuse(m, zeros, alpha=0.0, taxa_names=_taxa(5)).adjacency
         for alpha in (0.2, 0.5, 0.8, 1.0):
-            cur = fuse(m, zeros, alpha=alpha).adjacency
+            cur = fuse(m, zeros, alpha=alpha, taxa_names=_taxa(5)).adjacency
             assert np.all(cur >= prev - 1e-15)
             prev = cur
 
@@ -280,7 +283,7 @@ VALIDATION_RAISES = {
         r"gamma must be in \[0, 1\], got 1.5",
     ),
     "fuse-not-square": (
-        lambda: fuse(np.zeros((2, 3)), np.zeros((2, 3)), alpha=0.5),
+        lambda: fuse(np.zeros((2, 3)), np.zeros((2, 3)), alpha=0.5, taxa_names=_taxa(2)),
         ShapeMismatch,
         r"a_macro must be square, got \(2, 3\)",
     ),

@@ -64,6 +64,7 @@ from grmlr.ecograph import (
 from grmlr.model import (
     GrmlrConfig,
     GrmlrModel,
+    _sample_weights,
     build_features,
     class_balanced_weights,
     fit,
@@ -426,6 +427,7 @@ class TestGridFitReuse:
                     a_macro_from_profiles(profiles, tau),
                     a_co_from_correlations(co[scope], gamma),
                     alpha,
+                    features.taxa_names,
                 ).laplacian
                 expected.add(
                     (features.values.tobytes(), lambda_g, laplacian.tobytes() if lambda_g else None)
@@ -450,6 +452,7 @@ class TestGridFitReuse:
                     a_macro_from_profiles(profiles, 0.7),
                     a_co_from_correlations(co_train, 0.9),
                     alphas[1],
+                    plan.taxa_names,
                 ).laplacian.tobytes(),
             )
             for train, co_train, profiles in zip(plan.train, plan.co_train, plan.profiles)
@@ -517,6 +520,73 @@ class TestGridFitReuse:
         )
         assert [e.error for e in scalars.entries] == [None, None]
         assert self._outcomes(scalars) == self._outcomes(plain)
+
+    # How each config field reaches _fold_fit_key, so that two configs share
+    # a fold fit only when they fit the same problem. A new field must join
+    # one class before this test passes.
+    FIT_KEY_CLASSES = {
+        "graph": ("tau", "gamma", "alpha", "co_occurrence_scope"),  # through graph.digest
+        "plan": ("epsilon",),  # through the plan's identity
+        "unread": ("seed",),  # read by no fit
+        "solver": ("class_balanced", "lambda_l2", "lambda_g", "ftol", "gtol", "max_iters"),
+    }
+    OTHER_VALUES = {
+        "epsilon": 1e-3,
+        "tau": 0.3,
+        "gamma": 0.5,
+        "alpha": 0.9,
+        "lambda_l2": 0.05,
+        "lambda_g": 1.0,
+        "ftol": 1e-10,
+        "gtol": 1e-6,
+        "max_iters": 50,
+        "class_balanced": False,
+        "co_occurrence_scope": "all",
+        "seed": 7,
+    }
+
+    @pytest.mark.parametrize("name", list(GrmlrConfig.__dataclass_fields__))
+    def test_every_config_field_reaches_the_fold_fit_key(self, separable, name):
+        kinds = [kind for kind, names in self.FIT_KEY_CLASSES.items() if name in names]
+        assert len(kinds) == 1, f"config field {name!r} is in {len(kinds)} classes, not one"
+        (kind,) = kinds
+        config = GrmlrConfig()
+        other = replace(config, **{name: self.OTHER_VALUES[name]})
+        plan = build_plan(separable, config.epsilon)
+        graphs = evaluation._FoldGraphs(0)
+        graph = graphs.graph(plan, 0, config)
+        labels = plan.y.tobytes()
+        key = evaluation._fold_fit_key(plan, 0, config, labels, graph)
+        other_key = evaluation._fold_fit_key(plan, 0, other, labels, graph)
+        if kind == "solver":
+            assert other_key != key
+            return
+        assert other_key == key
+        if kind == "graph":
+            digests = [
+                (graphs.graph(plan, i, config).digest, graphs.graph(plan, i, other).digest)
+                for i in range(len(plan.y))
+            ]
+            assert any(a != b for a, b in digests)
+        elif kind == "plan":
+            other_plan = build_plan(separable, other.epsilon)
+            assert not np.array_equal(other_plan.features, plan.features)
+            assert evaluation._fold_fit_key(other_plan, 0, other, labels, graph) != key
+        else:
+            train = plan.train[0]
+            K = len(plan.label_set)
+            y = plan.y[train]
+            stack = (
+                plan.features[train][None],
+                y[None],
+                K,
+                _sample_weights(y, K, config.class_balanced)[None],
+                graph.laplacian[None],
+            )
+            V, infos = evaluation._fit_batch(*stack, [config])
+            other_V, other_infos = evaluation._fit_batch(*stack, [other])
+            assert other_V.tobytes() == V.tobytes()
+            assert other_infos == infos
 
 
 class _InlineExecutor:
@@ -695,7 +765,7 @@ class TestPool:
         with pytest.raises(InvalidValue, match=message):
             permutation_test(separable, GrmlrConfig(), B=2, seed=0, workers=workers)
         with pytest.raises(InvalidValue, match=message):
-            alpha_sweep(separable, GrmlrConfig(), [], workers=workers)
+            alpha_sweep(separable, GrmlrConfig(), [], {"lambda_g": [0.0]}, workers=workers)
         assert pool_sizes == []
 
     @pytest.mark.parametrize("B", [2.0, True, "2"])
@@ -922,7 +992,7 @@ class TestAlphaSweep:
         assert len(calls) == 1
 
     def test_no_alphas_no_rows(self, separable):
-        assert alpha_sweep(separable, GrmlrConfig(), []) == []
+        assert alpha_sweep(separable, GrmlrConfig(), [], {"lambda_g": [0.0]}) == []
 
     def test_alpha_axis_of_the_grid_is_overridden(self, separable):
         grid = {"lambda_g": [0.0, 5.0]}

@@ -14,9 +14,12 @@ LOOCV), the worst relative change of [W | b] (max |dV| / max |V| of the
 first tree), the worst relative and absolute change of ``final_loss``, and
 whether every held-out prediction is equal. Each ``grid96/*`` probe
 (workers 1) is equal when every entry's index, config, accuracy, macro-F1
-and error are. A summary follows. It exits 1 when any prediction or grid
-entry differs, and 0 otherwise. Each tree runs in its own Python process;
-a full run takes about a minute on two cores.
+and error are. A summary follows, with the worst signed objective excess
+(f_B - f_A) / |f_A| over all fits. It exits 1 when any prediction or grid
+entry differs or when any fit's ``final_loss`` in the second tree exceeds
+the first tree's by more than ``OBJECTIVE_RTOL`` relative, and 0
+otherwise. Each tree runs in its own Python process; a full run takes
+about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from golden_hashes import GRID_96, SEEDS, fit_configs, import_grmlr, synth_datasets
+
+# A fit of the second tree may end above the first tree's objective by this
+# relative amount: the tolerance perfbench/checks.py applies to the
+# benchmark's fits, so no solver change may make the training objective
+# worse by more than the benchmark allows.
+OBJECTIVE_RTOL = 1e-7
 
 
 def _fit_record(W, b, n_iterations, converged, final_loss) -> dict:
@@ -90,6 +99,7 @@ def _run_tree(src: str, out: Path) -> dict:
 
 def _compare_fits(fits_a: list, fits_b: list) -> dict:
     rel_dv = rel_dloss = abs_dloss = 0.0
+    excess = -np.inf
     for fa, fb in zip(fits_a, fits_b):
         va, vb = np.array(fa["V"]), np.array(fb["V"])
         scale = np.abs(va).max()
@@ -97,20 +107,24 @@ def _compare_fits(fits_a: list, fits_b: list) -> dict:
         rel_dv = max(rel_dv, dv / scale if scale > 0 else dv)
         dloss = abs(fa["final_loss"] - fb["final_loss"])
         abs_dloss = max(abs_dloss, dloss)
-        rel_dloss = max(rel_dloss, dloss / max(abs(fa["final_loss"]), np.finfo(float).tiny))
+        scale = max(abs(fa["final_loss"]), np.finfo(float).tiny)
+        rel_dloss = max(rel_dloss, dloss / scale)
+        excess = max(excess, (fb["final_loss"] - fa["final_loss"]) / scale)
     return {
         "iters": [sum(f["n_iterations"] for f in fits) for fits in (fits_a, fits_b)],
         "converged": [all(f["converged"] for f in fits) for fits in (fits_a, fits_b)],
         "rel_dv": rel_dv,
         "rel_dloss": rel_dloss,
         "abs_dloss": abs_dloss,
+        "excess": excess,
     }
 
 
 def report(a: dict, b: dict) -> int:
     """Print the per-probe table and the summary; return the exit code."""
     mismatches = []
-    totals = {"fits": 0, "iters_differ": 0, "rel_dv": 0.0}
+    totals = {"fits": 0, "iters_differ": 0, "rel_dv": 0.0, "excess": -np.inf}
+    above = []
     flag = {True: "T", False: "F"}
     print(
         f"{'probe':<40} {'l2':>6} {'iters A/B':>11} {'conv':>4} "
@@ -138,6 +152,9 @@ def report(a: dict, b: dict) -> int:
             fa["n_iterations"] != fb["n_iterations"] for fa, fb in zip(ra["fits"], rb["fits"])
         )
         totals["rel_dv"] = max(totals["rel_dv"], cmp["rel_dv"])
+        totals["excess"] = max(totals["excess"], cmp["excess"])
+        if cmp["excess"] > OBJECTIVE_RTOL:
+            above.append(name)
         iters = "{}/{}".format(*cmp["iters"])
         conv = "/".join(flag[c] for c in cmp["converged"])
         print(
@@ -147,12 +164,16 @@ def report(a: dict, b: dict) -> int:
     print()
     print(
         f"{totals['fits']} fits, {totals['iters_differ']} with other iteration "
-        f"counts, worst relative dV {totals['rel_dv']:.2e}"
+        f"counts, worst relative dV {totals['rel_dv']:.2e}, worst objective excess "
+        f"{totals['excess']:+.2e} (bound {OBJECTIVE_RTOL:.0e})"
     )
+    if above:
+        print(f"final_loss rises above the bound in: {', '.join(above)}")
     if mismatches:
         print(f"predictions or grid entries differ in: {', '.join(mismatches)}")
+    if above or mismatches:
         return 1
-    print("every LOOCV prediction and grid entry is equal")
+    print("every LOOCV prediction and grid entry is equal, and no final_loss rises past the bound")
     return 0
 
 

@@ -20,7 +20,7 @@ names each such probe on stderr and exits 1, after printing the JSON.
 
 Probes, on synthetic datasets at 13x26 and 40x160:
 
-* ``fit`` weights, bias, info and loss history for four configs;
+* ``fit`` weights, bias and info for four configs;
 * ``loss`` and ``loss_gradient`` of each fitted model;
 * ``loocv(keep_models=True)`` reports plus every fold model's weights,
   bias and diagnostics;
@@ -157,7 +157,6 @@ def _model_outputs(model) -> list:
         model.converged,
         model.n_iterations,
         model.final_loss,
-        model.loss_history,
     ]
 
 
@@ -187,7 +186,7 @@ def probe_fits(g, probes: Probes, datasets: dict) -> None:
         for cname, config in fit_configs(g).items():
             tag = f"{dname}/{cname}"
             with probes.probe(f"fit/{tag}") as out:
-                model, graph = g.fit(dataset, config, track_history=True)
+                model, graph = g.fit(dataset, config)
                 out += _model_outputs(model)
                 out += [graph.a_macro, graph.a_co, graph.adjacency, graph.laplacian]
             features = g.clr_transform(dataset.abundances, config.epsilon)
