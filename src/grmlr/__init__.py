@@ -24,7 +24,6 @@ from .ecograph import (
     EcologicalGraph,
     build_graph,
     export_heatmaps,
-    fuse,
     laplacian_of,
 )
 from .evaluation import (
@@ -77,7 +76,6 @@ __all__ = [
     "coefficient_ranking",
     "export_heatmaps",
     "fit",
-    "fuse",
     "grid_search",
     "laplacian_of",
     "load_dataset",

@@ -166,6 +166,8 @@ class StageLabels:
     label_set: tuple[str, ...] = STAGE_LABELS
 
     def __post_init__(self) -> None:
+        if len(set(self.site_ids)) != len(self.site_ids):
+            raise InvalidValue("duplicate site ids in stage labels")
         if len(self.labels) != len(self.site_ids):
             raise InvalidShape(
                 f"{len(self.labels)} labels for {len(self.site_ids)} sites"

@@ -17,6 +17,9 @@ similarities never form edges.
 
 The fused adjacency A = alpha * A_macro + (1 - alpha) * A_co feeds the
 combinatorial Laplacian L = D - A used as a smoothing penalty downstream.
+Every graph is fused by one step, :func:`_fused`: :func:`build_graph`
+calls it for the whole data set and the LOOCV fold graphs call it per
+fold, each on adjacencies this module built from training data.
 """
 
 from __future__ import annotations
@@ -28,19 +31,8 @@ import numpy as np
 
 from .compositional import FeatureMatrix
 from .dataset import MacrofaunaCounts, _make_dir, _write_csv
-from .errors import (
-    AsymmetricInput,
-    InvalidAdjacency,
-    InvalidValue,
-    Misalignment,
-    MissingMacrofauna,
-    ShapeMismatch,
-    TooFewSamples,
-)
+from .errors import InvalidValue, Misalignment, MissingMacrofauna, TooFewSamples
 from .rankstats import _correlations, spearman_cross, spearman_matrix
-
-SYMMETRY_TOLERANCE = 1e-12
-
 
 @dataclass(eq=False)
 class EcologicalGraph:
@@ -106,51 +98,14 @@ def laplacian_of(adjacency: np.ndarray) -> np.ndarray:
     return np.diag(adjacency.sum(axis=1)) - adjacency
 
 
-def fuse(
-    a_macro: np.ndarray,
-    a_co: np.ndarray,
-    alpha: float,
-    taxa_names: list[str],
-) -> EcologicalGraph:
-    """Convex fusion alpha * a_macro + (1 - alpha) * a_co plus its Laplacian.
-
-    ``taxa_names`` names the p rows and columns of both p x p matrices.
-    Checks its input as coming from outside: shapes, alpha, one name per
-    row, and that both matrices are finite, symmetric, nonnegative and
-    zero on the diagonal.
-    The LOOCV fold graphs, whose adjacencies this module built, skip these
-    checks through :func:`_fused`.
-
-    Raises
-    ------
-    ShapeMismatch, AsymmetricInput, InvalidAdjacency
-    """
-    a_macro = np.asarray(a_macro, dtype=float)
-    a_co = np.asarray(a_co, dtype=float)
-    if a_macro.ndim != 2 or a_macro.shape[0] != a_macro.shape[1]:
-        raise ShapeMismatch(f"a_macro must be square, got {a_macro.shape}")
-    if a_macro.shape != a_co.shape:
-        raise ShapeMismatch(f"adjacency shapes differ: {a_macro.shape} vs {a_co.shape}")
-    _check_unit_interval(alpha, "alpha")
-    for name, a in (("a_macro", a_macro), ("a_co", a_co)):
-        if not np.isfinite(a).all():
-            raise InvalidAdjacency(f"{name} has non-finite entries")
-        if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
-            raise AsymmetricInput(f"{name} is not symmetric")
-        if np.any(a < 0.0):
-            raise InvalidAdjacency(f"{name} has negative entries")
-        if np.abs(np.diag(a)).max(initial=0.0) != 0.0:
-            raise InvalidAdjacency(f"{name} has a nonzero diagonal")
-    p = a_macro.shape[0]
-    if len(taxa_names) != p:
-        raise ShapeMismatch(f"{len(taxa_names)} taxa names for {p} x {p} adjacency")
-    return _fused(a_macro, a_co, alpha, list(taxa_names))
-
-
 def _fused(
     a_macro: np.ndarray, a_co: np.ndarray, alpha: float, taxa_names: list[str]
 ) -> EcologicalGraph:
-    """The fusion step of :func:`fuse`, without its checks."""
+    """Convex fusion alpha * a_macro + (1 - alpha) * a_co plus its Laplacian.
+
+    Takes adjacencies built by this module and a checked ``alpha``, so it
+    checks nothing itself.
+    """
     adjacency = alpha * a_macro + (1.0 - alpha) * a_co
     return EcologicalGraph(
         taxa_names=taxa_names,
@@ -179,13 +134,16 @@ def build_graph(
         If ``macrofauna`` is None and alpha > 0.
     TooFewSamples
         With fewer than 3 sites.
+    InvalidValue
+        If alpha, tau or gamma is outside [0, 1].
     """
     profiles = None if macrofauna is None else compute_macro_profiles(features, macrofauna)
     co_correlations = compute_co_correlations(features)
     _require_macrofauna(profiles, alpha)
     a_macro = _a_macro_or_zeros(profiles, tau, co_correlations)
     a_co = a_co_from_correlations(co_correlations, gamma)
-    return fuse(a_macro, a_co, alpha, features.taxa_names)
+    _check_unit_interval(alpha, "alpha")
+    return _fused(a_macro, a_co, alpha, list(features.taxa_names))
 
 
 def _require_macrofauna(profiles: np.ndarray | None, alpha: float) -> None:

@@ -45,18 +45,6 @@ class Misalignment(GrmlrError):
     """Site-indexed inputs do not share the same site ordering."""
 
 
-class ShapeMismatch(GrmlrError):
-    """Two matrices that must share a shape do not."""
-
-
-class AsymmetricInput(GrmlrError):
-    """A matrix required to be symmetric is not."""
-
-
-class InvalidAdjacency(GrmlrError):
-    """An adjacency matrix has negative entries or a nonzero diagonal."""
-
-
 class TaxaMismatch(GrmlrError):
     """Feature taxa do not match the model's taxa (names or order)."""
 

@@ -286,11 +286,11 @@ class _FoldGraphs:
 
     A_macro is kept per (plan, fold i, tau), A_co per (plan, i,
     ``co_occurrence_scope``, gamma) and a fold graph per (plan, i, scope,
-    tau, gamma, alpha). Plans count by identity, so every plan must
-    outlive the cache, as the batch evaluator's tasks do. A part that
-    would take the kept bytes past ``limit`` empties the cache first, and
-    is not kept if it alone is larger; so ``_FoldGraphs(0)`` keeps nothing
-    and builds every graph anew.
+    tau, gamma, alpha). Plans count by identity, and a key holds its plan,
+    so no later plan can reuse a kept key. A part that would take the kept
+    bytes past ``limit`` empties the cache first, and is not kept if it
+    alone is larger; so ``_FoldGraphs(0)`` keeps nothing and builds every
+    graph anew.
     """
 
     def __init__(self, limit: int) -> None:
@@ -313,7 +313,7 @@ class _FoldGraphs:
         )
         co = plan.co_all if scope == "all" else plan.co_train[i]
         profiles = None if plan.profiles is None else plan.profiles[i]
-        where = (id(plan), i)
+        where = (plan, i)
 
         def build() -> _FoldGraph:
             a_macro = self._part(
@@ -392,16 +392,16 @@ def _fold_fit_key(
 ) -> tuple:
     """Everything a fold fit depends on.
 
-    That is the features, as the plan's identity (plans of one epsilon may
-    differ in feature mode or data; each outlives its tasks, as in
-    ``_FoldGraphs``), the labels (``labels``, the bytes of the task's label
-    vector), the fold i, the sample weights (``class_balanced``), the
-    penalties, the stopping rule and the Laplacian, as ``graph.digest``: a
-    blake2b digest made once per fold graph, however many label vectors and
-    configs share the graph; at lambda_g = 0 that is the zero graph's.
+    That is the features, as the plan itself, which counts by identity
+    (plans of one epsilon may differ in feature mode or data), the labels
+    (``labels``, the bytes of the task's label vector), the fold i, the
+    sample weights (``class_balanced``), the penalties, the stopping rule
+    and the Laplacian, as ``graph.digest``: a blake2b digest made once per
+    fold graph, however many label vectors and configs share the graph; at
+    lambda_g = 0 that is the zero graph's.
     """
     return (
-        id(plan),
+        plan,
         labels,
         i,
         config.class_balanced,

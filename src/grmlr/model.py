@@ -986,15 +986,31 @@ def load_model(path: str | Path) -> GrmlrModel:
         if isinstance(final_loss, bool) or not isinstance(final_loss, (int, float)):
             raise InvalidValue(f"final_loss must be a number, got {final_loss!r}")
         return GrmlrModel(
-            weights=np.array(payload["weights"], dtype=float),
-            bias=np.array(payload["bias"], dtype=float),
-            taxa_names=list(payload["taxa_names"]),
-            label_set=tuple(payload["label_set"]),
+            weights=_json_numbers(payload["weights"], "weights"),
+            bias=_json_numbers(payload["bias"], "bias"),
+            taxa_names=_json_strings(payload["taxa_names"], "taxa_names"),
+            label_set=tuple(_json_strings(payload["label_set"], "label_set")),
             hyperparams=GrmlrConfig.from_dict(payload["config"]),
             feature_mode=payload["feature_mode"],
             converged=converged,
             n_iterations=n_iter,
             final_loss=float(final_loss),
         )
-    except (InvalidValue, KeyError, TypeError, ValueError) as exc:
+    except (InvalidValue, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidValue(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc
+
+
+def _json_numbers(value: object, key: str) -> np.ndarray:
+    """``value``, a JSON number or nested arrays of numbers, as a float array."""
+    for leaf in np.array(value, dtype=object).flat:
+        # a JSON true/false loads as bool, which numpy would read as 1.0/0.0
+        if type(leaf) not in (int, float):
+            raise InvalidValue(f"{key} must be JSON numbers, got {leaf!r}")
+    return np.array(value, dtype=float)
+
+
+def _json_strings(value: object, key: str) -> list[str]:
+    """``value`` if it is a JSON array of strings."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise InvalidValue(f"{key} must be a JSON array of strings, got {value!r}")
+    return value

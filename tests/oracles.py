@@ -125,7 +125,7 @@ def fit_plain_l2_mlr(Z, y_idx, K, sample_weights, lam_l2, ftol, gtol, max_iters=
 
 def random_fused_graph(rng: np.random.Generator, p: int):
     """Random thresholded-fused adjacency + Laplacian, for property tests."""
-    from grmlr.ecograph import a_co_from_correlations, a_macro_from_profiles, fuse
+    from grmlr.ecograph import _fused, a_co_from_correlations, a_macro_from_profiles
 
     profiles = rng.uniform(-1.0, 1.0, size=(p, 4))
     # occasionally knock out a profile to exercise the no-edge path
@@ -139,7 +139,7 @@ def random_fused_graph(rng: np.random.Generator, p: int):
     alpha = float(rng.uniform(0.0, 1.0))
     a_macro = a_macro_from_profiles(profiles, tau)
     a_co = a_co_from_correlations(corr, gamma)
-    return fuse(a_macro, a_co, alpha, [f"t{j}" for j in range(p)])
+    return _fused(a_macro, a_co, alpha, [f"t{j}" for j in range(p)])
 
 
 class FullSpaceNewton:

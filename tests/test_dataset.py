@@ -409,6 +409,11 @@ VALIDATION_RAISES = {
         NegativeCount,
         "negative count at site 'b', category 'adult'",
     ),
+    "duplicate-label-site-ids": (
+        lambda: StageLabels(["a", "a", "b"], ["adult", "dead", "juvenile"]),
+        InvalidValue,
+        "duplicate site ids in stage labels",
+    ),
     "label-count": (
         lambda: StageLabels(["a", "b"], ["adult"]),
         InvalidShape,

@@ -13,19 +13,11 @@ from grmlr.ecograph import (
     build_graph,
     compute_co_correlations,
     compute_macro_profiles,
+    _fused,
     export_heatmaps,
-    fuse,
     laplacian_of,
 )
-from grmlr.errors import (
-    AsymmetricInput,
-    InvalidAdjacency,
-    InvalidValue,
-    Misalignment,
-    MissingMacrofauna,
-    ShapeMismatch,
-    TooFewSamples,
-)
+from grmlr.errors import InvalidValue, Misalignment, MissingMacrofauna, TooFewSamples
 from grmlr.rankstats import spearman
 
 from oracles import random_fused_graph, trace_penalty_bruteforce
@@ -155,40 +147,15 @@ class TestFuse:
         c = np.abs(rng.normal(size=(4, 4)))
         c = (c + c.T) / 2
         np.fill_diagonal(c, 0.0)
-        assert np.array_equal(fuse(m, c, alpha=0.0, taxa_names=_taxa(4)).adjacency, c)
-        assert np.array_equal(fuse(m, c, alpha=1.0, taxa_names=_taxa(4)).adjacency, m)
+        assert np.array_equal(_fused(m, c, alpha=0.0, taxa_names=_taxa(4)).adjacency, c)
+        assert np.array_equal(_fused(m, c, alpha=1.0, taxa_names=_taxa(4)).adjacency, m)
 
     def test_hand_worked_laplacian(self):
         a_macro = np.array([[0.0, 1.0], [1.0, 0.0]])
         a_co = np.zeros((2, 2))
-        g = fuse(a_macro, a_co, alpha=0.5, taxa_names=_taxa(2))
+        g = _fused(a_macro, a_co, alpha=0.5, taxa_names=_taxa(2))
         assert np.array_equal(g.adjacency, [[0.0, 0.5], [0.5, 0.0]])
         assert np.array_equal(g.laplacian, [[0.5, -0.5], [-0.5, 0.5]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            fuse(np.zeros((3, 3)), np.zeros((2, 2)), 0.5, _taxa(3))
-
-    def test_asymmetric_rejected(self):
-        bad = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(AsymmetricInput):
-            fuse(bad, np.zeros((2, 2)), 0.5, _taxa(2))
-
-    def test_negative_or_diagonal_rejected(self):
-        neg = np.array([[0.0, -0.1], [-0.1, 0.0]])
-        with pytest.raises(InvalidAdjacency):
-            fuse(neg, np.zeros((2, 2)), 0.5, _taxa(2))
-        diag = np.array([[0.2, 0.0], [0.0, 0.0]])
-        with pytest.raises(InvalidAdjacency):
-            fuse(diag, np.zeros((2, 2)), 0.5, _taxa(2))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["a_macro", "a_co"])
-    def test_non_finite_entries_rejected(self, name, bad):
-        matrices = {"a_macro": np.zeros((2, 2)), "a_co": np.zeros((2, 2))}
-        matrices[name][0, 1] = matrices[name][1, 0] = bad
-        with pytest.raises(InvalidAdjacency, match=f"^{name} has non-finite entries$"):
-            fuse(matrices["a_macro"], matrices["a_co"], 0.5, _taxa(2))
 
     def test_fusion_monotone_in_alpha(self):
         rng = np.random.default_rng(6)
@@ -196,9 +163,9 @@ class TestFuse:
         m = (m + m.T) / 2
         np.fill_diagonal(m, 0.0)
         zeros = np.zeros_like(m)
-        prev = fuse(m, zeros, alpha=0.0, taxa_names=_taxa(5)).adjacency
+        prev = _fused(m, zeros, alpha=0.0, taxa_names=_taxa(5)).adjacency
         for alpha in (0.2, 0.5, 0.8, 1.0):
-            cur = fuse(m, zeros, alpha=alpha, taxa_names=_taxa(5)).adjacency
+            cur = _fused(m, zeros, alpha=alpha, taxa_names=_taxa(5)).adjacency
             assert np.all(cur >= prev - 1e-15)
             prev = cur
 
@@ -259,7 +226,7 @@ class TestBuildGraphAndExport:
         assert np.allclose(laplacian_of(loaded), g.laplacian, atol=1e-9)
 
     def test_export_schema_small_graph(self, tmp_path):
-        g = fuse(
+        g = _fused(
             np.array([[0.0, 1.0], [1.0, 0.0]]),
             np.zeros((2, 2)),
             alpha=1.0,
@@ -282,15 +249,12 @@ VALIDATION_RAISES = {
         InvalidValue,
         r"gamma must be in \[0, 1\], got 1.5",
     ),
-    "fuse-not-square": (
-        lambda: fuse(np.zeros((2, 3)), np.zeros((2, 3)), alpha=0.5, taxa_names=_taxa(2)),
-        ShapeMismatch,
-        r"a_macro must be square, got \(2, 3\)",
-    ),
-    "fuse-taxa-names": (
-        lambda: fuse(np.zeros((2, 2)), np.zeros((2, 2)), alpha=0.5, taxa_names=["a"]),
-        ShapeMismatch,
-        "1 taxa names for 2 x 2 adjacency",
+    "build-graph-alpha": (
+        lambda: build_graph(
+            _features(np.eye(3)), _counts(np.eye(3, 4, dtype=int)), tau=0.5, gamma=0.5, alpha=1.5
+        ),
+        InvalidValue,
+        r"alpha must be in \[0, 1\], got 1.5",
     ),
 }
 

@@ -1,11 +1,13 @@
 """Harness: LOOCV, metrics, permutation machinery, grid, ablations, sweep."""
 
+import gc
 import hashlib
 import itertools
 import os
 import re
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -54,12 +56,12 @@ from grmlr.evaluation import (
     write_grid_csv,
 )
 from grmlr.ecograph import (
+    _fused,
     a_co_from_correlations,
     a_macro_from_profiles,
     build_graph,
     compute_co_correlations,
     compute_macro_profiles,
-    fuse,
 )
 from grmlr.model import (
     GrmlrConfig,
@@ -423,7 +425,7 @@ class TestGridFitReuse:
             for alpha, lambda_g, scope, tau, gamma in itertools.product(
                 *self.GRAPH_GRID.values()
             ):
-                laplacian = fuse(
+                laplacian = _fused(
                     a_macro_from_profiles(profiles, tau),
                     a_co_from_correlations(co[scope], gamma),
                     alpha,
@@ -448,7 +450,7 @@ class TestGridFitReuse:
             (
                 plan.features[train].tobytes(),
                 5.0,
-                fuse(
+                _fused(
                     a_macro_from_profiles(profiles, 0.7),
                     a_co_from_correlations(co_train, 0.9),
                     alphas[1],
@@ -587,6 +589,24 @@ class TestGridFitReuse:
             other_V, other_infos = evaluation._fit_batch(*stack, [other])
             assert other_V.tobytes() == V.tobytes()
             assert other_infos == infos
+
+    def test_graph_and_fit_keys_hold_their_plan(self, separable):
+        # a kept key holds its plan, so a later plan cannot take the key over
+        config = GrmlrConfig()
+        plan = build_plan(separable, config.epsilon)
+        graphs = evaluation._FoldGraphs(evaluation._GRAPH_CACHE_BYTES)
+        graph = graphs.graph(plan, 0, config)
+        key = evaluation._fold_fit_key(plan, 0, config, plan.y.tobytes(), graph)
+        alive = weakref.ref(plan)
+        del plan
+        gc.collect()
+        assert alive() is not None
+        graphs.parts.clear()
+        gc.collect()
+        assert alive() is not None  # the fit key alone
+        del key
+        gc.collect()
+        assert alive() is None
 
 
 class _InlineExecutor:

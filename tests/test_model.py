@@ -14,7 +14,7 @@ import pytest
 import grmlr
 from grmlr.compositional import FeatureMatrix, clr_transform
 from grmlr.dataset import StageLabels, synthesize_dataset
-from grmlr.ecograph import fuse
+from grmlr.ecograph import _fused
 from grmlr.errors import (
     EmptyClass,
     InvalidValue,
@@ -75,7 +75,7 @@ def _random_instance(seed, n=5, p=4, K=3, lam_l2=0.03, lam_g=0.7):
     a = np.abs(rng.normal(size=(p, p)))
     a = (a + a.T) / 2
     np.fill_diagonal(a, 0.0)
-    graph = fuse(a, np.zeros_like(a), alpha=1.0, taxa_names=list(feats.taxa_names))
+    graph = _fused(a, np.zeros_like(a), alpha=1.0, taxa_names=list(feats.taxa_names))
     config = GrmlrConfig(lambda_l2=lam_l2, lambda_g=lam_g)
     model = _model(rng.normal(size=(K, p)), rng.normal(size=K), taxa=list(feats.taxa_names),
                    labels=label_set, config=config)
@@ -153,7 +153,7 @@ class TestLoss:
             ],
             dtype=float,
         )
-        graph = fuse(a, np.zeros_like(a), alpha=1.0, taxa_names=["a", "b", "c", "d"])
+        graph = _fused(a, np.zeros_like(a), alpha=1.0, taxa_names=["a", "b", "c", "d"])
         W = np.array([[2.0, 2.0, -1.0, -1.0], [0.0, 0.0, 3.0, 3.0], [1.0, 1.0, 1.0, 1.0]])
         assert float(np.trace(W @ graph.laplacian @ W.T)) == 0.0
         assert trace_penalty_bruteforce(W, graph.adjacency) == 0.0
@@ -268,7 +268,7 @@ class TestFit:
         from grmlr.model import fit_arrays
 
         config = GrmlrConfig(lambda_l2=0.001, lambda_g=1e6)
-        graph = fuse(a, np.zeros_like(a), alpha=1.0, taxa_names=list(feats.taxa_names))
+        graph = _fused(a, np.zeros_like(a), alpha=1.0, taxa_names=list(feats.taxa_names))
         W, b, _ = fit_arrays(
             feats.values, ds.stages.indices(), 3, np.ones(12), graph.laplacian, config
         )
@@ -288,7 +288,7 @@ class TestFit:
         from grmlr.model import fit_arrays
 
         config = GrmlrConfig(lambda_l2=0.02, lambda_g=1e6)
-        graph = fuse(a, np.zeros_like(a), alpha=1.0, taxa_names=list(feats.taxa_names))
+        graph = _fused(a, np.zeros_like(a), alpha=1.0, taxa_names=list(feats.taxa_names))
         W, _, _ = fit_arrays(
             feats.values, ds.stages.indices(), 3, np.ones(12), graph.laplacian, config
         )
@@ -570,8 +570,17 @@ def _malformed_payloads():
         payload["config"]["max_iters"] = "abc"
         return payload
 
+    def huge_weight(payload):
+        payload["weights"][0][0] = 10**400  # a JSON integer too large for a float
+        return payload
+
+    def huge_final_loss(payload):
+        payload["final_loss"] = 10**400
+        return payload
+
     edits = [("array", lambda payload: [payload]), ("ragged", ragged)]
     edits += [("max_iters", bad_max_iters)]
+    edits += [("huge_weight", huge_weight), ("huge_final_loss", huge_final_loss)]
     keys = ("weights", "bias", "feature_mode", "converged", "n_iterations", "final_loss", "config")
     return edits + [(f"no_{key}", drop(key)) for key in keys]
 
@@ -594,6 +603,12 @@ def test_load_model_rejects_malformed_file(tmp_path, name, edit):
         ("n_iterations", True),
         ("final_loss", "0.1"),
         ("class_balanced", "no"),
+        ("taxa_names", "ab"),
+        ("taxa_names", [1, 2]),
+        ("label_set", "xyz"),
+        ("weights", [[True, False], [0.0, 0.0], [0.0, 0.0]]),
+        ("weights", [["0", 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        ("bias", [0.0, False, 0.0]),
     ],
 )
 def test_load_model_rejects_wrongly_typed_values(tmp_path, key, bad):
@@ -670,7 +685,7 @@ def test_taxa_in_another_order_are_rejected():
 
 def test_loss_rejects_misaligned_graph_and_label_set():
     model, feats, labels, graph, s = _random_instance(0)
-    reordered = fuse(
+    reordered = _fused(
         graph.adjacency, np.zeros_like(graph.adjacency), alpha=1.0,
         taxa_names=list(reversed(graph.taxa_names)),
     )

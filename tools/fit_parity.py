@@ -2,9 +2,10 @@
 
 A solver change can alter the last bits of every fitted W, so the hash
 diff of ``tools/golden_hashes.py`` cannot tell a rounding change from a
-regression. This tool runs that script's fit, LOOCV and 96-config grid
-probes (the same datasets and configs, imported from it) on two trees and
-reports how far the numbers moved:
+regression. This tool runs that script's fit, LOOCV and workers-1
+96-config grid probes, hard-regime ones included (the same datasets and
+configs, imported from it), on two trees and reports how far the numbers
+moved:
 
     python3 tools/fit_parity.py --src /path/to/parent/src --src src
 
@@ -19,7 +20,7 @@ and error are. A summary follows, with the worst signed objective excess
 entry differs or when any fit's ``final_loss`` in the second tree exceeds
 the first tree's by more than ``OBJECTIVE_RTOL`` relative, and 0
 otherwise. Each tree runs in its own Python process; a full run takes
-about a minute on two cores.
+about 20 s on two cores.
 """
 
 from __future__ import annotations
@@ -33,7 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from golden_hashes import GRID_96, SEEDS, fit_configs, import_grmlr, synth_datasets
+from golden_hashes import (
+    GRID_96,
+    SEEDS,
+    fit_configs,
+    hard_datasets,
+    import_grmlr,
+    synth_datasets,
+)
 
 # A fit of the second tree may end above the first tree's objective by this
 # relative amount: the tolerance perfbench/checks.py applies to the
@@ -55,8 +63,11 @@ def collect(g) -> dict:
     """Every probe's fits, predictions and grid entries, as JSON-ready records."""
     records = {}
     datasets = synth_datasets(g)
-    for dname, dataset in datasets.items():
-        for cname, config in fit_configs(g).items():
+    hard = hard_datasets(g)
+    cases = [(dname, dataset, fit_configs(g)) for dname, dataset in datasets.items()]
+    cases += [(dname, dataset, {"default": g.GrmlrConfig()}) for dname, dataset in hard.items()]
+    for dname, dataset, configs in cases:
+        for cname, config in configs.items():
             tag = f"{dname}/{cname}"
             model, _ = g.fit(dataset, config)
             records[f"fit/{tag}"] = {
@@ -78,9 +89,10 @@ def collect(g) -> dict:
                 ],
                 "predictions": report.to_dict()["per_fold"],
             }
-    for seed in SEEDS:
-        result = g.grid_search(datasets[f"13x26/seed{seed}"], GRID_96, workers=1)
-        records[f"grid96/seed{seed}"] = {
+    grids = {f"seed{seed}": datasets[f"13x26/seed{seed}"] for seed in SEEDS}
+    for name, dataset in {**grids, **hard}.items():
+        result = g.grid_search(dataset, GRID_96, workers=1)
+        records[f"grid96/{name}"] = {
             "entries": [
                 [e.index, e.config.to_dict(), e.accuracy, e.macro_f1, e.error]
                 for e in result.entries

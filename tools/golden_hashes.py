@@ -46,10 +46,15 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   repeated rows and with columns that are constant, or constant once one
   site is removed;
 * every CLI output file (except ``manifest.json``), stdout, stderr and
-  exit code on a synthetic CSV trio.
+  exit code on a synthetic CSV trio;
+* the hard regime: ``fit`` and ``loocv`` at the default config, the
+  96-config ``grid_search`` with workers 1 and ``permutation_test(B=5,
+  seed=3)`` on four noisy 13x26 datasets (noise 1.5 and 2.0, seeds 0 and
+  7), where LOOCV accuracies and grid entries spread instead of all
+  reading 1.0 as they do at noise 0.1.
 
-Every probe also hashes the warnings it raised; there are 95 probes. A
-full run takes about 30 s on two cores.
+Every probe also hashes the warnings it raised; there are 111 probes. A
+full run takes about 10 s on two cores.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ GRID_TALL = {
 }
 SWEEP_GRID = {"lambda_g": [0.0, 5.0], "tau": [0.5, 0.7], "gamma": [0.8, 0.9]}
 SWEEP_ALPHAS = [0.0, 0.3, 0.7, 1.0]
+HARD_NOISES = (1.5, 2.0)
 
 
 def _feed(h, obj) -> None:
@@ -181,14 +187,31 @@ def synth_datasets(g) -> dict:
     }
 
 
+def hard_datasets(g) -> dict:
+    """The hard-regime datasets, keyed ``13x26-noise<noise>/seed<seed>``."""
+    return {
+        f"13x26-noise{noise}/seed{seed}": g.synthesize_dataset(
+            n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=noise, seed=seed
+        )
+        for noise in HARD_NOISES
+        for seed in SEEDS
+    }
+
+
+def _probe_fit(g, probes: Probes, tag: str, dataset, config):
+    """The ``fit/<tag>`` probe: the model's outputs and graph matrices; returns both."""
+    with probes.probe(f"fit/{tag}") as out:
+        model, graph = g.fit(dataset, config)
+        out += _model_outputs(model)
+        out += [graph.a_macro, graph.a_co, graph.adjacency, graph.laplacian]
+    return model, graph
+
+
 def probe_fits(g, probes: Probes, datasets: dict) -> None:
     for dname, dataset in datasets.items():
         for cname, config in fit_configs(g).items():
             tag = f"{dname}/{cname}"
-            with probes.probe(f"fit/{tag}") as out:
-                model, graph = g.fit(dataset, config)
-                out += _model_outputs(model)
-                out += [graph.a_macro, graph.a_co, graph.adjacency, graph.laplacian]
+            model, graph = _probe_fit(g, probes, tag, dataset, config)
             features = g.clr_transform(dataset.abundances, config.epsilon)
             if config.class_balanced:
                 weights = g.class_balanced_weights(dataset.stages)
@@ -199,30 +222,49 @@ def probe_fits(g, probes: Probes, datasets: dict) -> None:
                 out += list(g.loss_gradient(model, features, dataset.stages, graph, weights))
 
 
-def probe_loocv(g, probes: Probes, datasets: dict) -> None:
+def probe_loocv(g, probes: Probes, datasets: dict, configs: dict) -> None:
     for dname, dataset in datasets.items():
-        for cname, config in fit_configs(g).items():
+        for cname, config in configs.items():
             with probes.probe(f"loocv/{dname}/{cname}") as out:
                 report = g.loocv(dataset, config, keep_models=True)
                 out.append(report.to_dict())
                 out += [_model_outputs(m) for m in report.fold_models]
 
 
+def _probe_grid96(g, probes: Probes, dataset, tmp: Path, name: str, workers: int) -> None:
+    with probes.probe(f"grid96/{name}/workers{workers}") as out:
+        result = g.grid_search(dataset, GRID_96, workers=workers)
+        path = tmp / "grid96.csv"
+        g.evaluation.write_grid_csv(result, path)
+        out.append(path.read_bytes())
+
+
+def _probe_permtest(g, probes: Probes, dataset, name: str) -> None:
+    with probes.probe(f"permtest/{name}") as out:
+        out.append(g.permutation_test(dataset, g.GrmlrConfig(), B=5, seed=3))
+
+
 def probe_evaluation(g, probes: Probes, dataset, tmp: Path, name: str) -> None:
     for workers in (1, 2):
-        with probes.probe(f"grid96/{name}/workers{workers}") as out:
-            result = g.grid_search(dataset, GRID_96, workers=workers)
-            path = tmp / f"grid-{name}-{workers}.csv"
-            g.evaluation.write_grid_csv(result, path)
-            out.append(path.read_bytes())
+        _probe_grid96(g, probes, dataset, tmp, name, workers)
+    _probe_permtest(g, probes, dataset, name)
     config = g.GrmlrConfig()
-    with probes.probe(f"permtest/{name}") as out:
-        out.append(g.permutation_test(dataset, config, B=5, seed=3))
     with probes.probe(f"ablate/{name}") as out:
         out.append({k: v.to_dict() for k, v in g.ablate(dataset, config).items()})
     for workers in (1, 2):
         with probes.probe(f"alpha_sweep/{name}/workers{workers}") as out:
             out.append(g.alpha_sweep(dataset, config, SWEEP_ALPHAS, SWEEP_GRID, workers))
+
+
+def probe_hard(g, probes: Probes, tmp: Path) -> None:
+    """fit, loocv, workers-1 grid96 and permtest probes on the hard-regime datasets."""
+    datasets = hard_datasets(g)
+    config = g.GrmlrConfig()
+    for dname, dataset in datasets.items():
+        _probe_fit(g, probes, f"{dname}/default", dataset, config)
+        _probe_grid96(g, probes, dataset, tmp, dname, 1)
+        _probe_permtest(g, probes, dataset, dname)
+    probe_loocv(g, probes, datasets, {"default": config})
 
 
 def probe_grid_edge(g, probes: Probes) -> None:
@@ -349,13 +391,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmpdir:
         tmp = Path(tmpdir)
         probe_fits(g, probes, datasets)
-        probe_loocv(g, probes, datasets)
+        probe_loocv(g, probes, datasets, fit_configs(g))
         for seed in SEEDS:
             probe_evaluation(g, probes, datasets[f"13x26/seed{seed}"], tmp, f"seed{seed}")
         probe_grid_edge(g, probes)
         probe_permtest_edge(g, probes)
         probe_plans(g, probes, datasets)
         probe_cli(probes, tmp)
+        probe_hard(g, probes, tmp)
     env = {
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
