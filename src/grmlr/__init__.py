@@ -16,7 +16,6 @@ from .dataset import (
     MacrofaunaCounts,
     StageLabels,
     load_dataset,
-    planted_signal_taxa,
     save_dataset,
     synthesize_dataset,
 )
@@ -51,7 +50,6 @@ from .model import (
     predict_proba,
     save_model,
 )
-from .rankstats import average_ranks, spearman
 
 __all__ = [
     "AbundanceMatrix",
@@ -68,7 +66,6 @@ __all__ = [
     "StageLabels",
     "ablate",
     "alpha_sweep",
-    "average_ranks",
     "build_graph",
     "class_balanced_weights",
     "clr",
@@ -85,12 +82,10 @@ __all__ = [
     "loss_gradient",
     "macro_f1",
     "permutation_test",
-    "planted_signal_taxa",
     "predict",
     "predict_proba",
     "raw_features",
     "save_dataset",
     "save_model",
-    "spearman",
     "synthesize_dataset",
 ]

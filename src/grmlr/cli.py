@@ -37,7 +37,6 @@ from .dataset import STAGE_LABELS, synthesize_dataset
 from .ecograph import build_graph, export_heatmaps
 from .errors import GrmlrError, InvalidValue, NonConvergenceWarning
 from .evaluation import (
-    DEFAULT_ALPHAS,
     DEFAULT_GRID,
     ablate,
     alpha_sweep,
@@ -52,8 +51,7 @@ from .evaluation import (
     write_grid_csv,
     write_permutation_report,
 )
-from .model import GrmlrConfig, _predicted_classes, build_features, fit, load_model
-from .model import predict_proba, save_model
+from .model import GrmlrConfig, build_features, fit, load_model, predict, predict_proba, save_model
 from .svgplot import bar_chart, line_chart
 
 EXIT_OK = 0
@@ -202,14 +200,14 @@ def cmd_predict(args) -> int:
     model = load_model(model_path)
     dataset = load_dataset(abundance_path)
     out = _out_dir(args)
+    stages = predict(model, dataset.abundances)
     features = build_features(dataset, model.hyperparams.epsilon, model.feature_mode)
     proba = predict_proba(model, features)
-    picks = _predicted_classes(features.values, model.weights, model.bias)
     path = out / "predictions.csv"
     header = ["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]]
     rows = [
-        [sid, model.label_set[pick], *[repr(float(v)) for v in row]]
-        for sid, pick, row in zip(features.site_ids, picks, proba)
+        [sid, stage, *[repr(float(v)) for v in row]]
+        for sid, stage, row in zip(stages.site_ids, stages.labels, proba)
     ]
     _write_csv(path, header, rows, lineterminator="\n")
     write_manifest(out, "predict", None, [model_path, abundance_path], model.hyperparams.seed)
@@ -229,7 +227,7 @@ def cmd_eval(args) -> int:
         alphas = (
             [_coerce("alpha", a, "--alphas") for a in args.alphas.split(",")]
             if args.alphas is not None
-            else list(DEFAULT_ALPHAS)
+            else list(DEFAULT_GRID["alpha"])
         )
     elif args.mode == "ablate":
         alphas = [1.0]  # the no_co arm

@@ -423,13 +423,6 @@ def taxa_blocks(p: int, n_blocks: int) -> list[np.ndarray]:
     return [b for b in np.array_split(np.arange(p), n_blocks)]
 
 
-def planted_signal_taxa(p: int, K: int, n_blocks: int) -> list[int]:
-    """Indices of taxa in the blocks that carry a class shift."""
-    blocks = taxa_blocks(p, n_blocks)
-    n_signal = min(K, n_blocks)
-    return [int(j) for b in blocks[:n_signal] for j in b]
-
-
 def synthesize_dataset(
     n: int,
     p: int,

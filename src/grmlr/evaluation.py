@@ -81,8 +81,6 @@ DEFAULT_GRID: dict[str, list] = {
     "gamma": [0.7, 0.8, 0.9, 0.95],
 }
 
-DEFAULT_ALPHAS = DEFAULT_GRID["alpha"]
-
 
 @dataclass(eq=False)
 class FoldPrediction:
@@ -512,6 +510,8 @@ def grid_search(
     for name, values in grid.items():
         if name not in known:
             raise UnknownParameter(f"'{name}' is not a config field")
+        if not isinstance(values, (list, tuple)):
+            raise InvalidValue(f"grid axis '{name}' is not a list or tuple")
         if not values:
             raise InvalidValue(f"grid axis '{name}' is empty")
     names = list(grid.keys())
@@ -696,7 +696,7 @@ def alpha_sweep(
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise InvalidValue(f"alpha values must lie in [0, 1], got {alpha}")
-    if not alphas:
+    if len(alphas) == 0:
         return []
     axes = {**grid, "alpha": list(alphas)}
     entries = grid_search(dataset, axes, workers=workers, base_config=config).entries

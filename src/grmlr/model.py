@@ -971,18 +971,18 @@ def load_model(path: str | Path) -> GrmlrModel:
         raise InvalidValue(f"{path}: not a valid model file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise InvalidValue(f"{path}: not a {MODEL_FORMAT} file")
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise InvalidValue(
-            f"{path}: unsupported format version {payload.get('format_version')}"
-        )
+    version = payload.get("format_version")
+    # a JSON true or 1.0 equals 1 in Python, but only the integer 1 is version 1
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise InvalidValue(f"{path}: unsupported format version {version}")
     try:
         converged, n_iter, final_loss = (
             payload[key] for key in ("converged", "n_iterations", "final_loss")
         )
         if not isinstance(converged, bool):
             raise InvalidValue(f"converged must be a JSON bool, got {converged!r}")
-        if isinstance(n_iter, bool) or not isinstance(n_iter, int):
-            raise InvalidValue(f"n_iterations must be an integer, got {n_iter!r}")
+        if isinstance(n_iter, bool) or not isinstance(n_iter, int) or n_iter < 0:
+            raise InvalidValue(f"n_iterations must be an integer >= 0, got {n_iter!r}")
         if isinstance(final_loss, bool) or not isinstance(final_loss, (int, float)):
             raise InvalidValue(f"final_loss must be a number, got {final_loss!r}")
         return GrmlrModel(

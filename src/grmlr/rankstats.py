@@ -34,29 +34,11 @@ import numpy as np
 from .errors import InvalidValue, LengthMismatch, TooFewSamples
 
 
-def average_ranks(values: np.ndarray) -> np.ndarray:
-    """Return 1-based average ranks of ``values``.
-
-    Tied entries share the mean of the positions they would occupy in a
-    sorted ordering, so the rank sum is always n*(n+1)/2.
-
-    Parameters
-    ----------
-    values : array_like, shape (n,)
-        Values to rank, smallest first.
-
-    Returns
-    -------
-    numpy.ndarray
-        Real-valued ranks in the original element order.
-    """
-    return rank_matrix(np.reshape(values, (-1, 1)))[:, 0]
-
-
 def rank_matrix(values: np.ndarray) -> np.ndarray:
-    """Column-wise :func:`average_ranks` for a 2-D array.
+    """1-based average ranks of each column of a 2-D array, smallest first.
 
-    NaN has no rank, so it raises InvalidValue; +/-inf rank as the extremes.
+    Ties share the mean of the positions they would occupy when sorted. NaN
+    has no rank, so it raises InvalidValue; +/-inf rank as the extremes.
     """
     m = np.asarray(values, dtype=float)
     if np.isnan(m).any():
@@ -76,37 +58,13 @@ def rank_matrix(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation between two equal-length vectors.
-
-    Parameters
-    ----------
-    a, b : array_like, shape (n,)
-        Paired observations, n >= 2.
-
-    Returns
-    -------
-    float
-        Correlation in [-1, 1]; 0 if either input is constant.
-
-    Raises
-    ------
-    InvalidValue
-        If either vector holds NaN.
-    LengthMismatch
-        If the vectors differ in length.
-    TooFewSamples
-        If fewer than 2 observations are given.
-    """
-    return float(spearman_cross(np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1)))[0, 0])
-
-
 def spearman_matrix(columns: np.ndarray) -> np.ndarray:
     """Pairwise Spearman correlations between the columns of a matrix.
 
-    Equivalent to calling :func:`spearman` on every column pair, but ranks
-    each column once. Constant columns yield zero rows/columns; the
-    diagonal is 1 except for constant columns, which get 0 everywhere.
+    Equal, up to rounding, to :func:`spearman_cross` of the matrix with
+    itself, but ranks each column once. Constant columns yield zero
+    rows/columns; the diagonal is 1 except for constant columns, which get 0
+    everywhere.
     """
     r, ok = _unit_ranks(columns)
     return _correlations(r, ok, r, ok)
@@ -117,11 +75,18 @@ def spearman_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Returns a (x_cols, y_cols) matrix; entries involving a constant column
     are 0 by the package convention.
+
+    Raises
+    ------
+    InvalidValue
+        If either matrix holds NaN.
+    LengthMismatch
+        If the row counts differ.
+    TooFewSamples
+        If fewer than 2 rows are given.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.shape[0]:
-        raise LengthMismatch(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
+    if len(x) != len(y):
+        raise LengthMismatch(f"row counts differ: {len(x)} vs {len(y)}")
     return _correlations(*_unit_ranks(x), *_unit_ranks(y))
 
 
@@ -130,10 +95,9 @@ def _unit_ranks(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Constant columns are left at zero (their mask entry is False).
     """
-    m = np.asarray(columns, dtype=float)
-    if m.shape[0] < 2:
+    if len(columns) < 2:
         raise TooFewSamples("Spearman correlation needs at least 2 observations")
-    return _unit(rank_matrix(m))
+    return _unit(rank_matrix(columns))
 
 
 def _unit(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

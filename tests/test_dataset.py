@@ -11,7 +11,6 @@ from grmlr.dataset import (
     MacrofaunaCounts,
     StageLabels,
     load_dataset,
-    planted_signal_taxa,
     save_dataset,
     synthesize_dataset,
     taxa_blocks,
@@ -26,7 +25,10 @@ from grmlr.errors import (
     RowSumViolation,
     UnknownLabel,
 )
-from grmlr.rankstats import spearman
+from grmlr.rankstats import spearman_cross
+
+# with K = 2 classes and 2 blocks, each block carries one class's shift
+SIGNAL_TAXA = np.concatenate(taxa_blocks(8, 2)[:2])
 
 
 class TestLoad:
@@ -203,13 +205,8 @@ class TestSynthesize:
     def test_perfect_coupling_no_noise_gives_unit_spearman(self):
         # every taxon in a shifted block must track some macrofauna category
         ds = synthesize_dataset(n=13, p=8, K=2, n_blocks=2, coupling=1.0, noise=0.0, seed=5)
-        signal = planted_signal_taxa(8, 2, 2)
-        counts = ds.macrofauna.values
-        for j in signal:
-            best = max(
-                abs(spearman(ds.abundances.values[:, j], counts[:, c]))
-                for c in range(counts.shape[1])
-            )
+        rho = spearman_cross(ds.abundances.values[:, SIGNAL_TAXA], ds.macrofauna.values)
+        for best in np.abs(rho).max(axis=1):
             assert best == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_coupling_counts_independent_of_blocks(self):
@@ -221,10 +218,9 @@ class TestSynthesize:
             ds = synthesize_dataset(n=13, p=8, K=2, n_blocks=2, coupling=0.0, noise=0.5, seed=seed)
             rng = np.random.default_rng(10_000 + seed)
             fake = rng.permutation(ds.macrofauna.values.copy())
-            for j in planted_signal_taxa(8, 2, 2):
-                for c in range(4):
-                    observed.append(abs(spearman(ds.abundances.values[:, j], ds.macrofauna.values[:, c])))
-                    null.append(abs(spearman(ds.abundances.values[:, j], fake[:, c])))
+            signal = ds.abundances.values[:, SIGNAL_TAXA]
+            observed.extend(np.abs(spearman_cross(signal, ds.macrofauna.values)).ravel())
+            null.extend(np.abs(spearman_cross(signal, fake)).ravel())
         observed_mean = float(np.mean(observed))
         null_mean = float(np.mean(null))
         assert abs(observed_mean - null_mean) < 0.05
@@ -234,14 +230,8 @@ class TestSynthesize:
         vals = []
         for seed in range(20):
             ds = synthesize_dataset(n=13, p=8, K=2, n_blocks=2, coupling=0.9, noise=0.2, seed=seed)
-            signal = planted_signal_taxa(8, 2, 2)
-            for j in signal:
-                vals.append(
-                    max(
-                        abs(spearman(ds.abundances.values[:, j], ds.macrofauna.values[:, c]))
-                        for c in range(4)
-                    )
-                )
+            rho = spearman_cross(ds.abundances.values[:, SIGNAL_TAXA], ds.macrofauna.values)
+            vals.extend(np.abs(rho).max(axis=1))
         assert float(np.mean(vals)) > 0.7
 
     def test_blocks_partition_taxa(self):

@@ -926,6 +926,21 @@ VALIDATION_RAISES = {
         InvalidValue,
         "grid axis 'tau' is empty",
     ),
+    "grid-scalar-axis": (
+        lambda ds: grid_search(ds, {"alpha": 0.5}),
+        InvalidValue,
+        "grid axis 'alpha' is not a list or tuple",
+    ),
+    "grid-zero-axis": (
+        lambda ds: grid_search(ds, {"alpha": 0.0}),
+        InvalidValue,
+        "grid axis 'alpha' is not a list or tuple",
+    ),
+    "grid-array-axis": (
+        lambda ds: grid_search(ds, {"alpha": np.array([0.0, 1.0])}),
+        InvalidValue,
+        "grid axis 'alpha' is not a list or tuple",
+    ),
     "ranking-no-models": (
         lambda ds: coefficient_ranking([]),
         InvalidValue,
@@ -1013,6 +1028,12 @@ class TestAlphaSweep:
 
     def test_no_alphas_no_rows(self, separable):
         assert alpha_sweep(separable, GrmlrConfig(), [], {"lambda_g": [0.0]}) == []
+
+    def test_an_array_of_alphas_gives_the_rows_of_the_equal_list(self, separable):
+        grid = {"lambda_g": [0.0, 5.0]}
+        rows = alpha_sweep(separable, GrmlrConfig(), np.array([0.0, 1.0]), grid)
+        assert rows == alpha_sweep(separable, GrmlrConfig(), [0.0, 1.0], grid)
+        assert alpha_sweep(separable, GrmlrConfig(), np.array([]), grid) == []
 
     def test_alpha_axis_of_the_grid_is_overridden(self, separable):
         grid = {"lambda_g": [0.0, 5.0]}

@@ -609,6 +609,7 @@ def test_load_model_rejects_malformed_file(tmp_path, name, edit):
         ("weights", [[True, False], [0.0, 0.0], [0.0, 0.0]]),
         ("weights", [["0", 0.0], [0.0, 0.0], [0.0, 0.0]]),
         ("bias", [0.0, False, 0.0]),
+        ("n_iterations", -1),
     ],
 )
 def test_load_model_rejects_wrongly_typed_values(tmp_path, key, bad):
@@ -671,10 +672,13 @@ def test_load_model_rejects_other_format_versions(tmp_path):
     path = tmp_path / "model.grmlr"
     save_model(_model(np.zeros((3, 2)), np.zeros(3)), path)
     payload = json.loads(path.read_text())
-    payload["format_version"] = 2
-    path.write_text(json.dumps(payload))
-    with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}: unsupported format version 2$"):
-        load_model(path)
+    # true and 1.0 equal 1 once loaded, but only the JSON integer 1 is version 1
+    for version in (2, True, 1.0):
+        payload["format_version"] = version
+        path.write_text(json.dumps(payload))
+        message = f"^{re.escape(str(path))}: unsupported format version {version}$"
+        with pytest.raises(InvalidValue, match=message):
+            load_model(path)
 
 
 def test_taxa_in_another_order_are_rejected():

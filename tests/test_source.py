@@ -1,18 +1,20 @@
-"""Source checks: every module-level name in grmlr is exported or has a use."""
+"""Source checks: every module-level name in grmlr is exported or has a use,
+and every exported name has a use in a program."""
 
 import ast
 from pathlib import Path
 
 import grmlr
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "grmlr"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "grmlr"
 
 
-def _statements() -> list[tuple[str, ast.stmt]]:
-    """(module file name, statement) of every module-level statement in src/grmlr."""
+def _statements(paths=None) -> list[tuple[str, ast.stmt]]:
+    """(file name, statement) of every module-level statement in ``paths``, by default src/grmlr."""
     return [
         (path.name, statement)
-        for path in sorted(SRC.glob("*.py"))
+        for path in (sorted(SRC.glob("*.py")) if paths is None else paths)
         for statement in ast.parse(path.read_text(encoding="utf-8")).body
     ]
 
@@ -79,3 +81,22 @@ def test_every_public_function_and_class_is_exported_or_used():
     unused = _unreferenced(public, uses)
     assert public
     assert not unused, f"public names outside grmlr.__all__ that src/grmlr never uses: {unused}"
+
+
+def test_every_exported_name_has_a_program_use():
+    # the programs are src/grmlr beyond its __init__.py, tools/ and perfbench/;
+    # tests are not programs, so a name that only tests call is not exported
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    tools = sorted((ROOT / "tools").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    src = _statements(modules)
+    statements = src + _statements(tools)
+    exported = [
+        (module, name, statement)
+        for module, statement in src
+        for name in _defined_names(statement)
+        if name in grmlr.__all__
+    ]
+    uses = [(m, s) for m, s in statements if not isinstance(s, (ast.Import, ast.ImportFrom))]
+    unused = _unreferenced(exported, uses)
+    assert sorted(name for _, name, _ in exported) == sorted(grmlr.__all__)
+    assert not unused, f"names in grmlr.__all__ that no program uses: {unused}"
