@@ -18,8 +18,11 @@ similarities never form edges.
 The fused adjacency A = alpha * A_macro + (1 - alpha) * A_co feeds the
 combinatorial Laplacian L = D - A used as a smoothing penalty downstream.
 Every graph is fused by one step, :func:`_fused`: :func:`build_graph`
-calls it for the whole data set and the LOOCV fold graphs call it per
-fold, each on adjacencies this module built from training data.
+calls it for the whole data set and the LOOCV fold graphs call it for a
+block of folds at a time, each on adjacencies this module built from
+training data. The steps from profiles and correlations to a Laplacian
+take leading stack axes, one per graph, and build each graph of a stack
+bit for bit as they build it alone.
 """
 
 from __future__ import annotations
@@ -61,15 +64,15 @@ def compute_macro_profiles(features: FeatureMatrix, macrofauna: MacrofaunaCounts
 
 
 def a_macro_from_profiles(profiles: np.ndarray, tau: float) -> np.ndarray:
-    """Cosine similarity of correlation profiles, thresholded at ``tau``.
+    """Cosine similarity of correlation profiles (..., p, k), thresholded at ``tau``.
 
     Taxa with an all-zero profile (e.g. constant feature columns) get no
     incident edges. Diagonal is 0; the result is exactly symmetric.
     """
-    norms = np.sqrt((profiles * profiles).sum(axis=1))
+    norms = np.sqrt((profiles * profiles).sum(axis=-1))
     ok = norms > 0.0
     # the Spearman kernel correlates unit columns, so the cosines are its Gram product
-    unit = (profiles / np.where(ok, norms, 1.0)[:, None]).T
+    unit = np.swapaxes(profiles / np.where(ok, norms, 1.0)[..., None], -1, -2)
     return _edges(_correlations(unit, ok, unit, ok), tau, "tau")
 
 
@@ -86,16 +89,24 @@ def a_co_from_correlations(correlations: np.ndarray, gamma: float) -> np.ndarray
 
 
 def _edges(similarity: np.ndarray, cut: float, name: str) -> np.ndarray:
-    """``similarity`` with entries below ``cut`` (``name``, in [0, 1]) and the diagonal 0."""
+    """``similarity`` (..., p, p), entries below ``cut`` (``name``, in [0, 1]) and diagonals 0."""
     _check_unit_interval(cut, name)
     a = np.where(similarity >= cut, similarity, 0.0)
-    np.fill_diagonal(a, 0.0)
+    _diagonal(a)[...] = 0.0
     return a
 
 
 def laplacian_of(adjacency: np.ndarray) -> np.ndarray:
-    """Combinatorial Laplacian D - A of a weighted adjacency matrix."""
-    return np.diag(adjacency.sum(axis=1)) - adjacency
+    """Combinatorial Laplacian D - A of a weighted adjacency matrix (..., p, p)."""
+    laplacian = np.zeros_like(adjacency)
+    _diagonal(laplacian)[...] = adjacency.sum(axis=-1)
+    laplacian -= adjacency
+    return laplacian
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each (..., p, p) slice of ``a``."""
+    return np.einsum("...ii->...i", a)
 
 
 def _fused(
@@ -103,8 +114,8 @@ def _fused(
 ) -> EcologicalGraph:
     """Convex fusion alpha * a_macro + (1 - alpha) * a_co plus its Laplacian.
 
-    Takes adjacencies built by this module and a checked ``alpha``, so it
-    checks nothing itself.
+    Takes adjacencies built by this module, one graph or a stack of them,
+    and a checked ``alpha``, so it checks nothing itself.
     """
     adjacency = alpha * a_macro + (1.0 - alpha) * a_co
     return EcologicalGraph(

@@ -15,13 +15,19 @@ the objective: such fits get a zero Laplacian.
 
 The grid search (and so the alpha sweep) and the permutation test run on
 one batch evaluator, ``_loocv_tasks``, whose tasks are LOOCVs of (plan,
-config, labels). Whatever the worker count, it builds each fold graph that
-the tasks share once while it is kept, and fits each distinct fold problem
-once, in stacks that it forms from the tasks alone and that an executor,
-inline or a process pool, fits through ``model._fit_batch``. That solver
-fits a fold with a firm ridge and fewer training sites than taxa in
-kernel form, in n_train-dimensional coordinates, and every other fold in
-feature space; both take the same Newton iterates up to rounding.
+config, labels). Whatever the worker count, it finds each task's skipped
+folds in one pass, builds each fold graph that the tasks share once
+while it is kept, a block of folds in one stacked pass, and fits each
+distinct fold problem once, in stacks that it forms from the tasks alone
+and that an executor, inline or a process pool, fits through
+``model._fit_batch``. That solver fits a fold with a firm ridge and fewer
+training sites than taxa in kernel form, in n_train-dimensional
+coordinates, and every other fold in feature space; both take the same
+Newton iterates up to rounding. A stack holds as many fold problems as
+``model._STACK_BYTES`` holds in the form that they are solved in, so at
+paper scale a small grid is one stack, which the evaluator fits inline:
+a pool starts only at a call's first full stack, since a pool cannot
+split a stack.
 
 :func:`loocv`, and so the ablations, evaluate one config, so they keep no
 graphs and make one ``fit_arrays`` call per fold, in feature space: they
@@ -35,6 +41,7 @@ and so reads a higher peak RSS.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -176,9 +183,10 @@ def macro_f1(
 # many folds at a time as fit: all folds up to 40 x 160, and at 120 x 400
 # 44 of the 120, whose ranks take 46 MB. And a batch evaluation keeps
 # this much of fold Laplacians and adjacency parts, so that the configs and
-# label vectors sharing a fold graph build it once, emptying it when full:
+# label vectors sharing a fold graph build it once, emptying it when full;
+# it builds them in blocks of folds that fit the room left (_FoldGraphs):
 # the default grid's 1716 distinct fold graphs at 13 x 26 take about 9.3 MB,
-# one graph at 40 x 160 takes 200 KiB.
+# one graph at 40 x 160 takes 200 KiB, so a block there holds up to 20 folds.
 _GRAPH_CACHE_BYTES = 16 * 1024 * 1024
 
 
@@ -280,15 +288,19 @@ class _FoldGraph:
 
 
 class _FoldGraphs:
-    """Fold graphs and their adjacency parts, each built once while it is kept.
+    """Fold graphs and their adjacency parts, built a block of folds at a time and kept.
 
     A_macro is kept per (plan, fold i, tau), A_co per (plan, i,
     ``co_occurrence_scope``, gamma) and a fold graph per (plan, i, scope,
-    tau, gamma, alpha). Plans count by identity, and a key holds its plan,
-    so no later plan can reuse a kept key. A part that would take the kept
-    bytes past ``limit`` empties the cache first, and is not kept if it
-    alone is larger; so ``_FoldGraphs(0)`` keeps nothing and builds every
-    graph anew.
+    tau, gamma, alpha), each as its fold's slice. Plans count by identity,
+    and a key holds its plan, so no later plan can reuse a kept key. A fold
+    graph not kept is built with those of the next folds that are not kept
+    either, in one stacked pass of each ecograph step, as many folds as the
+    room left under ``limit`` holds: a fold counts four p x p parts, its
+    A_macro, A_co and Laplacian, which are kept, and the adjacency that its
+    Laplacian is made from. So kept parts never take the cache past
+    ``limit``. When the room holds no fold, the cache empties first; so
+    ``_FoldGraphs(0)`` keeps nothing and builds every graph alone.
     """
 
     def __init__(self, limit: int) -> None:
@@ -303,31 +315,57 @@ class _FoldGraphs:
         alpha > 0, at any lambda_g.
         """
         _require_macrofauna(plan.profiles, config.alpha)
+        p = len(plan.taxa_names)
         if config.lambda_g == 0.0:
-            p = len(plan.taxa_names)
-            return self._part(("zero", p), lambda: _FoldGraph(np.zeros((p, p))))
+            zero = ("zero", p)
+            return self.parts.get(zero) or self._keep(zero, _FoldGraph(np.zeros((p, p))))
         scope, tau, gamma, alpha = (
             config.co_occurrence_scope, config.tau, config.gamma, config.alpha
         )
-        co = plan.co_all if scope == "all" else plan.co_train[i]
-        profiles = None if plan.profiles is None else plan.profiles[i]
-        where = (plan, i)
+        graph_key = ("graph", plan, scope, tau, gamma, alpha)
+        if (*graph_key, i) in self.parts:
+            return self.parts[(*graph_key, i)]
+        room = (self.limit - self.nbytes) // (4 * 8 * p * p)
+        if room < 1:
+            self.parts.clear()
+            self.nbytes = 0
+            room = max(1, self.limit // (4 * 8 * p * p))
+        stop = i + 1
+        while stop < min(len(plan.train), i + room) and (*graph_key, stop) not in self.parts:
+            stop += 1
+        folds = slice(i, stop)
+        if scope == "all":
+            co = np.broadcast_to(plan.co_all, (stop - i, p, p))
+        else:
+            co = plan.co_train[folds]
+        profiles = None if plan.profiles is None else plan.profiles[folds]
+        a_macro = self._slices(
+            [("macro", plan, j, tau) for j in range(i, stop)],
+            lambda: _a_macro_or_zeros(profiles, tau, co),
+        )
+        a_co = self._slices(
+            [("co", plan, j, scope, gamma) for j in range(i, stop)],
+            lambda: a_co_from_correlations(co, gamma),
+        )
+        laplacians = _fused(a_macro, a_co, alpha, plan.taxa_names).laplacian
+        graphs = [_FoldGraph(laplacian) for laplacian in laplacians]
+        for j, graph in enumerate(graphs, start=i):
+            self._keep((*graph_key, j), graph)
+        return graphs[0]
 
-        def build() -> _FoldGraph:
-            a_macro = self._part(
-                ("macro", *where, tau), lambda: _a_macro_or_zeros(profiles, tau, co)
-            )
-            a_co = self._part(
-                ("co", *where, scope, gamma), lambda: a_co_from_correlations(co, gamma)
-            )
-            return _FoldGraph(_fused(a_macro, a_co, alpha, plan.taxa_names).laplacian)
+    def _slices(self, keys: list, build) -> np.ndarray:
+        """The stack of the fold slices kept at ``keys``, or else ``build()``'s, which are kept."""
+        if all(key in self.parts for key in keys):
+            return np.stack([self.parts[key] for key in keys])
+        stack = build()
+        for key, part in zip(keys, stack):
+            self._keep(key, part)
+        return stack
 
-        return self._part(("graph", *where, scope, tau, gamma, alpha), build)
-
-    def _part(self, key: tuple, build):
+    def _keep(self, key: tuple, part):
+        """Keep ``part`` at ``key`` unless kept, emptying a cache it would overflow; return it."""
         if key in self.parts:
-            return self.parts[key]
-        part = build()
+            return part
         if self.nbytes + part.nbytes > self.limit:
             self.parts.clear()
             self.nbytes = 0
@@ -337,17 +375,10 @@ class _FoldGraphs:
         return part
 
 
-def _fold_problem(
-    plan: LoocvPlan, i: int, config: GrmlrConfig, y: np.ndarray, graphs: _FoldGraphs
-) -> Optional[tuple[np.ndarray, _FoldGraph]]:
-    """Training labels and graph (from ``graphs``) of fold i.
-
-    None when the fold's training labels miss a class, so the fold is skipped.
-    """
-    y_train = y[plan.train[i]]
-    if np.any(np.bincount(y_train, minlength=len(plan.label_set)) == 0):
-        return None
-    return y_train, graphs.graph(plan, i, config)
+def _skipped_folds(y: np.ndarray, K: int) -> list[bool]:
+    """Whether each fold's training labels, ``y`` without fold i's, miss one of the K classes."""
+    left = np.bincount(y, minlength=K) - (y[:, None] == np.arange(K))
+    return (left == 0).any(axis=1).tolist()
 
 
 def _held_out_prediction(plan: LoocvPlan, i: int, W: np.ndarray, b: np.ndarray) -> int:
@@ -432,14 +463,14 @@ def loocv(
     graphs = _FoldGraphs(0)
     predictions: list[Optional[int]] = []
     models: list[GrmlrModel] = []
-    for i, train in enumerate(plan.train):
-        problem = _fold_problem(plan, i, config, plan.y, graphs)
-        if problem is None:
+    for i, (train, skipped) in enumerate(zip(plan.train, _skipped_folds(plan.y, K))):
+        if skipped:
             predictions.append(None)
             continue
-        y_train, graph = problem
+        laplacian = graphs.graph(plan, i, config).laplacian
+        y_train = plan.y[train]
         s = _sample_weights(y_train, K, config.class_balanced)
-        W, b, info = fit_arrays(plan.features[train], y_train, K, s, graph.laplacian, config)
+        W, b, info = fit_arrays(plan.features[train], y_train, K, s, laplacian, config)
         predictions.append(_held_out_prediction(plan, i, W, b))
         if keep_models:
             fitted = (W, b, info, plan.taxa_names, plan.label_set, config, plan.feature_mode)
@@ -536,46 +567,55 @@ def grid_search(
 def _loocv_tasks(tasks: list, workers: int) -> list:
     """(accuracy, macro-F1), or the GrmlrError raised, of each (plan, config, labels) task's LOOCV.
 
-    Fold graphs come from one ``_FoldGraphs``, so tasks share them. Each
-    task's fold-fit keys (None: fold skipped) are made once; a fold problem
-    not seen before joins a queue in first-seen order, and a full queue is
-    one stack. An executor fits the stacks: a ProcessPoolExecutor of
+    Fold graphs come from one ``_FoldGraphs``, so tasks share them, and
+    each task's skipped folds are found in one pass. Each task's fold-fit
+    keys (None: fold skipped) are made once; a fold problem not seen before
+    joins a queue in first-seen order, and a full queue, of
+    ``model._stack_capacity`` problems, is one stack. An executor fits the
+    stacks: from the first full stack on, a ProcessPoolExecutor of
     min(workers, len(tasks), usable CPUs) processes, or with one, an inline
-    one. They are settled oldest first into ``memo``, at most 2 x that size
-    unsettled at once, so every worker count makes the same fits and
-    warnings in the same order. Each outcome, :func:`loocv`'s on the task up
-    to rounding (see ``model._fit_batch``), is read from ``memo`` at the end.
+    one; a call whose only stack is the last fits it inline. They are
+    settled oldest first into ``memo``, at most 2 x that size unsettled at
+    once, so every worker count makes the same fits and warnings in the
+    same order. Each outcome, :func:`loocv`'s on the task up to rounding
+    (see ``model._fit_batch``), is read from ``memo`` at the end.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = min(workers, len(tasks), cpus or 1)
     graphs = _FoldGraphs(_GRAPH_CACHE_BYTES)
     memo: dict = {}  # fit key -> held-out prediction; None while queued or unsettled
-    queue: list = []  # (fit key, plan, fold, config, y_train, graph), all of one shape
+    queue: list = []  # (fit key, plan, fold, config, task's labels y, graph), all of one shape
     unsettled: collections.deque = collections.deque()
     keyed: list = []  # per task: its folds' fit keys, or the GrmlrError it raised
-    with ProcessPoolExecutor(max_workers=size) if size > 1 else _InlineExecutor() as pool:
+    with contextlib.ExitStack() as resources:
+        inline, pool = _InlineExecutor(), None
         for plan, config, y in tasks:
             keys: list = []
             labels = y.tobytes()
-            capacity = _stack_capacity(len(plan.label_set), len(plan.taxa_names))
+            K = len(plan.label_set)
+            capacity = _stack_capacity(K, len(y) - 1, len(plan.taxa_names))
             try:
-                for i in range(len(y)):
-                    problem = _fold_problem(plan, i, config, y, graphs)
-                    if problem is None:
+                for i, skipped in enumerate(_skipped_folds(y, K)):
+                    if skipped:
                         keys.append(None)
                         continue
-                    key = _fold_fit_key(plan, i, config, labels, problem[1])
+                    graph = graphs.graph(plan, i, config)
+                    key = _fold_fit_key(plan, i, config, labels, graph)
                     keys.append(key)
                     if key not in memo:
                         memo[key] = None
-                        queue.append((key, plan, i, config, *problem))
+                        queue.append((key, plan, i, config, y, graph))
                         if len(queue) == capacity:
+                            if pool is None:  # the first full stack; a lone last one fits inline
+                                pool = inline if size == 1 else resources.enter_context(
+                                    ProcessPoolExecutor(max_workers=size)
+                                )
                             _submit(pool, queue, unsettled, memo, 2 * size)
             except GrmlrError as exc:
                 keys = exc.with_traceback(None)
             keyed.append(keys)
         if queue:
-            _submit(pool, queue, unsettled, memo, 2 * size)
+            _submit(pool or inline, queue, unsettled, memo, 2 * size)
         _settle(unsettled, memo, 0)
     return [_loocv_outcome(memo, *task, keys) for task, keys in zip(tasks, keyed)]
 
@@ -607,9 +647,10 @@ class _InlineExecutor(Executor):
 def _submit(pool: Executor, queue: list, unsettled, memo: dict, limit: int) -> None:
     """Once fewer than ``limit`` stacks are unsettled, submit the queue as one; empty it."""
     _settle(unsettled, memo, limit - 1)
-    keys, plans, folds, configs, y_train, graphs = zip(*queue)
+    keys, plans, folds, configs, ys, graphs = zip(*queue)
     queue.clear()
     K = len(plans[0].label_set)
+    y_train = [y[plan.train[i]] for plan, i, y in zip(plans, folds, ys)]
     future = pool.submit(
         _fit_stack,
         np.stack([plan.features[plan.train[i]] for plan, i in zip(plans, folds)]),

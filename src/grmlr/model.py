@@ -307,7 +307,7 @@ def _objective(
     Z: np.ndarray,
     onehot: np.ndarray,
     s: np.ndarray,
-    laplacian: np.ndarray,
+    laplacian: Optional[np.ndarray],
     lambda_l2: np.ndarray,
     lambda_g: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -315,10 +315,11 @@ def _objective(
 
     V and the gradient are B x K x (p + 1), Z is B x n x p, ``onehot`` is
     the B x n x K boolean one-hot of the labels, s is B x n, laplacian is
-    B x p x p, and lambda_l2, lambda_g and the returned objective values
-    have length B. Every product and reduction runs over one problem's
-    slice along the axis it runs along for that problem alone, so a
-    problem's values do not depend on the rest of the stack.
+    B x p x p, or None for no graph penalty, and lambda_l2, lambda_g and
+    the returned objective values have length B. Every product and
+    reduction runs over one problem's slice along the axis it runs along
+    for that problem alone, so a problem's values do not depend on the
+    rest of the stack.
     """
     B, n, p = Z.shape
     W = V[:, :, :p]
@@ -331,18 +332,16 @@ def _objective(
     log_p_true = shifted[onehot].reshape(B, n) - np.log(norm)
     data = -(s * log_p_true).sum(axis=1) / n
 
-    WL = W @ laplacian
     ridge = (W * W).reshape(B, -1).sum(axis=1)
-    smoothness = (W * WL).reshape(B, -1).sum(axis=1)
-    value = data + lambda_l2 * ridge + lambda_g * smoothness
+    value = data + lambda_l2 * ridge
 
     R = (P - onehot) * (s / n)[:, :, None]
     grad = np.empty_like(V)
-    grad[:, :, :p] = (
-        R.transpose(0, 2, 1) @ Z
-        + (2.0 * lambda_l2)[:, None, None] * W
-        + (2.0 * lambda_g)[:, None, None] * WL
-    )
+    grad[:, :, :p] = R.transpose(0, 2, 1) @ Z + (2.0 * lambda_l2)[:, None, None] * W
+    if laplacian is not None:
+        WL = W @ laplacian
+        value += lambda_g * (W * WL).reshape(B, -1).sum(axis=1)
+        grad[:, :, :p] += (2.0 * lambda_g)[:, None, None] * WL
     grad[:, :, p] = R.sum(axis=1)
     return value, grad
 
@@ -551,7 +550,7 @@ class _Stack:
     onehot: np.ndarray  # B x n x K one-hot labels
     s: np.ndarray  # B x n sample weights
     c: np.ndarray  # B x n, s / n
-    laplacian: np.ndarray  # B x p x p
+    laplacian: Optional[np.ndarray]  # B x p x p, or None for no graph penalty
     curvature: np.ndarray  # B x J(p + 1) x J(p + 1) penalty Hessians, from _newton
     lambda_l2: np.ndarray
     lambda_g: np.ndarray
@@ -593,27 +592,37 @@ class _Stack:
         return np.concatenate([reduced, -reduced.sum(axis=1, keepdims=True)], axis=1)
 
 
-# Bytes of the reduced Hessians, (K - 1)(p + 1) squared doubles per
-# problem, that one _fit_batch call of a batch evaluation may hold. It
-# bounds peak memory: grid or permutation tasks queue their distinct fold
-# problems, each _stack_capacity of them a stack, so a process solves one
-# stack's Hessians, curvatures and Laplacians at a time, not a default
-# grid's thousands. 600 KiB stacks 26 problems at 13 x 26 (K = 3), where
-# one problem is too small to amortize numpy's per-call overhead, and holds
-# one problem at 40 x 160, whose Newton steps are large solves already.
-# Measured against 11, 18 and 52 problems at 13 x 26 in interleaved
-# in-process pairs on 2 vCPUs, 26 was fastest on a 6-config grid and, like
-# 18 and 52, faster than 11 on a 96-config grid. Capacity counts
-# feature-space Hessians even where _fit_batch solves in kernel form, whose
-# Hessians, (K - 1)(n + 1) squared, are smaller: such a stack holds the
-# same problems in less memory.
-_STACK_HESSIAN_BYTES = 600 * 1024
+# Bytes of fit problems that one stack of a batch evaluation may hold. A
+# problem counts the doubles of its reduced Hessian, (K - 1)(m + 1) squared,
+# and of its p x p Laplacian, where m is the dimension it is solved in:
+# n_train in kernel form, p in feature space. It bounds peak memory: grid
+# or permutation tasks queue their distinct fold problems, each
+# _stack_capacity of them a stack, so a process solves one stack's
+# Hessians, curvatures and Laplacians at a time, not a default grid's
+# thousands; _fit_batch splits the problems it solves in feature space
+# into stacks of the same bytes. At 13 x 26 (K = 3) 600 KiB stacks 56
+# kernel problems, where one problem is too small to amortize numpy's
+# per-call overhead, so the 52 distinct fold fits of a 6-config grid are
+# one stack. In alternating in-process pairs on 2 vCPUs with one BLAS
+# thread, that one stack took 0.94 x the time of two stacks of 26 (better
+# in 178 of 200 pairs), and stacks of 56 took 0.96 x and 0.87 x the time of
+# stacks of 26 on the 96-config and the default grid. At 40 x 160 it
+# stacks two kernel problems, or one in feature space, whose Newton steps
+# are large solves already. The Laplacian counts because a kernel stack
+# also holds each problem's p x p Laplacian and penalty matrix: counting
+# the kernel Hessian alone stacks 11 problems at 40 x 160 and raised the
+# tracemalloc peak of permutation_test(B=8) there from 26.7 to 37.5 MB.
+_STACK_BYTES = 600 * 1024
 
 
-def _stack_capacity(K: int, p: int) -> int:
-    """Problems of K classes and p features that _STACK_HESSIAN_BYTES holds, at least 1."""
-    unknowns = max(1, (K - 1) * (p + 1))
-    return max(1, _STACK_HESSIAN_BYTES // (8 * unknowns * unknowns))
+def _stack_capacity(K: int, n: int, p: int) -> int:
+    """Problems of K classes, n sites and p features that _STACK_BYTES holds, at least 1.
+
+    Each counts in the form that :func:`_fit_batch` solves a firm ridge in:
+    kernel form when n < p, else feature space.
+    """
+    d = min(n, p) + 1
+    return max(1, _STACK_BYTES // (8 * ((K - 1) ** 2 * d * d + p * p)))
 
 
 def _fit_batch(
@@ -638,14 +647,15 @@ def _fit_batch(
     Newton iterate from W = 0, has the form A Z P^-1. So Newton runs on the
     features F of :func:`_kernel_features` with the penalty 1/2 ||W~||^2, in
     systems of (K - 1)(n + 1) unknowns instead of (K - 1)(p + 1), and
-    returns W = W~ M^T. The objective is the same function of the scores and
-    its gradient maps exactly to W-space, so the two forms take the same
-    iterates and stop at the same tests up to rounding: ``gtol``, the
-    non-convergence rule, the warning and ``grad_max_norm`` use the gradient
-    over W and b, as :func:`fit_arrays` does. The other problems, all of
-    them when n >= p, where the kernel is no smaller, are solved in feature
-    space in a stack of their own: each one's V and info are bit for bit
-    those of :func:`fit_arrays` on it alone.
+    returns W = W~ M^T, with no Laplacian: its penalty is in F. The
+    objective is the same function of the scores and its gradient maps
+    exactly to W-space, so the two forms take the same iterates and stop at
+    the same tests up to rounding: ``gtol``, the non-convergence rule, the
+    warning and ``grad_max_norm`` use the gradient over W and b, as
+    :func:`fit_arrays` does. The other problems, all of them when n >= p,
+    where the kernel is no smaller, are solved in feature space, in stacks
+    of their own of at most ``_stack_capacity(K, p, p)``: each one's V and
+    info are bit for bit those of :func:`fit_arrays` on it alone.
     """
     B, n, p = Z.shape
     lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
@@ -655,8 +665,10 @@ def _fit_batch(
     V = np.full((B, K, p + 1), np.nan)
     # 0 iterations: _fit_infos warns for no problem left unsolved
     f, n_iter, norms = np.empty(B), np.zeros(B, dtype=int), np.empty(B)
-    rows = np.flatnonzero(~kernel & ~negligible)
-    if rows.size:
+    feature = np.flatnonzero(~kernel & ~negligible)
+    capacity = _stack_capacity(K, p, p)  # as feature space
+    for start in range(0, len(feature), capacity):
+        rows = feature[start : start + capacity]
         V[rows], f[rows], n_iter[rows], norms[rows] = _newton(
             Z[rows], y[rows], K, s[rows], laplacian[rows], lambda_l2[rows], lambda_g[rows],
             [configs[i] for i in rows],
@@ -668,7 +680,7 @@ def _fit_batch(
         )
         m = len(rows)
         reduced, f[rows], n_iter[rows], norms[rows] = _newton(
-            F, y[rows], K, s[rows], np.zeros((m, n, n)), np.full(m, 0.5), np.zeros(m),
+            F, y[rows], K, s[rows], None, np.full(m, 0.5), np.zeros(m),
             [configs[i] for i in rows], to_weights=to_weights,
         )
         V[rows, :, :p] = reduced[:, :, :n] @ M.transpose(0, 2, 1)
@@ -716,7 +728,7 @@ def _newton(
     y: np.ndarray,
     K: int,
     s: np.ndarray,
-    laplacian: np.ndarray,
+    laplacian: Optional[np.ndarray],
     lambda_l2: np.ndarray,
     lambda_g: np.ndarray,
     configs: Sequence[GrmlrConfig],
@@ -725,7 +737,8 @@ def _newton(
     """The damped Newton loop of :func:`fit_arrays` on a stack of B same-shape problems.
 
     Z is B x n x p, y and s are B x n and laplacian is B x p x p, all
-    unchecked. The penalties are the arrays ``lambda_l2`` and ``lambda_g``,
+    unchecked; a laplacian of None stands for no graph penalty, as kernel
+    form has none. The penalties are the arrays ``lambda_l2`` and ``lambda_g``,
     none of whose ridges is negligible (:func:`_ridge_regimes`), and
     ``configs`` gives only the stopping rules. Its two callers are
     :func:`fit_arrays`, with a stack of one, and :func:`_fit_batch`. The
@@ -746,8 +759,9 @@ def _newton(
     # Each penalty Hessian in reduced coordinates:
     # (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]]
     penalty = np.zeros((B, d, d))
-    ridge = (2.0 * lambda_l2)[:, None, None] * np.eye(p)
-    penalty[:, :p, :p] = ridge + (2.0 * lambda_g)[:, None, None] * laplacian
+    penalty[:, :p, :p] = (2.0 * lambda_l2)[:, None, None] * np.eye(p)
+    if laplacian is not None:
+        penalty[:, :p, :p] += (2.0 * lambda_g)[:, None, None] * laplacian
     curvature = np.kron(np.eye(J) + 1.0, penalty)
     live = _Stack(
         Z, X, _one_hot(y, K), s, c, laplacian, curvature, lambda_l2, lambda_g, to_weights

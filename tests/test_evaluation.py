@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grmlr import ecograph, evaluation, rankstats
+from grmlr import ecograph, evaluation, model, rankstats
 from grmlr.compositional import clr_transform
 from grmlr.dataset import (
     AbundanceMatrix,
@@ -109,13 +109,17 @@ def one_dead_site():
 
 @pytest.fixture
 def graph_builds(monkeypatch):
-    """Counts of A_macro, A_co and Laplacian builds and of blake2b digests while the test runs."""
+    """Counts of A_macro, A_co and Laplacian fold slices built and of blake2b digests.
+
+    A stacked build of b folds' parts counts b slices.
+    """
     counts = {"a_macro_from_profiles": 0, "a_co_from_correlations": 0, "laplacian_of": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            counts[name] += len(result) if getattr(result, "ndim", 2) == 3 else 1  # blake2b: 1
+            return result
 
         return wrapper
 
@@ -609,6 +613,124 @@ class TestGridFitReuse:
         assert alive() is None
 
 
+class TestFoldGraphBlocks:
+    """_FoldGraphs builds the graph parts of a block of folds in one stacked pass."""
+
+    @pytest.mark.parametrize(
+        "with_macrofauna, alpha",
+        [(True, 0.0), (True, 0.5), (True, 1.0), (False, 0.0)],  # alpha > 0 needs macrofauna
+    )
+    @pytest.mark.parametrize("scope", ["train", "all"])
+    def test_each_fold_graph_equals_build_graph_on_its_training_sites(
+        self, separable, with_macrofauna, scope, alpha
+    ):
+        if not with_macrofauna:
+            separable = Dataset(separable.abundances, None, separable.stages)
+        config = GrmlrConfig(alpha=alpha, co_occurrence_scope=scope)
+        plan = build_plan(separable, config.epsilon)
+        graphs = evaluation._FoldGraphs(evaluation._GRAPH_CACHE_BYTES)
+        every_site = clr_transform(separable.abundances, config.epsilon)
+        whole = build_graph(every_site, separable.macrofauna, config.tau, config.gamma, alpha)
+        n = separable.n_sites
+        for i in range(n):
+            train = separable.subset([j for j in range(n) if j != i])
+            features = clr_transform(train.abundances, config.epsilon)
+            expected = build_graph(features, train.macrofauna, config.tau, config.gamma, alpha)
+            if scope == "all":  # A_co from every site's correlations
+                expected = _fused(expected.a_macro, whole.a_co, alpha, plan.taxa_names)
+            got = graphs.graph(plan, i, config).laplacian
+            assert got.tobytes() == expected.laplacian.tobytes(), i
+
+    @pytest.mark.parametrize("block", [1, 3, None])  # None: every fold in one block
+    def test_block_size_changes_no_byte(self, separable, fitted_problems, monkeypatch, block):
+        grid = TestGridFitReuse.GRAPH_GRID
+        unbounded = grid_search(separable, grid)
+        reference = list(fitted_problems)
+        fitted_problems.clear()
+        blocks = []
+        laplacian_of = ecograph.laplacian_of
+
+        def recording(adjacency):
+            blocks.append(len(adjacency))
+            return laplacian_of(adjacency)
+
+        monkeypatch.setattr(ecograph, "laplacian_of", recording)
+        if block is not None:
+            # a block of b folds takes 4 b p x p parts of the cache: 3 kept and the adjacency
+            p = separable.n_taxa
+            monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", block * 4 * 8 * p * p)
+        blocked = grid_search(separable, grid)
+        assert max(blocks) == (separable.n_sites if block is None else block)
+        assert fitted_problems == reference
+        outcomes = TestGridFitReuse._outcomes
+        assert outcomes(blocked) == outcomes(unbounded)
+
+    def test_loocv_builds_one_fold_at_a_time(self, separable, monkeypatch):
+        # loocv keeps no graph, so a block of folds would only raise its peak memory
+        shapes = []
+        laplacian_of = ecograph.laplacian_of
+
+        def recording(adjacency):
+            shapes.append(adjacency.shape)
+            return laplacian_of(adjacency)
+
+        monkeypatch.setattr(ecograph, "laplacian_of", recording)
+        loocv(separable, GrmlrConfig())
+        p = separable.n_taxa
+        assert shapes == [(1, p, p)] * separable.n_sites
+
+
+class TestFitStacks:
+    """The batch evaluator's stacks, sized by the form each problem is solved in."""
+
+    def test_a_paper_scale_grid_is_one_stack(self, monkeypatch):
+        # 6 configs at 13 x 26: 52 distinct kernel-form fold problems, 56 to a stack
+        data = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        grid = {"alpha": [0.0, 0.5, 1.0], "lambda_g": [0.0, 10.0]}
+        sizes = []
+        fit_batch = evaluation._fit_batch
+
+        def counting(Z, *args):
+            sizes.append(len(Z))
+            return fit_batch(Z, *args)
+
+        monkeypatch.setattr(evaluation, "_fit_batch", counting)
+        grid_search(data, grid)
+        assert sizes == [4 * 13]
+
+    def test_no_newton_stack_outgrows_the_budget_in_either_form(self, monkeypatch):
+        # at 40 x 160 lambda_l2 = 1e-9 is too weak for kernel form, so the
+        # evaluator's stacks of two kernel problems hold two feature-space ones
+        data = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        newton, stacks = model._newton, []
+
+        def recording(Z, y, K, s, laplacian, *args, to_weights=None):
+            B, _, m = Z.shape
+            p = m if to_weights is None else to_weights.shape[2] - 1
+            nbytes = B * 8 * ((K - 1) ** 2 * (m + 1) ** 2 + p * p)
+            stacks.append((to_weights is not None, B, nbytes))
+            return newton(Z, y, K, s, laplacian, *args, to_weights=to_weights)
+
+        batches = []
+        fit_batch = evaluation._fit_batch
+
+        def counting(Z, *args):
+            batches.append(len(Z))
+            return fit_batch(Z, *args)
+
+        monkeypatch.setattr(model, "_newton", recording)
+        monkeypatch.setattr(evaluation, "_fit_batch", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            grid_search(data, {"lambda_l2": [1e-9, 0.02], "max_iters": [2]})
+        assert batches == [2] * 40
+        kernel = [B for in_kernel, B, _ in stacks if in_kernel]
+        feature = [B for in_kernel, B, _ in stacks if not in_kernel]
+        assert sum(kernel) == sum(feature) == 40
+        assert max(kernel) == 2 and max(feature) == 1
+        assert all(nbytes <= model._STACK_BYTES or B == 1 for _, B, nbytes in stacks)
+
+
 class _InlineExecutor:
     """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs each submit inline."""
 
@@ -681,6 +803,11 @@ class TestPool:
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _InlineExecutor)
         return _InlineExecutor.sizes
 
+    @pytest.fixture
+    def small_stacks(self, monkeypatch):
+        """A tenth of the stack budget: 16 fold problems at 9 x 12, so GRID makes two stacks."""
+        monkeypatch.setattr(model, "_STACK_BYTES", model._STACK_BYTES // 10)
+
     @staticmethod
     def _outcomes(result):
         return [(e.index, e.accuracy, e.macro_f1, e.error) for e in result.entries]
@@ -689,7 +816,7 @@ class TestPool:
         "workers, cpus, size", [(64, 8, 4), (3, 8, 3), (64, 2, 2), (2, 1, None), (1, 8, None)]
     )
     def test_pool_is_capped_by_tasks_and_usable_cpus(
-        self, separable, monkeypatch, pool_sizes, workers, cpus, size
+        self, separable, monkeypatch, pool_sizes, small_stacks, workers, cpus, size
     ):
         serial = grid_search(separable, self.GRID)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -697,13 +824,17 @@ class TestPool:
         assert pool_sizes == ([] if size is None else [size])  # None: no pool, run serially
         assert self._outcomes(result) == self._outcomes(serial)
 
-    def test_cpu_count_where_affinity_is_missing(self, separable, monkeypatch, pool_sizes):
+    def test_cpu_count_where_affinity_is_missing(
+        self, separable, monkeypatch, pool_sizes, small_stacks
+    ):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         grid_search(separable, self.GRID, workers=64)
         assert pool_sizes == [3]
 
-    def test_permutation_pool_is_capped_by_tasks(self, separable, monkeypatch, pool_sizes):
+    def test_permutation_pool_is_capped_by_tasks(
+        self, separable, monkeypatch, pool_sizes, small_stacks
+    ):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         report = permutation_test(separable, GrmlrConfig(), B=2, seed=5, workers=64)
         assert pool_sizes == [3]  # the observed labels and B = 2 permutations
@@ -726,7 +857,7 @@ class TestPool:
         assert repr(outcomes[2]) == repr(outcomes[1])  # failed entries' NaNs included
 
     def test_every_worker_count_fits_each_distinct_problem_once(
-        self, separable, monkeypatch, pool_sizes
+        self, separable, monkeypatch, pool_sizes, small_stacks
     ):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         fit_batch, fit_key = evaluation._fit_batch, evaluation._fold_fit_key
@@ -758,6 +889,8 @@ class TestPool:
         monkeypatch.setattr(_DeferringExecutor, "peaks", [])
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _DeferringExecutor)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # a quarter of the budget: 14 fold problems a stack at 13 x 26, so about 20 stacks
+        monkeypatch.setattr(model, "_STACK_BYTES", model._STACK_BYTES // 4)
         data = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
         report = permutation_test(data, GrmlrConfig(), B=20, seed=1, workers=2)
         assert _DeferringExecutor.sizes == [2]
@@ -765,6 +898,30 @@ class TestPool:
         assert max(_DeferringExecutor.peaks) == 2 * 2
         serial = permutation_test(data, GrmlrConfig(), B=20, seed=1)
         assert report.to_dict() == serial.to_dict()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ds, workers: grid_search(ds, TestPool.GRID, workers=workers),
+            lambda ds, workers: permutation_test(ds, GrmlrConfig(), B=2, seed=5, workers=workers),
+        ],
+        ids=["grid_search", "permutation_test"],
+    )
+    def test_a_call_of_one_stack_fits_it_inline(self, separable, monkeypatch, pool_sizes, call):
+        # a pool cannot split one stack, so a call whose only stack is the last starts none
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        fitted = []
+        fit_batch = evaluation._fit_batch
+
+        def counting(*args):
+            fitted.append(1)
+            return fit_batch(*args)
+
+        monkeypatch.setattr(evaluation, "_fit_batch", counting)
+        pooled = call(separable, 4)
+        assert fitted == [1]
+        assert pool_sizes == []
+        assert repr(pooled) == repr(call(separable, 1))
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, separable, pool_sizes, workers):
