@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,8 +56,14 @@ _IDIO_NOISE_FRACTION = 0.8
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
-    """Deterministic named RNG substream derived from a single run seed."""
-    return np.random.default_rng([seed % (2**63), zlib.crc32(name.encode("utf-8"))])
+    """Deterministic named RNG substream derived from a single run seed.
+
+    Raises InvalidValue unless ``seed`` is an integer, numpy integers
+    included and ``bool`` excluded.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise InvalidValue(f"seed must be an integer, got {seed!r}")
+    return np.random.default_rng([int(seed) % (2**63), zlib.crc32(name.encode("utf-8"))])
 
 
 def reject_non_finite(
@@ -446,6 +453,8 @@ def synthesize_dataset(
     ------
     InvalidShape
         If n < K, p < n_blocks, or n_blocks < 1.
+    InvalidValue
+        If ``seed`` is not an integer.
     """
     if K < 1 or n < K or n_blocks < 1 or p < n_blocks:
         raise InvalidShape(

@@ -157,9 +157,9 @@ def build_graph(
     return _fused(a_macro, a_co, alpha, list(features.taxa_names))
 
 
-def _require_macrofauna(profiles: np.ndarray | None, alpha: float) -> None:
-    """Raise MissingMacrofauna if there are no macro-coupling profiles and alpha > 0."""
-    if profiles is None and alpha > 0.0:
+def _require_macrofauna(macro: np.ndarray | None, alpha: float) -> None:
+    """Raise MissingMacrofauna if ``macro``, made from macrofauna counts, is None and alpha > 0."""
+    if macro is None and alpha > 0.0:
         raise MissingMacrofauna("alpha > 0 requires macrofauna counts to build the graph")
 
 

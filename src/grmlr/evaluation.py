@@ -5,11 +5,12 @@ All evaluations are leave-one-out: the held-out site never influences the
 training fold's graph (under the default ``co_occurrence_scope='train'``),
 sample weights or fit. Fold i holds out site i, and every function here
 names a fold by that position. A fold plan (:func:`build_plan`) ranks the
-features and the macrofauna counts once, downdates those ranks to every
-fold's training sites and keeps one stack per kind of fold data, its row i
-holding fold i's, shared across configurations and label vectors;
-thresholding happens per fold graph, in ``_FoldGraphs``, the one place fold
-graphs are assembled.
+features and the macrofauna counts once and is shared across
+configurations and label vectors; it holds nothing that grows with p
+squared per fold. ``_FoldGraphs``, the one place fold graphs are
+assembled, downdates those ranks to a block of folds' training sites when
+it builds their graphs, correlates them and thresholds the correlations,
+keeping only the Laplacians.
 No fold graph is built for lambda_g = 0, where the Laplacian does not enter
 the objective: such fits get a zero Laplacian.
 
@@ -179,26 +180,26 @@ def macro_f1(
     return float(np.mean(scores))
 
 
-# Working-memory bytes with two uses. build_plan downdates the ranks of as
-# many folds at a time as fit: all folds up to 40 x 160, and at 120 x 400
-# 44 of the 120, whose ranks take 46 MB. And a batch evaluation keeps
-# this much of fold Laplacians and adjacency parts, so that the configs and
-# label vectors sharing a fold graph build it once, emptying it when full;
-# it builds them in blocks of folds that fit the room left (_FoldGraphs):
-# the default grid's 1716 distinct fold graphs at 13 x 26 take about 9.3 MB,
-# one graph at 40 x 160 takes 200 KiB, so a block there holds up to 20 folds.
+# Bytes of fold Laplacians that a batch evaluation keeps, so that the
+# configs and label vectors sharing a fold graph build it once, emptying
+# them when full; it builds them in blocks of folds that fit the room left
+# (_FoldGraphs): the default grid's 1716 distinct fold graphs at 13 x 26
+# take about 9.3 MB, one graph at 40 x 160 takes 200 KiB, so a block there
+# holds up to 20 folds and the 40 Laplacians of a config all stay kept.
 _GRAPH_CACHE_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(eq=False)
 class LoocvPlan:
-    """Features, labels and every fold's rank correlations, reusable across configurations.
+    """Features, labels and their ranks, reusable across configurations.
 
-    Fold i holds out site i. ``train[i]`` lists its training sites (every
-    site but i, in order), ``co_train[i]`` is their Spearman matrix and
-    ``profiles[i]`` their feature-macrofauna Spearman cross matrix;
-    ``profiles`` is None without macrofauna. The batch evaluator keys fold
-    fits and graphs on a plan's identity.
+    Fold i holds out site i, and ``train[i]`` lists its training sites
+    (every site but i, in order). ``ranks`` is the features'
+    ``rank_matrix`` and ``count_ranks`` the macrofauna counts', None without
+    macrofauna; every fold's correlations are downdated from them
+    (``_fold_correlations``). ``co_all`` is the Spearman matrix of every
+    site's features. The batch evaluator keys fold fits and graphs on a
+    plan's identity.
     """
 
     taxa_names: list[str]
@@ -207,21 +208,17 @@ class LoocvPlan:
     features: np.ndarray
     y: np.ndarray
     train: np.ndarray
-    co_train: np.ndarray
-    profiles: Optional[np.ndarray]
+    ranks: np.ndarray
+    count_ranks: Optional[np.ndarray]
     co_all: np.ndarray
     feature_mode: str
 
 
 def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> LoocvPlan:
-    """Precompute features and per-fold rank correlations for LOOCV.
+    """Precompute features, their ranks and the macrofauna counts' ranks for LOOCV.
 
-    The features and the macrofauna counts are ranked once each. Every
-    fold's ranks are downdated from them, in blocks of folds whose rank
-    stack fits in ``_GRAPH_CACHE_BYTES``, and each block's correlations of
-    a kind come from one stacked product written into the plan's stack;
-    they equal, bit for bit, the ``spearman_matrix`` and ``spearman_cross``
-    of the fold's training rows, whatever the blocks.
+    The features and the macrofauna counts are ranked once each; the plan
+    keeps those ranks, n x p and n x k, and no fold's correlations.
 
     Raises MissingLabels without labels, EmptyClass if no site has some
     stage, InvalidShape with fewer than K + 1 sites, and TooFewSamples
@@ -235,38 +232,44 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
     if n < 4:
         raise TooFewSamples(f"graph construction needs at least 3 sites, LOOCV folds have {n - 1}")
     Z = build_features(dataset, epsilon, feature_mode).values
-    # each table is ranked once: every fold's ranks are downdated from the
-    # ranks of all sites, which _unit then rescales in place for co_all
     ranks = rank_matrix(Z)
-    p = Z.shape[1]
-    co_train = np.empty((n, p, p))
-    profiles = None
+    count_ranks = None
     if dataset.macrofauna is not None:
         count_ranks = rank_matrix(np.asarray(dataset.macrofauna.values, float))
-        profiles = np.empty((n, p, count_ranks.shape[1]))
-    train = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    block = max(1, _GRAPH_CACHE_BYTES // (8 * (n - 1) * p))
-    for start in range(0, n, block):
-        folds = slice(start, start + block)
-        fold_ranks, fold_ok = _leave_one_out(ranks, folds, train[folds])
-        _correlations(fold_ranks, fold_ok, fold_ranks, fold_ok, out=co_train[folds])
-        if profiles is not None:
-            removed = _leave_one_out(count_ranks, folds, train[folds])
-            _correlations(fold_ranks, fold_ok, *removed, out=profiles[folds])
-        del fold_ranks  # before the next block's ranks are made
-    unit, ok = _unit(ranks)
+    unit, ok = _unit(ranks.copy())  # _unit works in place, and the plan keeps the ranks
     return LoocvPlan(
         taxa_names=list(dataset.abundances.taxa_names),
         label_set=tuple(stages.label_set),
         site_ids=list(dataset.abundances.site_ids),
         features=Z,
         y=stages.indices(),
-        train=train,
-        co_train=co_train,
-        profiles=profiles,
+        train=np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]),
+        ranks=ranks,
+        count_ranks=count_ranks,
         co_all=_correlations(unit, ok, unit, ok),
         feature_mode=feature_mode,
     )
+
+
+def _fold_correlations(plan: LoocvPlan, folds: slice, scope: str) -> tuple:
+    """Spearman matrices and macro-coupling profiles of the training sites of ``folds``.
+
+    Returns the (b, p, p) stack of the b folds' Spearman matrices, or under
+    ``scope`` 'all' ``co_all`` broadcast to that shape, and the (b, p, k)
+    stack of their feature-macrofauna Spearman cross matrices, None without
+    macrofauna. The block's ranks are downdated from the plan's once, and
+    each fold's result equals, bit for bit, the ``spearman_matrix`` and
+    ``spearman_cross`` of its training rows, whatever the block.
+    """
+    kept = plan.train[folds]
+    ranks, ok = _leave_one_out(plan.ranks, folds, kept)
+    if scope == "all":
+        co = np.broadcast_to(plan.co_all, (len(kept), *plan.co_all.shape))
+    else:
+        co = _correlations(ranks, ok, ranks, ok)
+    if plan.count_ranks is None:
+        return co, None
+    return co, _correlations(ranks, ok, *_leave_one_out(plan.count_ranks, folds, kept))
 
 
 @dataclass(eq=False)
@@ -288,24 +291,25 @@ class _FoldGraph:
 
 
 class _FoldGraphs:
-    """Fold graphs and their adjacency parts, built a block of folds at a time and kept.
+    """Fold graphs, built a block of folds at a time and kept.
 
-    A_macro is kept per (plan, fold i, tau), A_co per (plan, i,
-    ``co_occurrence_scope``, gamma) and a fold graph per (plan, i, scope,
-    tau, gamma, alpha), each as its fold's slice. Plans count by identity,
-    and a key holds its plan, so no later plan can reuse a kept key. A fold
-    graph not kept is built with those of the next folds that are not kept
-    either, in one stacked pass of each ecograph step, as many folds as the
-    room left under ``limit`` holds: a fold counts four p x p parts, its
-    A_macro, A_co and Laplacian, which are kept, and the adjacency that its
-    Laplacian is made from. So kept parts never take the cache past
-    ``limit``. When the room holds no fold, the cache empties first; so
-    ``_FoldGraphs(0)`` keeps nothing and builds every graph alone.
+    A fold graph is kept per (plan, fold i, ``co_occurrence_scope``, tau,
+    gamma, alpha), as its fold's Laplacian. Plans count by identity, and a
+    key holds its plan, so no later plan can reuse a kept key. A fold graph
+    not kept is built with those of the next folds that are not kept
+    either, from one ``_fold_correlations`` call and one stacked pass of
+    each ecograph step, as many folds as the room left under ``limit``
+    holds: a fold counts four p x p arrays of the block's working set, its
+    A_macro, A_co, adjacency and Laplacian, of which only the Laplacian is
+    kept; its correlations go once A_co is made. So kept Laplacians never
+    take the cache past ``limit``. When the room holds no fold, the cache
+    empties first; so ``_FoldGraphs(0)`` keeps nothing and builds every
+    graph alone.
     """
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
-        self.parts: dict = {}
+        self.kept: dict = {}
         self.nbytes = 0
 
     def graph(self, plan: LoocvPlan, i: int, config: GrmlrConfig) -> _FoldGraph:
@@ -314,65 +318,46 @@ class _FoldGraphs:
         Raises MissingMacrofauna if the plan has no macrofauna counts and
         alpha > 0, at any lambda_g.
         """
-        _require_macrofauna(plan.profiles, config.alpha)
+        _require_macrofauna(plan.count_ranks, config.alpha)
         p = len(plan.taxa_names)
         if config.lambda_g == 0.0:
             zero = ("zero", p)
-            return self.parts.get(zero) or self._keep(zero, _FoldGraph(np.zeros((p, p))))
+            return self.kept.get(zero) or self._keep(zero, _FoldGraph(np.zeros((p, p))))
         scope, tau, gamma, alpha = (
             config.co_occurrence_scope, config.tau, config.gamma, config.alpha
         )
-        graph_key = ("graph", plan, scope, tau, gamma, alpha)
-        if (*graph_key, i) in self.parts:
-            return self.parts[(*graph_key, i)]
+        key = (plan, scope, tau, gamma, alpha)
+        if (*key, i) in self.kept:
+            return self.kept[(*key, i)]
         room = (self.limit - self.nbytes) // (4 * 8 * p * p)
         if room < 1:
-            self.parts.clear()
+            self.kept.clear()
             self.nbytes = 0
             room = max(1, self.limit // (4 * 8 * p * p))
         stop = i + 1
-        while stop < min(len(plan.train), i + room) and (*graph_key, stop) not in self.parts:
+        while stop < min(len(plan.train), i + room) and (*key, stop) not in self.kept:
             stop += 1
-        folds = slice(i, stop)
-        if scope == "all":
-            co = np.broadcast_to(plan.co_all, (stop - i, p, p))
-        else:
-            co = plan.co_train[folds]
-        profiles = None if plan.profiles is None else plan.profiles[folds]
-        a_macro = self._slices(
-            [("macro", plan, j, tau) for j in range(i, stop)],
-            lambda: _a_macro_or_zeros(profiles, tau, co),
-        )
-        a_co = self._slices(
-            [("co", plan, j, scope, gamma) for j in range(i, stop)],
-            lambda: a_co_from_correlations(co, gamma),
-        )
+        co, profiles = _fold_correlations(plan, slice(i, stop), scope)
+        a_macro = _a_macro_or_zeros(profiles, tau, co)
+        a_co = a_co_from_correlations(co, gamma)
+        del co, profiles  # before the adjacency and Laplacian are made
         laplacians = _fused(a_macro, a_co, alpha, plan.taxa_names).laplacian
         graphs = [_FoldGraph(laplacian) for laplacian in laplacians]
         for j, graph in enumerate(graphs, start=i):
-            self._keep((*graph_key, j), graph)
+            self._keep((*key, j), graph)
         return graphs[0]
 
-    def _slices(self, keys: list, build) -> np.ndarray:
-        """The stack of the fold slices kept at ``keys``, or else ``build()``'s, which are kept."""
-        if all(key in self.parts for key in keys):
-            return np.stack([self.parts[key] for key in keys])
-        stack = build()
-        for key, part in zip(keys, stack):
-            self._keep(key, part)
-        return stack
-
-    def _keep(self, key: tuple, part):
-        """Keep ``part`` at ``key`` unless kept, emptying a cache it would overflow; return it."""
-        if key in self.parts:
-            return part
-        if self.nbytes + part.nbytes > self.limit:
-            self.parts.clear()
+    def _keep(self, key: tuple, graph: _FoldGraph) -> _FoldGraph:
+        """Keep ``graph`` at ``key`` unless kept, emptying a cache it would overflow; return it."""
+        if key in self.kept:
+            return graph
+        if self.nbytes + graph.nbytes > self.limit:
+            self.kept.clear()
             self.nbytes = 0
-        if part.nbytes <= self.limit:
-            self.parts[key] = part
-            self.nbytes += part.nbytes
-        return part
+        if graph.nbytes <= self.limit:
+            self.kept[key] = graph
+            self.nbytes += graph.nbytes
+        return graph
 
 
 def _skipped_folds(y: np.ndarray, K: int) -> list[bool]:
@@ -496,12 +481,12 @@ def permutation_test(
     built and digested once while kept, as no graph depends on the labels.
     A fold problem that two label vectors share is fitted once, so a
     warning it raises is issued once. Raises InvalidValue unless ``B`` and
-    ``workers`` are integers >= 1.
+    ``workers`` are integers >= 1 and ``seed`` is an integer.
     """
     _check_count("B", B)
     _check_count("workers", workers)
-    plan = build_plan(dataset, config.epsilon)
     rng = substream(seed, "permutation")
+    plan = build_plan(dataset, config.epsilon)
     labels = [plan.y] + [plan.y[rng.permutation(len(plan.y))] for _ in range(B)]
     outcomes = _loocv_tasks([(plan, config, y) for y in labels], workers)
     failed = [outcome for outcome in outcomes if isinstance(outcome, GrmlrError)]
@@ -731,10 +716,13 @@ def alpha_sweep(
     ``DEFAULT_GRID``) with ``alphas`` as its alpha axis, in place of any
     alpha axis ``grid`` has; each row is the best entry at that alpha.
     A fit that several alphas share runs once, so a warning it raises is issued once.
-    Raises InvalidValue unless ``workers`` is an integer >= 1.
+    Raises InvalidValue unless ``workers`` is an integer >= 1 and every
+    alpha a real number in [0, 1].
     """
     _check_count("workers", workers)
     for alpha in alphas:
+        if not isinstance(alpha, numbers.Real):
+            raise InvalidValue(f"alpha values must be real numbers, got {alpha!r}")
         if not 0.0 <= alpha <= 1.0:
             raise InvalidValue(f"alpha values must lie in [0, 1], got {alpha}")
     if len(alphas) == 0:

@@ -134,37 +134,28 @@ def _leave_one_out(ranks: np.ndarray, removed: slice, kept: np.ndarray) -> tuple
     return _unit(r)
 
 
-def _correlations(
-    rx: np.ndarray, okx: np.ndarray, ry: np.ndarray, oky: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _correlations(rx: np.ndarray, okx: np.ndarray, ry: np.ndarray, oky: np.ndarray) -> np.ndarray:
     """Correlations of the unit-norm columns ``rx`` (..., m, a) with ``ry`` (..., m, b).
 
     The columns are centred ranks from :func:`_unit`, whose Gram products
     are Spearman correlations, or any other unit-norm columns, such as the
     macro-coupling profiles whose Gram product is their cosine similarity.
-    ``okx`` and ``oky`` are the masks of the columns that are not zero. The
-    result is written into ``out`` (..., a, b), contiguous, when given.
+    ``okx`` and ``oky`` are the masks of the columns that are not zero.
     Stacks are multiplied in one ``np.matmul``, which fits each slice the
     same BLAS call as a lone matrix, so a slice's result does not depend on
-    the stack. Entries of zero columns are then zeroed, and the result is
-    clipped to [-1, 1], in place and one slice at a time, so no step makes a
-    temporary the size of the stack. Magnitudes within 1e-12 of 1 are
-    snapped to exactly +/-1: exact collinearity can land one ulp short after
-    normalization, which would otherwise fail a threshold of exactly 1. With
-    ``ry`` the same array as ``rx``, numpy's symmetric kernel makes every
-    slice exactly symmetric, and its diagonal is 1 for nonzero columns and 0
-    for zero ones.
+    the stack. Entries of zero columns are then zeroed and the result is
+    clipped to [-1, 1], on the whole stack at once; every step is
+    elementwise, so neither depends on the stack either. Magnitudes within
+    1e-12 of 1 are snapped to exactly +/-1: exact collinearity can land one
+    ulp short after normalization, which would otherwise fail a threshold
+    of exactly 1. With ``ry`` the same array as ``rx``, numpy's symmetric
+    kernel makes every slice exactly symmetric, and its diagonal is 1 for
+    nonzero columns and 0 for zero ones.
     """
-    a, b = rx.shape[-1], ry.shape[-1]
-    corr = np.empty((*rx.shape[:-2], a, b)) if out is None else out
-    np.matmul(np.swapaxes(rx, -1, -2), ry, out=corr)
-    for c, ok_rows, ok_cols in zip(
-        corr.reshape(-1, a, b), okx.reshape(-1, a), oky.reshape(-1, b)
-    ):
-        c[~ok_rows, :] = 0.0
-        c[:, ~ok_cols] = 0.0
-        if ry is rx:
-            np.fill_diagonal(c, np.where(ok_rows, 1.0, 0.0))
-        np.clip(c, -1.0, 1.0, out=c)
-        np.copyto(c, np.sign(c), where=np.abs(np.abs(c) - 1.0) <= 1e-12)
+    corr = np.matmul(np.swapaxes(rx, -1, -2), ry)
+    np.copyto(corr, 0.0, where=~(okx[..., :, None] & oky[..., None, :]))
+    if ry is rx:
+        np.einsum("...ii->...i", corr)[...] = np.where(okx, 1.0, 0.0)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.copyto(corr, np.sign(corr), where=np.abs(np.abs(corr) - 1.0) <= 1e-12)
     return corr

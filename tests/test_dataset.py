@@ -194,6 +194,15 @@ class TestSynthesize:
         b = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=8)
         assert not np.array_equal(a.abundances.values, b.abundances.values)
 
+    def test_numpy_integer_seed_is_its_value(self):
+        # np.int64 cannot hold the 2**63 that the seed is reduced by
+        a = synthesize_dataset(n=9, p=12, K=3, n_blocks=3, coupling=0.9, noise=0.1, seed=7)
+        seed = np.int64(7)
+        b = synthesize_dataset(n=9, p=12, K=3, n_blocks=3, coupling=0.9, noise=0.1, seed=seed)
+        assert a.abundances.values.tobytes() == b.abundances.values.tobytes()
+        assert a.macrofauna.values.tobytes() == b.macrofauna.values.tobytes()
+        assert a.stages.labels == b.stages.labels
+
     def test_invalid_shapes(self):
         with pytest.raises(InvalidShape):
             synthesize_dataset(n=2, p=6, K=3, n_blocks=2, coupling=0.5, noise=0.1, seed=0)
@@ -431,6 +440,16 @@ VALIDATION_RAISES = {
         InvalidShape,
         "noise must be >= 0, got nan",
     ),
+    **{
+        f"synth-seed-{name}": (
+            lambda seed=seed: synthesize_dataset(
+                n=6, p=6, K=3, n_blocks=2, coupling=0.5, noise=0.1, seed=seed
+            ),
+            InvalidValue,
+            f"seed must be an integer, got {seed!r}",
+        )
+        for name, seed in [("float", 1.5), ("none", None), ("bool", True), ("str", "3")]
+    },
 }
 
 

@@ -325,10 +325,23 @@ class TestPermutation:
         assert set(fitted) == problems
         assert len(calls) < len(problems)
 
-    def test_each_fold_graph_built_and_digested_once(self, separable, graph_builds):
+    def test_numpy_integer_seed_is_its_value(self, separable):
+        # np.int64 cannot hold the 2**63 that the seed is reduced by
+        a = permutation_test(separable, GrmlrConfig(), B=4, seed=np.int64(5))
+        b = permutation_test(separable, GrmlrConfig(), B=4, seed=5)
+        assert a.to_dict() == b.to_dict()
+
+    # "small" holds n + 3 Laplacians: every fold's, and the four p x p arrays
+    # of a one-fold block before the last is built, but not 3 n graph parts
+    @pytest.mark.parametrize("cache", ["default", "small"])
+    def test_each_fold_graph_built_and_digested_once(
+        self, separable, graph_builds, monkeypatch, cache
+    ):
+        n, p = separable.n_sites, separable.n_taxa
+        if cache == "small":
+            monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", (n + 3) * 8 * p * p)
         # no graph depends on the labels, so B = 8 permutations share the observed ones
         permutation_test(separable, GrmlrConfig(), B=8, seed=5)
-        n = separable.n_sites
         assert graph_builds == {
             "a_macro_from_profiles": n,
             "a_co_from_correlations": n,
@@ -450,18 +463,18 @@ class TestGridFitReuse:
         alphas = [np.float32(0.1), float(np.float32(0.1))]
         result = grid_search(separable, {"alpha": alphas, "lambda_g": [5.0]})
         plan = build_plan(separable, GrmlrConfig().epsilon)
+        co_train, profiles = evaluation._fold_correlations(plan, slice(None), "train")
         expected = [
-            (
-                plan.features[train].tobytes(),
-                5.0,
+            (plan.features[train].tobytes(), 5.0, laplacian.tobytes())
+            for train, laplacian in zip(
+                plan.train,
                 _fused(
                     a_macro_from_profiles(profiles, 0.7),
                     a_co_from_correlations(co_train, 0.9),
                     alphas[1],
                     plan.taxa_names,
-                ).laplacian.tobytes(),
+                ).laplacian,
             )
-            for train, co_train, profiles in zip(plan.train, plan.co_train, plan.profiles)
         ]
         assert fitted_problems == expected  # one fit per fold, shared by both alphas
         first, second = sorted(result.entries, key=lambda e: e.index)
@@ -472,10 +485,11 @@ class TestGridFitReuse:
         self, separable, graph_builds
     ):
         grid_search(separable, self.GRID)
-        n = separable.n_sites  # one tau, one gamma and one scope
-        assert graph_builds["a_macro_from_profiles"] == n
-        assert graph_builds["a_co_from_correlations"] == n
-        assert graph_builds["laplacian_of"] == n * len(self.GRID["alpha"])
+        graphs = separable.n_sites * len(self.GRID["alpha"])  # one tau, one gamma and one scope
+        # only Laplacians are kept, so each fold graph builds its own A_macro and A_co
+        assert graph_builds["a_macro_from_profiles"] == graphs
+        assert graph_builds["a_co_from_correlations"] == graphs
+        assert graph_builds["laplacian_of"] == graphs
 
     @pytest.mark.parametrize("graphs_kept", [0, 3])
     def test_graph_byte_bound_changes_no_fit(
@@ -605,7 +619,7 @@ class TestGridFitReuse:
         del plan
         gc.collect()
         assert alive() is not None
-        graphs.parts.clear()
+        graphs.kept.clear()
         gc.collect()
         assert alive() is not None  # the fit key alone
         del key
@@ -656,7 +670,7 @@ class TestFoldGraphBlocks:
 
         monkeypatch.setattr(ecograph, "laplacian_of", recording)
         if block is not None:
-            # a block of b folds takes 4 b p x p parts of the cache: 3 kept and the adjacency
+            # a block of b folds takes 4 b p x p arrays of the cache, of which b Laplacians stay
             p = separable.n_taxa
             monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", block * 4 * 8 * p * p)
         blocked = grid_search(separable, grid)
@@ -1098,6 +1112,19 @@ VALIDATION_RAISES = {
         InvalidValue,
         "grid axis 'alpha' is not a list or tuple",
     ),
+    "sweep-string-alpha": (
+        lambda ds: alpha_sweep(ds, GrmlrConfig(), ["0.5"], grid={"lambda_g": [0.0]}),
+        InvalidValue,
+        "alpha values must be real numbers, got '0.5'",
+    ),
+    **{
+        f"permtest-seed-{name}": (
+            lambda ds, seed=seed: permutation_test(ds, GrmlrConfig(), B=2, seed=seed),
+            InvalidValue,
+            f"seed must be an integer, got {seed!r}",
+        )
+        for name, seed in [("float", 1.5), ("none", None), ("bool", True)]
+    },
     "ranking-no-models": (
         lambda ds: coefficient_ranking([]),
         InvalidValue,
@@ -1295,9 +1322,11 @@ def tie_heavy_datasets(draw):
 
 
 class TestBuildPlan:
-    @given(tie_heavy_datasets(), st.sampled_from(["clr", "raw"]))
+    @given(tie_heavy_datasets(), st.sampled_from(["clr", "raw"]), st.integers(1, 5))
     @settings(max_examples=80, deadline=None)
-    def test_fold_correlations_equal_those_of_each_training_set(self, dataset, feature_mode):
+    def test_fold_correlations_equal_those_of_each_training_set(
+        self, dataset, feature_mode, block
+    ):
         plan = build_plan(dataset, 1e-6, feature_mode)
         Z = build_features(dataset, 1e-6, feature_mode).values
         assert plan.features.tobytes() == Z.tobytes()
@@ -1305,15 +1334,21 @@ class TestBuildPlan:
         n = dataset.n_sites
         counts = None if dataset.macrofauna is None else dataset.macrofauna.values
         assert plan.site_ids == dataset.abundances.site_ids
-        assert len(plan.train) == len(plan.co_train) == n
-        assert (plan.profiles is None) == (counts is None)
-        for i in range(n):
-            train = np.array([j for j in range(n) if j != i])
-            assert plan.train[i].tobytes() == train.tobytes()
-            assert plan.co_train[i].tobytes() == spearman_matrix(Z[train]).tobytes()
-            if counts is not None:
-                cross = spearman_cross(Z[train], counts[train])
-                assert plan.profiles[i].tobytes() == cross.tobytes()
+        assert (plan.count_ranks is None) == (counts is None)
+        one_by_one = [slice(i, i + 1) for i in range(n)]
+        for folds in one_by_one + [slice(start, start + block) for start in range(0, n, block)]:
+            co, profiles = evaluation._fold_correlations(plan, folds, "train")
+            co_all, all_profiles = evaluation._fold_correlations(plan, folds, "all")
+            assert (profiles is None) == (counts is None)
+            assert len(co) == len(co_all) == len(range(n)[folds])
+            for j, i in enumerate(range(n)[folds]):
+                train = np.array([t for t in range(n) if t != i])
+                assert plan.train[i].tobytes() == train.tobytes()
+                assert co[j].tobytes() == spearman_matrix(Z[train]).tobytes()
+                assert co_all[j].tobytes() == plan.co_all.tobytes()
+                if counts is not None:
+                    cross = spearman_cross(Z[train], counts[train])
+                    assert profiles[j].tobytes() == all_profiles[j].tobytes() == cross.tobytes()
 
     @pytest.mark.parametrize("with_macrofauna", [True, False])
     def test_ranks_each_table_once(self, monkeypatch, synth_dataset, with_macrofauna):
@@ -1331,9 +1366,9 @@ class TestBuildPlan:
         build_plan(synth_dataset, 1e-6)
         assert ranked == [(13, 26), (13, 4)][: 1 + with_macrofauna]
 
-    def test_peak_memory_beyond_the_plan(self):
-        # the fold stacks are finished one slice at a time, so building the
-        # plan needs little beyond the plan itself
+    def test_plan_holds_no_stack_of_fold_matrices(self):
+        # no array of the plan is a stack of n fold matrices, p x p each,
+        # and building it needs little beyond the plan itself
         dataset = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
         tracemalloc.start()
         try:
@@ -1341,28 +1376,10 @@ class TestBuildPlan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = [plan.features, plan.co_all, plan.y, plan.train, plan.co_train, plan.profiles]
+        held = [value for value in vars(plan).values() if isinstance(value, np.ndarray)]
+        n, p, k = 40, 160, dataset.macrofauna.values.shape[1]
+        assert [a.shape for a in held] == [(n, p), (n,), (n, n - 1), (n, p), (n, k), (p, p)]
         assert peak - sum(a.nbytes for a in held) <= 3 * 2**20
-
-    def test_blocks_of_folds_change_no_byte_and_bound_the_peak(self, monkeypatch):
-        # 256 KiB holds the ranks of 5 of the 40 folds, so the stacks are formed in 8 blocks
-        dataset = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
-        whole = build_plan(dataset, 1e-6)
-        budget = 256 * 2**10
-        monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", budget)
-        tracemalloc.start()
-        try:
-            blocks = build_plan(dataset, 1e-6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        arrays = [name for name, value in vars(whole).items() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 6
-        for name in arrays:
-            assert getattr(blocks, name).tobytes() == getattr(whole, name).tobytes(), name
-        # all folds' ranks take 2 MB, so a 1 MiB margin shows the blocks
-        held = sum(getattr(blocks, name).nbytes for name in arrays)
-        assert peak - held <= budget + 2**20
 
 
 class TestReportFiles:

@@ -39,9 +39,10 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   (failed entries) and a weak ridge with firmer ridges and caps some fits
   at two iterations, with workers 1 and 2;
 * ``plan/<scale>/<seed>/<mode>``: the LOOCV plan of ``evaluation.build_plan``
-  (features, ``co_all``, and for each fold i the rows ``train[i]``,
-  ``co_train[i]`` and ``profiles[i]``, None without macrofauna, of the
-  plan's stacks) in ``clr`` and ``raw`` feature modes, on the 13x26 and
+  (features, ``co_all``, and for each fold i its training rows
+  ``train[i]`` and the Spearman matrix and macro-coupling profiles, None
+  without macrofauna, that ``evaluation._fold_correlations`` gives for the
+  fold alone) in ``clr`` and ``raw`` feature modes, on the 13x26 and
   40x160 datasets and on a tie-heavy 12x10 table of small integers with
   repeated rows and with columns that are constant, or constant once one
   site is removed;
@@ -325,8 +326,9 @@ def probe_plans(g, probes: Probes, datasets: dict) -> None:
             with probes.probe(f"plan/{dname}/{mode}") as out:
                 plan = g.evaluation.build_plan(dataset, g.GrmlrConfig().epsilon, mode)
                 out += [plan.features, plan.co_all]
-                profiles = [None] * len(plan.y) if plan.profiles is None else plan.profiles
-                out += [list(fold) for fold in zip(plan.train, plan.co_train, profiles)]
+                for i, train in enumerate(plan.train):
+                    co, profiles = g.evaluation._fold_correlations(plan, slice(i, i + 1), "train")
+                    out.append([train, co[0], None if profiles is None else profiles[0]])
 
 
 def probe_cli(probes: Probes, tmp: Path) -> None:
