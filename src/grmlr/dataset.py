@@ -130,7 +130,7 @@ class AbundanceMatrix:
 
 @dataclass(eq=False)
 class MacrofaunaCounts:
-    """Non-negative integer macrofauna counts per site."""
+    """Non-negative integer macrofauna counts per site, each within int64."""
 
     site_ids: list[str]
     values: np.ndarray
@@ -153,14 +153,17 @@ class MacrofaunaCounts:
             reject_non_finite(arr, self.site_ids, self.category_names, "count", "category")
             if not np.array_equal(np.rint(arr), arr):
                 raise NegativeCount("macrofauna counts must be integers")
+        for bad, error, what in (
+            (arr < 0, NegativeCount, "negative count"),
+            (arr >= 2**63, InvalidValue, "count above the int64 maximum"),
+        ):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise error(
+                    f"{what} at site '{self.site_ids[i]}', "
+                    f"category '{self.category_names[j]}'"
+                )
         self.values = arr.astype(np.int64)
-        neg = np.argwhere(self.values < 0)
-        if neg.size:
-            i, j = neg[0]
-            raise NegativeCount(
-                f"negative count at site '{self.site_ids[i]}', "
-                f"category '{self.category_names[j]}'"
-            )
         self.values.setflags(write=False)
 
 
@@ -318,6 +321,8 @@ def _parse_count(cell: str, where: str) -> int:
         raise InvalidValue(f"{where}: not an integer count: {cell!r}") from exc
     if value < 0:
         raise NegativeCount(f"{where}: negative count {value}")
+    if value >= 2**63:
+        raise InvalidValue(f"{where}: count {value} above the int64 maximum")
     return value
 
 
@@ -335,7 +340,8 @@ def load_dataset(
     InvalidValue
         If a file is empty, not UTF-8 or not CSV, breaks a table rule of the
         module docstring (such as two rows for one site), has a cell that
-        does not parse, or the labels header is not ``site_id,stage``.
+        does not parse or a count above the int64 maximum, or the labels
+        header is not ``site_id,stage``.
     MissingSite, RowSumViolation, NegativeCount, NegativeValue,
     UnknownLabel, IoFailure
     """

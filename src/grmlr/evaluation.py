@@ -7,20 +7,19 @@ sample weights or fit. Fold i holds out site i, and every function here
 names a fold by that position. A fold plan (:func:`build_plan`) ranks the
 features and the macrofauna counts once and is shared across
 configurations and label vectors; it holds nothing that grows with p
-squared per fold. ``_FoldGraphs``, the one place fold graphs are
-assembled, downdates those ranks to a block of folds' training sites when
-it builds their graphs, correlates them and thresholds the correlations,
-keeping only the Laplacians.
-No fold graph is built for lambda_g = 0, where the Laplacian does not enter
-the objective: such fits get a zero Laplacian.
+squared per fold. ``_fold_laplacians``, the one place fold graphs are
+assembled, downdates those ranks to a block of folds' training sites,
+correlates them and thresholds the correlations into the folds'
+Laplacians. No fold graph is built for lambda_g = 0, where the Laplacian
+does not enter the objective: such fits get a zero Laplacian.
 
 The grid search (and so the alpha sweep) and the permutation test run on
 one batch evaluator, ``_loocv_tasks``, whose tasks are LOOCVs of (plan,
 config, labels). Whatever the worker count, it finds each task's skipped
 folds in one pass, builds each fold graph that the tasks share once
-while it is kept, a block of folds in one stacked pass, and fits each
-distinct fold problem once, in stacks that it forms from the tasks alone
-and that an executor, inline or a process pool, fits through
+while ``_FoldGraphs`` keeps it, a block of folds in one stacked pass, and
+fits each distinct fold problem once, in stacks that it forms from the
+tasks alone and that an executor, inline or a process pool, fits through
 ``model._fit_batch``. That solver fits a fold with a firm ridge and fewer
 training sites than taxa in kernel form, in n_train-dimensional
 coordinates, and every other fold in feature space; both take the same
@@ -31,10 +30,10 @@ a pool starts only at a call's first full stack, since a pool cannot
 split a stack.
 
 :func:`loocv`, and so the ablations, evaluate one config, so they keep no
-graphs and make one ``fit_arrays`` call per fold, in feature space: they
-keep each fold's model and diagnostics, and that call is where the
-benchmark's tracer times fits. Moving them onto the batch evaluator, and
-so onto kernel fits, waits for the benchmark to stop keeping every
+graph: they build each fold's alone and make one ``fit_arrays`` call per
+fold, in feature space. They keep each fold's model and diagnostics, and
+that call is where the benchmark's tracer times fits. Moving them onto
+the batch evaluator, and so onto kernel fits, waits for the benchmark to stop keeping every
 repetition's ``loocv`` report: a faster ``loocv`` makes more repetitions
 and so reads a higher peak RSS.
 """
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import functools
 import hashlib
 import itertools
 import numbers
@@ -272,48 +270,41 @@ def _fold_correlations(plan: LoocvPlan, folds: slice, scope: str) -> tuple:
     return co, _correlations(ranks, ok, *_leave_one_out(plan.count_ranks, folds, kept))
 
 
-@dataclass(eq=False)
-class _FoldGraph:
-    """A fold's read-only graph Laplacian, with its digest made on first use."""
+def _fold_laplacians(plan: LoocvPlan, folds: slice, config: GrmlrConfig) -> np.ndarray:
+    """The (b, p, p) graph Laplacians of the b folds ``folds`` under ``config``, in one pass.
 
-    laplacian: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.laplacian.setflags(write=False)
-
-    @property
-    def nbytes(self) -> int:
-        return self.laplacian.nbytes
-
-    @functools.cached_property
-    def digest(self) -> bytes:
-        return hashlib.blake2b(self.laplacian.tobytes(), digest_size=16).digest()
+    Each equals, bit for bit, that of ``build_graph`` on its fold's
+    training sites. The working set is four p x p arrays per fold: its
+    A_macro, A_co, adjacency and Laplacian.
+    """
+    co, profiles = _fold_correlations(plan, folds, config.co_occurrence_scope)
+    a_macro = _a_macro_or_zeros(profiles, config.tau, co)
+    a_co = a_co_from_correlations(co, config.gamma)
+    del co, profiles  # before the adjacency and Laplacian are made
+    return _fused(a_macro, a_co, config.alpha, plan.taxa_names).laplacian
 
 
 class _FoldGraphs:
-    """Fold graphs, built a block of folds at a time and kept.
+    """The batch evaluator's fold graphs, built a block of folds at a time and kept.
 
     A fold graph is kept per (plan, fold i, ``co_occurrence_scope``, tau,
-    gamma, alpha), as its fold's Laplacian. Plans count by identity, and a
-    key holds its plan, so no later plan can reuse a kept key. A fold graph
-    not kept is built with those of the next folds that are not kept
-    either, from one ``_fold_correlations`` call and one stacked pass of
-    each ecograph step, as many folds as the room left under ``limit``
-    holds: a fold counts four p x p arrays of the block's working set, its
-    A_macro, A_co, adjacency and Laplacian, of which only the Laplacian is
-    kept; its correlations go once A_co is made. So kept Laplacians never
-    take the cache past ``limit``. When the room holds no fold, the cache
-    empties first; so ``_FoldGraphs(0)`` keeps nothing and builds every
-    graph alone.
+    gamma, alpha) as its read-only Laplacian and the blake2b digest that
+    ``_fold_fit_key`` takes. Plans count by identity, and a key holds its
+    plan, so no later plan can reuse a kept key. A fold graph not kept is
+    built with those of the next folds not kept, by one
+    ``_fold_laplacians`` call, as many folds as the room left under
+    ``_GRAPH_CACHE_BYTES`` holds at four p x p arrays per fold. So kept
+    Laplacians never take the cache past it. When the room holds no fold,
+    the cache empties first.
     """
 
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
+        self.limit = _GRAPH_CACHE_BYTES
         self.kept: dict = {}
         self.nbytes = 0
 
-    def graph(self, plan: LoocvPlan, i: int, config: GrmlrConfig) -> _FoldGraph:
-        """Fold i's graph under ``config``: all zeros at lambda_g = 0, where no fit reads it.
+    def graph(self, plan: LoocvPlan, i: int, config: GrmlrConfig) -> tuple[np.ndarray, bytes]:
+        """Fold i's (Laplacian, digest) under ``config``; all zeros at lambda_g = 0, unread.
 
         Raises MissingMacrofauna if the plan has no macrofauna counts and
         alpha > 0, at any lambda_g.
@@ -322,11 +313,8 @@ class _FoldGraphs:
         p = len(plan.taxa_names)
         if config.lambda_g == 0.0:
             zero = ("zero", p)
-            return self.kept.get(zero) or self._keep(zero, _FoldGraph(np.zeros((p, p))))
-        scope, tau, gamma, alpha = (
-            config.co_occurrence_scope, config.tau, config.gamma, config.alpha
-        )
-        key = (plan, scope, tau, gamma, alpha)
+            return self.kept.get(zero) or self._keep(zero, np.zeros((p, p)))
+        key = (plan, config.co_occurrence_scope, config.tau, config.gamma, config.alpha)
         if (*key, i) in self.kept:
             return self.kept[(*key, i)]
         room = (self.limit - self.nbytes) // (4 * 8 * p * p)
@@ -337,26 +325,20 @@ class _FoldGraphs:
         stop = i + 1
         while stop < min(len(plan.train), i + room) and (*key, stop) not in self.kept:
             stop += 1
-        co, profiles = _fold_correlations(plan, slice(i, stop), scope)
-        a_macro = _a_macro_or_zeros(profiles, tau, co)
-        a_co = a_co_from_correlations(co, gamma)
-        del co, profiles  # before the adjacency and Laplacian are made
-        laplacians = _fused(a_macro, a_co, alpha, plan.taxa_names).laplacian
-        graphs = [_FoldGraph(laplacian) for laplacian in laplacians]
-        for j, graph in enumerate(graphs, start=i):
-            self._keep((*key, j), graph)
+        laplacians = _fold_laplacians(plan, slice(i, stop), config)
+        graphs = [self._keep((*key, j), lap) for j, lap in enumerate(laplacians, start=i)]
         return graphs[0]
 
-    def _keep(self, key: tuple, graph: _FoldGraph) -> _FoldGraph:
-        """Keep ``graph`` at ``key`` unless kept, emptying a cache it would overflow; return it."""
-        if key in self.kept:
-            return graph
-        if self.nbytes + graph.nbytes > self.limit:
+    def _keep(self, key: tuple, laplacian: np.ndarray) -> tuple[np.ndarray, bytes]:
+        """(``laplacian``, its digest), kept at ``key``; a cache it would overflow empties first."""
+        laplacian.setflags(write=False)
+        graph = (laplacian, hashlib.blake2b(laplacian.tobytes(), digest_size=16).digest())
+        if self.nbytes + laplacian.nbytes > self.limit:
             self.kept.clear()
             self.nbytes = 0
-        if graph.nbytes <= self.limit:
+        if laplacian.nbytes <= self.limit:
             self.kept[key] = graph
-            self.nbytes += graph.nbytes
+            self.nbytes += laplacian.nbytes
         return graph
 
 
@@ -402,7 +384,7 @@ def _report(
 
 
 def _fold_fit_key(
-    plan: LoocvPlan, i: int, config: GrmlrConfig, labels: bytes, graph: _FoldGraph
+    plan: LoocvPlan, i: int, config: GrmlrConfig, labels: bytes, digest: bytes
 ) -> tuple:
     """Everything a fold fit depends on.
 
@@ -410,9 +392,9 @@ def _fold_fit_key(
     (plans of one epsilon may differ in feature mode or data), the labels
     (``labels``, the bytes of the task's label vector), the fold i, the
     sample weights (``class_balanced``), the penalties, the stopping rule
-    and the Laplacian, as ``graph.digest``: a blake2b digest made once per
-    fold graph, however many label vectors and configs share the graph; at
-    lambda_g = 0 that is the zero graph's.
+    and the Laplacian, as its ``digest`` from ``_FoldGraphs``: made once
+    per kept fold graph, however many label vectors and configs share the
+    graph; at lambda_g = 0 that is the zero graph's.
     """
     return (
         plan,
@@ -424,7 +406,7 @@ def _fold_fit_key(
         config.ftol,
         config.gtol,
         config.max_iters,
-        graph.digest,
+        digest,
     )
 
 
@@ -441,18 +423,23 @@ def loocv(
     alone, with one :func:`fit_arrays` call per fold; ``keep_models`` keeps
     each fold's model with its solver diagnostics. Folds whose training set
     loses an entire class are skipped and listed in ``skipped_folds``.
-    No two folds share a graph, so none is kept once its fold is fitted.
+    No two folds share a graph, so each is built alone and none is kept;
+    at lambda_g = 0 every fold fits with one zero Laplacian. Raises
+    MissingMacrofauna without macrofauna counts at alpha > 0.
     """
     plan = build_plan(dataset, config.epsilon, feature_mode)
-    K = len(plan.label_set)
-    graphs = _FoldGraphs(0)
+    _require_macrofauna(plan.count_ranks, config.alpha)
+    K, p = len(plan.label_set), len(plan.taxa_names)
+    zero = np.zeros((p, p)) if config.lambda_g == 0.0 else None
     predictions: list[Optional[int]] = []
     models: list[GrmlrModel] = []
     for i, (train, skipped) in enumerate(zip(plan.train, _skipped_folds(plan.y, K))):
         if skipped:
             predictions.append(None)
             continue
-        laplacian = graphs.graph(plan, i, config).laplacian
+        laplacian = zero
+        if laplacian is None:
+            laplacian = _fold_laplacians(plan, slice(i, i + 1), config)[0]
         y_train = plan.y[train]
         s = _sample_weights(y_train, K, config.class_balanced)
         W, b, info = fit_arrays(plan.features[train], y_train, K, s, laplacian, config)
@@ -567,9 +554,9 @@ def _loocv_tasks(tasks: list, workers: int) -> list:
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = min(workers, len(tasks), cpus or 1)
-    graphs = _FoldGraphs(_GRAPH_CACHE_BYTES)
+    graphs = _FoldGraphs()
     memo: dict = {}  # fit key -> held-out prediction; None while queued or unsettled
-    queue: list = []  # (fit key, plan, fold, config, task's labels y, graph), all of one shape
+    queue: list = []  # (fit key, plan, fold, config, task's labels y, Laplacian), all of one shape
     unsettled: collections.deque = collections.deque()
     keyed: list = []  # per task: its folds' fit keys, or the GrmlrError it raised
     with contextlib.ExitStack() as resources:
@@ -584,12 +571,12 @@ def _loocv_tasks(tasks: list, workers: int) -> list:
                     if skipped:
                         keys.append(None)
                         continue
-                    graph = graphs.graph(plan, i, config)
-                    key = _fold_fit_key(plan, i, config, labels, graph)
+                    laplacian, digest = graphs.graph(plan, i, config)
+                    key = _fold_fit_key(plan, i, config, labels, digest)
                     keys.append(key)
                     if key not in memo:
                         memo[key] = None
-                        queue.append((key, plan, i, config, y, graph))
+                        queue.append((key, plan, i, config, y, laplacian))
                         if len(queue) == capacity:
                             if pool is None:  # the first full stack; a lone last one fits inline
                                 pool = inline if size == 1 else resources.enter_context(
@@ -632,7 +619,7 @@ class _InlineExecutor(Executor):
 def _submit(pool: Executor, queue: list, unsettled, memo: dict, limit: int) -> None:
     """Once fewer than ``limit`` stacks are unsettled, submit the queue as one; empty it."""
     _settle(unsettled, memo, limit - 1)
-    keys, plans, folds, configs, ys, graphs = zip(*queue)
+    keys, plans, folds, configs, ys, laplacians = zip(*queue)
     queue.clear()
     K = len(plans[0].label_set)
     y_train = [y[plan.train[i]] for plan, i, y in zip(plans, folds, ys)]
@@ -642,7 +629,7 @@ def _submit(pool: Executor, queue: list, unsettled, memo: dict, limit: int) -> N
         np.stack(y_train),
         K,
         np.stack([_sample_weights(y, K, cfg.class_balanced) for y, cfg in zip(y_train, configs)]),
-        np.stack([graph.laplacian for graph in graphs]),
+        np.stack(laplacians),
         configs,
     )
     unsettled.append((keys, plans, folds, future))

@@ -155,9 +155,10 @@ class GrmlrConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrmlrConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidValue(f"unknown config fields: {sorted(unknown)}")
+        names = set(cls.__dataclass_fields__)
+        for problem, wrong in (("unknown", set(data) - names), ("missing", names - set(data))):
+            if wrong:
+                raise InvalidValue(f"{problem} config fields: {sorted(wrong)}")
         return cls(**data)
 
 
@@ -351,22 +352,25 @@ def _one_hot(y: np.ndarray, K: int) -> np.ndarray:
     return y[..., None] == np.arange(K)
 
 
-def _data_hessian(V: np.ndarray, X: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Hessian of the weighted cross-entropy in the reduced coordinates of each V of a stack.
+def _reduced_hessian(
+    V: np.ndarray, X: np.ndarray, c: np.ndarray, penalty: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Hessian of the objective in the reduced coordinates of each V of a stack.
 
     V = [W | b] is B x K x (p + 1), each with rows summing to zero, so it
     is fixed by theta = V[:, :J], J = K - 1, through V[:, J] = -sum(theta).
-    X is B x n x (p + 1) and c is B x n. Rows and columns of a problem's
-    Hessian follow theta.ravel(), i.e. [w_1, b_1, ..., w_J, b_J]. With
-    x_i = [z_i, 1] and the full-space weights w_km = c (delta_km P_k -
-    P_k P_m), block (k, m) is (X w~_km)^T X for the combined weights
+    X is B x n x (p + 1), c is B x n and ``penalty`` B x (p + 1) x (p + 1).
+    Rows and columns of a problem's Hessian follow theta.ravel(), i.e.
+    [w_1, b_1, ..., w_J, b_J]. With x_i = [z_i, 1] and the full-space
+    weights w_km = c (delta_km P_k - P_k P_m), block (k, m) is
+    (X w~_km)^T X for the combined weights
 
         w~_km = w_km - w_kJ - w_mJ + w_JJ
-              = c (delta_km P_k + P_J - (P_k - P_J)(P_m - P_J)).
+              = c (delta_km P_k + P_J - (P_k - P_J)(P_m - P_J)),
 
-    Each of the J(J+1)/2 distinct blocks comes from one batched matrix
-    product, one matrix product per problem, written into ``out``
-    (B x J(p + 1) x J(p + 1), contiguous).
+    plus (1 + delta_km) ``penalty``, the block of (I_J + 1 1^T) kron
+    ``penalty``. Each of the J(J+1)/2 distinct blocks comes from one
+    batched matrix product, written into ``out`` (B x J(p + 1) x J(p + 1)).
     """
     B, K, d = V.shape
     J = K - 1
@@ -379,12 +383,14 @@ def _data_hessian(V: np.ndarray, X: np.ndarray, c: np.ndarray, out: np.ndarray) 
         + last
         - centred.take(rows, axis=2) * centred.take(cols, axis=2)
     )
+    doubled = 2.0 * penalty
     H = out.reshape(B, J, d, J, d)
     for pair, (k, m) in enumerate(zip(rows, cols)):
-        weighted = weights[:, :, pair, None] * X
-        np.matmul(weighted.transpose(0, 2, 1), X, out=H[:, k, :, m, :])
+        block = H[:, k, :, m, :]
+        np.matmul((weights[:, :, pair, None] * X).transpose(0, 2, 1), X, out=block)
+        block += doubled if k == m else penalty
         if k != m:
-            H[:, m, :, k, :] = H[:, k, :, m, :]
+            H[:, m, :, k, :] = block
     return H.reshape(B, J * d, J * d)
 
 
@@ -490,12 +496,13 @@ def fit_arrays(
     and solves each Newton system in the J = K - 1 free rows
     theta = V[:J], with V[J] = -sum(theta). Starting from V = 0, each
     iteration solves for the step of theta with the reduced gradient
-    g[:J] - g[J] and the exact reduced Hessian: :func:`_data_hessian` plus
-    the penalty (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0],
-    [0, 0]], built once per fit. The step of V is [d_theta; -sum(d_theta)],
-    and the fit backtracks along it by halving until the Armijo condition
-    holds. Newton on all K(p + 1) parameters from V = 0 keeps the rows
-    summing to zero too, so its iterates are these, up to rounding.
+    g[:J] - g[J] and the exact reduced Hessian (:func:`_reduced_hessian`),
+    whose penalty (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0],
+    [0, 0]] is added block by block. The step of V is
+    [d_theta; -sum(d_theta)], and the fit backtracks along it by halving
+    until the Armijo condition holds. Newton on all K(p + 1) parameters
+    from V = 0 keeps the rows summing to zero too, so its iterates are
+    these, up to rounding.
 
     With lambda_l2 > 0 the reduced Hessian is positive definite. A ridge
     that rounding loses against the data (:func:`_ridge_regimes`), such as
@@ -551,7 +558,7 @@ class _Stack:
     s: np.ndarray  # B x n sample weights
     c: np.ndarray  # B x n, s / n
     laplacian: Optional[np.ndarray]  # B x p x p, or None for no graph penalty
-    curvature: np.ndarray  # B x J(p + 1) x J(p + 1) penalty Hessians, from _newton
+    penalty: np.ndarray  # B x (p + 1) x (p + 1): [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]]
     lambda_l2: np.ndarray
     lambda_g: np.ndarray
     # B x (n + 1) x (p + 1) for problems in kernel form (_fit_batch): maps
@@ -585,8 +592,7 @@ class _Stack:
         """
         B, K, d = V.shape
         J = K - 1
-        H = _data_hessian(V, self.X, self.c, out)
-        H += self.curvature
+        H = _reduced_hessian(V, self.X, self.c, self.penalty, out)
         rhs = (grad[:, J:] - grad[:, :J]).reshape(B, J * d, 1)
         reduced = np.linalg.solve(H, rhs).reshape(B, J, d)
         return np.concatenate([reduced, -reduced.sum(axis=1, keepdims=True)], axis=1)
@@ -598,7 +604,7 @@ class _Stack:
 # n_train in kernel form, p in feature space. It bounds peak memory: grid
 # or permutation tasks queue their distinct fold problems, each
 # _stack_capacity of them a stack, so a process solves one stack's
-# Hessians, curvatures and Laplacians at a time, not a default grid's
+# Hessians, penalties and Laplacians at a time, not a default grid's
 # thousands; _fit_batch splits the problems it solves in feature space
 # into stacks of the same bytes. At 13 x 26 (K = 3) 600 KiB stacks 56
 # kernel problems, where one problem is too small to amortize numpy's
@@ -749,24 +755,24 @@ def _newton(
     stack when it stops. So a problem's results do not depend on the rest
     of the stack. For problems in kernel form (:func:`_fit_batch`),
     ``to_weights`` maps each gradient to W-space before its max-norm is
-    taken. Returns V, B x K x (p + 1), and per problem its final objective,
-    iteration count and gradient max-norm. Issues no warning.
+    taken. Each problem's (p + 1) x (p + 1) penalty is built once, and
+    each iteration writes the reduced Hessians into one buffer. Returns V,
+    B x K x (p + 1), and per problem its final objective, iteration count
+    and gradient max-norm. Issues no warning.
     """
     B, n, p = Z.shape
     d, J = p + 1, K - 1
     X = np.concatenate([Z, np.ones((B, n, 1))], axis=2)
     c = s / n
-    # Each penalty Hessian in reduced coordinates:
-    # (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]]
+    # Each problem's penalty Hessian over one class's [w_k | b_k]
     penalty = np.zeros((B, d, d))
     penalty[:, :p, :p] = (2.0 * lambda_l2)[:, None, None] * np.eye(p)
     if laplacian is not None:
         penalty[:, :p, :p] += (2.0 * lambda_g)[:, None, None] * laplacian
-    curvature = np.kron(np.eye(J) + 1.0, penalty)
     live = _Stack(
-        Z, X, _one_hot(y, K), s, c, laplacian, curvature, lambda_l2, lambda_g, to_weights
+        Z, X, _one_hot(y, K), s, c, laplacian, penalty, lambda_l2, lambda_g, to_weights
     )
-    hessians = np.empty_like(curvature)
+    hessians = np.empty((B, J * d, J * d))
     V = np.zeros((B, K, d))
     value, grad = live.objective(V)
     # Per problem, by position in the input stack:

@@ -477,6 +477,20 @@ def test_missing_stage_exits_one_naming_it(tmp_path, csv_trio, small_grid, capsy
     assert not (out / "manifest.json").exists()
 
 
+def test_count_beyond_int64_exits_one(tmp_path, csv_trio, capsys):
+    macrofauna = csv_trio["macrofauna"]
+    header, first, *rest = macrofauna.read_text().splitlines()
+    site, _, *counts = first.split(",")
+    macrofauna.write_text("\n".join([header, ",".join([site, "9" * 20, *counts]), *rest]) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["fit", *_trio_args(csv_trio), "--out", str(out)]) == cli.EXIT_VALIDATION
+    column = header.split(",")[1]
+    assert capsys.readouterr().err == (
+        f"error: {macrofauna}: site_id '{site}', column '{column}': "
+        f"count {'9' * 20} above the int64 maximum\n"
+    )
+
+
 @pytest.mark.parametrize("mode", [["permtest", "--B", "2"], ["grid", "--grid", "GRID"]])
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_exit_one(tmp_path, csv_trio, small_grid, capsys, mode, workers):

@@ -1,5 +1,8 @@
 """Ingestion, validation, serialization round-trips, synthetic generator."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,15 @@ class TestLoad:
         mf = tmp_path / "m.csv"
         mf.write_text("site_id,dead,adult,juvenile,clam\ns1,1,-2,3,4\n")
         with pytest.raises(NegativeCount):
+            load_dataset(ab, mf)
+
+    def test_count_beyond_int64(self, tmp_path):
+        ab = tmp_path / "a.csv"
+        ab.write_text("site_id,a,b\ns1,0.5,0.5\n")
+        mf = tmp_path / "m.csv"
+        mf.write_text("site_id,dead,adult,juvenile,clam\ns1,1,99999999999999999999,3,4\n")
+        message = f"^{re.escape(str(mf))}: site_id 's1', column 'adult': count 9{{20}} above"
+        with pytest.raises(InvalidValue, match=message):
             load_dataset(ab, mf)
 
     def test_non_integer_count(self, tmp_path):
@@ -408,6 +420,18 @@ VALIDATION_RAISES = {
         NegativeCount,
         "negative count at site 'b', category 'adult'",
     ),
+    **{
+        f"count-above-int64-{name}": (
+            lambda values=values: MacrofaunaCounts(["a", "b"], values),
+            InvalidValue,
+            "count above the int64 maximum at site 'b', category 'juvenile'",
+        )
+        for name, values in [
+            ("int", [[0, 1, 2, 3], [4, 5, 2**70, 7]]),
+            ("uint64", np.array([[0, 1, 2, 3], [4, 5, 2**63, 7]], dtype=np.uint64)),
+            ("float", np.array([[0, 1, 2, 3], [4, 5, 2.0**63, 7]])),
+        ]
+    },
     "duplicate-label-site-ids": (
         lambda: StageLabels(["a", "a", "b"], ["adult", "dead", "juvenile"]),
         InvalidValue,
@@ -457,6 +481,15 @@ VALIDATION_RAISES = {
 def test_validation_raises(make, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         make()
+
+
+def test_largest_int64_count_is_kept_without_a_cast_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a count cast past int64 warns
+        counts = MacrofaunaCounts(["a"], [[2**63 - 1, 0, 1, 2]])
+        with pytest.raises(InvalidValue):
+            MacrofaunaCounts(["a"], [[2**70, 0, 1, 2]])
+    assert counts.values.dtype == np.int64 and counts.values[0, 0] == 2**63 - 1
 
 
 def test_save_dataset_needs_the_tables_it_is_asked_to_write(tmp_path):

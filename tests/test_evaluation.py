@@ -573,25 +573,25 @@ class TestGridFitReuse:
         config = GrmlrConfig()
         other = replace(config, **{name: self.OTHER_VALUES[name]})
         plan = build_plan(separable, config.epsilon)
-        graphs = evaluation._FoldGraphs(0)
-        graph = graphs.graph(plan, 0, config)
+        graphs = evaluation._FoldGraphs()
+        laplacian, digest = graphs.graph(plan, 0, config)
         labels = plan.y.tobytes()
-        key = evaluation._fold_fit_key(plan, 0, config, labels, graph)
-        other_key = evaluation._fold_fit_key(plan, 0, other, labels, graph)
+        key = evaluation._fold_fit_key(plan, 0, config, labels, digest)
+        other_key = evaluation._fold_fit_key(plan, 0, other, labels, digest)
         if kind == "solver":
             assert other_key != key
             return
         assert other_key == key
         if kind == "graph":
             digests = [
-                (graphs.graph(plan, i, config).digest, graphs.graph(plan, i, other).digest)
+                (graphs.graph(plan, i, config)[1], graphs.graph(plan, i, other)[1])
                 for i in range(len(plan.y))
             ]
             assert any(a != b for a, b in digests)
         elif kind == "plan":
             other_plan = build_plan(separable, other.epsilon)
             assert not np.array_equal(other_plan.features, plan.features)
-            assert evaluation._fold_fit_key(other_plan, 0, other, labels, graph) != key
+            assert evaluation._fold_fit_key(other_plan, 0, other, labels, digest) != key
         else:
             train = plan.train[0]
             K = len(plan.label_set)
@@ -601,7 +601,7 @@ class TestGridFitReuse:
                 y[None],
                 K,
                 _sample_weights(y, K, config.class_balanced)[None],
-                graph.laplacian[None],
+                laplacian[None],
             )
             V, infos = evaluation._fit_batch(*stack, [config])
             other_V, other_infos = evaluation._fit_batch(*stack, [other])
@@ -612,9 +612,9 @@ class TestGridFitReuse:
         # a kept key holds its plan, so a later plan cannot take the key over
         config = GrmlrConfig()
         plan = build_plan(separable, config.epsilon)
-        graphs = evaluation._FoldGraphs(evaluation._GRAPH_CACHE_BYTES)
-        graph = graphs.graph(plan, 0, config)
-        key = evaluation._fold_fit_key(plan, 0, config, plan.y.tobytes(), graph)
+        graphs = evaluation._FoldGraphs()
+        _, digest = graphs.graph(plan, 0, config)
+        key = evaluation._fold_fit_key(plan, 0, config, plan.y.tobytes(), digest)
         alive = weakref.ref(plan)
         del plan
         gc.collect()
@@ -628,7 +628,7 @@ class TestGridFitReuse:
 
 
 class TestFoldGraphBlocks:
-    """_FoldGraphs builds the graph parts of a block of folds in one stacked pass."""
+    """_fold_laplacians builds the graph parts of a block of folds in one stacked pass."""
 
     @pytest.mark.parametrize(
         "with_macrofauna, alpha",
@@ -642,7 +642,7 @@ class TestFoldGraphBlocks:
             separable = Dataset(separable.abundances, None, separable.stages)
         config = GrmlrConfig(alpha=alpha, co_occurrence_scope=scope)
         plan = build_plan(separable, config.epsilon)
-        graphs = evaluation._FoldGraphs(evaluation._GRAPH_CACHE_BYTES)
+        graphs = evaluation._FoldGraphs()
         every_site = clr_transform(separable.abundances, config.epsilon)
         whole = build_graph(every_site, separable.macrofauna, config.tau, config.gamma, alpha)
         n = separable.n_sites
@@ -652,8 +652,9 @@ class TestFoldGraphBlocks:
             expected = build_graph(features, train.macrofauna, config.tau, config.gamma, alpha)
             if scope == "all":  # A_co from every site's correlations
                 expected = _fused(expected.a_macro, whole.a_co, alpha, plan.taxa_names)
-            got = graphs.graph(plan, i, config).laplacian
-            assert got.tobytes() == expected.laplacian.tobytes(), i
+            got, _ = graphs.graph(plan, i, config)
+            alone = evaluation._fold_laplacians(plan, slice(i, i + 1), config)[0]
+            assert got.tobytes() == alone.tobytes() == expected.laplacian.tobytes(), i
 
     @pytest.mark.parametrize("block", [1, 3, None])  # None: every fold in one block
     def test_block_size_changes_no_byte(self, separable, fitted_problems, monkeypatch, block):

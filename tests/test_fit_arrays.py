@@ -3,6 +3,7 @@
 import functools
 import inspect
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -410,3 +411,39 @@ def test_kernel_form_needs_no_laplacian(K):
     assert without[0].tobytes() == explicit[0].tobytes()
     assert without[1:] == explicit[1:]
     assert max(without[2]) > 3  # some fits ran to convergence
+
+
+@pytest.mark.parametrize("K", CLASSES)
+def test_reduced_hessian_adds_the_kronecker_penalty_bit_for_bit(K):
+    # the penalty enters block by block: 2 penalty on the diagonal, penalty off it
+    rng = np.random.default_rng(K)
+    problems = [_problem(K, seed) for seed in STACK_SEEDS]
+    Z, s, laplacian = (np.stack([problem[i] for problem in problems]) for i in (0, 2, 3))
+    B, n, p = Z.shape
+    J, d = K - 1, p + 1
+    X = np.concatenate([Z, np.ones((B, n, 1))], axis=2)
+    theta = rng.normal(scale=0.3, size=(B, J, d))
+    V = np.concatenate([theta, -theta.sum(axis=1, keepdims=True)], axis=1)
+    penalty = np.zeros((B, d, d))
+    penalty[:, :p, :p] = 2.0 * 0.02 * np.eye(p) + 2.0 * 5.0 * laplacian
+    got = model._reduced_hessian(V, X, s / n, penalty, np.empty((B, J * d, J * d)))
+    data = model._reduced_hessian(V, X, s / n, np.zeros_like(penalty), np.empty_like(got))
+    assert np.abs(data).max() > 0 and not np.array_equal(data, got)
+    assert got.tobytes() == (data + np.kron(np.eye(J) + 1.0, penalty)).tobytes()
+
+
+def test_one_fit_at_stress_scale_holds_under_two_reduced_hessians():
+    # one Hessian buffer and the solver's temporaries, no J^2 copies of the penalty
+    ds = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+    feats = clr_transform(ds.abundances, 1e-6)
+    laplacian = build_graph(feats, ds.macrofauna, tau=0.7, gamma=0.9, alpha=0.1).laplacian
+    y = ds.stages.indices()
+    s = _sample_weights(y, 3, class_balanced=True)
+    tracemalloc.start()
+    try:
+        fit_arrays(feats.values, y, 3, s, laplacian, GrmlrConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    hessian = 8 * (2 * 161) ** 2
+    assert peak < 2 * hessian, peak / hessian

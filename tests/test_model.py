@@ -506,6 +506,13 @@ def test_config_from_dict_rejects_unknown_fields():
         GrmlrConfig.from_dict({"nope": 1})
 
 
+def test_config_from_dict_rejects_missing_fields():
+    data = GrmlrConfig(epsilon=1e-3).to_dict()
+    del data["epsilon"], data["seed"]
+    with pytest.raises(InvalidValue, match=r"missing config fields: \['epsilon', 'seed'\]"):
+        GrmlrConfig.from_dict(data)
+
+
 @pytest.mark.parametrize(
     "name, bad",
     [
@@ -578,11 +585,16 @@ def _malformed_payloads():
         payload["final_loss"] = 10**400
         return payload
 
+    def no_config_epsilon(payload):
+        del payload["config"]["epsilon"]  # would load as the default, not the fitted epsilon
+        return payload
+
     edits = [("array", lambda payload: [payload]), ("ragged", ragged)]
     edits += [("max_iters", bad_max_iters)]
     edits += [("huge_weight", huge_weight), ("huge_final_loss", huge_final_loss)]
     keys = ("weights", "bias", "feature_mode", "converged", "n_iterations", "final_loss", "config")
-    return edits + [(f"no_{key}", drop(key)) for key in keys]
+    edits += [(f"no_{key}", drop(key)) for key in keys]
+    return edits + [("no_config_epsilon", no_config_epsilon)]
 
 
 @pytest.mark.parametrize("name, edit", _malformed_payloads())

@@ -100,3 +100,35 @@ def test_every_exported_name_has_a_program_use():
     unused = _unreferenced(exported, uses)
     assert sorted(name for _, name, _ in exported) == sorted(grmlr.__all__)
     assert not unused, f"names in grmlr.__all__ that no program uses: {unused}"
+
+
+def _imported_names(statement: ast.stmt) -> list[str]:
+    """Names that a module-level import statement binds; none for a __future__ import."""
+    if isinstance(statement, ast.Import):
+        return [alias.asname or alias.name.partition(".")[0] for alias in statement.names]
+    if isinstance(statement, ast.ImportFrom) and statement.module != "__future__":
+        return [alias.asname or alias.name for alias in statement.names]
+    return []
+
+
+def test_every_module_level_import_is_used():
+    # __init__.py imports to export; every other module imports to use
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        statements = _statements([path])
+        uses = set().union(
+            *(
+                _referenced_names(statement)
+                for _, statement in statements
+                if not isinstance(statement, (ast.Import, ast.ImportFrom))
+            )
+        )
+        unused += [
+            f"{path.name}: {name}"
+            for _, statement in statements
+            for name in _imported_names(statement)
+            if name not in uses
+        ]
+    assert not unused, f"module-level imports that their module never uses: {unused}"

@@ -10,13 +10,16 @@ timings cannot tell from a change of the code, moves both sides alike:
     python3 tools/paired_timing.py --src /path/to/parent/src --src src --call paper-grid
 
 The calls, each on ``synthesize_dataset(K=3, n_blocks=4, coupling=0.9,
-noise=0.1, seed=0)`` at 13x26 built by its own tree:
+noise=0.1, seed=0)`` built by its own tree, at 13x26 unless noted:
 
 * ``paper-grid``: ``grid_search`` of the 6 configs of perfbench's
   ``paper-grid`` workload (alpha in {0, 0.5, 1}, lambda_g in {0, 10});
 * ``permtest``: ``permutation_test(B=50, seed=0)`` at the default config;
 * ``default-grid``: ``grid_search`` of ``DEFAULT_GRID``, 2112 configs
-  (about 5 s a call).
+  (about 5 s a call);
+* ``stress-loocv``: ``loocv(keep_models=True)`` at the default config at
+  40x160, perfbench's ``stress-loocv`` call (about 0.8 s a call), whose
+  results compare by ``to_dict()``.
 
 All calls run serially (workers 1). Before timing, each side runs
 ``WARMUP`` untimed calls. It checks that both trees return equal results, then
@@ -25,6 +28,14 @@ per-pair ratios B/A, and the share of pairs that B won (took less time
 than A in the same pair; ties count for neither). A gain claim needs B to
 win at least 9 of 10 pairs and the medians to differ by more than A's
 interquartile range. Exits 1 when the results differ.
+
+Both trees share one process, and so one malloc state. In-process pairs
+therefore hide what depends on the allocator's history: a call that
+separate processes see page-faulting its large arrays back in, because
+glibc returned them to the OS after the previous call, can time the same
+here once either tree has raised glibc's mmap and trim thresholds. Count
+such effects in fresh processes, for instance with the minor faults of
+``resource.getrusage`` around the call.
 """
 
 from __future__ import annotations
@@ -64,7 +75,8 @@ def load_tree(src: str, name: str):
 
 def make_call(g, call: str):
     """A no-argument function that runs ``call`` on tree ``g`` and returns its result as data."""
-    dataset = g.synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+    n, p = (40, 160) if call == "stress-loocv" else (13, 26)
+    dataset = g.synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
 
     def entries(result):
         return [(e.index, e.accuracy, e.macro_f1, e.error) for e in result.entries]
@@ -74,6 +86,8 @@ def make_call(g, call: str):
     if call == "default-grid":
         return lambda: entries(g.grid_search(dataset, g.DEFAULT_GRID))
     config = g.GrmlrConfig()
+    if call == "stress-loocv":
+        return lambda: g.loocv(dataset, config, keep_models=True).to_dict()
     return lambda: g.permutation_test(dataset, config, B=50, seed=0).to_dict()
 
 
@@ -94,7 +108,9 @@ def main(argv=None) -> int:
         "--src", action="append", required=True, help="directory that holds a grmlr package; twice"
     )
     parser.add_argument(
-        "--call", required=True, choices=["paper-grid", "permtest", "default-grid"]
+        "--call",
+        required=True,
+        choices=["paper-grid", "permtest", "default-grid", "stress-loocv"],
     )
     parser.add_argument("--pairs", type=int, default=100, help="timed pairs (default 100)")
     args = parser.parse_args(argv)
