@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .dataset import _make_dir, _read_file, _write_csv, _write_json, load_dataset, save_dataset
-from .dataset import STAGE_LABELS, synthesize_dataset
+from .dataset import _integer, _make_dir, _read_file, _real, _write_csv, _write_json
+from .dataset import STAGE_LABELS, load_dataset, save_dataset, synthesize_dataset
 from .ecograph import build_graph, export_heatmaps
 from .errors import GrmlrError, InvalidValue, NonConvergenceWarning
 from .evaluation import (
@@ -44,12 +44,9 @@ from .evaluation import (
     grid_search,
     loocv,
     permutation_test,
-    write_ablation_report,
     write_alpha_sweep_csv,
     write_coefficient_csv,
-    write_eval_report,
     write_grid_csv,
-    write_permutation_report,
 )
 from .model import GrmlrConfig, build_features, fit, load_model, predict, predict_proba, save_model
 from .svgplot import bar_chart, line_chart
@@ -96,11 +93,9 @@ def _coerce(key: str, value: str, where: str) -> object:
     field = GrmlrConfig.__dataclass_fields__.get(key)
     if field is None:
         raise InvalidValue(f"{where}: unknown config field '{key}'")
-    kind = type(field.default)
+    parse = {bool: _bool_from_str, int: _integer, float: _real}.get(type(field.default), str)
     try:
-        return _bool_from_str(value) if kind is bool else kind(value)
-    except InvalidValue:
-        raise
+        return parse(value)
     except ValueError as exc:
         raise InvalidValue(f"{where}: bad value for '{key}': {value!r}") from exc
 
@@ -237,7 +232,7 @@ def cmd_eval(args) -> int:
 
     if args.mode == "loocv":
         report = loocv(dataset, config, keep_models=True)
-        write_eval_report(report, out / "loocv_report.json")
+        _write_json(report.to_dict(), out / "loocv_report.json")
         ranking = coefficient_ranking(report.fold_models)
         write_coefficient_csv(ranking, out / "coefficient_ranking.csv")
         if args.svg:
@@ -252,7 +247,7 @@ def cmd_eval(args) -> int:
         print(f"loocv accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     elif args.mode == "permtest":
         report = permutation_test(dataset, config, B=args.B, seed=config.seed, workers=args.workers)
-        write_permutation_report(report, out / "permutation_report.json")
+        _write_json(report.to_dict(), out / "permutation_report.json")
         print(
             f"observed={report.observed_accuracy:.4f} "
             f"p={report.p_value:.4f} (B={len(report.permuted_accuracies)})"
@@ -267,7 +262,7 @@ def cmd_eval(args) -> int:
         )
     elif args.mode == "ablate":
         reports = ablate(dataset, config)
-        write_ablation_report(reports, out / "ablation_report.json")
+        _write_json({name: rep.to_dict() for name, rep in reports.items()}, out / "ablation_report.json")
         for name, rep in reports.items():
             print(f"{name}: accuracy={rep.accuracy:.4f} macro_f1={rep.macro_f1:.4f}")
     else:  # alpha-sweep
@@ -289,7 +284,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     dataset = synthesize_dataset(
         n=args.n,
         p=args.p,
@@ -299,6 +293,7 @@ def cmd_synth(args) -> int:
         noise=args.noise,
         seed=args.seed if args.seed is not None else 0,
     )
+    out = _out_dir(args)
     save_dataset(
         dataset,
         out / "abundances.csv",
@@ -334,15 +329,15 @@ _COMMON_FLAGS = {
         help="override a config field (repeatable)",
     ),
     "--out": dict(help="output directory"),
-    "--seed": dict(type=int, help="override the config seed"),
+    "--seed": dict(type=_integer, help="override the config seed"),
     "--workers": dict(
-        type=int, default=1,
+        type=_integer, default=1,
         help="worker process cap (>= 1); "
         "the pool also stays within the task count and the usable CPUs",
     ),
     "--strict": dict(action="store_true", help="escalate warnings to exit 2"),
     "--svg": dict(action="store_true", help="also render SVG charts"),
-    "--B": dict(type=int, default=50, help="permutation count"),
+    "--B": dict(type=_integer, default=50, help="permutation count"),
     "--grid": dict(default="default", help="'default' or a grid file"),
     "--alphas": dict(help="comma-separated mixing weights"),
 }
@@ -386,11 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
         p_mode.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate synthetic CSVs")
-    p_synth.add_argument("--n", type=int, default=13)
-    p_synth.add_argument("--p", type=int, default=26)
-    p_synth.add_argument("--blocks", type=int, default=4)
-    p_synth.add_argument("--coupling", type=float, default=0.9)
-    p_synth.add_argument("--noise", type=float, default=0.1)
+    p_synth.add_argument("--n", type=_integer, default=13)
+    p_synth.add_argument("--p", type=_integer, default=26)
+    p_synth.add_argument("--blocks", type=_integer, default=4)
+    p_synth.add_argument("--coupling", type=_real, default=0.9)
+    p_synth.add_argument("--noise", type=_real, default=0.1)
     _add_common(p_synth, "--seed")
     p_synth.set_defaults(func=cmd_synth)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AbundanceMatrix, reject_non_finite
-from .errors import InvalidValue
+from .errors import InvalidShape, InvalidValue
 
 
 @dataclass(eq=False)
@@ -63,6 +63,8 @@ def clr(values: np.ndarray, epsilon: float) -> np.ndarray:
         Matrix of the same shape whose rows sum to 0 (up to rounding).
     """
     x = np.asarray(values, dtype=float)
+    if x.ndim != 2:
+        raise InvalidShape(f"CLR needs an n x p matrix, got shape {x.shape}")
     if epsilon < 0:
         raise InvalidValue(f"pseudo-count must be >= 0, got {epsilon}")
     shifted = x + epsilon

@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import numbers
+import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -224,30 +225,6 @@ class Dataset:
     def n_taxa(self) -> int:
         return self.abundances.n_taxa
 
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        """New Dataset holding only the selected sites, order preserved."""
-        idx = list(indices)
-        ids = [self.abundances.site_ids[i] for i in idx]
-        ab = AbundanceMatrix(ids, list(self.abundances.taxa_names), self.abundances.values[idx])
-        mf = None
-        if self.macrofauna is not None:
-            mf = MacrofaunaCounts(
-                list(ids), self.macrofauna.values[idx], list(self.macrofauna.category_names)
-            )
-        st = None
-        if self.stages is not None:
-            st = StageLabels(
-                list(ids), [self.stages.labels[i] for i in idx], self.stages.label_set
-            )
-        return Dataset(ab, mf, st)
-
-    def with_labels(self, labels: Sequence[str]) -> "Dataset":
-        """Same observations with a replacement label column."""
-        if self.stages is None:
-            raise InvalidShape("dataset has no labels to replace")
-        st = StageLabels(list(self.abundances.site_ids), list(labels), self.stages.label_set)
-        return Dataset(self.abundances, self.macrofauna, st)
-
 
 def _read_file(path: str | Path) -> str:
     try:
@@ -307,16 +284,37 @@ def _read_table(path: str | Path, key_column: str, parse: Callable) -> tuple[lis
     return columns, table
 
 
+# Plain ASCII decimal numerals, and the non-finite tokens that float() reads;
+# int() and float() would also take padding, digit-group underscores and
+# non-ASCII digits, so that a typo such as "1_0" reads as 10.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_REAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?(?i:nan|inf|infinity)")
+
+
+def _integer(text: str) -> int:
+    """The integer that ``text`` spells as a plain decimal numeral; ValueError otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not a plain decimal integer: {text!r}")
+    return int(text)
+
+
+def _real(text: str) -> float:
+    """The float that ``text`` spells as a plain decimal numeral or nan/inf; ValueError otherwise."""
+    if not _REAL.fullmatch(text):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return float(text)
+
+
 def _parse_float(cell: str, where: str) -> float:
     try:
-        return float(cell)
+        return _real(cell)
     except ValueError as exc:
         raise InvalidValue(f"{where}: not a number: {cell!r}") from exc
 
 
 def _parse_count(cell: str, where: str) -> int:
     try:
-        value = int(cell)
+        value = _integer(cell)
     except ValueError as exc:
         raise InvalidValue(f"{where}: not an integer count: {cell!r}") from exc
     if value < 0:
@@ -458,18 +456,27 @@ def synthesize_dataset(
     Raises
     ------
     InvalidShape
-        If n < K, p < n_blocks, or n_blocks < 1.
+        If n < K, p < n_blocks, n_blocks < 1, coupling is outside [0, 1] or
+        noise outside [0, inf).
     InvalidValue
-        If ``seed`` is not an integer.
+        If n, p, K, n_blocks or ``seed`` is not an integer, or coupling or
+        noise not a real number; ``bool`` is neither.
     """
+    for kind, what, values in (
+        (numbers.Integral, "an integer", {"n": n, "p": p, "K": K, "n_blocks": n_blocks}),
+        (numbers.Real, "a real number", {"coupling": coupling, "noise": noise}),
+    ):
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InvalidValue(f"{name} must be {what}, got {value!r}")
     if K < 1 or n < K or n_blocks < 1 or p < n_blocks:
         raise InvalidShape(
             f"need n >= K >= 1 and p >= n_blocks >= 1, got n={n} p={p} K={K} n_blocks={n_blocks}"
         )
     if not 0.0 <= coupling <= 1.0:
         raise InvalidShape(f"coupling must be in [0, 1], got {coupling}")
-    if not noise >= 0.0:
-        raise InvalidShape(f"noise must be >= 0, got {noise}")
+    if not 0.0 <= noise < np.inf:
+        raise InvalidShape(f"noise must be in [0, inf), got {noise}")
 
     rng = substream(seed, "synthesize")
     blocks = taxa_blocks(p, n_blocks)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .compositional import FeatureMatrix
 from .dataset import MacrofaunaCounts, _make_dir, _write_csv
-from .errors import InvalidValue, Misalignment, MissingMacrofauna, TooFewSamples
+from .errors import InvalidShape, InvalidValue, Misalignment, MissingMacrofauna, TooFewSamples
 from .rankstats import _correlations, spearman_cross, spearman_matrix
 
 @dataclass(eq=False)
@@ -98,6 +98,8 @@ def _edges(similarity: np.ndarray, cut: float, name: str) -> np.ndarray:
 
 def laplacian_of(adjacency: np.ndarray) -> np.ndarray:
     """Combinatorial Laplacian D - A of a weighted adjacency matrix (..., p, p)."""
+    if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
+        raise InvalidShape(f"adjacency must be square, got shape {adjacency.shape}")
     laplacian = np.zeros_like(adjacency)
     _diagonal(laplacian)[...] = adjacency.sum(axis=-1)
     laplacian -= adjacency
@@ -173,27 +175,19 @@ def _a_macro_or_zeros(
 
 
 def export_heatmaps(graph: EcologicalGraph, out_dir: str | Path) -> list[Path]:
-    """Write a_macro.csv, a_co.csv and adjacency.csv into ``out_dir``."""
+    """Write a_macro.csv, a_co.csv and adjacency.csv into ``out_dir``, full-precision decimals."""
     out = _make_dir(out_dir)
+    names = graph.taxa_names
     written = []
     for name, matrix in (
         ("a_macro.csv", graph.a_macro),
         ("a_co.csv", graph.a_co),
         ("adjacency.csv", graph.adjacency),
     ):
-        path = out / name
-        write_matrix_csv(path, graph.taxa_names, matrix)
-        written.append(path)
+        written.append(out / name)
+        rows = [[taxon, *[repr(float(v)) for v in row]] for taxon, row in zip(names, matrix)]
+        _write_csv(written[-1], ["taxon", *names], rows)
     return written
-
-
-def write_matrix_csv(path: str | Path, taxa_names: list[str], matrix: np.ndarray) -> None:
-    """Taxa-labelled square matrix as CSV with full-precision decimals."""
-    _write_csv(
-        path,
-        ["taxon", *taxa_names],
-        [[name, *[repr(float(v)) for v in row]] for name, row in zip(taxa_names, matrix)],
-    )
 
 
 def _check_unit_interval(value: float, name: str) -> None:

@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _write_csv, _write_json, substream
+from .dataset import Dataset, _write_csv, substream
 from .ecograph import _a_macro_or_zeros, _fused, _require_macrofauna, a_co_from_correlations
 from .errors import (
     GrmlrError,
@@ -195,9 +195,8 @@ class LoocvPlan:
     (every site but i, in order). ``ranks`` is the features'
     ``rank_matrix`` and ``count_ranks`` the macrofauna counts', None without
     macrofauna; every fold's correlations are downdated from them
-    (``_fold_correlations``). ``co_all`` is the Spearman matrix of every
-    site's features. The batch evaluator keys fold fits and graphs on a
-    plan's identity.
+    (``_fold_correlations``). The batch evaluator keys fold fits and graphs
+    on a plan's identity.
     """
 
     taxa_names: list[str]
@@ -208,7 +207,6 @@ class LoocvPlan:
     train: np.ndarray
     ranks: np.ndarray
     count_ranks: Optional[np.ndarray]
-    co_all: np.ndarray
     feature_mode: str
 
 
@@ -216,7 +214,7 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
     """Precompute features, their ranks and the macrofauna counts' ranks for LOOCV.
 
     The features and the macrofauna counts are ranked once each; the plan
-    keeps those ranks, n x p and n x k, and no fold's correlations.
+    keeps those ranks, n x p and n x k, and no correlations.
 
     Raises MissingLabels without labels, EmptyClass if no site has some
     stage, InvalidShape with fewer than K + 1 sites, and TooFewSamples
@@ -234,7 +232,6 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
     count_ranks = None
     if dataset.macrofauna is not None:
         count_ranks = rank_matrix(np.asarray(dataset.macrofauna.values, float))
-    unit, ok = _unit(ranks.copy())  # _unit works in place, and the plan keeps the ranks
     return LoocvPlan(
         taxa_names=list(dataset.abundances.taxa_names),
         label_set=tuple(stages.label_set),
@@ -244,7 +241,6 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
         train=np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]),
         ranks=ranks,
         count_ranks=count_ranks,
-        co_all=_correlations(unit, ok, unit, ok),
         feature_mode=feature_mode,
     )
 
@@ -252,17 +248,21 @@ def build_plan(dataset: Dataset, epsilon: float, feature_mode: str = "clr") -> L
 def _fold_correlations(plan: LoocvPlan, folds: slice, scope: str) -> tuple:
     """Spearman matrices and macro-coupling profiles of the training sites of ``folds``.
 
-    Returns the (b, p, p) stack of the b folds' Spearman matrices, or under
-    ``scope`` 'all' ``co_all`` broadcast to that shape, and the (b, p, k)
-    stack of their feature-macrofauna Spearman cross matrices, None without
-    macrofauna. The block's ranks are downdated from the plan's once, and
-    each fold's result equals, bit for bit, the ``spearman_matrix`` and
-    ``spearman_cross`` of its training rows, whatever the block.
+    Returns the (b, p, p) stack of the b folds' Spearman matrices and the
+    (b, p, k) stack of their feature-macrofauna Spearman cross matrices,
+    None without macrofauna. Under ``scope`` 'all' the first is the
+    Spearman matrix of every site's features instead, correlated from the
+    plan's ranks and broadcast to that shape. The block's ranks are
+    downdated from the plan's once, and each matrix equals, bit for bit,
+    the ``spearman_matrix`` or ``spearman_cross`` of the rows it is made
+    from, whatever the block.
     """
     kept = plan.train[folds]
     ranks, ok = _leave_one_out(plan.ranks, folds, kept)
     if scope == "all":
-        co = np.broadcast_to(plan.co_all, (len(kept), *plan.co_all.shape))
+        unit, every = _unit(plan.ranks.copy())  # _unit works in place, and the plan keeps the ranks
+        co = _correlations(unit, every, unit, every)
+        co = np.broadcast_to(co, (len(kept), *co.shape))
     else:
         co = _correlations(ranks, ok, ranks, ok)
     if plan.count_ranks is None:
@@ -740,18 +740,6 @@ def coefficient_ranking(models: Sequence[GrmlrModel]) -> list[tuple[str, float]]
     )
     order = np.argsort(-mags, kind="stable")
     return [(taxa[j], float(mags[j])) for j in order]
-
-
-def write_eval_report(report: EvalReport, path: str | Path) -> None:
-    _write_json(report.to_dict(), path)
-
-
-def write_permutation_report(report: PermutationReport, path: str | Path) -> None:
-    _write_json(report.to_dict(), path)
-
-
-def write_ablation_report(reports: dict[str, EvalReport], path: str | Path) -> None:
-    _write_json({name: rep.to_dict() for name, rep in reports.items()}, path)
 
 
 def write_grid_csv(result: GridResult, path: str | Path) -> None:

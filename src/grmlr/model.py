@@ -179,6 +179,8 @@ class GrmlrModel:
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
         self.bias = np.asarray(self.bias, dtype=float)
+        if self.weights.ndim != 2:
+            raise InvalidValue(f"weights must be a K x p matrix, got shape {self.weights.shape}")
         K, p = self.weights.shape
         if self.bias.shape != (K,):
             raise InvalidValue(f"bias shape {self.bias.shape} for {K} classes")

@@ -17,6 +17,8 @@ from grmlr.dataset import STAGE_LABELS, AbundanceMatrix, Dataset, load_dataset, 
 from grmlr.errors import InvalidValue
 from grmlr.model import GrmlrConfig, GrmlrModel, load_model, predict, save_model
 
+from datasets import subset
+
 MANIFEST_KEYS = {
     "command",
     "config_path",
@@ -163,6 +165,52 @@ def test_validation_errors_exit_one(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+NOT_PLAIN_NUMERAL_CASES = ["set", "config", "grid", "alphas", "seed", "synth", "noise", "table"]
+
+
+@pytest.mark.parametrize("numeral", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("case", NOT_PLAIN_NUMERAL_CASES)
+def test_numeral_that_is_not_a_plain_decimal_exits_one(tmp_path, capsys, csv_trio, numeral, case):
+    # Python's int() and float() read both numerals as 10
+    trio = _trio_args(csv_trio, macrofauna=False)
+    path = tmp_path / "input"
+    if case == "config":
+        path.write_text(f"max_iters = {numeral}\n", encoding="utf-8")
+    elif case == "grid":
+        path.write_text(f"lambda_g = 0, {numeral}\n", encoding="utf-8")
+    elif case == "table":
+        rows = csv_trio["macrofauna"].read_text().splitlines()
+        rows[1] = rows[1].rsplit(",", 1)[0] + f",{numeral}"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv, message = {
+        "set": (["fit", *trio, "--set", f"lambda_g={numeral}"], "--set: bad value for 'lambda_g'"),
+        "config": (["fit", *trio, "--config", str(path)], f"{path}: bad value for 'max_iters'"),
+        "grid": (["eval", "grid", *trio, "--grid", str(path)], f"{path}: bad value for 'lambda_g'"),
+        "alphas": (
+            ["eval", "alpha-sweep", *trio, "--alphas", f"0,{numeral}"],
+            "--alphas: bad value for 'alpha'",
+        ),
+        "seed": (["fit", *trio, "--seed", numeral], "argument --seed: invalid _integer value"),
+        "synth": (["synth", "--n", numeral], "argument --n: invalid _integer value"),
+        "noise": (["synth", "--noise", f"0.{numeral}"], "argument --noise: invalid _real value"),
+        "table": (
+            ["fit", *trio, "--macrofauna", str(path)],
+            "column 'clam': not an integer count",
+        ),
+    }[case]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_with_infinite_noise_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--noise", "inf", "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: noise must be in [0, inf), got inf\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command", [["fit"], ["eval", "loocv"], ["eval", "ablate"]], ids=["fit", "loocv", "ablate"]
 )
@@ -230,7 +278,7 @@ def test_eval_loocv_on_three_sites_exits_one(tmp_path, synth_dataset, capsys):
     # one site per stage: a CLI label set holds all three stages, so LOOCV
     # needs 4 sites before its folds' graphs would need 3 training sites
     stages = synth_dataset.stages.labels
-    three = synth_dataset.subset([stages.index(stage) for stage in STAGE_LABELS])
+    three = subset(synth_dataset, [stages.index(stage) for stage in STAGE_LABELS])
     trio = {name: tmp_path / f"{name}.csv" for name in ("abundances", "macrofauna", "labels")}
     save_dataset(three, trio["abundances"], trio["macrofauna"], trio["labels"])
     argv = ["eval", "loocv", *_trio_args(trio), "--out", str(tmp_path / "out")]

@@ -1,12 +1,14 @@
 """CLR transform: frozen cases, algebraic identities, simplex properties."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grmlr.compositional import FeatureMatrix, clr, clr_transform, raw_features
-from grmlr.errors import InvalidValue
+from grmlr.errors import InvalidShape, InvalidValue
 
 from oracles import clr_rowwise_reference
 
@@ -81,6 +83,13 @@ def test_negative_epsilon_rejected():
 def test_non_finite_entries_rejected(bad):
     with pytest.raises(InvalidValue, match="^CLR requires finite entries$"):
         clr(np.array([[0.5, 0.25, 0.25], [0.5, bad, 0.5]]), epsilon=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+def test_clr_needs_a_matrix(shape):
+    message = re.escape(f"CLR needs an n x p matrix, got shape {shape}")
+    with pytest.raises(InvalidShape, match=f"^{message}$"):
+        clr(np.full(shape, 0.5), epsilon=1e-6)
 
 
 def test_zeros_fine_with_pseudocount():

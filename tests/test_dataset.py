@@ -30,6 +30,8 @@ from grmlr.errors import (
 )
 from grmlr.rankstats import spearman_cross
 
+SYNTH_ARGS = dict(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+
 # with K = 2 classes and 2 blocks, each block carries one class's shift
 SIGNAL_TAXA = np.concatenate(taxa_blocks(8, 2)[:2])
 
@@ -102,6 +104,37 @@ class TestLoad:
         mf.write_text("site_id,dead,adult,juvenile,clam\ns1,1,2.5,3,4\n")
         with pytest.raises(InvalidValue):
             load_dataset(ab, mf)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0663", " 4 ", "4 ", "0x10", "\uff14"])
+    def test_count_that_is_not_a_plain_decimal_numeral(self, tmp_path, cell):
+        ab = tmp_path / "a.csv"
+        ab.write_text("site_id,a,b\ns1,0.5,0.5\n")
+        mf = tmp_path / "m.csv"
+        mf.write_text(f"site_id,dead,adult,juvenile,clam\ns1,1,{cell},3,+2\n", encoding="utf-8")
+        message = f"site_id 's1', column 'adult': not an integer count: {re.escape(repr(cell))}$"
+        with pytest.raises(InvalidValue, match=message):
+            load_dataset(ab, mf)
+
+    def test_signed_plain_counts_load(self, tmp_path):
+        ab = tmp_path / "a.csv"
+        ab.write_text("site_id,a,b\ns1,0.5,0.5\n")
+        mf = tmp_path / "m.csv"
+        mf.write_text("site_id,dead,adult,juvenile,clam\ns1,1000,-0,007,+2\n")
+        assert load_dataset(ab, mf).macrofauna.values.tolist() == [[1000, 0, 7, 2]]
+
+    @pytest.mark.parametrize("cell", ["0_5", "\u0660.5", " 0.5", "0.5 ", "0x1p-1", "5e-1_0", ".5e"])
+    def test_abundance_that_is_not_a_plain_decimal_numeral(self, tmp_path, cell):
+        path = tmp_path / "a.csv"
+        path.write_text(f"site_id,a,b\ns1,{cell},0.5\n", encoding="utf-8")
+        message = f"site_id 's1', column 'a': not a number: {re.escape(repr(cell))}$"
+        with pytest.raises(InvalidValue, match=message):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["0.5", "+.5", "5e-1", "5.E-1", "50e-2"])
+    def test_plain_decimal_abundance_loads(self, tmp_path, cell):
+        path = tmp_path / "a.csv"
+        path.write_text(f"site_id,a,b\ns1,{cell},0.5\n")
+        assert load_dataset(path).abundances.values.tolist() == [[0.5, 0.5]]
 
     def test_duplicate_macrofauna_category(self, tmp_path):
         ab = tmp_path / "a.csv"
@@ -262,18 +295,6 @@ class TestSynthesize:
 
 
 class TestContainers:
-    def test_subset_preserves_alignment(self, synth_dataset):
-        sub = synth_dataset.subset([0, 2, 4, 5, 6, 7])
-        assert sub.n_sites == 6
-        assert sub.macrofauna.site_ids == sub.abundances.site_ids
-        assert sub.stages.site_ids == sub.abundances.site_ids
-
-    def test_with_labels_replaces_column(self, synth_dataset):
-        flipped = list(reversed(synth_dataset.stages.labels))
-        ds = synth_dataset.with_labels(flipped)
-        assert ds.stages.labels == flipped
-        assert ds.abundances is synth_dataset.abundances
-
     def test_misaligned_components_rejected(self, synth_dataset):
         st = synth_dataset.stages
         shuffled = StageLabels(list(reversed(st.site_ids)), list(st.labels), st.label_set)
@@ -281,8 +302,10 @@ class TestContainers:
             Dataset(synth_dataset.abundances, synth_dataset.macrofauna, shuffled)
 
     def test_needs_one_sample_per_class(self, tiny_dataset):
-        with pytest.raises(InvalidShape):
-            tiny_dataset.subset([0, 1])  # 2 sites for 3 classes
+        ab = tiny_dataset.abundances
+        two = AbundanceMatrix(ab.site_ids[:2], ab.taxa_names, ab.values[:2])
+        with pytest.raises(InvalidShape, match="2 sites for 3 classes"):
+            Dataset(two, None, StageLabels(two.site_ids, ["juvenile", "adult"]))
 
 
 def _rewrite_first_row(path, edit):
@@ -442,11 +465,6 @@ VALIDATION_RAISES = {
         InvalidShape,
         "1 labels for 2 sites",
     ),
-    "relabel-unlabeled": (
-        lambda: Dataset(AbundanceMatrix(["a"], ["x", "y"], _closed(1, 2))).with_labels(["adult"]),
-        InvalidShape,
-        "dataset has no labels to replace",
-    ),
     "synth-coupling": (
         lambda: synthesize_dataset(n=6, p=6, K=3, n_blocks=2, coupling=1.5, noise=0.1, seed=0),
         InvalidShape,
@@ -455,14 +473,34 @@ VALIDATION_RAISES = {
     "synth-noise": (
         lambda: synthesize_dataset(n=6, p=6, K=3, n_blocks=2, coupling=0.5, noise=-0.1, seed=0),
         InvalidShape,
-        "noise must be >= 0, got -0.1",
+        r"noise must be in \[0, inf\), got -0.1",
     ),
     "synth-noise-nan": (
         lambda: synthesize_dataset(
             n=6, p=6, K=3, n_blocks=2, coupling=0.5, noise=float("nan"), seed=0
         ),
         InvalidShape,
-        "noise must be >= 0, got nan",
+        r"noise must be in \[0, inf\), got nan",
+    ),
+    **{
+        f"synth-{name}-{type(value).__name__}": (
+            lambda args={name: value}: synthesize_dataset(**{**SYNTH_ARGS, **args}),
+            InvalidValue,
+            re.escape(f"{name} must be {kind}, got {value!r}"),
+        )
+        for kind, name, value in [
+            *[("an integer", name, 4.0) for name in ("n", "p", "K", "n_blocks")],
+            ("an integer", "n", "13"),
+            ("an integer", "K", True),
+            ("an integer", "n_blocks", None),
+            ("a real number", "coupling", "0.9"),
+            ("a real number", "noise", True),
+        ]
+    },
+    "synth-noise-inf": (
+        lambda: synthesize_dataset(**{**SYNTH_ARGS, "noise": float("inf")}),
+        InvalidShape,
+        r"noise must be in \[0, inf\), got inf",
     ),
     **{
         f"synth-seed-{name}": (

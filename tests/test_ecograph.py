@@ -1,6 +1,7 @@
 """Knowledge-graph construction: adjacency sources, fusion, Laplacian."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from grmlr.ecograph import (
     export_heatmaps,
     laplacian_of,
 )
-from grmlr.errors import InvalidValue, Misalignment, MissingMacrofauna, TooFewSamples
+from grmlr.errors import (
+    InvalidShape,
+    InvalidValue,
+    Misalignment,
+    MissingMacrofauna,
+    TooFewSamples,
+)
 
 from oracles import random_fused_graph, spearman_bruteforce, trace_penalty_bruteforce
 
@@ -238,6 +245,14 @@ class TestBuildGraphAndExport:
 
 
 VALIDATION_RAISES = {
+    **{
+        f"laplacian-shape-{'x'.join(map(str, shape))}": (
+            lambda shape=shape: laplacian_of(np.zeros(shape)),
+            InvalidShape,
+            re.escape(f"adjacency must be square, got shape {shape}"),
+        )
+        for shape in [(2, 3), (3,), (4, 2, 3)]
+    },
     "a-co-too-few-sites": (
         lambda: a_co_from_correlations(compute_co_correlations(_features(np.eye(2))), gamma=0.5),
         TooFewSamples,

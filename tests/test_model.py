@@ -636,6 +636,10 @@ def test_load_model_rejects_wrongly_typed_values(tmp_path, key, bad):
 
 
 VALIDATION_RAISES = {
+    "weights-1d": (
+        lambda: _model(np.zeros(3), np.zeros(3), taxa=["a"]),
+        r"weights must be a K x p matrix, got shape \(3,\)",
+    ),
     "bias-shape": (
         lambda: _model(np.zeros((3, 2)), np.zeros(2)),
         r"bias shape \(2,\) for 3 classes",

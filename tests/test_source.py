@@ -1,13 +1,16 @@
 """Source checks: every module-level name in grmlr is exported or has a use,
-and every exported name has a use in a program."""
+and every exported name and public method has a use in a program."""
 
 import ast
+import collections
 from pathlib import Path
 
 import grmlr
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "grmlr"
+# the programs beside src/grmlr; tests are not programs
+TOOLS = sorted((ROOT / "tools").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _statements(paths=None) -> list[tuple[str, ast.stmt]]:
@@ -87,9 +90,8 @@ def test_every_exported_name_has_a_program_use():
     # the programs are src/grmlr beyond its __init__.py, tools/ and perfbench/;
     # tests are not programs, so a name that only tests call is not exported
     modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
-    tools = sorted((ROOT / "tools").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     src = _statements(modules)
-    statements = src + _statements(tools)
+    statements = src + _statements(TOOLS)
     exported = [
         (module, name, statement)
         for module, statement in src
@@ -132,3 +134,26 @@ def test_every_module_level_import_is_used():
             if name not in uses
         ]
     assert not unused, f"module-level imports that their module never uses: {unused}"
+
+
+def _attributes(node: ast.AST) -> collections.Counter:
+    """How many times ``node`` takes each name as an attribute."""
+    return collections.Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_public_method_has_a_program_use():
+    # a method or property that only tests call is not library surface;
+    # a use inside the method itself does not count, and dunders are exempt
+    src = _statements()
+    uses = sum((_attributes(s) for _, s in src + _statements(TOOLS)), collections.Counter())
+    methods = [
+        (f"{module}: {cls.name}.{node.name}", node)
+        for module, cls in src
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+    unused = [name for name, node in methods if uses[node.name] == _attributes(node)[node.name]]
+    assert methods
+    assert not unused, f"public methods and properties that no program uses: {unused}"

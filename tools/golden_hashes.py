@@ -39,9 +39,10 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   (failed entries) and a weak ridge with firmer ridges and caps some fits
   at two iterations, with workers 1 and 2;
 * ``plan/<scale>/<seed>/<mode>``: the LOOCV plan of ``evaluation.build_plan``
-  (features, ``co_all``, and for each fold i its training rows
-  ``train[i]`` and the Spearman matrix and macro-coupling profiles, None
-  without macrofauna, that ``evaluation._fold_correlations`` gives for the
+  (features, the Spearman matrix of every site's features that
+  ``evaluation._fold_correlations`` gives under scope 'all', and for each
+  fold i its training rows ``train[i]`` and the Spearman matrix and
+  macro-coupling profiles, None without macrofauna, that it gives for the
   fold alone) in ``clr`` and ``raw`` feature modes, on the 13x26 and
   40x160 datasets and on a tie-heavy 12x10 table of small integers with
   repeated rows and with columns that are constant, or constant once one
@@ -325,7 +326,8 @@ def probe_plans(g, probes: Probes, datasets: dict) -> None:
         for mode in ("clr", "raw"):
             with probes.probe(f"plan/{dname}/{mode}") as out:
                 plan = g.evaluation.build_plan(dataset, g.GrmlrConfig().epsilon, mode)
-                out += [plan.features, plan.co_all]
+                everywhere, _ = g.evaluation._fold_correlations(plan, slice(0, 1), "all")
+                out += [plan.features, everywhere[0]]
                 for i, train in enumerate(plan.train):
                     co, profiles = g.evaluation._fold_correlations(plan, slice(i, i + 1), "train")
                     out.append([train, co[0], None if profiles is None else profiles[0]])
