@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .dataset import _integer, _make_dir, _read_file, _real, _write_csv, _write_json
+from .dataset import _integer, _read_file, _real, _write_csv, _write_json
 from .dataset import STAGE_LABELS, load_dataset, save_dataset, synthesize_dataset
 from .ecograph import build_graph, export_heatmaps
 from .errors import GrmlrError, InvalidValue, NonConvergenceWarning
@@ -100,6 +100,30 @@ def _coerce(key: str, value: str, where: str) -> object:
         raise InvalidValue(f"{where}: bad value for '{key}': {value!r}") from exc
 
 
+def _coerce_list(key: str, raw: str, where: str) -> list:
+    """The values of comma-separated ``raw`` for field ``key``; blank items are skipped."""
+    values = [_coerce(key, item.strip(), where) for item in raw.split(",") if item.strip()]
+    if not values:
+        raise InvalidValue(f"{where}: bad value for '{key}': {raw!r}")
+    return values
+
+
+def _flag_type(parse):
+    """``parse`` as an argparse type whose ValueError message becomes the flag's error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
+
+
+_integer_flag = _flag_type(_integer)
+_real_flag = _flag_type(_real)
+
+
 def load_config(
     config_path: Optional[str],
     overrides: Sequence[str] = (),
@@ -128,7 +152,7 @@ def load_grid(spec: str) -> dict[str, list]:
     path = Path(spec)
     grid: dict[str, list] = {}
     for key, raw in _parse_kv_lines(path).items():
-        grid[key] = [_coerce(key, item.strip(), str(path)) for item in raw.split(",") if item.strip()]
+        grid[key] = _coerce_list(key, raw, str(path))
     if not grid:
         raise InvalidValue(f"{path}: grid file defines no axes")
     return grid
@@ -141,7 +165,8 @@ def _require(value, flag: str):
 
 
 def _out_dir(args) -> Path:
-    return _make_dir(_require(args.out, "--out"))
+    """The --out directory; the first file written into it creates it."""
+    return Path(_require(args.out, "--out"))
 
 
 def write_manifest(
@@ -220,7 +245,7 @@ def cmd_eval(args) -> int:
         alphas = grid.get("alpha", alphas)
     elif args.mode == "alpha-sweep":
         alphas = (
-            [_coerce("alpha", a, "--alphas") for a in args.alphas.split(",")]
+            _coerce_list("alpha", args.alphas, "--alphas")
             if args.alphas is not None
             else list(DEFAULT_GRID["alpha"])
         )
@@ -284,6 +309,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    out = _out_dir(args)
     dataset = synthesize_dataset(
         n=args.n,
         p=args.p,
@@ -293,7 +319,6 @@ def cmd_synth(args) -> int:
         noise=args.noise,
         seed=args.seed if args.seed is not None else 0,
     )
-    out = _out_dir(args)
     save_dataset(
         dataset,
         out / "abundances.csv",
@@ -329,15 +354,15 @@ _COMMON_FLAGS = {
         help="override a config field (repeatable)",
     ),
     "--out": dict(help="output directory"),
-    "--seed": dict(type=_integer, help="override the config seed"),
+    "--seed": dict(type=_integer_flag, help="override the config seed"),
     "--workers": dict(
-        type=_integer, default=1,
+        type=_integer_flag, default=1,
         help="worker process cap (>= 1); "
         "the pool also stays within the task count and the usable CPUs",
     ),
     "--strict": dict(action="store_true", help="escalate warnings to exit 2"),
     "--svg": dict(action="store_true", help="also render SVG charts"),
-    "--B": dict(type=_integer, default=50, help="permutation count"),
+    "--B": dict(type=_integer_flag, default=50, help="permutation count"),
     "--grid": dict(default="default", help="'default' or a grid file"),
     "--alphas": dict(help="comma-separated mixing weights"),
 }
@@ -381,11 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
         p_mode.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate synthetic CSVs")
-    p_synth.add_argument("--n", type=_integer, default=13)
-    p_synth.add_argument("--p", type=_integer, default=26)
-    p_synth.add_argument("--blocks", type=_integer, default=4)
-    p_synth.add_argument("--coupling", type=_real, default=0.9)
-    p_synth.add_argument("--noise", type=_real, default=0.1)
+    p_synth.add_argument("--n", type=_integer_flag, default=13)
+    p_synth.add_argument("--p", type=_integer_flag, default=26)
+    p_synth.add_argument("--blocks", type=_integer_flag, default=4)
+    p_synth.add_argument("--coupling", type=_real_flag, default=0.9)
+    p_synth.add_argument("--noise", type=_real_flag, default=0.1)
     _add_common(p_synth, "--seed")
     p_synth.set_defaults(func=cmd_synth)
 

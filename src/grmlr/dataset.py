@@ -237,20 +237,17 @@ def _read_file(path: str | Path) -> str:
 
 
 def _write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``, creating its directory first."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {path.parent}: {exc}") from exc
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _make_dir(path: str | Path) -> Path:
-    path = Path(path)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {path}: {exc}") from exc
-    return path
 
 
 def _read_table(path: str | Path, key_column: str, parse: Callable) -> tuple[list[str], dict]:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .compositional import FeatureMatrix
-from .dataset import MacrofaunaCounts, _make_dir, _write_csv
+from .dataset import MacrofaunaCounts, _write_csv
 from .errors import InvalidShape, InvalidValue, Misalignment, MissingMacrofauna, TooFewSamples
 from .rankstats import _correlations, spearman_cross, spearman_matrix
 
@@ -176,7 +176,7 @@ def _a_macro_or_zeros(
 
 def export_heatmaps(graph: EcologicalGraph, out_dir: str | Path) -> list[Path]:
     """Write a_macro.csv, a_co.csv and adjacency.csv into ``out_dir``, full-precision decimals."""
-    out = _make_dir(out_dir)
+    out = Path(out_dir)
     names = graph.taxa_names
     written = []
     for name, matrix in (

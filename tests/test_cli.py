@@ -158,6 +158,8 @@ def test_predictions_quote_site_ids_with_commas(tmp_path, synth_dataset, model_d
         (["eval", "alpha-sweep", "--alphas", "0,abc"], "bad value for 'alpha'"),
         (["eval", "loocv", "--set", "lambda_g"], "--set expects key=value, got 'lambda_g'"),
         (["eval", "alpha-sweep", "--alphas", ""], "error: --alphas: bad value for 'alpha': ''"),
+        # padded items read as in a grid file, so the missing table is the first error
+        (["eval", "alpha-sweep", "--alphas", "0, 0.5"], "error: missing required flag --abundances"),
     ],
 )
 def test_validation_errors_exit_one(tmp_path, capsys, argv, message):
@@ -190,9 +192,15 @@ def test_numeral_that_is_not_a_plain_decimal_exits_one(tmp_path, capsys, csv_tri
             ["eval", "alpha-sweep", *trio, "--alphas", f"0,{numeral}"],
             "--alphas: bad value for 'alpha'",
         ),
-        "seed": (["fit", *trio, "--seed", numeral], "argument --seed: invalid _integer value"),
-        "synth": (["synth", "--n", numeral], "argument --n: invalid _integer value"),
-        "noise": (["synth", "--noise", f"0.{numeral}"], "argument --noise: invalid _real value"),
+        "seed": (
+            ["fit", *trio, "--seed", numeral],
+            f"argument --seed: not a plain decimal integer: {numeral!r}",
+        ),
+        "synth": (["synth", "--n", numeral], f"argument --n: not a plain decimal integer: {numeral!r}"),
+        "noise": (
+            ["synth", "--noise", f"0.{numeral}"],
+            f"argument --noise: not a plain decimal number: '0.{numeral}'",
+        ),
         "table": (
             ["fit", *trio, "--macrofauna", str(path)],
             "column 'clam': not an integer count",
@@ -522,7 +530,22 @@ def test_missing_stage_exits_one_naming_it(tmp_path, csv_trio, small_grid, capsy
     out = tmp_path / "out"
     assert cli.main([*argv, *_trio_args(csv_trio), "--out", str(out)]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == "error: no site has stage 'dead'\n"
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--set", "lambda_l2=0"],
+        ["eval", "loocv", "--set", "lambda_l2=0"],
+        ["eval", "permtest", "--B", "0"],
+    ],
+    ids=["fit", "loocv", "permtest"],
+)
+def test_failed_command_leaves_no_out_directory(tmp_path, csv_trio, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, *_trio_args(csv_trio), "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert not out.exists()
 
 
 def test_count_beyond_int64_exits_one(tmp_path, csv_trio, capsys):
@@ -560,6 +583,14 @@ def test_grid_file_without_axes(tmp_path):
     path = tmp_path / "grid.txt"
     path.write_text("# nothing here\n\n")
     with pytest.raises(InvalidValue, match=f"^{re.escape(str(path))}: grid file defines no axes$"):
+        cli.load_grid(str(path))
+
+
+def test_grid_axis_without_values(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("lambda_g = 0\ntau = , \n")
+    message = f"^{re.escape(str(path))}: bad value for 'tau': ','$"
+    with pytest.raises(InvalidValue, match=message):
         cli.load_grid(str(path))
 
 

@@ -56,5 +56,13 @@ def test_repeated_calls_write_identical_bytes(tmp_path, draw):
 
 @pytest.mark.parametrize("draw", [_draw_line, _draw_bars])
 def test_unwritable_path_raises_io_failure(tmp_path, draw):
+    path = tmp_path / "chart.svg"
+    path.mkdir()
     with pytest.raises(IoFailure, match="cannot write"):
-        draw(tmp_path / "missing" / "chart.svg")
+        draw(path)
+
+
+@pytest.mark.parametrize("draw", [_draw_line, _draw_bars])
+def test_missing_directory_is_created(tmp_path, draw):
+    draw(tmp_path / "missing" / "chart.svg")
+    assert (tmp_path / "missing" / "chart.svg").read_text().startswith("<svg")

@@ -1,22 +1,30 @@
 """SHA-256 of every golden output of grmlr, for byte-identity checks.
 
-Imports ``grmlr`` from ``--src DIR`` (the directory that holds the
-``grmlr`` package) and prints one JSON object mapping each probe to the
-SHA-256 of its output. Run it on two source trees and diff the two
-outputs: identical lines mean identical bytes.
+With one ``--src DIR`` (the directory that holds the ``grmlr`` package)
+it prints one JSON object mapping each probe to the SHA-256 of its
+output. Its first entry, ``_env``, is not a probe: it records the BLAS
+and OpenMP thread counts and the numpy version. The 40x160 fits depend
+on the thread count in their last bits, so compare only outputs whose
+``_env`` lines agree. When a ``.../workers2`` probe's hash differs from
+its ``.../workers1`` twin's, it names the probe on stderr and exits 1.
 
-The object's first entry, ``_env``, is not a probe: it records the BLAS
-and OpenMP thread counts (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``)
-and the numpy version. The 40x160 fits depend on the thread count in
-their last bits, so compare only runs whose ``_env`` lines agree.
+    python3 tools/golden_hashes.py --src /path/to/parent/src --src src
 
-    python3 tools/golden_hashes.py --src /path/to/parent/src > parent.json
-    python3 tools/golden_hashes.py --src src > change.json
-    diff parent.json change.json
-
-It also checks that results do not depend on the worker count: when any
-``.../workers2`` probe's hash differs from its ``.../workers1`` twin's, it
-names each such probe on stderr and exits 1, after printing the JSON.
+Given ``--src`` twice, it loads both trees into one process (as
+``grmlr_a`` and ``grmlr_b``, so both see the same BLAS threads), runs the
+probes once per tree and compares what they computed. A solver change
+can alter the last bits of every fitted W, so hashes cannot tell a
+rounding change from a regression. For each ``fit/*`` and ``loocv/*``
+probe it prints lambda_l2, both trees' iteration counts and converged
+flags (summed over folds), the worst relative change of [W | b] (max
+|dV| / max |V| of the first tree), the worst relative and absolute change
+of ``final_loss``, and whether every held-out prediction is equal; each
+workers-1 ``grid96/*`` probe is equal when all its entries are. A summary
+gives the worst signed objective excess (f_B - f_A) / |f_A| over the 496
+fits. Then it lists the probes whose hashes differ and each tree's twin
+check. It exits 1 on a twin split, a differing prediction or grid entry,
+or a ``final_loss`` in B more than ``OBJECTIVE_RTOL`` relative above A's;
+a hash difference alone, which solver changes make by design, does not.
 
 Probes, on synthetic datasets at 13x26 and 40x160:
 
@@ -56,7 +64,7 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   reading 1.0 as they do at noise 0.1.
 
 Every probe also hashes the warnings it raised; there are 111 probes. A
-full run takes about 10 s on two cores.
+one-tree run takes about 12 s on two cores, a two-tree run about 25 s.
 """
 
 from __future__ import annotations
@@ -76,6 +84,13 @@ from pathlib import Path
 
 import numpy as np
 
+from paired_timing import load_tree
+
+# A fit of the second tree may end above the first tree's objective by this
+# relative amount: the tolerance perfbench/checks.py applies to the
+# benchmark's fits, so no solver change may make the training objective
+# worse by more than the benchmark allows.
+OBJECTIVE_RTOL = 1e-7
 SCALES = {"13x26": (13, 26), "40x160": (40, 160)}
 SEEDS = (0, 7)
 GRID_96 = {
@@ -146,6 +161,9 @@ def _digest(obj) -> str:
 class Probes:
     def __init__(self) -> None:
         self.hashes: dict[str, str] = {}
+        # what two trees' runs compare: (lambda_l2, models, predictions or None)
+        # of each fit/* and loocv/* probe, and the entries of each workers-1 grid96/*
+        self.parity: dict[str, object] = {}
 
     @contextlib.contextmanager
     def probe(self, name: str):
@@ -206,6 +224,7 @@ def _probe_fit(g, probes: Probes, tag: str, dataset, config):
         model, graph = g.fit(dataset, config)
         out += _model_outputs(model)
         out += [graph.a_macro, graph.a_co, graph.adjacency, graph.laplacian]
+    probes.parity[f"fit/{tag}"] = (config.lambda_l2, [model], None)
     return model, graph
 
 
@@ -227,10 +246,12 @@ def probe_fits(g, probes: Probes, datasets: dict) -> None:
 def probe_loocv(g, probes: Probes, datasets: dict, configs: dict) -> None:
     for dname, dataset in datasets.items():
         for cname, config in configs.items():
-            with probes.probe(f"loocv/{dname}/{cname}") as out:
+            name = f"loocv/{dname}/{cname}"
+            with probes.probe(name) as out:
                 report = g.loocv(dataset, config, keep_models=True)
                 out.append(report.to_dict())
                 out += [_model_outputs(m) for m in report.fold_models]
+            probes.parity[name] = (config.lambda_l2, report.fold_models, out[0]["per_fold"])
 
 
 def _probe_grid96(g, probes: Probes, dataset, tmp: Path, name: str, workers: int) -> None:
@@ -239,6 +260,10 @@ def _probe_grid96(g, probes: Probes, dataset, tmp: Path, name: str, workers: int
         path = tmp / "grid96.csv"
         g.evaluation.write_grid_csv(result, path)
         out.append(path.read_bytes())
+    if workers == 1:
+        probes.parity[f"grid96/{name}"] = [
+            [e.index, e.config.to_dict(), e.accuracy, e.macro_f1, e.error] for e in result.entries
+        ]
 
 
 def _probe_permtest(g, probes: Probes, dataset, name: str) -> None:
@@ -333,8 +358,8 @@ def probe_plans(g, probes: Probes, datasets: dict) -> None:
                     out.append([train, co[0], None if profiles is None else profiles[0]])
 
 
-def probe_cli(probes: Probes, tmp: Path) -> None:
-    cli = importlib.import_module("grmlr.cli")
+def probe_cli(g, probes: Probes, tmp: Path) -> None:
+    cli = importlib.import_module(f"{g.__name__}.cli")
     root = tmp / "cli"
     grid = tmp / "grid.txt"
     grid.write_text("lambda_g = 0.0, 5.0\ngamma = 0.8, 0.9\ntau = 0.5, 0.7\n")
@@ -369,27 +394,8 @@ def probe_cli(probes: Probes, tmp: Path) -> None:
     run("graph-export", ["graph", "export", *data[:4]])  # the abundances and macrofauna
 
 
-def import_grmlr(parser: argparse.ArgumentParser, src: str):
-    """Import ``grmlr`` from the package directory under ``src``, or exit via ``parser``."""
-    src_dir = Path(src).resolve()
-    if not (src_dir / "grmlr" / "__init__.py").is_file():
-        parser.error(f"no grmlr package under {src_dir}")
-    sys.path.insert(0, str(src_dir))
-    g = importlib.import_module("grmlr")
-    if Path(g.__file__).resolve().parent != src_dir / "grmlr":
-        parser.error(f"imported grmlr from {g.__file__}, not from {src_dir}")
-    return g
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--src",
-        default=str(Path(__file__).resolve().parents[1] / "src"),
-        help="directory that holds the grmlr package (default: this checkout's src)",
-    )
-    args = parser.parse_args(argv)
-    g = import_grmlr(parser, args.src)
+def run_probes(g) -> Probes:
+    """Every probe, in order, on the loaded tree ``g``."""
     datasets = synth_datasets(g)
     probes = Probes()
     with tempfile.TemporaryDirectory() as tmpdir:
@@ -401,21 +407,142 @@ def main(argv=None) -> int:
         probe_grid_edge(g, probes)
         probe_permtest_edge(g, probes)
         probe_plans(g, probes, datasets)
-        probe_cli(probes, tmp)
+        probe_cli(g, probes, tmp)
         probe_hard(g, probes, tmp)
+    return probes
+
+
+def twin_splits(hashes: dict) -> list[str]:
+    """The ``.../workers2`` probes whose hash differs from their workers1 twin's."""
+    return [
+        name
+        for name in hashes
+        if name.endswith("/workers2") and hashes[name] != hashes[name[:-1] + "1"]
+    ]
+
+
+def _compare_fits(models_a: list, models_b: list) -> dict:
+    rel_dv = rel_dloss = abs_dloss = 0.0
+    excess = -np.inf
+    for ma, mb in zip(models_a, models_b):
+        va = np.column_stack([ma.weights, ma.bias])
+        vb = np.column_stack([mb.weights, mb.bias])
+        scale = np.abs(va).max()
+        dv = np.abs(va - vb).max()
+        rel_dv = max(rel_dv, dv / scale if scale > 0 else dv)
+        fa, fb = float(ma.final_loss), float(mb.final_loss)
+        dloss = abs(fa - fb)
+        abs_dloss = max(abs_dloss, dloss)
+        scale = max(abs(fa), np.finfo(float).tiny)
+        rel_dloss = max(rel_dloss, dloss / scale)
+        excess = max(excess, (fb - fa) / scale)
+    return {
+        "iters": [sum(int(m.n_iterations) for m in ms) for ms in (models_a, models_b)],
+        "converged": [all(bool(m.converged) for m in ms) for ms in (models_a, models_b)],
+        "rel_dv": rel_dv,
+        "rel_dloss": rel_dloss,
+        "abs_dloss": abs_dloss,
+        "excess": excess,
+    }
+
+
+def report_parity(a: dict, b: dict) -> bool:
+    """Print the per-probe parity table and its summary; whether any check failed."""
+    mismatches = []
+    totals = {"fits": 0, "iters_differ": 0, "rel_dv": 0.0, "excess": -np.inf}
+    above = []
+    flag = {True: "T", False: "F"}
+    print(
+        f"{'probe':<40} {'l2':>6} {'iters A/B':>11} {'conv':>4} "
+        f"{'rel dV':>9} {'rel dloss':>9} {'abs dloss':>9}  predictions"
+    )
+    for name in sorted(a):
+        if name.startswith("grid96/"):
+            equal = a[name] == b[name]
+            if not equal:
+                mismatches.append(name)
+            print(f"{name:<40} {'':>56}  {'grid equal' if equal else 'GRID DIFFERS'}")
+            continue
+        (l2, models_a, preds_a), (_, models_b, preds_b) = a[name], b[name]
+        cmp = _compare_fits(models_a, models_b)
+        if preds_a is None:
+            preds = "-"
+        elif preds_a == preds_b:
+            preds = "equal"
+        else:
+            preds = "DIFFER"
+            mismatches.append(name)
+        totals["fits"] += len(models_a)
+        totals["iters_differ"] += sum(
+            ma.n_iterations != mb.n_iterations for ma, mb in zip(models_a, models_b)
+        )
+        totals["rel_dv"] = max(totals["rel_dv"], cmp["rel_dv"])
+        totals["excess"] = max(totals["excess"], cmp["excess"])
+        if cmp["excess"] > OBJECTIVE_RTOL:
+            above.append(name)
+        iters = "{}/{}".format(*cmp["iters"])
+        conv = "/".join(flag[c] for c in cmp["converged"])
+        print(
+            f"{name:<40} {l2:>6g} {iters:>11} {conv:>4} {cmp['rel_dv']:>9.2e} "
+            f"{cmp['rel_dloss']:>9.2e} {cmp['abs_dloss']:>9.2e}  {preds}"
+        )
+    print()
+    print(
+        f"{totals['fits']} fits, {totals['iters_differ']} with other iteration "
+        f"counts, worst relative dV {totals['rel_dv']:.2e}, worst objective excess "
+        f"{totals['excess']:+.2e} (bound {OBJECTIVE_RTOL:.0e})"
+    )
+    if above:
+        print(f"final_loss rises above the bound in: {', '.join(above)}")
+    if mismatches:
+        print(f"predictions or grid entries differ in: {', '.join(mismatches)}")
+    if above or mismatches:
+        return True
+    print("every LOOCV prediction and grid entry is equal, and no final_loss rises past the bound")
+    return False
+
+
+def compare(srcs: list[str], a: Probes, b: Probes) -> int:
+    """Print the parity report, the differing probes and both twin checks; the exit code."""
+    failed = report_parity(a.parity, b.parity)
+    differ = sorted(name for name in a.hashes if a.hashes[name] != b.hashes[name])
+    print(f"\n{len(differ)} of {len(a.hashes)} probes differ{':' if differ else ''}")
+    for name in differ:
+        print(f"  {name}")
+    for label, src, probes in zip("AB", srcs, (a, b)):
+        split = twin_splits(probes.hashes)
+        failed = failed or bool(split)
+        for name in split:
+            print(f"{label} {src}: {name}: hash differs from its workers1 twin")
+        if not split:
+            print(f"{label} {src}: every workers2 probe equals its workers1 twin")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--src",
+        action="append",
+        help="directory that holds a grmlr package (default: this checkout's src); "
+        "give it twice to compare two trees, first tree first",
+    )
+    args = parser.parse_args(argv)
+    srcs = args.src or [str(Path(__file__).resolve().parents[1] / "src")]
+    if len(srcs) > 2:
+        parser.error("give --src once or twice")
+    trees = [load_tree(src, f"grmlr_{side}") for src, side in zip(srcs, "ab")]
+    runs = [run_probes(g) for g in trees]
+    if len(runs) == 2:
+        return compare(srcs, *runs)
     env = {
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "numpy": np.__version__,
     }
-    json.dump({"_env": env, **probes.hashes}, sys.stdout, indent=1, sort_keys=True)
+    json.dump({"_env": env, **runs[0].hashes}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
-    hashes = probes.hashes
-    split = [
-        name
-        for name in hashes
-        if name.endswith("/workers2") and hashes[name] != hashes[name[:-1] + "1"]
-    ]
+    split = twin_splits(runs[0].hashes)
     for name in split:
         print(f"{name}: hash differs from its workers1 twin", file=sys.stderr)
     return 1 if split else 0
