@@ -225,10 +225,7 @@ def cmd_predict(args) -> int:
     proba = predict_proba(model, features)
     path = out / "predictions.csv"
     header = ["site_id", "stage", *[f"prob_{lab}" for lab in model.label_set]]
-    rows = [
-        [sid, stage, *[repr(float(v)) for v in row]]
-        for sid, stage, row in zip(stages.site_ids, stages.labels, proba)
-    ]
+    rows = [[sid, stage, *row] for sid, stage, row in zip(stages.site_ids, stages.labels, proba)]
     _write_csv(path, header, rows, lineterminator="\n")
     write_manifest(out, "predict", None, [model_path, abundance_path], model.hyperparams.seed)
     print(f"wrote {path}")

@@ -385,7 +385,7 @@ def save_dataset(
     _write_csv(
         abundance_path,
         ["site_id", *ab.taxa_names],
-        [[sid, *[repr(float(v)) for v in row]] for sid, row in zip(ab.site_ids, ab.values)],
+        [[sid, *row] for sid, row in zip(ab.site_ids, ab.values)],
     )
     if macrofauna_path is not None:
         if dataset.macrofauna is None:
@@ -408,10 +408,13 @@ def save_dataset(
 
 
 def _write_csv(path: str | Path, header: list[str], rows: list, lineterminator="\r\n") -> None:
+    """Write a CSV file; every float cell, numpy's included, as ``repr(float(v))``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator=lineterminator)
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(
+        [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+    )
     _write_file(path, buffer.getvalue())
 
 

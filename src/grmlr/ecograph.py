@@ -139,28 +139,31 @@ def build_graph(
     """Construct the full graph from features (and counts when alpha > 0).
 
     Without macrofauna counts A_macro is all zeros, which only alpha = 0
-    allows.
+    allows. The checks run in the order below, before anything is ranked.
 
     Raises
     ------
+    InvalidValue
+        If tau, gamma or alpha is outside [0, 1], checked in that order.
     MissingMacrofauna
         If ``macrofauna`` is None and alpha > 0.
+    Misalignment
+        If the features and the counts are not site-aligned.
     TooFewSamples
         With fewer than 3 sites.
-    InvalidValue
-        If alpha, tau or gamma is outside [0, 1].
     """
+    for value, name in ((tau, "tau"), (gamma, "gamma"), (alpha, "alpha")):
+        _check_unit_interval(value, name)
+    _require_macrofauna(macrofauna, alpha)
     profiles = None if macrofauna is None else compute_macro_profiles(features, macrofauna)
     co_correlations = compute_co_correlations(features)
-    _require_macrofauna(profiles, alpha)
     a_macro = _a_macro_or_zeros(profiles, tau, co_correlations)
     a_co = a_co_from_correlations(co_correlations, gamma)
-    _check_unit_interval(alpha, "alpha")
     return _fused(a_macro, a_co, alpha, list(features.taxa_names))
 
 
-def _require_macrofauna(macro: np.ndarray | None, alpha: float) -> None:
-    """Raise MissingMacrofauna if ``macro``, made from macrofauna counts, is None and alpha > 0."""
+def _require_macrofauna(macro: object, alpha: float) -> None:
+    """Raise MissingMacrofauna if ``macro`` (the counts, or their ranks) is None and alpha > 0."""
     if macro is None and alpha > 0.0:
         raise MissingMacrofauna("alpha > 0 requires macrofauna counts to build the graph")
 
@@ -185,8 +188,7 @@ def export_heatmaps(graph: EcologicalGraph, out_dir: str | Path) -> list[Path]:
         ("adjacency.csv", graph.adjacency),
     ):
         written.append(out / name)
-        rows = [[taxon, *[repr(float(v)) for v in row]] for taxon, row in zip(names, matrix)]
-        _write_csv(written[-1], ["taxon", *names], rows)
+        _write_csv(written[-1], ["taxon", *names], [[t, *row] for t, row in zip(names, matrix)])
     return written
 
 

@@ -751,8 +751,8 @@ def write_grid_csv(result: GridResult, path: str | Path) -> None:
             [
                 rank,
                 e.index,
-                _fmt(e.accuracy),
-                _fmt(e.macro_f1),
+                e.accuracy,
+                e.macro_f1,
                 e.error or "",
                 *[cfg[f] for f in fields],
             ]
@@ -761,16 +761,8 @@ def write_grid_csv(result: GridResult, path: str | Path) -> None:
 
 
 def write_alpha_sweep_csv(rows: Sequence[tuple[float, float]], path: str | Path) -> None:
-    _write_csv(path, ["alpha", "best_accuracy"], [[_fmt(a), _fmt(acc)] for a, acc in rows])
+    _write_csv(path, ["alpha", "best_accuracy"], rows)
 
 
 def write_coefficient_csv(ranking: Sequence[tuple[str, float]], path: str | Path) -> None:
-    _write_csv(
-        path,
-        ["taxon", "mean_weight_magnitude"],
-        [[taxon, _fmt(mag)] for taxon, mag in ranking],
-    )
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+    _write_csv(path, ["taxon", "mean_weight_magnitude"], ranking)

@@ -295,58 +295,52 @@ def _evaluate(
     V = np.column_stack([model.weights, model.bias])
     value, grad = _objective(
         V[None],
-        Z[None],
+        np.column_stack([Z, np.ones(len(Z))])[None],
         _one_hot(y, model.n_classes)[None],
-        s[None],
-        laplacian[None],
-        np.array([cfg.lambda_l2], dtype=float),
-        np.array([cfg.lambda_g], dtype=float),
+        (s / len(Z))[None],
+        _penalties(np.array([cfg.lambda_l2]), np.array([cfg.lambda_g]), laplacian[None]),
     )
     return value[0], grad[0]
 
 
 def _objective(
-    V: np.ndarray,
-    Z: np.ndarray,
-    onehot: np.ndarray,
-    s: np.ndarray,
-    laplacian: Optional[np.ndarray],
-    lambda_l2: np.ndarray,
-    lambda_g: np.ndarray,
+    V: np.ndarray, X: np.ndarray, onehot: np.ndarray, c: np.ndarray, penalty: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Objective and gradient of each problem of a stack at its V = [W | b].
 
-    V and the gradient are B x K x (p + 1), Z is B x n x p, ``onehot`` is
-    the B x n x K boolean one-hot of the labels, s is B x n, laplacian is
-    B x p x p, or None for no graph penalty, and lambda_l2, lambda_g and
-    the returned objective values have length B. Every product and
-    reduction runs over one problem's slice along the axis it runs along
-    for that problem alone, so a problem's values do not depend on the
-    rest of the stack.
+    V and the gradient are B x K x d, X = [features | 1] is B x n x d,
+    ``onehot`` is the B x n x K boolean one-hot of the labels, c is B x n
+    (the sample weights over n), ``penalty`` is B x d x d (:func:`_penalties`)
+    and the returned objective values have length B. The objective is
+    -sum_i c_i log P(y_i | x_i) + 1/2 sum_k v_k^T penalty v_k, and its
+    gradient ((P - Y) c)^T X + V penalty. Every product and reduction runs
+    over one problem's slice along the axis it runs along for that problem
+    alone, so a problem's values do not depend on the rest of the stack.
     """
-    B, n, p = Z.shape
-    W = V[:, :, :p]
-    b = V[:, :, p]
-    scores = Z @ W.transpose(0, 2, 1) + b[:, None, :]
+    B, n, _ = X.shape
+    scores = X @ V.transpose(0, 2, 1)
     shifted = scores - scores.max(axis=2, keepdims=True)
     e = np.exp(shifted)
     norm = e.sum(axis=2)
-    P = e / norm[:, :, None]
     log_p_true = shifted[onehot].reshape(B, n) - np.log(norm)
-    data = -(s * log_p_true).sum(axis=1) / n
+    VP = V @ penalty
+    value = 0.5 * (V * VP).reshape(B, -1).sum(axis=1) - (c * log_p_true).sum(axis=1)
+    R = (e / norm[:, :, None] - onehot) * c[:, :, None]
+    return value, R.transpose(0, 2, 1) @ X + VP
 
-    ridge = (W * W).reshape(B, -1).sum(axis=1)
-    value = data + lambda_l2 * ridge
 
-    R = (P - onehot) * (s / n)[:, :, None]
-    grad = np.empty_like(V)
-    grad[:, :, :p] = R.transpose(0, 2, 1) @ Z + (2.0 * lambda_l2)[:, None, None] * W
-    if laplacian is not None:
-        WL = W @ laplacian
-        value += lambda_g * (W * WL).reshape(B, -1).sum(axis=1)
-        grad[:, :, :p] += (2.0 * lambda_g)[:, None, None] * WL
-    grad[:, :, p] = R.sum(axis=1)
-    return value, grad
+def _penalties(lambda_l2: np.ndarray, lambda_g: np.ndarray, laplacian: np.ndarray) -> np.ndarray:
+    """Each problem's penalty Hessian over one class's [w_k | b_k], B x (p + 1) x (p + 1).
+
+    That is [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]] for the lengths-B
+    ``lambda_l2`` and ``lambda_g`` and the B x p x p Laplacians L: the bias
+    is not penalized.
+    """
+    B, p, _ = laplacian.shape
+    penalty = np.zeros((B, p + 1, p + 1))
+    penalty[:, :p, :p] = (2.0 * lambda_l2)[:, None, None] * np.eye(p)
+    penalty[:, :p, :p] += (2.0 * lambda_g)[:, None, None] * laplacian
+    return penalty
 
 
 def _one_hot(y: np.ndarray, K: int) -> np.ndarray:
@@ -499,8 +493,9 @@ def fit_arrays(
     theta = V[:J], with V[J] = -sum(theta). Starting from V = 0, each
     iteration solves for the step of theta with the reduced gradient
     g[:J] - g[J] and the exact reduced Hessian (:func:`_reduced_hessian`),
-    whose penalty (I_J + 1 1^T) kron [[2 lambda_l2 I + 2 lambda_g L, 0],
-    [0, 0]] is added block by block. The step of V is
+    whose penalty (I_J + 1 1^T) kron P, for the penalty matrix
+    P = [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]] of :func:`_penalties`,
+    is added block by block. The step of V is
     [d_theta; -sum(d_theta)], and the fit backtracks along it by halving
     until the Armijo condition holds. Newton on all K(p + 1) parameters
     from V = 0 keeps the rows summing to zero too, so its iterates are
@@ -545,7 +540,7 @@ def fit_arrays(
     negligible, _ = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
     if negligible[0]:
         raise _negligible_ridge(config.lambda_l2)
-    V, f, n_iter, norms = _newton(Z, y, K, s, laplacian, lambda_l2, lambda_g, [config])
+    V, f, n_iter, norms = _newton(Z, y, K, s, _penalties(lambda_l2, lambda_g, laplacian), [config])
     (info,) = _fit_infos([config], f, n_iter, norms)
     return V[0, :, :p], V[0, :, p], info
 
@@ -554,15 +549,10 @@ def fit_arrays(
 class _Stack:
     """The arrays of same-shape fit problems, one per leading index, for stacked math."""
 
-    Z: np.ndarray  # B x n x p features
-    X: np.ndarray  # B x n x (p + 1): the features and a column of ones
+    X: np.ndarray  # B x n x d: the features and a column of ones
     onehot: np.ndarray  # B x n x K one-hot labels
-    s: np.ndarray  # B x n sample weights
-    c: np.ndarray  # B x n, s / n
-    laplacian: Optional[np.ndarray]  # B x p x p, or None for no graph penalty
-    penalty: np.ndarray  # B x (p + 1) x (p + 1): [[2 lambda_l2 I + 2 lambda_g L, 0], [0, 0]]
-    lambda_l2: np.ndarray
-    lambda_g: np.ndarray
+    c: np.ndarray  # B x n sample weights over n
+    penalty: np.ndarray  # B x d x d: _penalties, or diag(1, ..., 1, 0) in kernel form
     # B x (n + 1) x (p + 1) for problems in kernel form (_fit_batch): maps
     # the gradient over [W~ | b] to the gradient over [W | b]. None for
     # problems in feature space.
@@ -570,7 +560,7 @@ class _Stack:
 
     def take(self, rows: list[int]) -> "_Stack":
         """The problems at the increasing positions ``rows``; the stack itself when that is all."""
-        if len(rows) == len(self.Z):
+        if len(rows) == len(self.X):
             return self
         arrays = (getattr(self, f.name) for f in fields(self))
         return _Stack(*(None if a is None else a[rows] for a in arrays))
@@ -582,9 +572,7 @@ class _Stack:
         return np.abs(grad).reshape(len(grad), -1).max(axis=1).tolist()
 
     def objective(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _objective(
-            V, self.Z, self.onehot, self.s, self.laplacian, self.lambda_l2, self.lambda_g
-        )
+        return _objective(V, self.X, self.onehot, self.c, self.penalty)
 
     def newton_step(self, V: np.ndarray, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Each problem's Newton step of V, [d_theta; -sum(d_theta)], from its reduced system.
@@ -653,9 +641,9 @@ def _fit_batch(
     solved in kernel form. Its P = 2 lambda_l2 I + 2 lambda_g L is positive
     definite, and by the representer theorem its minimizer, like every
     Newton iterate from W = 0, has the form A Z P^-1. So Newton runs on the
-    features F of :func:`_kernel_features` with the penalty 1/2 ||W~||^2, in
-    systems of (K - 1)(n + 1) unknowns instead of (K - 1)(p + 1), and
-    returns W = W~ M^T, with no Laplacian: its penalty is in F. The
+    features F of :func:`_kernel_features` with the penalty matrix
+    diag(1, ..., 1, 0), that is 1/2 ||W~||^2, in systems of (K - 1)(n + 1)
+    unknowns instead of (K - 1)(p + 1), and returns W = W~ M^T. The
     objective is the same function of the scores and its gradient maps
     exactly to W-space, so the two forms take the same iterates and stop at
     the same tests up to rounding: ``gtol``, the non-convergence rule, the
@@ -669,6 +657,7 @@ def _fit_batch(
     lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs], dtype=float)
     lambda_g = np.array([cfg.lambda_g for cfg in configs], dtype=float)
     negligible, firm = _ridge_regimes(Z, s, laplacian, lambda_l2, lambda_g, K)
+    penalty = _penalties(lambda_l2, lambda_g, laplacian)
     kernel = firm & (n < p)
     V = np.full((B, K, p + 1), np.nan)
     # 0 iterations: _fit_infos warns for no problem left unsolved
@@ -678,18 +667,14 @@ def _fit_batch(
     for start in range(0, len(feature), capacity):
         rows = feature[start : start + capacity]
         V[rows], f[rows], n_iter[rows], norms[rows] = _newton(
-            Z[rows], y[rows], K, s[rows], laplacian[rows], lambda_l2[rows], lambda_g[rows],
-            [configs[i] for i in rows],
+            Z[rows], y[rows], K, s[rows], penalty[rows], [configs[i] for i in rows]
         )
     rows = np.flatnonzero(kernel)
     if rows.size:
-        F, M, to_weights = _kernel_features(
-            Z[rows], laplacian[rows], lambda_l2[rows], lambda_g[rows]
-        )
-        m = len(rows)
+        F, M, to_weights = _kernel_features(Z[rows], penalty[rows])
+        unit = np.broadcast_to(np.diag(np.append(np.ones(n), 0.0)), (len(rows), n + 1, n + 1))
         reduced, f[rows], n_iter[rows], norms[rows] = _newton(
-            F, y[rows], K, s[rows], None, np.full(m, 0.5), np.zeros(m),
-            [configs[i] for i in rows], to_weights=to_weights,
+            F, y[rows], K, s[rows], unit, [configs[i] for i in rows], to_weights=to_weights
         )
         V[rows, :, :p] = reduced[:, :, :n] @ M.transpose(0, 2, 1)
         V[rows, :, p] = reduced[:, :, n]
@@ -700,12 +685,11 @@ def _fit_batch(
     ]
 
 
-def _kernel_features(
-    Z: np.ndarray, laplacian: np.ndarray, lambda_l2: np.ndarray, lambda_g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kernel_features(Z: np.ndarray, penalty: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each problem's kernel form: its features F, back-map M and gradient map.
 
-    With P = 2 lambda_l2 I + 2 lambda_g L positive definite, the kernel
+    With P = 2 lambda_l2 I + 2 lambda_g L, the p x p block of ``penalty``
+    (:func:`_penalties`), positive definite, the kernel
     G = Z P^-1 Z^T = U diag(sigma) U^T gives the n x n features
     F = U diag(sqrt(sigma)) and the p x n back-map
     M = P^-1 Z^T U diag(1 / sqrt(sigma)). Then Z M = F and M^T P M = I, so
@@ -718,8 +702,7 @@ def _kernel_features(
     at zero.
     """
     B, n, p = Z.shape
-    P = (2.0 * lambda_l2)[:, None, None] * np.eye(p) + (2.0 * lambda_g)[:, None, None] * laplacian
-    solved = np.linalg.solve(P, Z.transpose(0, 2, 1))
+    solved = np.linalg.solve(penalty[:, :p, :p], Z.transpose(0, 2, 1))
     sigma, U = np.linalg.eigh(Z @ solved)
     kept = sigma > sigma[:, -1:] * n * np.finfo(float).eps
     root = np.sqrt(np.where(kept, sigma, 1.0))
@@ -736,19 +719,17 @@ def _newton(
     y: np.ndarray,
     K: int,
     s: np.ndarray,
-    laplacian: Optional[np.ndarray],
-    lambda_l2: np.ndarray,
-    lambda_g: np.ndarray,
+    penalty: np.ndarray,
     configs: Sequence[GrmlrConfig],
     to_weights: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, list, list, list]:
     """The damped Newton loop of :func:`fit_arrays` on a stack of B same-shape problems.
 
-    Z is B x n x p, y and s are B x n and laplacian is B x p x p, all
-    unchecked; a laplacian of None stands for no graph penalty, as kernel
-    form has none. The penalties are the arrays ``lambda_l2`` and ``lambda_g``,
-    none of whose ridges is negligible (:func:`_ridge_regimes`), and
-    ``configs`` gives only the stopping rules. Its two callers are
+    Z is B x n x p, y and s are B x n and ``penalty`` is B x (p + 1) x
+    (p + 1), all unchecked: each problem's objective is its data term on
+    X = [Z | 1] plus 1/2 sum_k v_k^T penalty v_k (:func:`_objective`),
+    whose ridge is not negligible (:func:`_ridge_regimes`). ``configs``
+    gives only the stopping rules. Its two callers are
     :func:`fit_arrays`, with a stack of one, and :func:`_fit_batch`. The
     objectives, Hessians, Newton systems and trial points of all live
     problems are computed stacked, each array operation working on every
@@ -757,23 +738,14 @@ def _newton(
     stack when it stops. So a problem's results do not depend on the rest
     of the stack. For problems in kernel form (:func:`_fit_batch`),
     ``to_weights`` maps each gradient to W-space before its max-norm is
-    taken. Each problem's (p + 1) x (p + 1) penalty is built once, and
-    each iteration writes the reduced Hessians into one buffer. Returns V,
-    B x K x (p + 1), and per problem its final objective, iteration count
-    and gradient max-norm. Issues no warning.
+    taken. Each iteration writes the reduced Hessians into one buffer.
+    Returns V, B x K x (p + 1), and per problem its final objective,
+    iteration count and gradient max-norm. Issues no warning.
     """
     B, n, p = Z.shape
     d, J = p + 1, K - 1
     X = np.concatenate([Z, np.ones((B, n, 1))], axis=2)
-    c = s / n
-    # Each problem's penalty Hessian over one class's [w_k | b_k]
-    penalty = np.zeros((B, d, d))
-    penalty[:, :p, :p] = (2.0 * lambda_l2)[:, None, None] * np.eye(p)
-    if laplacian is not None:
-        penalty[:, :p, :p] += (2.0 * lambda_g)[:, None, None] * laplacian
-    live = _Stack(
-        Z, X, _one_hot(y, K), s, c, laplacian, penalty, lambda_l2, lambda_g, to_weights
-    )
+    live = _Stack(X, _one_hot(y, K), s / n, penalty, to_weights)
     hessians = np.empty((B, J * d, J * d))
     V = np.zeros((B, K, d))
     value, grad = live.objective(V)

@@ -270,6 +270,19 @@ VALIDATION_RAISES = {
         InvalidValue,
         r"alpha must be in \[0, 1\], got 1.5",
     ),
+    # the parameters are checked before the counts' presence and before any ranking
+    **{
+        f"build-graph-{name}-without-macrofauna": (
+            lambda kwargs=kwargs: build_graph(_features(np.eye(3)), None, **kwargs),
+            InvalidValue,
+            message,
+        )
+        for name, kwargs, message in [
+            ("tau", dict(tau=7.0, gamma=0.9, alpha=0.0), r"tau must be in \[0, 1\], got 7.0"),
+            ("tau-nan", dict(tau=np.nan, gamma=0.9, alpha=0.0), r"tau must be in \[0, 1\], got nan"),
+            ("alpha", dict(tau=0.7, gamma=0.9, alpha=1.5), r"alpha must be in \[0, 1\], got 1.5"),
+        ]
+    },
 }
 
 

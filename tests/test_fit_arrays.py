@@ -386,34 +386,6 @@ def test_nonconvergence_warnings_name_the_line_that_called_the_solver():
 
 
 @pytest.mark.parametrize("K", CLASSES)
-def test_kernel_form_needs_no_laplacian(K):
-    # kernel form's penalty is in its features: an all-zero Laplacian adds only exact zeros
-    problems = [
-        (*_fold(K, seed, shape)[:3], cfg)
-        for seed in STACK_SEEDS
-        for shape in ("wide", "duplicate")
-        for cfg in BATCH_CONFIGS
-        if cfg.lambda_l2 >= 0.02 and cfg.lambda_g <= 5.0  # firm ridges, solved in kernel form
-    ]
-    Z, y, laplacian = (np.stack(a) for a in list(zip(*problems))[:3])
-    configs = [cfg for *_, cfg in problems]
-    s = np.stack([_sample_weights(y_i, K, cfg.class_balanced) for y_i, cfg in zip(y, configs)])
-    lambda_l2 = np.array([cfg.lambda_l2 for cfg in configs])
-    lambda_g = np.array([cfg.lambda_g for cfg in configs])
-    F, _, to_weights = model._kernel_features(Z, laplacian, lambda_l2, lambda_g)
-    B, n, _ = F.shape
-    half, zero = np.full(B, 0.5), np.zeros(B)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # _newton itself issues no warning
-        without = model._newton(F, y, K, s, None, half, zero, configs, to_weights=to_weights)
-        zeros = np.zeros((B, n, n))
-        explicit = model._newton(F, y, K, s, zeros, half, zero, configs, to_weights=to_weights)
-    assert without[0].tobytes() == explicit[0].tobytes()
-    assert without[1:] == explicit[1:]
-    assert max(without[2]) > 3  # some fits ran to convergence
-
-
-@pytest.mark.parametrize("K", CLASSES)
 def test_reduced_hessian_adds_the_kronecker_penalty_bit_for_bit(K):
     # the penalty enters block by block: 2 penalty on the diagonal, penalty off it
     rng = np.random.default_rng(K)

@@ -61,10 +61,21 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   96-config ``grid_search`` with workers 1 and ``permutation_test(B=5,
   seed=3)`` on four noisy 13x26 datasets (noise 1.5 and 2.0, seeds 0 and
   7), where LOOCV accuracies and grid entries spread instead of all
-  reading 1.0 as they do at noise 0.1.
+  reading 1.0 as they do at noise 0.1;
+* the paths no probe above takes, with reports, grid entries and graph
+  matrices hashed but no fitted weights, so that a change that only
+  rounds fits differently leaves them equal. On the 13x26 seed-0 data:
+  ``one-site-class``, relabelled so that 'dead' has one site (so one
+  fold of every LOOCV is skipped): ``loocv``, the 4-config ``SMALL_GRID``
+  and ``permutation_test(B=5, seed=3)``; ``no-macrofauna``, without the
+  macrofauna table: the ``build_graph`` matrices at alpha = 0, ``loocv``
+  at alpha = 0 and ``SMALL_GRID``, whose alpha = 0.5 entries fail with
+  MissingMacrofauna. ``cache-eviction``: ``EVICTION_GRID`` at 13x400,
+  whose 26 fold graphs of 1.28 MB each overflow the fold-graph cache.
+  Every grid and permutation test runs with workers 1 and 2.
 
-Every probe also hashes the warnings it raised; there are 111 probes. A
-one-tree run takes about 12 s on two cores, a two-tree run about 25 s.
+Every probe also hashes the warnings it raised; there are 122 probes. A
+one-tree run takes about 10 s on two cores, a two-tree run about 21 s.
 """
 
 from __future__ import annotations
@@ -115,6 +126,8 @@ GRID_TALL = {
     "alpha": [0.0, 1.0],
     "max_iters": [2, 15000],
 }
+SMALL_GRID = {"alpha": [0.0, 0.5], "lambda_g": [0.0, 5.0]}
+EVICTION_GRID = {"tau": [0.5, 0.7], "lambda_g": [0.0, 5.0]}
 SWEEP_GRID = {"lambda_g": [0.0, 5.0], "tau": [0.5, 0.7], "gamma": [0.8, 0.9]}
 SWEEP_ALPHAS = [0.0, 0.3, 0.7, 1.0]
 HARD_NOISES = (1.5, 2.0)
@@ -301,9 +314,47 @@ def probe_grid_edge(g, probes: Probes) -> None:
         dataset = g.synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=7)
         for workers in (1, 2):
             with probes.probe(f"{name}/{scale}/workers{workers}") as out:
-                result = g.grid_search(dataset, grid, workers=workers)
-                for e in result.entries:
-                    out.append([e.index, e.config, e.accuracy, e.macro_f1, e.error])
+                out += _grid_entries(g.grid_search(dataset, grid, workers=workers))
+
+
+def _grid_entries(result) -> list:
+    return [[e.index, e.config, e.accuracy, e.macro_f1, e.error] for e in result.entries]
+
+
+def probe_branches(g, probes: Probes, dataset) -> None:
+    """The one-site-class, no-macrofauna and cache-eviction probes; ``dataset`` is 13x26 seed 0."""
+    stages = dataset.stages
+    first = stages.labels.index("dead")
+    labels = [
+        "adult" if lab == "dead" and i != first else lab for i, lab in enumerate(stages.labels)
+    ]
+    one_site = g.Dataset(
+        dataset.abundances,
+        dataset.macrofauna,
+        g.StageLabels(list(stages.site_ids), labels, stages.label_set),
+    )
+    no_macro = g.Dataset(dataset.abundances, None, stages)
+    eviction = g.synthesize_dataset(n=13, p=400, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+    base = g.GrmlrConfig()
+    co_only = replace(base, alpha=0.0)
+    with probes.probe("one-site-class/13x26/loocv") as out:
+        out.append(g.loocv(one_site, base).to_dict())
+    with probes.probe("no-macrofauna/13x26/graph") as out:
+        features = g.clr_transform(no_macro.abundances, base.epsilon)
+        graph = g.build_graph(features, None, tau=base.tau, gamma=base.gamma, alpha=0.0)
+        out += [graph.a_macro, graph.a_co, graph.adjacency, graph.laplacian]
+    with probes.probe("no-macrofauna/13x26/loocv") as out:
+        out.append(g.loocv(no_macro, co_only).to_dict())
+    for workers in (1, 2):
+        for name, data, grid in (
+            ("one-site-class/13x26", one_site, SMALL_GRID),
+            ("no-macrofauna/13x26", no_macro, SMALL_GRID),
+            ("cache-eviction/13x400", eviction, EVICTION_GRID),
+        ):
+            with probes.probe(f"{name}/grid/workers{workers}") as out:
+                out += _grid_entries(g.grid_search(data, grid, workers=workers))
+        with probes.probe(f"one-site-class/13x26/permtest/workers{workers}") as out:
+            out.append(g.permutation_test(one_site, base, B=5, seed=3, workers=workers))
 
 
 def probe_permtest_edge(g, probes: Probes) -> None:
@@ -409,6 +460,7 @@ def run_probes(g) -> Probes:
         probe_plans(g, probes, datasets)
         probe_cli(g, probes, tmp)
         probe_hard(g, probes, tmp)
+        probe_branches(g, probes, datasets["13x26/seed0"])
     return probes
 
 
