@@ -18,9 +18,12 @@ one batch evaluator, ``_loocv_tasks``, whose tasks are LOOCVs of (plan,
 config, labels). Whatever the worker count, it finds each task's skipped
 folds in one pass, builds each fold graph that the tasks share once
 while ``_FoldGraphs`` keeps it, a block of folds in one stacked pass, and
-fits each distinct fold problem once, in stacks that it forms from the
-tasks alone and that an executor, inline or a process pool, fits through
-``model._fit_batch``. That solver fits a fold with a firm ridge and fewer
+fits each distinct fold problem once. ``_FoldGraphs`` also keeps a memo
+of the last block's correlations and its A_macro and A_co at the last
+tau and gamma, so configs that differ only in alpha, tau, gamma or the
+penalties correlate a block once. The fold problems are fitted in stacks
+that it forms from the tasks alone and that an executor, inline or a
+process pool, fits through ``model._fit_batch``. That solver fits a fold with a firm ridge and fewer
 training sites than taxa in kernel form, in n_train-dimensional
 coordinates, and every other fold in feature space; both take the same
 Newton iterates up to rounding. A stack holds as many fold problems as
@@ -178,13 +181,17 @@ def macro_f1(
     return float(np.mean(scores))
 
 
-# Bytes of fold Laplacians that a batch evaluation keeps, so that the
-# configs and label vectors sharing a fold graph build it once, emptying
-# them when full; it builds them in blocks of folds that fit the room left
+# Bytes of fold Laplacians, and of the memo of the last block's
+# correlations, that a batch evaluation keeps, so that the configs and
+# label vectors sharing a fold graph build it once, emptying them when
+# full; it builds them in blocks of folds that fit the room left
 # (_FoldGraphs): the default grid's 1716 distinct fold graphs at 13 x 26
 # take about 9.3 MB, one graph at 40 x 160 takes 200 KiB, so a block there
 # holds up to 20 folds and the 40 Laplacians of a config all stay kept.
+# A 13 x 26 memo of all 13 folds takes about 0.2 MB.
 _GRAPH_CACHE_BYTES = 16 * 1024 * 1024
+# The key of _FoldGraphs.kept at which it keeps its _fold_laplacians memo.
+_MEMO = "memo"
 
 
 @dataclass(eq=False)
@@ -270,18 +277,49 @@ def _fold_correlations(plan: LoocvPlan, folds: slice, scope: str) -> tuple:
     return co, _correlations(ranks, ok, *_leave_one_out(plan.count_ranks, folds, kept))
 
 
-def _fold_laplacians(plan: LoocvPlan, folds: slice, config: GrmlrConfig) -> np.ndarray:
+def _fold_laplacians(
+    plan: LoocvPlan, folds: slice, config: GrmlrConfig, memo: Optional[dict] = None
+) -> np.ndarray:
     """The (b, p, p) graph Laplacians of the b folds ``folds`` under ``config``, in one pass.
 
     Each equals, bit for bit, that of ``build_graph`` on its fold's
-    training sites. The working set is four p x p arrays per fold: its
-    A_macro, A_co, adjacency and Laplacian.
+    training sites. Without a ``memo`` the working set is four p x p
+    arrays per fold: its A_macro, A_co, adjacency and Laplacian.
+
+    ``_FoldGraphs`` passes its memo, a dict that keeps the last block's
+    ``_fold_correlations``, keyed by (plan, ``co_occurrence_scope``, fold
+    range), with the A_macro last thresholded from them at one tau and the
+    A_co at one gamma. A call on the same block reads them instead of
+    correlating again, so configs that differ only in alpha fuse the kept
+    A_macro and A_co, and those that differ in tau or gamma threshold the
+    kept correlations: the same operations on the same values. Another
+    block replaces what the memo holds, and the correlations stay through
+    the fusion: five p x p arrays per fold.
     """
-    co, profiles = _fold_correlations(plan, folds, config.co_occurrence_scope)
-    a_macro = _a_macro_or_zeros(profiles, config.tau, co)
-    a_co = a_co_from_correlations(co, config.gamma)
-    del co, profiles  # before the adjacency and Laplacian are made
-    return _fused(a_macro, a_co, config.alpha, plan.taxa_names).laplacian
+    memoized = memo is not None
+    memo = memo if memoized else {}
+    block = (plan, config.co_occurrence_scope, folds.start, folds.stop)
+    if memo.get("block") != block:
+        memo.clear()  # before the next block's correlations are made
+        memo["block"] = block
+        memo["correlations"] = _fold_correlations(plan, folds, config.co_occurrence_scope)
+    co, profiles = memo["correlations"]
+    if memo.get("tau") != config.tau:
+        memo.pop("a_macro", None)
+        memo["a_macro"], memo["tau"] = _a_macro_or_zeros(profiles, config.tau, co), config.tau
+    if memo.get("gamma") != config.gamma:
+        memo.pop("a_co", None)
+        memo["a_co"], memo["gamma"] = a_co_from_correlations(co, config.gamma), config.gamma
+    del co, profiles
+    if not memoized:
+        del memo["correlations"]  # before the adjacency and Laplacian are made
+    return _fused(memo["a_macro"], memo["a_co"], config.alpha, plan.taxa_names).laplacian
+
+
+def _memo_bytes(memo: dict) -> int:
+    """Bytes of the arrays that a ``_fold_laplacians`` memo holds."""
+    arrays = [*memo.get("correlations", ()), memo.get("a_macro"), memo.get("a_co")]
+    return sum(a.nbytes for a in arrays if a is not None)
 
 
 class _FoldGraphs:
@@ -293,9 +331,18 @@ class _FoldGraphs:
     plan, so no later plan can reuse a kept key. A fold graph not kept is
     built with those of the next folds not kept, by one
     ``_fold_laplacians`` call, as many folds as the room left under
-    ``_GRAPH_CACHE_BYTES`` holds at four p x p arrays per fold. So kept
-    Laplacians never take the cache past it. When the room holds no fold,
-    the cache empties first.
+    ``_GRAPH_CACHE_BYTES`` by the kept Laplacians holds at four p x p
+    arrays per fold. So kept Laplacians never take the cache past it. When
+    the room holds no fold, the cache empties first.
+
+    ``kept`` also holds, at ``_MEMO``, the memo of those calls: the last
+    block's correlations and thresholded A_macro and A_co. So the configs
+    of a grid that share a block but differ in alpha, tau or gamma correlate
+    it once. The memo holds its plan as a kept key does and empties with
+    ``kept``. Its bytes count in ``nbytes``, but not in the room that sizes
+    a block, so it never takes a kept Laplacian's place: a block is built
+    with the memo only where its five p x p arrays per fold fit in the
+    room, and the memo stays only while it fits beside the kept Laplacians.
     """
 
     def __init__(self) -> None:
@@ -317,16 +364,24 @@ class _FoldGraphs:
         key = (plan, config.co_occurrence_scope, config.tau, config.gamma, config.alpha)
         if (*key, i) in self.kept:
             return self.kept[(*key, i)]
+        memo = self.kept.pop(_MEMO, {})
+        self.nbytes -= _memo_bytes(memo)
         room = (self.limit - self.nbytes) // (4 * 8 * p * p)
         if room < 1:
             self.kept.clear()
             self.nbytes = 0
+            memo = {}
             room = max(1, self.limit // (4 * 8 * p * p))
         stop = i + 1
         while stop < min(len(plan.train), i + room) and (*key, stop) not in self.kept:
             stop += 1
-        laplacians = _fold_laplacians(plan, slice(i, stop), config)
+        if self.nbytes + 5 * 8 * p * p * (stop - i) > self.limit:
+            memo = None  # no room to keep the correlations while the block is built
+        laplacians = _fold_laplacians(plan, slice(i, stop), config, memo)
         graphs = [self._keep((*key, j), lap) for j, lap in enumerate(laplacians, start=i)]
+        if memo is not None and self.nbytes + _memo_bytes(memo) <= self.limit:
+            self.kept[_MEMO] = memo
+            self.nbytes += _memo_bytes(memo)
         return graphs[0]
 
     def _keep(self, key: tuple, laplacian: np.ndarray) -> tuple[np.ndarray, bytes]:
@@ -622,13 +677,13 @@ def _submit(pool: Executor, queue: list, unsettled, memo: dict, limit: int) -> N
     keys, plans, folds, configs, ys, laplacians = zip(*queue)
     queue.clear()
     K = len(plans[0].label_set)
-    y_train = [y[plan.train[i]] for plan, i, y in zip(plans, folds, ys)]
+    y_train = np.stack([y[plan.train[i]] for plan, i, y in zip(plans, folds, ys)])
     future = pool.submit(
         _fit_stack,
         np.stack([plan.features[plan.train[i]] for plan, i in zip(plans, folds)]),
-        np.stack(y_train),
+        y_train,
         K,
-        np.stack([_sample_weights(y, K, cfg.class_balanced) for y, cfg in zip(y_train, configs)]),
+        _sample_weights(y_train, K, np.array([cfg.class_balanced for cfg in configs])),
         np.stack(laplacians),
         configs,
     )

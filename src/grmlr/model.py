@@ -235,18 +235,21 @@ def class_balanced_weights(labels: StageLabels) -> np.ndarray:
     return _sample_weights(labels.indices(), len(labels.label_set), class_balanced=True)
 
 
-def _sample_weights(y: np.ndarray, K: int, class_balanced: bool) -> np.ndarray:
-    """Training weights for label indices ``y``: class-balanced, or all ones.
+def _sample_weights(y: np.ndarray, K: int, class_balanced) -> np.ndarray:
+    """Training weights for each row of label indices ``y`` (..., n): class-balanced, or all ones.
 
-    Raises EmptyClass when balancing is asked for and a class has no samples.
+    ``class_balanced`` is one bool, or one per row. A balanced row's weights
+    are n / (K * n_class). Raises EmptyClass naming the classes that the
+    first balanced row to miss a class has no samples of.
     """
-    if not class_balanced:
-        return np.ones(len(y))
-    counts = np.bincount(y, minlength=K)
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise EmptyClass(f"no samples for class index(es) {missing.tolist()}")
-    return len(y) / (K * counts[y].astype(float))
+    counts = _one_hot(y, K).sum(axis=-2)
+    balanced = np.broadcast_to(class_balanced, counts.shape[:-1])[..., None]
+    missing = ((counts == 0) & balanced).reshape(-1, K)
+    if missing.any():
+        first = missing[missing.any(axis=1)][0]
+        raise EmptyClass(f"no samples for class index(es) {np.flatnonzero(first).tolist()}")
+    weights = y.shape[-1] / (K * np.take_along_axis(counts, y, axis=-1).astype(float))
+    return np.where(balanced, weights, 1.0)
 
 
 def loss(
@@ -293,7 +296,7 @@ def _evaluate(
     )
     cfg = model.hyperparams
     V = np.column_stack([model.weights, model.bias])
-    value, grad = _objective(
+    value, grad, _ = _objective(
         V[None],
         np.column_stack([Z, np.ones(len(Z))])[None],
         _one_hot(y, model.n_classes)[None],
@@ -305,17 +308,19 @@ def _evaluate(
 
 def _objective(
     V: np.ndarray, X: np.ndarray, onehot: np.ndarray, c: np.ndarray, penalty: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Objective and gradient of each problem of a stack at its V = [W | b].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective, gradient and class probabilities of each problem of a stack at its V = [W | b].
 
     V and the gradient are B x K x d, X = [features | 1] is B x n x d,
     ``onehot`` is the B x n x K boolean one-hot of the labels, c is B x n
     (the sample weights over n), ``penalty`` is B x d x d (:func:`_penalties`)
     and the returned objective values have length B. The objective is
     -sum_i c_i log P(y_i | x_i) + 1/2 sum_k v_k^T penalty v_k, and its
-    gradient ((P - Y) c)^T X + V penalty. Every product and reduction runs
-    over one problem's slice along the axis it runs along for that problem
-    alone, so a problem's values do not depend on the rest of the stack.
+    gradient ((P - Y) c)^T X + V penalty. The probabilities P, B x n x K,
+    are ``softmax_rows(X @ V^T)`` bit for bit, which :func:`_reduced_hessian`
+    takes. Every product and reduction runs over one problem's slice along
+    the axis it runs along for that problem alone, so a problem's values do
+    not depend on the rest of the stack.
     """
     B, n, _ = X.shape
     scores = X @ V.transpose(0, 2, 1)
@@ -325,8 +330,9 @@ def _objective(
     log_p_true = shifted[onehot].reshape(B, n) - np.log(norm)
     VP = V @ penalty
     value = 0.5 * (V * VP).reshape(B, -1).sum(axis=1) - (c * log_p_true).sum(axis=1)
-    R = (e / norm[:, :, None] - onehot) * c[:, :, None]
-    return value, R.transpose(0, 2, 1) @ X + VP
+    P = e / norm[:, :, None]
+    R = (P - onehot) * c[:, :, None]
+    return value, R.transpose(0, 2, 1) @ X + VP, P
 
 
 def _penalties(lambda_l2: np.ndarray, lambda_g: np.ndarray, laplacian: np.ndarray) -> np.ndarray:
@@ -349,13 +355,16 @@ def _one_hot(y: np.ndarray, K: int) -> np.ndarray:
 
 
 def _reduced_hessian(
-    V: np.ndarray, X: np.ndarray, c: np.ndarray, penalty: np.ndarray, out: np.ndarray
+    P: np.ndarray, X: np.ndarray, c: np.ndarray, penalty: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Hessian of the objective in the reduced coordinates of each V of a stack.
 
     V = [W | b] is B x K x (p + 1), each with rows summing to zero, so it
     is fixed by theta = V[:, :J], J = K - 1, through V[:, J] = -sum(theta).
-    X is B x n x (p + 1), c is B x n and ``penalty`` B x (p + 1) x (p + 1).
+    The Hessian reads V only through its class probabilities
+    P = softmax_rows(X @ V^T), B x n x K, which :func:`_objective` returned
+    at that V, so they are not formed again here. X is B x n x (p + 1), c
+    is B x n and ``penalty`` B x (p + 1) x (p + 1).
     Rows and columns of a problem's Hessian follow theta.ravel(), i.e.
     [w_1, b_1, ..., w_J, b_J]. With x_i = [z_i, 1] and the full-space
     weights w_km = c (delta_km P_k - P_k P_m), block (k, m) is
@@ -368,9 +377,9 @@ def _reduced_hessian(
     ``penalty``. Each of the J(J+1)/2 distinct blocks comes from one
     batched matrix product, written into ``out`` (B x J(p + 1) x J(p + 1)).
     """
-    B, K, d = V.shape
+    B, _, K = P.shape
+    d = X.shape[2]
     J = K - 1
-    P = softmax_rows(X @ V.transpose(0, 2, 1))
     rows, cols = _class_pairs(J)
     last = P[:, :, J:]
     centred = P[:, :, :J] - last
@@ -562,8 +571,8 @@ class _Stack:
         """The problems at the increasing positions ``rows``; the stack itself when that is all."""
         if len(rows) == len(self.X):
             return self
-        arrays = (getattr(self, f.name) for f in fields(self))
-        return _Stack(*(None if a is None else a[rows] for a in arrays))
+        to_weights = None if self.to_weights is None else self.to_weights[rows]
+        return _Stack(self.X[rows], self.onehot[rows], self.c[rows], self.penalty[rows], to_weights)
 
     def max_norms(self, grad: np.ndarray) -> list[float]:
         """Each problem's gradient max-norm, over W and b even for a problem in kernel form."""
@@ -571,18 +580,19 @@ class _Stack:
             grad = grad @ self.to_weights
         return np.abs(grad).reshape(len(grad), -1).max(axis=1).tolist()
 
-    def objective(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def objective(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _objective(V, self.X, self.onehot, self.c, self.penalty)
 
-    def newton_step(self, V: np.ndarray, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def newton_step(self, P: np.ndarray, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Each problem's Newton step of V, [d_theta; -sum(d_theta)], from its reduced system.
 
-        ``out`` receives the reduced Hessians; reusing one buffer across
+        P holds the class probabilities that :meth:`objective` returned at
+        V. ``out`` receives the reduced Hessians; reusing one buffer across
         iterations spares the allocator a large block per iteration.
         """
-        B, K, d = V.shape
+        B, K, d = grad.shape
         J = K - 1
-        H = _reduced_hessian(V, self.X, self.c, self.penalty, out)
+        H = _reduced_hessian(P, self.X, self.c, self.penalty, out)
         rhs = (grad[:, J:] - grad[:, :J]).reshape(B, J * d, 1)
         reduced = np.linalg.solve(H, rhs).reshape(B, J, d)
         return np.concatenate([reduced, -reduced.sum(axis=1, keepdims=True)], axis=1)
@@ -738,7 +748,13 @@ def _newton(
     stack when it stops. So a problem's results do not depend on the rest
     of the stack. For problems in kernel form (:func:`_fit_batch`),
     ``to_weights`` maps each gradient to W-space before its max-norm is
-    taken. Each iteration writes the reduced Hessians into one buffer.
+    taken. The class probabilities that :func:`_objective` forms at a
+    point travel with V and its gradient, through compaction and accepted
+    steps, so the reduced Hessian at an iterate takes the softmax that its
+    line search formed instead of forming it again. The line search takes
+    its stack of pending problems once and reuses it across halvings while
+    the same problems stay pending. Each iteration writes the reduced
+    Hessians into one buffer.
     Returns V, B x K x (p + 1), and per problem its final objective,
     iteration count and gradient max-norm. Issues no warning.
     """
@@ -748,7 +764,7 @@ def _newton(
     live = _Stack(X, _one_hot(y, K), s / n, penalty, to_weights)
     hessians = np.empty((B, J * d, J * d))
     V = np.zeros((B, K, d))
-    value, grad = live.objective(V)
+    value, grad, P = live.objective(V)
     # Per problem, by position in the input stack:
     f = value.tolist()
     n_iter = [0] * B
@@ -768,20 +784,23 @@ def _newton(
         if not going:
             break
         if len(going) < len(problems):
-            live, V, grad = live.take(going), V[going], grad[going]
+            live, V, grad, P = live.take(going), V[going], grad[going], P[going]
             problems = [problems[row] for row in going]
-        step = live.newton_step(V, grad, hessians[: len(problems)])
+        step = live.newton_step(P, grad, hessians[: len(problems)])
         slope = (grad.reshape(-1, 1, K * d) @ step.reshape(-1, K * d, 1)).ravel().tolist()
         stopped = [not sl < 0.0 for sl in slope]
         t = [1.0] * len(problems)
         pending = [row for row, halt in enumerate(stopped) if not halt]
+        taken = trying = None
         for _ in range(_MAX_HALVINGS):
             if not pending:
                 break
+            if pending != taken:
+                taken, trying = pending, live.take(pending)
             rows = slice(None) if len(pending) == len(problems) else pending
             lengths = np.array([t[row] for row in pending])
             trial = V[rows] + lengths[:, None, None] * step[rows]
-            trial_value, trial_grad = live.take(pending).objective(trial)
+            trial_value, trial_grad, trial_P = trying.objective(trial)
             accepted, failed = [], []
             for k, (row, new) in enumerate(zip(pending, trial_value.tolist())):
                 i = problems[row]
@@ -796,10 +815,10 @@ def _newton(
                     t[row] *= 0.5
                     failed.append(row)
             if len(accepted) == len(problems):  # every live problem took its step
-                V, grad = trial, trial_grad
+                V, grad, P = trial, trial_grad, trial_P
             else:
                 for row, k in accepted:
-                    V[row], grad[row] = trial[k], trial_grad[k]
+                    V[row], grad[row], P[row] = trial[k], trial_grad[k], trial_P[k]
             pending = failed
         for row in pending:  # no step along the Newton direction passed the Armijo test
             stopped[row] = True

@@ -487,9 +487,9 @@ class TestGridFitReuse:
     ):
         grid_search(separable, self.GRID)
         graphs = separable.n_sites * len(self.GRID["alpha"])  # one tau, one gamma and one scope
-        # only Laplacians are kept, so each fold graph builds its own A_macro and A_co
-        assert graph_builds["a_macro_from_profiles"] == graphs
-        assert graph_builds["a_co_from_correlations"] == graphs
+        # the fold-graph memo keeps the block's A_macro and A_co, so the alphas only fuse them
+        assert graph_builds["a_macro_from_profiles"] == separable.n_sites
+        assert graph_builds["a_co_from_correlations"] == separable.n_sites
         assert graph_builds["laplacian_of"] == graphs
 
     @pytest.mark.parametrize("graphs_kept", [0, 3])
@@ -616,12 +616,14 @@ class TestGridFitReuse:
         graphs = evaluation._FoldGraphs()
         _, digest = graphs.graph(plan, 0, config)
         key = evaluation._fold_fit_key(plan, 0, config, plan.y.tobytes(), digest)
+        assert graphs.kept[evaluation._MEMO]["block"][0] is plan
         alive = weakref.ref(plan)
         del plan
         gc.collect()
         assert alive() is not None
         graphs.kept.clear()
         gc.collect()
+        assert evaluation._MEMO not in graphs.kept  # the memo empties with the kept graphs
         assert alive() is not None  # the fit key alone
         del key
         gc.collect()
@@ -694,6 +696,129 @@ class TestFoldGraphBlocks:
         loocv(separable, GrmlrConfig())
         p = separable.n_taxa
         assert shapes == [(1, p, p)] * separable.n_sites
+
+
+class TestFoldGraphMemo:
+    """_FoldGraphs keeps the last block's correlations and graph parts; loocv keeps none."""
+
+    PAPER_GRID = {
+        "alpha": [0.0, 0.5, 1.0],
+        "lambda_g": [0.0, 10.0],
+        "lambda_l2": [0.02],
+        "tau": [0.7],
+        "gamma": [0.9],
+    }
+
+    @pytest.fixture
+    def correlated(self, monkeypatch):
+        """The fold blocks (start, stop) that _fold_correlations is called for."""
+        blocks = []
+        original = evaluation._fold_correlations
+
+        def recording(plan, folds, scope):
+            blocks.append((folds.start, folds.stop))
+            return original(plan, folds, scope)
+
+        monkeypatch.setattr(evaluation, "_fold_correlations", recording)
+        return blocks
+
+    @staticmethod
+    def _without_memo(monkeypatch):
+        original = evaluation._fold_laplacians
+        monkeypatch.setattr(
+            evaluation,
+            "_fold_laplacians",
+            lambda plan, folds, config, memo=None: original(plan, folds, config),
+        )
+
+    def test_paper_grid_correlates_its_one_block_once(self, correlated, monkeypatch):
+        ds = synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        memoized = grid_search(ds, self.PAPER_GRID)
+        assert correlated == [(0, 13)]  # three alphas at lambda_g = 10 share the block
+        correlated.clear()
+        self._without_memo(monkeypatch)
+        unmemoized = grid_search(ds, self.PAPER_GRID)
+        assert correlated == [(0, 13)] * 3
+        outcomes = TestGridFitReuse._outcomes
+        assert outcomes(memoized) == outcomes(unmemoized)
+
+    def test_graph_grid_matches_a_run_without_memo(self, separable, fitted_problems, monkeypatch):
+        # scopes, taus and gammas in turn: the memo re-thresholds or re-correlates as it must
+        memoized = grid_search(separable, TestGridFitReuse.GRAPH_GRID)
+        reference = list(fitted_problems)
+        fitted_problems.clear()
+        self._without_memo(monkeypatch)
+        unmemoized = grid_search(separable, TestGridFitReuse.GRAPH_GRID)
+        assert fitted_problems == reference
+        outcomes = TestGridFitReuse._outcomes
+        assert outcomes(memoized) == outcomes(unmemoized)
+
+    def test_loocv_and_ablate_create_no_memo(self, separable, monkeypatch):
+        memos, caches = [], []
+        original = evaluation._fold_laplacians
+
+        def recording(plan, folds, config, memo=None):
+            memos.append(memo)
+            return original(plan, folds, config, memo)
+
+        monkeypatch.setattr(evaluation, "_fold_laplacians", recording)
+        monkeypatch.setattr(evaluation, "_FoldGraphs", lambda: caches.append(1))
+        loocv(separable, GrmlrConfig())
+        ablate(separable, GrmlrConfig())
+        assert memos and memos == [None] * len(memos)
+        assert caches == []
+
+    # in p x p Laplacians: a one-fold memo (three p x p arrays) never fits beside one,
+    # fits beside a few, or beside every fold graph of a config
+    @pytest.mark.parametrize("laplacians", [1, 5, 40])
+    def test_memo_and_kept_laplacians_stay_within_the_limit(
+        self, separable, monkeypatch, laplacians
+    ):
+        unbounded = grid_search(separable, TestGridFitReuse.GRAPH_GRID)
+        p = separable.n_taxa
+        limit = laplacians * 8 * p * p
+        monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", limit)
+        original = evaluation._FoldGraphs.graph
+        memo_kept = []
+
+        def checking(self, plan, i, config):
+            graph = original(self, plan, i, config)
+            memo = self.kept.get(evaluation._MEMO)
+            memo_kept.append(memo is not None)
+            held = sum(
+                evaluation._memo_bytes(value) if key == evaluation._MEMO else value[0].nbytes
+                for key, value in self.kept.items()
+            )
+            assert held == self.nbytes <= limit
+            return graph
+
+        monkeypatch.setattr(evaluation._FoldGraphs, "graph", checking)
+        bounded = grid_search(separable, TestGridFitReuse.GRAPH_GRID)
+        outcomes = TestGridFitReuse._outcomes
+        assert outcomes(bounded) == outcomes(unbounded)
+        assert any(memo_kept) == (laplacians > 1)
+
+    # the zero graph of lambda_g = 0 arrives last, at a cache that has less than one
+    # Laplacian of room left: _keep empties it before keeping the zero graph
+    @pytest.mark.parametrize("laplacians", [1, 5])
+    def test_zero_graph_at_a_full_cache_changes_no_entry(self, separable, monkeypatch, laplacians):
+        grid = {"lambda_g": [5.0, 0.0], "alpha": [0.5]}
+        unbounded = grid_search(separable, grid)
+        p = separable.n_taxa
+        monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", laplacians * 8 * p * p)
+        original = evaluation._FoldGraphs._keep
+        emptied = []
+
+        def recording(self, key, laplacian):
+            if self.nbytes + laplacian.nbytes > self.limit:
+                emptied.append(key)
+            return original(self, key, laplacian)
+
+        monkeypatch.setattr(evaluation._FoldGraphs, "_keep", recording)
+        bounded = grid_search(separable, grid)
+        assert emptied == [("zero", p)]
+        outcomes = TestGridFitReuse._outcomes
+        assert outcomes(bounded) == outcomes(unbounded)
 
 
 class TestFitStacks:

@@ -385,12 +385,11 @@ def test_nonconvergence_warnings_name_the_line_that_called_the_solver():
     assert [(w.filename, w.lineno) for w in caught] == [(__file__, here + 1), (__file__, here + 2)]
 
 
-@pytest.mark.parametrize("K", CLASSES)
-def test_reduced_hessian_adds_the_kronecker_penalty_bit_for_bit(K):
-    # the penalty enters block by block: 2 penalty on the diagonal, penalty off it
+def _hessian_inputs(K: int):
+    """A stack of problems at a random zero-sum V: (V, X, onehot, c, penalty)."""
     rng = np.random.default_rng(K)
     problems = [_problem(K, seed) for seed in STACK_SEEDS]
-    Z, s, laplacian = (np.stack([problem[i] for problem in problems]) for i in (0, 2, 3))
+    Z, y, s, laplacian = (np.stack([problem[i] for problem in problems]) for i in range(4))
     B, n, p = Z.shape
     J, d = K - 1, p + 1
     X = np.concatenate([Z, np.ones((B, n, 1))], axis=2)
@@ -398,10 +397,32 @@ def test_reduced_hessian_adds_the_kronecker_penalty_bit_for_bit(K):
     V = np.concatenate([theta, -theta.sum(axis=1, keepdims=True)], axis=1)
     penalty = np.zeros((B, d, d))
     penalty[:, :p, :p] = 2.0 * 0.02 * np.eye(p) + 2.0 * 5.0 * laplacian
-    got = model._reduced_hessian(V, X, s / n, penalty, np.empty((B, J * d, J * d)))
-    data = model._reduced_hessian(V, X, s / n, np.zeros_like(penalty), np.empty_like(got))
+    return V, X, model._one_hot(y, K), s / n, penalty
+
+
+@pytest.mark.parametrize("K", CLASSES)
+def test_reduced_hessian_adds_the_kronecker_penalty_bit_for_bit(K):
+    # the penalty enters block by block: 2 penalty on the diagonal, penalty off it
+    V, X, onehot, c, penalty = _hessian_inputs(K)
+    B, d, J = len(V), X.shape[2], K - 1
+    _, _, P = model._objective(V, X, onehot, c, penalty)
+    got = model._reduced_hessian(P, X, c, penalty, np.empty((B, J * d, J * d)))
+    data = model._reduced_hessian(P, X, c, np.zeros_like(penalty), np.empty_like(got))
     assert np.abs(data).max() > 0 and not np.array_equal(data, got)
     assert got.tobytes() == (data + np.kron(np.eye(J) + 1.0, penalty)).tobytes()
+
+
+@pytest.mark.parametrize("K", CLASSES)
+def test_objective_probabilities_are_the_softmax_the_hessian_formed(K):
+    # the Newton loop hands the Hessian the objective's probabilities instead of a new softmax
+    V, X, onehot, c, penalty = _hessian_inputs(K)
+    B, d, J = len(V), X.shape[2], K - 1
+    _, _, P = model._objective(V, X, onehot, c, penalty)
+    softmax = model.softmax_rows(X @ V.transpose(0, 2, 1))
+    assert P.tobytes() == softmax.tobytes()
+    carried = model._reduced_hessian(P, X, c, penalty, np.empty((B, J * d, J * d)))
+    formed = model._reduced_hessian(softmax, X, c, penalty, np.empty_like(carried))
+    assert carried.tobytes() == formed.tobytes()
 
 
 def test_one_fit_at_stress_scale_holds_under_two_reduced_hessians():

@@ -29,6 +29,7 @@ from grmlr.evaluation import loocv
 from grmlr.model import (
     GrmlrConfig,
     GrmlrModel,
+    _sample_weights,
     build_features,
     class_balanced_weights,
     fit,
@@ -244,6 +245,31 @@ class TestClassBalancedWeights:
         labels = StageLabels(["a", "b", "c"], ["adult", "adult", "adult"])
         with pytest.raises(EmptyClass):
             class_balanced_weights(labels)
+
+    def test_stacked_rows_equal_row_wise_calls_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        K = 3
+        y = np.stack([rng.permutation(np.arange(12) % K) for _ in range(5)])
+        y[1, :5] = 0  # unequal class counts
+        balanced = np.array([True, True, False, True, False])
+        stacked = _sample_weights(y, K, balanced)
+        assert stacked.shape == y.shape
+        for row, on in zip(y, balanced):
+            counts = np.bincount(row, minlength=K)
+            direct = len(row) / (K * counts[row].astype(float)) if on else np.ones(len(row))
+            assert _sample_weights(row, K, bool(on)).tobytes() == direct.tobytes()
+        expected = np.stack([_sample_weights(row, K, bool(on)) for row, on in zip(y, balanced)])
+        assert stacked.tobytes() == expected.tobytes()
+        assert not np.array_equal(stacked[1], stacked[0])
+
+    def test_stacked_empty_class_is_named_only_where_balanced(self):
+        y = np.array([[0, 1, 2, 0], [0, 0, 1, 1], [0, 1, 1, 0]])
+        unbalanced = _sample_weights(y, 3, np.array([True, False, False]))
+        assert (unbalanced[1:] == 1.0).all()
+        with pytest.raises(EmptyClass, match=r"no samples for class index\(es\) \[2\]$"):
+            _sample_weights(y, 3, np.array([True, False, True]))
+        with pytest.raises(EmptyClass, match=r"\[1, 2\]$"):
+            _sample_weights(np.zeros(4, dtype=int), 3, True)
 
 
 class TestFit:

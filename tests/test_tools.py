@@ -10,8 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+
 import golden_hashes  # noqa: E402
 import paired_timing  # noqa: E402
+import run as perfbench_run  # noqa: E402
 
 
 def _model(final_loss: float = 0.5, shift: float = 0.0):
@@ -77,3 +80,19 @@ def test_paired_timing_runs_one_pair_on_one_tree(capsys):
     argv = ["--src", src, "--src", src, "--call", "paper-grid", "--pairs", "1"]
     assert paired_timing.main(argv) == 0
     assert "paper-grid: 1 pairs" in capsys.readouterr().out
+
+
+def test_paired_timing_seed_permutes_as_perfbench_does(capsys):
+    src = str(ROOT / "src")
+    argv = ["--src", src, "--src", src, "--call", "paper-grid", "--pairs", "1", "--seed", "3"]
+    assert paired_timing.main(argv) == 0
+    assert "paper-grid: 1 pairs" in capsys.readouterr().out
+    g = paired_timing.load_tree(src, "grmlr_seeded")
+    base = g.synthesize_dataset(n=13, p=26, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+    seeded = paired_timing.permuted(g, base, 3)
+    bench, _ = perfbench_run.seeded_dataset(g, 13, 26, 3)
+    assert seeded.abundances.site_ids == bench.abundances.site_ids != base.abundances.site_ids
+    assert seeded.abundances.taxa_names == bench.abundances.taxa_names
+    assert seeded.abundances.values.tobytes() == bench.abundances.values.tobytes()
+    assert seeded.macrofauna.values.tobytes() == bench.macrofauna.values.tobytes()
+    assert seeded.stages.labels == bench.stages.labels

@@ -10,7 +10,11 @@ timings cannot tell from a change of the code, moves both sides alike:
     python3 tools/paired_timing.py --src /path/to/parent/src --src src --call paper-grid
 
 The calls, each on ``synthesize_dataset(K=3, n_blocks=4, coupling=0.9,
-noise=0.1, seed=0)`` built by its own tree, at 13x26 unless noted:
+noise=0.1, seed=0)`` built by its own tree, at 13x26 unless noted. With
+``--seed S`` that dataset's sites and taxa are first permuted as
+perfbench's ``--seed S`` permutes them, by
+``numpy.random.default_rng(S)``, so a claim made at one seed can be
+checked at another:
 
 * ``paper-grid``: ``grid_search`` of the 6 configs of perfbench's
   ``paper-grid`` workload (alpha in {0, 0.5, 1}, lambda_g in {0, 10});
@@ -75,10 +79,31 @@ def load_tree(src: str, name: str):
     return module
 
 
-def make_call(g, call: str):
-    """A no-argument function that runs ``call`` on tree ``g`` and returns its result as data."""
+def permuted(g, dataset, seed: int):
+    """``dataset`` with its sites and taxa reordered as perfbench's ``--seed`` reorders them."""
+    ab = dataset.abundances
+    rng = np.random.default_rng(seed)
+    sites, taxa = rng.permutation(len(ab.site_ids)), rng.permutation(len(ab.taxa_names))
+    ids = [ab.site_ids[i] for i in sites]
+    abundances = g.AbundanceMatrix(
+        ids, [ab.taxa_names[j] for j in taxa], ab.values[np.ix_(sites, taxa)]
+    )
+    macro = dataset.macrofauna
+    macro = g.MacrofaunaCounts(list(ids), macro.values[sites], list(macro.category_names))
+    stages = dataset.stages
+    stages = g.StageLabels(list(ids), [stages.labels[i] for i in sites], stages.label_set)
+    return g.Dataset(abundances, macro, stages)
+
+
+def make_call(g, call: str, seed=None):
+    """A no-argument function that runs ``call`` on tree ``g`` and returns its result as data.
+
+    ``seed`` permutes the dataset (:func:`permuted`); None keeps the base order.
+    """
     n, p = (40, 160) if call == "stress-loocv" else (13, 26)
     dataset = g.synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+    if seed is not None:
+        dataset = permuted(g, dataset, seed)
 
     def entries(result):
         return [(e.index, e.accuracy, e.macro_f1, e.error) for e in result.entries]
@@ -115,12 +140,19 @@ def main(argv=None) -> int:
         choices=["paper-grid", "permtest", "default-grid", "paper-loocv", "stress-loocv"],
     )
     parser.add_argument("--pairs", type=int, default=100, help="timed pairs (default 100)")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        help="permute the dataset's sites and taxa as perfbench's --seed does (default: none)",
+    )
     args = parser.parse_args(argv)
     if len(args.src) != 2:
         parser.error("give --src exactly twice")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    calls = [make_call(load_tree(src, name), args.call) for src, name in zip(args.src, "ab")]
+    calls = [
+        make_call(load_tree(src, name), args.call, args.seed) for src, name in zip(args.src, "ab")
+    ]
     results = [call() for call in calls]
     if repr(results[0]) != repr(results[1]):  # by repr, where a failed entry's NaN equals NaN
         print("error: the two trees return different results", file=sys.stderr)
