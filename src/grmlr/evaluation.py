@@ -16,15 +16,16 @@ does not enter the objective: such fits get a zero Laplacian.
 The grid search (and so the alpha sweep) and the permutation test run on
 one batch evaluator, ``_loocv_tasks``, whose tasks are LOOCVs of (plan,
 config, labels). Whatever the worker count, it finds each task's skipped
-folds in one pass, builds each fold graph that the tasks share once
-while ``_FoldGraphs`` keeps it, a block of folds in one stacked pass, and
-fits each distinct fold problem once. ``_FoldGraphs`` also keeps a memo
-of the last block's correlations and its A_macro and A_co at the last
-tau and gamma, so configs that differ only in alpha, tau, gamma or the
-penalties correlate a block once. The fold problems are fitted in stacks
-that it forms from the tasks alone and that an executor, inline or a
-process pool, fits through ``model._fit_batch``. That solver fits a fold with a firm ridge and fewer
-training sites than taxa in kernel form, in n_train-dimensional
+folds in one pass and groups the tasks by the fold graph they share: per
+plan and ``co_occurrence_scope`` by (tau, gamma, alpha), and a plan's
+lambda_g = 0 tasks in one zero-graph group. It builds each fold graph
+once, a block of folds at a time, correlating each block once for all
+its groups, queues each group's fits before the next group's graphs are
+built, so no graph is kept for later tasks, and fits each distinct fold
+problem once. The fold problems are fitted in stacks that it forms from
+the tasks alone and that an executor, inline or a process pool, fits
+through ``model._fit_batch``. That solver fits a fold with a firm ridge
+and fewer training sites than taxa in kernel form, in n_train-dimensional
 coordinates, and every other fold in feature space; both take the same
 Newton iterates up to rounding. A stack holds as many fold problems as
 ``model._STACK_BYTES`` holds in the form that they are solved in, so at
@@ -181,17 +182,9 @@ def macro_f1(
     return float(np.mean(scores))
 
 
-# Bytes of fold Laplacians, and of the memo of the last block's
-# correlations, that a batch evaluation keeps, so that the configs and
-# label vectors sharing a fold graph build it once, emptying them when
-# full; it builds them in blocks of folds that fit the room left
-# (_FoldGraphs): the default grid's 1716 distinct fold graphs at 13 x 26
-# take about 9.3 MB, one graph at 40 x 160 takes 200 KiB, so a block there
-# holds up to 20 folds and the 40 Laplacians of a config all stay kept.
-# A 13 x 26 memo of all 13 folds takes about 0.2 MB.
-_GRAPH_CACHE_BYTES = 16 * 1024 * 1024
-# The key of _FoldGraphs.kept at which it keeps its _fold_laplacians memo.
-_MEMO = "memo"
+# Bytes that the batch evaluator's graph blocks take, at five p x p arrays
+# per fold (_grouped_fold_graphs): 13 folds at 13 x 26, 16 at 40 x 160.
+_BLOCK_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(eq=False)
@@ -260,17 +253,20 @@ def _fold_correlations(plan: LoocvPlan, folds: slice, scope: str) -> tuple:
     None without macrofauna. Under ``scope`` 'all' the first is the
     Spearman matrix of every site's features instead, correlated from the
     plan's ranks and broadcast to that shape. The block's ranks are
-    downdated from the plan's once, and each matrix equals, bit for bit,
+    downdated from the plan's once, unless nothing reads them (scope 'all'
+    without macrofauna), and each matrix equals, bit for bit,
     the ``spearman_matrix`` or ``spearman_cross`` of the rows it is made
     from, whatever the block.
     """
     kept = plan.train[folds]
-    ranks, ok = _leave_one_out(plan.ranks, folds, kept)
     if scope == "all":
-        unit, every = _unit(plan.ranks.copy())  # _unit works in place, and the plan keeps the ranks
+        unit, every = _unit(plan.ranks.copy())  # _unit works in place; the plan keeps them
         co = _correlations(unit, every, unit, every)
         co = np.broadcast_to(co, (len(kept), *co.shape))
-    else:
+        if plan.count_ranks is None:
+            return co, None
+    ranks, ok = _leave_one_out(plan.ranks, folds, kept)
+    if scope != "all":
         co = _correlations(ranks, ok, ranks, ok)
     if plan.count_ranks is None:
         return co, None
@@ -278,123 +274,38 @@ def _fold_correlations(plan: LoocvPlan, folds: slice, scope: str) -> tuple:
 
 
 def _fold_laplacians(
-    plan: LoocvPlan, folds: slice, config: GrmlrConfig, memo: Optional[dict] = None
+    plan: LoocvPlan, folds: slice, config: GrmlrConfig, parts: Optional[dict] = None
 ) -> np.ndarray:
     """The (b, p, p) graph Laplacians of the b folds ``folds`` under ``config``, in one pass.
 
     Each equals, bit for bit, that of ``build_graph`` on its fold's
-    training sites. Without a ``memo`` the working set is four p x p
-    arrays per fold: its A_macro, A_co, adjacency and Laplacian.
+    training sites. Without ``parts`` the working set is four p x p arrays
+    per fold: its A_macro, A_co, adjacency and Laplacian.
 
-    ``_FoldGraphs`` passes its memo, a dict that keeps the last block's
-    ``_fold_correlations``, keyed by (plan, ``co_occurrence_scope``, fold
-    range), with the A_macro last thresholded from them at one tau and the
-    A_co at one gamma. A call on the same block reads them instead of
-    correlating again, so configs that differ only in alpha fuse the kept
-    A_macro and A_co, and those that differ in tau or gamma threshold the
-    kept correlations: the same operations on the same values. Another
-    block replaces what the memo holds, and the correlations stay through
-    the fusion: five p x p arrays per fold.
+    The batch evaluator passes one ``parts`` dict to every call on a block
+    of folds of one plan and ``co_occurrence_scope``. It keeps the block's
+    ``_fold_correlations``, with the A_macro last thresholded from them at
+    one tau and the A_co at one gamma, so configs that differ only in
+    alpha fuse the kept A_macro and A_co, and those that differ in tau or
+    gamma threshold the kept correlations: the same operations on the same
+    values. The correlations stay through the fusion: five p x p arrays
+    per fold.
     """
-    memoized = memo is not None
-    memo = memo if memoized else {}
-    block = (plan, config.co_occurrence_scope, folds.start, folds.stop)
-    if memo.get("block") != block:
-        memo.clear()  # before the next block's correlations are made
-        memo["block"] = block
-        memo["correlations"] = _fold_correlations(plan, folds, config.co_occurrence_scope)
-    co, profiles = memo["correlations"]
-    if memo.get("tau") != config.tau:
-        memo.pop("a_macro", None)
-        memo["a_macro"], memo["tau"] = _a_macro_or_zeros(profiles, config.tau, co), config.tau
-    if memo.get("gamma") != config.gamma:
-        memo.pop("a_co", None)
-        memo["a_co"], memo["gamma"] = a_co_from_correlations(co, config.gamma), config.gamma
+    shared = parts is not None
+    parts = parts if shared else {}
+    if "correlations" not in parts:
+        parts["correlations"] = _fold_correlations(plan, folds, config.co_occurrence_scope)
+    co, profiles = parts["correlations"]
+    if parts.get("tau") != config.tau:
+        parts.pop("a_macro", None)
+        parts["a_macro"], parts["tau"] = _a_macro_or_zeros(profiles, config.tau, co), config.tau
+    if parts.get("gamma") != config.gamma:
+        parts.pop("a_co", None)
+        parts["a_co"], parts["gamma"] = a_co_from_correlations(co, config.gamma), config.gamma
     del co, profiles
-    if not memoized:
-        del memo["correlations"]  # before the adjacency and Laplacian are made
-    return _fused(memo["a_macro"], memo["a_co"], config.alpha, plan.taxa_names).laplacian
-
-
-def _memo_bytes(memo: dict) -> int:
-    """Bytes of the arrays that a ``_fold_laplacians`` memo holds."""
-    arrays = [*memo.get("correlations", ()), memo.get("a_macro"), memo.get("a_co")]
-    return sum(a.nbytes for a in arrays if a is not None)
-
-
-class _FoldGraphs:
-    """The batch evaluator's fold graphs, built a block of folds at a time and kept.
-
-    A fold graph is kept per (plan, fold i, ``co_occurrence_scope``, tau,
-    gamma, alpha) as its read-only Laplacian and the blake2b digest that
-    ``_fold_fit_key`` takes. Plans count by identity, and a key holds its
-    plan, so no later plan can reuse a kept key. A fold graph not kept is
-    built with those of the next folds not kept, by one
-    ``_fold_laplacians`` call, as many folds as the room left under
-    ``_GRAPH_CACHE_BYTES`` by the kept Laplacians holds at four p x p
-    arrays per fold. So kept Laplacians never take the cache past it. When
-    the room holds no fold, the cache empties first.
-
-    ``kept`` also holds, at ``_MEMO``, the memo of those calls: the last
-    block's correlations and thresholded A_macro and A_co. So the configs
-    of a grid that share a block but differ in alpha, tau or gamma correlate
-    it once. The memo holds its plan as a kept key does and empties with
-    ``kept``. Its bytes count in ``nbytes``, but not in the room that sizes
-    a block, so it never takes a kept Laplacian's place: a block is built
-    with the memo only where its five p x p arrays per fold fit in the
-    room, and the memo stays only while it fits beside the kept Laplacians.
-    """
-
-    def __init__(self) -> None:
-        self.limit = _GRAPH_CACHE_BYTES
-        self.kept: dict = {}
-        self.nbytes = 0
-
-    def graph(self, plan: LoocvPlan, i: int, config: GrmlrConfig) -> tuple[np.ndarray, bytes]:
-        """Fold i's (Laplacian, digest) under ``config``; all zeros at lambda_g = 0, unread.
-
-        Raises MissingMacrofauna if the plan has no macrofauna counts and
-        alpha > 0, at any lambda_g.
-        """
-        _require_macrofauna(plan.count_ranks, config.alpha)
-        p = len(plan.taxa_names)
-        if config.lambda_g == 0.0:
-            zero = ("zero", p)
-            return self.kept.get(zero) or self._keep(zero, np.zeros((p, p)))
-        key = (plan, config.co_occurrence_scope, config.tau, config.gamma, config.alpha)
-        if (*key, i) in self.kept:
-            return self.kept[(*key, i)]
-        memo = self.kept.pop(_MEMO, {})
-        self.nbytes -= _memo_bytes(memo)
-        room = (self.limit - self.nbytes) // (4 * 8 * p * p)
-        if room < 1:
-            self.kept.clear()
-            self.nbytes = 0
-            memo = {}
-            room = max(1, self.limit // (4 * 8 * p * p))
-        stop = i + 1
-        while stop < min(len(plan.train), i + room) and (*key, stop) not in self.kept:
-            stop += 1
-        if self.nbytes + 5 * 8 * p * p * (stop - i) > self.limit:
-            memo = None  # no room to keep the correlations while the block is built
-        laplacians = _fold_laplacians(plan, slice(i, stop), config, memo)
-        graphs = [self._keep((*key, j), lap) for j, lap in enumerate(laplacians, start=i)]
-        if memo is not None and self.nbytes + _memo_bytes(memo) <= self.limit:
-            self.kept[_MEMO] = memo
-            self.nbytes += _memo_bytes(memo)
-        return graphs[0]
-
-    def _keep(self, key: tuple, laplacian: np.ndarray) -> tuple[np.ndarray, bytes]:
-        """(``laplacian``, its digest), kept at ``key``; a cache it would overflow empties first."""
-        laplacian.setflags(write=False)
-        graph = (laplacian, hashlib.blake2b(laplacian.tobytes(), digest_size=16).digest())
-        if self.nbytes + laplacian.nbytes > self.limit:
-            self.kept.clear()
-            self.nbytes = 0
-        if laplacian.nbytes <= self.limit:
-            self.kept[key] = graph
-            self.nbytes += laplacian.nbytes
-        return graph
+    if not shared:
+        del parts["correlations"]  # before the adjacency and Laplacian are made
+    return _fused(parts["a_macro"], parts["a_co"], config.alpha, plan.taxa_names).laplacian
 
 
 def _skipped_folds(y: np.ndarray, K: int) -> list[bool]:
@@ -447,9 +358,9 @@ def _fold_fit_key(
     (plans of one epsilon may differ in feature mode or data), the labels
     (``labels``, the bytes of the task's label vector), the fold i, the
     sample weights (``class_balanced``), the penalties, the stopping rule
-    and the Laplacian, as its ``digest`` from ``_FoldGraphs``: made once
-    per kept fold graph, however many label vectors and configs share the
-    graph; at lambda_g = 0 that is the zero graph's.
+    and the Laplacian, as its ``digest``: made once per fold graph,
+    however many label vectors and configs share it; at lambda_g = 0 that
+    is the zero graph's.
     """
     return (
         plan,
@@ -520,7 +431,7 @@ def permutation_test(
 
     The observed labels and the B permutations are B + 1 tasks of the
     batch evaluator (``_loocv_tasks``) on one fold plan. Each fold graph is
-    built and digested once while kept, as no graph depends on the labels.
+    built and digested once, as no graph depends on the labels.
     A fold problem that two label vectors share is fitted once, so a
     warning it raises is issued once. Raises InvalidValue unless ``B`` and
     ``workers`` are integers >= 1 and ``seed`` is an integer.
@@ -555,9 +466,9 @@ def grid_search(
 
     Each configuration is one task of the batch evaluator (``_loocv_tasks``)
     on its plan's own labels, so each distinct fold fit runs once per call
-    and warns once, in the order configs first need the fits; see
-    ``_fold_fit_key``. Raises InvalidValue unless ``workers`` is an integer
-    >= 1.
+    and warns once, in the order the fold-graph groups of ``_loocv_tasks``
+    first need the fits; see ``_fold_fit_key``. Raises InvalidValue unless
+    ``workers`` is an integer >= 1.
     """
     _check_count("workers", workers)
     if base_config is None:
@@ -594,10 +505,11 @@ def grid_search(
 def _loocv_tasks(tasks: list, workers: int) -> list:
     """(accuracy, macro-F1), or the GrmlrError raised, of each (plan, config, labels) task's LOOCV.
 
-    Fold graphs come from one ``_FoldGraphs``, so tasks share them, and
-    each task's skipped folds are found in one pass. Each task's fold-fit
+    One pass finds each task's skipped folds, or its MissingMacrofauna,
+    and groups the tasks by the fold graphs they share, which
+    ``_grouped_fold_graphs`` then builds once each. Each task's fold-fit
     keys (None: fold skipped) are made once; a fold problem not seen before
-    joins a queue in first-seen order, and a full queue, of
+    joins a queue in the order the groups yield it, and a full queue, of
     ``model._stack_capacity`` problems, is one stack. An executor fits the
     stacks: from the first full stack on, a ProcessPoolExecutor of
     min(workers, len(tasks), usable CPUs) processes, or with one, an inline
@@ -609,42 +521,80 @@ def _loocv_tasks(tasks: list, workers: int) -> list:
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = min(workers, len(tasks), cpus or 1)
-    graphs = _FoldGraphs()
     memo: dict = {}  # fit key -> held-out prediction; None while queued or unsettled
     queue: list = []  # (fit key, plan, fold, config, task's labels y, Laplacian), all of one shape
     unsettled: collections.deque = collections.deque()
     keyed: list = []  # per task: its folds' fit keys, or the GrmlrError it raised
+    groups: dict = {}  # (plan, scope) -> graph key -> [(task, its skipped folds)]
+    for t, (plan, config, y) in enumerate(tasks):
+        try:
+            _require_macrofauna(plan.count_ranks, config.alpha)
+        except GrmlrError as exc:
+            keyed.append(exc.with_traceback(None))
+            continue
+        keyed.append([None] * len(y))
+        where, graph = (plan, config.co_occurrence_scope), (config.tau, config.gamma, config.alpha)
+        if config.lambda_g == 0.0:
+            where, graph = (plan, None), None
+        members = groups.setdefault(where, {}).setdefault(graph, [])
+        members.append((t, _skipped_folds(y, len(plan.label_set))))
     with contextlib.ExitStack() as resources:
         inline, pool = _InlineExecutor(), None
-        for plan, config, y in tasks:
-            keys: list = []
-            labels = y.tobytes()
-            K = len(plan.label_set)
-            capacity = _stack_capacity(K, len(y) - 1, len(plan.taxa_names))
-            try:
-                for i, skipped in enumerate(_skipped_folds(y, K)):
-                    if skipped:
-                        keys.append(None)
-                        continue
-                    laplacian, digest = graphs.graph(plan, i, config)
-                    key = _fold_fit_key(plan, i, config, labels, digest)
-                    keys.append(key)
-                    if key not in memo:
-                        memo[key] = None
-                        queue.append((key, plan, i, config, y, laplacian))
-                        if len(queue) == capacity:
-                            if pool is None:  # the first full stack; a lone last one fits inline
-                                pool = inline if size == 1 else resources.enter_context(
-                                    ProcessPoolExecutor(max_workers=size)
-                                )
-                            _submit(pool, queue, unsettled, memo, 2 * size)
-            except GrmlrError as exc:
-                keys = exc.with_traceback(None)
-            keyed.append(keys)
+        for t, i, laplacian, digest in _grouped_fold_graphs(tasks, groups):
+            plan, config, y = tasks[t]
+            key = _fold_fit_key(plan, i, config, y.tobytes(), digest)
+            keyed[t][i] = key
+            if key in memo:
+                continue
+            memo[key] = None
+            queue.append((key, plan, i, config, y, laplacian))
+            if len(queue) == _stack_capacity(len(plan.label_set), len(y) - 1, len(laplacian)):
+                if pool is None:  # the first full stack; a lone last one fits inline
+                    pool = inline if size == 1 else resources.enter_context(
+                        ProcessPoolExecutor(max_workers=size)
+                    )
+                _submit(pool, queue, unsettled, memo, 2 * size)
         if queue:
             _submit(pool or inline, queue, unsettled, memo, 2 * size)
         _settle(unsettled, memo, 0)
     return [_loocv_outcome(memo, *task, keys) for task, keys in zip(tasks, keyed)]
+
+
+def _grouped_fold_graphs(tasks: list, groups: dict):
+    """Yield (task, fold i, Laplacian, digest) for each unskipped fold of the grouped tasks.
+
+    ``groups`` maps each (plan, ``co_occurrence_scope``) to the tasks, with
+    their skipped folds, of each graph key (tau, gamma, alpha), and
+    (plan, None) to the plan's lambda_g = 0 tasks, which share one zero
+    Laplacian that no fit reads; all in first-seen order. Other folds are
+    built a block at a time, as many as ``_BLOCK_BYTES`` holds at five
+    p x p arrays per fold. In a block, each group's Laplacians come from
+    one ``_fold_laplacians`` call, and all groups share one ``parts``
+    dict, so the block is correlated once. Each Laplacian is digested with
+    blake2b once, and a group's folds are yielded task-major, in fold
+    order within a task, before the next group's graphs are built.
+    """
+    for (plan, scope), by_graph in groups.items():
+        n, p = len(plan.train), len(plan.taxa_names)
+        step = n if scope is None else max(1, _BLOCK_BYTES // (5 * 8 * p * p))
+        for start in range(0, n, step):
+            folds, parts = slice(start, min(n, start + step)), {}
+            for members in by_graph.values():
+                if scope is None:
+                    graphs = _digested([np.zeros((p, p))]) * n
+                else:
+                    config = tasks[members[0][0]][1]
+                    graphs = _digested(_fold_laplacians(plan, folds, config, parts))
+                for t, skipped in members:
+                    for i, (laplacian, digest) in enumerate(graphs, start):
+                        if not skipped[i]:
+                            yield t, i, laplacian, digest
+                del graphs  # before the next group's are built
+
+
+def _digested(laplacians) -> list:
+    """Each of ``laplacians`` with its blake2b digest, which ``_fold_fit_key`` takes."""
+    return [(lap, hashlib.blake2b(lap.tobytes(), digest_size=16).digest()) for lap in laplacians]
 
 
 def _loocv_outcome(memo: dict, plan: LoocvPlan, config: GrmlrConfig, y: np.ndarray, keys):

@@ -326,21 +326,37 @@ class TestPermutation:
         assert set(fitted) == problems
         assert len(calls) < len(problems)
 
+    def test_fits_follow_task_major_fold_order(self, separable, monkeypatch):
+        # one config is one graph group: its tasks queue their new fits in turn, in fold order
+        fitted = []
+        original = evaluation._fit_batch
+
+        def recording(Z, y, *args):
+            fitted.extend((z.tobytes(), labels.tobytes()) for z, labels in zip(Z, y))
+            return original(Z, y, *args)
+
+        monkeypatch.setattr(evaluation, "_fit_batch", recording)
+        permutation_test(separable, GrmlrConfig(), B=4, seed=5)
+        plan = build_plan(separable, GrmlrConfig().epsilon)
+        rng = substream(5, "permutation")
+        labels = [plan.y] + [plan.y[rng.permutation(9)] for _ in range(4)]
+        problems = [(plan.features[t].tobytes(), y[t].tobytes()) for y in labels for t in plan.train]
+        assert fitted == list(dict.fromkeys(problems))
+
     def test_numpy_integer_seed_is_its_value(self, separable):
         # np.int64 cannot hold the 2**63 that the seed is reduced by
         a = permutation_test(separable, GrmlrConfig(), B=4, seed=np.int64(5))
         b = permutation_test(separable, GrmlrConfig(), B=4, seed=5)
         assert a.to_dict() == b.to_dict()
 
-    # "small" holds n + 3 Laplacians: every fold's, and the four p x p arrays
-    # of a one-fold block before the last is built, but not 3 n graph parts
-    @pytest.mark.parametrize("cache", ["default", "small"])
+    # "one-fold-blocks" builds the graphs a fold at a time, each block correlated once
+    @pytest.mark.parametrize("blocks", ["default", "one-fold-blocks"])
     def test_each_fold_graph_built_and_digested_once(
-        self, separable, graph_builds, monkeypatch, cache
+        self, separable, graph_builds, monkeypatch, blocks
     ):
         n, p = separable.n_sites, separable.n_taxa
-        if cache == "small":
-            monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", (n + 3) * 8 * p * p)
+        if blocks == "one-fold-blocks":
+            monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 5 * 8 * p * p)
         # no graph depends on the labels, so B = 8 permutations share the observed ones
         permutation_test(separable, GrmlrConfig(), B=8, seed=5)
         assert graph_builds == {
@@ -487,23 +503,20 @@ class TestGridFitReuse:
     ):
         grid_search(separable, self.GRID)
         graphs = separable.n_sites * len(self.GRID["alpha"])  # one tau, one gamma and one scope
-        # the fold-graph memo keeps the block's A_macro and A_co, so the alphas only fuse them
+        # the block's parts dict keeps its A_macro and A_co, so the alphas only fuse them
         assert graph_builds["a_macro_from_profiles"] == separable.n_sites
         assert graph_builds["a_co_from_correlations"] == separable.n_sites
         assert graph_builds["laplacian_of"] == graphs
 
-    @pytest.mark.parametrize("graphs_kept", [0, 3])
-    def test_graph_byte_bound_changes_no_fit(
-        self, separable, fitted_problems, monkeypatch, graphs_kept
-    ):
-        unbounded = grid_search(separable, self.GRAPH_GRID)
-        reference = list(fitted_problems)
-        fitted_problems.clear()
-        p = separable.n_taxa
-        monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", max(1, graphs_kept * p * p * 8))
-        bounded = grid_search(separable, self.GRAPH_GRID)
-        assert fitted_problems == reference
-        assert self._outcomes(bounded) == self._outcomes(unbounded)
+    def test_lambda_g_zero_tasks_share_one_zero_graph(self, separable, graph_builds):
+        # whatever their scope, tau, gamma or alpha: one zero Laplacian, digested once
+        grid_search(separable, {**self.GRAPH_GRID, "lambda_g": [0.0]})
+        assert graph_builds == {
+            "a_macro_from_profiles": 0,
+            "a_co_from_correlations": 0,
+            "laplacian_of": 0,
+            "blake2b": 1,
+        }
 
     def test_worker_count_invariance(self, separable):
         # 24 configs, of which those that differ only in alpha share fits at lambda_g = 0
@@ -566,6 +579,11 @@ class TestGridFitReuse:
         "seed": 7,
     }
 
+    @staticmethod
+    def _graph(plan, i, config):
+        """Fold i's (Laplacian, blake2b digest) under ``config``, as the batch evaluator makes them."""
+        return evaluation._digested(evaluation._fold_laplacians(plan, slice(i, i + 1), config))[0]
+
     @pytest.mark.parametrize("name", list(GrmlrConfig.__dataclass_fields__))
     def test_every_config_field_reaches_the_fold_fit_key(self, separable, name):
         kinds = [kind for kind, names in self.FIT_KEY_CLASSES.items() if name in names]
@@ -574,8 +592,7 @@ class TestGridFitReuse:
         config = GrmlrConfig()
         other = replace(config, **{name: self.OTHER_VALUES[name]})
         plan = build_plan(separable, config.epsilon)
-        graphs = evaluation._FoldGraphs()
-        laplacian, digest = graphs.graph(plan, 0, config)
+        laplacian, digest = self._graph(plan, 0, config)
         labels = plan.y.tobytes()
         key = evaluation._fold_fit_key(plan, 0, config, labels, digest)
         other_key = evaluation._fold_fit_key(plan, 0, other, labels, digest)
@@ -585,7 +602,7 @@ class TestGridFitReuse:
         assert other_key == key
         if kind == "graph":
             digests = [
-                (graphs.graph(plan, i, config)[1], graphs.graph(plan, i, other)[1])
+                (self._graph(plan, i, config)[1], self._graph(plan, i, other)[1])
                 for i in range(len(plan.y))
             ]
             assert any(a != b for a, b in digests)
@@ -610,20 +627,16 @@ class TestGridFitReuse:
             assert other_infos == infos
 
     def test_graph_and_fit_keys_hold_their_plan(self, separable):
-        # a kept key holds its plan, so a later plan cannot take the key over
+        # a fit key holds its plan, so a later plan cannot take the key over,
+        # and the batch evaluator keeps no plan once it returns
         config = GrmlrConfig()
         plan = build_plan(separable, config.epsilon)
-        graphs = evaluation._FoldGraphs()
-        _, digest = graphs.graph(plan, 0, config)
+        evaluation._loocv_tasks([(plan, config, plan.y)], 1)
+        _, digest = self._graph(plan, 0, config)
         key = evaluation._fold_fit_key(plan, 0, config, plan.y.tobytes(), digest)
-        assert graphs.kept[evaluation._MEMO]["block"][0] is plan
         alive = weakref.ref(plan)
         del plan
         gc.collect()
-        assert alive() is not None
-        graphs.kept.clear()
-        gc.collect()
-        assert evaluation._MEMO not in graphs.kept  # the memo empties with the kept graphs
         assert alive() is not None  # the fit key alone
         del key
         gc.collect()
@@ -645,25 +658,30 @@ class TestFoldGraphBlocks:
             separable = Dataset(separable.abundances, None, separable.stages)
         config = GrmlrConfig(alpha=alpha, co_occurrence_scope=scope)
         plan = build_plan(separable, config.epsilon)
-        graphs = evaluation._FoldGraphs()
+        n = separable.n_sites
+        together = evaluation._fold_laplacians(plan, slice(0, n), config, {})
         every_site = clr_transform(separable.abundances, config.epsilon)
         whole = build_graph(every_site, separable.macrofauna, config.tau, config.gamma, alpha)
-        n = separable.n_sites
         for i in range(n):
             train = subset(separable, [j for j in range(n) if j != i])
             features = clr_transform(train.abundances, config.epsilon)
             expected = build_graph(features, train.macrofauna, config.tau, config.gamma, alpha)
             if scope == "all":  # A_co from every site's correlations
                 expected = _fused(expected.a_macro, whole.a_co, alpha, plan.taxa_names)
-            got, _ = graphs.graph(plan, i, config)
             alone = evaluation._fold_laplacians(plan, slice(i, i + 1), config)[0]
-            assert got.tobytes() == alone.tobytes() == expected.laplacian.tobytes(), i
+            assert together[i].tobytes() == alone.tobytes() == expected.laplacian.tobytes(), i
+
+    @staticmethod
+    def _blocks_of(monkeypatch, folds, p):
+        """Set _BLOCK_BYTES to blocks of ``folds`` folds at p taxa; None keeps the default."""
+        if folds is not None:
+            monkeypatch.setattr(evaluation, "_BLOCK_BYTES", folds * 5 * 8 * p * p)
 
     @pytest.mark.parametrize("block", [1, 3, None])  # None: every fold in one block
     def test_block_size_changes_no_byte(self, separable, fitted_problems, monkeypatch, block):
         grid = TestGridFitReuse.GRAPH_GRID
-        unbounded = grid_search(separable, grid)
-        reference = list(fitted_problems)
+        unblocked = grid_search(separable, grid)
+        reference = sorted(fitted_problems)
         fitted_problems.clear()
         blocks = []
         laplacian_of = ecograph.laplacian_of
@@ -673,15 +691,28 @@ class TestFoldGraphBlocks:
             return laplacian_of(adjacency)
 
         monkeypatch.setattr(ecograph, "laplacian_of", recording)
-        if block is not None:
-            # a block of b folds takes 4 b p x p arrays of the cache, of which b Laplacians stay
-            p = separable.n_taxa
-            monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", block * 4 * 8 * p * p)
+        self._blocks_of(monkeypatch, block, separable.n_taxa)
         blocked = grid_search(separable, grid)
         assert max(blocks) == (separable.n_sites if block is None else block)
-        assert fitted_problems == reference
+        assert sorted(fitted_problems) == reference  # the same problems, in block order
         outcomes = TestGridFitReuse._outcomes
-        assert outcomes(blocked) == outcomes(unbounded)
+        assert outcomes(blocked) == outcomes(unblocked)
+
+    def test_block_size_and_workers_change_no_warning(self, separable, monkeypatch):
+        # fits capped at two iterations warn; blocks and workers may reorder, not change, them
+        grid = {**TestGridFitReuse.GRID, "tau": [0.5, 0.9], "max_iters": [2]}
+        seen = {}
+        for block, workers in itertools.product([1, 3, None], [1, 2]):
+            with monkeypatch.context() as patch:
+                self._blocks_of(patch, block, separable.n_taxa)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    result = grid_search(separable, grid, workers=workers)
+            warned = sorted((w.category.__name__, str(w.message)) for w in caught)
+            seen[block, workers] = (TestGridFitReuse._outcomes(result), warned)
+        reference = seen[None, 1]
+        assert reference[1] and all(w == "NonConvergenceWarning" for w, _ in reference[1])
+        assert all(outcome == reference for outcome in seen.values())
 
     def test_loocv_builds_one_fold_at_a_time(self, separable, monkeypatch):
         # loocv keeps no graph, so a block of folds would only raise its peak memory
@@ -699,7 +730,7 @@ class TestFoldGraphBlocks:
 
 
 class TestFoldGraphMemo:
-    """_FoldGraphs keeps the last block's correlations and graph parts; loocv keeps none."""
+    """A block's graph parts are shared by its graph groups, through one parts dict; loocv's not."""
 
     PAPER_GRID = {
         "alpha": [0.0, 0.5, 1.0],
@@ -728,7 +759,7 @@ class TestFoldGraphMemo:
         monkeypatch.setattr(
             evaluation,
             "_fold_laplacians",
-            lambda plan, folds, config, memo=None: original(plan, folds, config),
+            lambda plan, folds, config, parts=None: original(plan, folds, config),
         )
 
     def test_paper_grid_correlates_its_one_block_once(self, correlated, monkeypatch):
@@ -742,8 +773,14 @@ class TestFoldGraphMemo:
         outcomes = TestGridFitReuse._outcomes
         assert outcomes(memoized) == outcomes(unmemoized)
 
+    def test_stress_alpha_grid_correlates_each_block_once(self, correlated):
+        # 40 x 160: blocks of 16 folds, each correlated once for all three alphas
+        ds = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        grid_search(ds, {"alpha": [0.0, 0.5, 1.0], "lambda_g": [10.0]})
+        assert correlated == [(0, 16), (16, 32), (32, 40)]
+
     def test_graph_grid_matches_a_run_without_memo(self, separable, fitted_problems, monkeypatch):
-        # scopes, taus and gammas in turn: the memo re-thresholds or re-correlates as it must
+        # scopes, taus and gammas in turn: the parts dict re-thresholds or re-correlates as it must
         memoized = grid_search(separable, TestGridFitReuse.GRAPH_GRID)
         reference = list(fitted_problems)
         fitted_problems.clear()
@@ -754,71 +791,18 @@ class TestFoldGraphMemo:
         assert outcomes(memoized) == outcomes(unmemoized)
 
     def test_loocv_and_ablate_create_no_memo(self, separable, monkeypatch):
-        memos, caches = [], []
+        # loocv builds each fold's graph alone, so it passes no parts dict
+        parts = []
         original = evaluation._fold_laplacians
 
-        def recording(plan, folds, config, memo=None):
-            memos.append(memo)
-            return original(plan, folds, config, memo)
+        def recording(plan, folds, config, *args):
+            parts.append(args)
+            return original(plan, folds, config, *args)
 
         monkeypatch.setattr(evaluation, "_fold_laplacians", recording)
-        monkeypatch.setattr(evaluation, "_FoldGraphs", lambda: caches.append(1))
         loocv(separable, GrmlrConfig())
         ablate(separable, GrmlrConfig())
-        assert memos and memos == [None] * len(memos)
-        assert caches == []
-
-    # in p x p Laplacians: a one-fold memo (three p x p arrays) never fits beside one,
-    # fits beside a few, or beside every fold graph of a config
-    @pytest.mark.parametrize("laplacians", [1, 5, 40])
-    def test_memo_and_kept_laplacians_stay_within_the_limit(
-        self, separable, monkeypatch, laplacians
-    ):
-        unbounded = grid_search(separable, TestGridFitReuse.GRAPH_GRID)
-        p = separable.n_taxa
-        limit = laplacians * 8 * p * p
-        monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", limit)
-        original = evaluation._FoldGraphs.graph
-        memo_kept = []
-
-        def checking(self, plan, i, config):
-            graph = original(self, plan, i, config)
-            memo = self.kept.get(evaluation._MEMO)
-            memo_kept.append(memo is not None)
-            held = sum(
-                evaluation._memo_bytes(value) if key == evaluation._MEMO else value[0].nbytes
-                for key, value in self.kept.items()
-            )
-            assert held == self.nbytes <= limit
-            return graph
-
-        monkeypatch.setattr(evaluation._FoldGraphs, "graph", checking)
-        bounded = grid_search(separable, TestGridFitReuse.GRAPH_GRID)
-        outcomes = TestGridFitReuse._outcomes
-        assert outcomes(bounded) == outcomes(unbounded)
-        assert any(memo_kept) == (laplacians > 1)
-
-    # the zero graph of lambda_g = 0 arrives last, at a cache that has less than one
-    # Laplacian of room left: _keep empties it before keeping the zero graph
-    @pytest.mark.parametrize("laplacians", [1, 5])
-    def test_zero_graph_at_a_full_cache_changes_no_entry(self, separable, monkeypatch, laplacians):
-        grid = {"lambda_g": [5.0, 0.0], "alpha": [0.5]}
-        unbounded = grid_search(separable, grid)
-        p = separable.n_taxa
-        monkeypatch.setattr(evaluation, "_GRAPH_CACHE_BYTES", laplacians * 8 * p * p)
-        original = evaluation._FoldGraphs._keep
-        emptied = []
-
-        def recording(self, key, laplacian):
-            if self.nbytes + laplacian.nbytes > self.limit:
-                emptied.append(key)
-            return original(self, key, laplacian)
-
-        monkeypatch.setattr(evaluation._FoldGraphs, "_keep", recording)
-        bounded = grid_search(separable, grid)
-        assert emptied == [("zero", p)]
-        outcomes = TestGridFitReuse._outcomes
-        assert outcomes(bounded) == outcomes(unbounded)
+        assert parts and parts == [()] * len(parts)
 
 
 class TestFitStacks:
@@ -1476,6 +1460,36 @@ class TestBuildPlan:
                 if counts is not None:
                     cross = spearman_cross(Z[train], counts[train])
                     assert profiles[j].tobytes() == all_profiles[j].tobytes() == cross.tobytes()
+
+    # scope 'all' reads the downdated feature ranks only for the macro-coupling profiles
+    @pytest.mark.parametrize(
+        "scope, with_macrofauna, downdates",
+        [("all", False, 0), ("all", True, 2), ("train", False, 1), ("train", True, 2)],
+    )
+    def test_fold_correlations_downdate_only_ranks_they_read(
+        self, monkeypatch, synth_dataset, scope, with_macrofauna, downdates
+    ):
+        if not with_macrofauna:
+            synth_dataset = Dataset(synth_dataset.abundances, None, synth_dataset.stages)
+        plan = build_plan(synth_dataset, 1e-6)
+        calls = []
+        original = evaluation._leave_one_out
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(evaluation, "_leave_one_out", counting)
+        co, profiles = evaluation._fold_correlations(plan, slice(2, 7), scope)
+        assert len(calls) == downdates
+        assert (profiles is None) == (not with_macrofauna)
+        for j, i in enumerate(range(2, 7)):
+            train = plan.train[i]
+            rows = plan.features if scope == "all" else plan.features[train]
+            assert co[j].tobytes() == spearman_matrix(rows).tobytes()
+            if with_macrofauna:
+                cross = spearman_cross(plan.features[train], synth_dataset.macrofauna.values[train])
+                assert profiles[j].tobytes() == cross.tobytes()
 
     @pytest.mark.parametrize("with_macrofauna", [True, False])
     def test_ranks_each_table_once(self, monkeypatch, synth_dataset, with_macrofauna):

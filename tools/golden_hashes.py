@@ -71,7 +71,8 @@ Probes, on synthetic datasets at 13x26 and 40x160:
   macrofauna table: the ``build_graph`` matrices at alpha = 0, ``loocv``
   at alpha = 0 and ``SMALL_GRID``, whose alpha = 0.5 entries fail with
   MissingMacrofauna. ``cache-eviction``: ``EVICTION_GRID`` at 13x400,
-  whose 26 fold graphs of 1.28 MB each overflow the fold-graph cache.
+  whose fold graphs of 1.28 MB each the batch evaluator builds in blocks
+  of 2 folds.
   Every grid and permutation test runs with workers 1 and 2.
 
 Every probe also hashes the warnings it raised; there are 122 probes. A
