@@ -10,8 +10,8 @@ configurations and label vectors; it holds nothing that grows with p
 squared per fold. ``_fold_laplacians``, the one place fold graphs are
 assembled, downdates those ranks to a block of folds' training sites,
 correlates them and thresholds the correlations into the folds'
-Laplacians. No fold graph is built for lambda_g = 0, where the Laplacian
-does not enter the objective: such fits get a zero Laplacian.
+Laplacians; it alone decides that lambda_g = 0, where the Laplacian does
+not enter the objective, needs no graph, and returns a zero stack then.
 
 The grid search (and so the alpha sweep) and the permutation test run on
 one batch evaluator, ``_loocv_tasks``, whose tasks are LOOCVs of (plan,
@@ -33,13 +33,13 @@ paper scale a small grid is one stack, which the evaluator fits inline:
 a pool starts only at a call's first full stack, since a pool cannot
 split a stack.
 
-:func:`loocv`, and so the ablations, evaluate one config, so they keep no
-graph: they build each fold's alone and make one ``fit_arrays`` call per
-fold, in feature space. They keep each fold's model and diagnostics, and
-that call is where the benchmark's tracer times fits. Moving them onto
-the batch evaluator, and so onto kernel fits, waits for the benchmark to stop keeping every
-repetition's ``loocv`` report: a faster ``loocv`` makes more repetitions
-and so reads a higher peak RSS.
+:func:`loocv`, and so the ablations, evaluate one config: they build each
+fold's graph alone, with a fresh ``parts`` dict, and make one ``fit_arrays``
+call per fold, in feature space. They keep each fold's model and
+diagnostics, and that call is where the benchmark's tracer times fits.
+Moving them onto the batch evaluator, and so onto kernel fits, waits for
+the benchmark to stop keeping every repetition's ``loocv`` report: a
+faster ``loocv`` makes more repetitions and so reads a higher peak RSS.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from .errors import (
     UnknownParameter,
 )
 from .model import (
+    _STACK_BYTES,
     GrmlrConfig,
     GrmlrModel,
     _fit_batch,
@@ -182,11 +183,6 @@ def macro_f1(
     return float(np.mean(scores))
 
 
-# Bytes that the batch evaluator's graph blocks take, at five p x p arrays
-# per fold (_grouped_fold_graphs): 13 folds at 13 x 26, 16 at 40 x 160.
-_BLOCK_BYTES = 16 * 1024 * 1024
-
-
 @dataclass(eq=False)
 class LoocvPlan:
     """Features, labels and their ranks, reusable across configurations.
@@ -273,26 +269,24 @@ def _fold_correlations(plan: LoocvPlan, folds: slice, scope: str) -> tuple:
     return co, _correlations(ranks, ok, *_leave_one_out(plan.count_ranks, folds, kept))
 
 
-def _fold_laplacians(
-    plan: LoocvPlan, folds: slice, config: GrmlrConfig, parts: Optional[dict] = None
-) -> np.ndarray:
+def _fold_laplacians(plan: LoocvPlan, folds: slice, config: GrmlrConfig, parts: dict) -> np.ndarray:
     """The (b, p, p) graph Laplacians of the b folds ``folds`` under ``config``, in one pass.
 
     Each equals, bit for bit, that of ``build_graph`` on its fold's
-    training sites. Without ``parts`` the working set is four p x p arrays
-    per fold: its A_macro, A_co, adjacency and Laplacian.
+    training sites, but at lambda_g = 0, where no graph enters the
+    objective, the stack is one zero matrix broadcast read-only.
 
-    The batch evaluator passes one ``parts`` dict to every call on a block
-    of folds of one plan and ``co_occurrence_scope``. It keeps the block's
-    ``_fold_correlations``, with the A_macro last thresholded from them at
-    one tau and the A_co at one gamma, so configs that differ only in
-    alpha fuse the kept A_macro and A_co, and those that differ in tau or
-    gamma threshold the kept correlations: the same operations on the same
-    values. The correlations stay through the fusion: five p x p arrays
-    per fold.
+    ``parts`` is shared by the calls on one block of folds of one plan and
+    ``co_occurrence_scope``. It keeps the block's ``_fold_correlations``,
+    with the A_macro last thresholded from them at one tau and the A_co at
+    one gamma, so configs that differ only in alpha fuse the kept A_macro
+    and A_co, and those that differ in tau or gamma threshold the kept
+    correlations: the same operations on the same values. The working set
+    is five p x p arrays per fold.
     """
-    shared = parts is not None
-    parts = parts if shared else {}
+    if config.lambda_g == 0.0:
+        p = len(plan.taxa_names)
+        return np.broadcast_to(np.zeros((p, p)), (len(plan.train[folds]), p, p))
     if "correlations" not in parts:
         parts["correlations"] = _fold_correlations(plan, folds, config.co_occurrence_scope)
     co, profiles = parts["correlations"]
@@ -302,9 +296,6 @@ def _fold_laplacians(
     if parts.get("gamma") != config.gamma:
         parts.pop("a_co", None)
         parts["a_co"], parts["gamma"] = a_co_from_correlations(co, config.gamma), config.gamma
-    del co, profiles
-    if not shared:
-        del parts["correlations"]  # before the adjacency and Laplacian are made
     return _fused(parts["a_macro"], parts["a_co"], config.alpha, plan.taxa_names).laplacian
 
 
@@ -389,23 +380,20 @@ def loocv(
     alone, with one :func:`fit_arrays` call per fold; ``keep_models`` keeps
     each fold's model with its solver diagnostics. Folds whose training set
     loses an entire class are skipped and listed in ``skipped_folds``.
-    No two folds share a graph, so each is built alone and none is kept;
-    at lambda_g = 0 every fold fits with one zero Laplacian. Raises
-    MissingMacrofauna without macrofauna counts at alpha > 0.
+    No two folds share a graph, so each is built alone, with a fresh
+    ``parts`` dict, and none is kept. Raises MissingMacrofauna without
+    macrofauna counts at alpha > 0.
     """
     plan = build_plan(dataset, config.epsilon, feature_mode)
     _require_macrofauna(plan.count_ranks, config.alpha)
-    K, p = len(plan.label_set), len(plan.taxa_names)
-    zero = np.zeros((p, p)) if config.lambda_g == 0.0 else None
+    K = len(plan.label_set)
     predictions: list[Optional[int]] = []
     models: list[GrmlrModel] = []
     for i, (train, skipped) in enumerate(zip(plan.train, _skipped_folds(plan.y, K))):
         if skipped:
             predictions.append(None)
             continue
-        laplacian = zero
-        if laplacian is None:
-            laplacian = _fold_laplacians(plan, slice(i, i + 1), config)[0]
+        laplacian = _fold_laplacians(plan, slice(i, i + 1), config, {})[0]
         y_train = plan.y[train]
         s = _sample_weights(y_train, K, config.class_balanced)
         W, b, info = fit_arrays(plan.features[train], y_train, K, s, laplacian, config)
@@ -566,25 +554,22 @@ def _grouped_fold_graphs(tasks: list, groups: dict):
     ``groups`` maps each (plan, ``co_occurrence_scope``) to the tasks, with
     their skipped folds, of each graph key (tau, gamma, alpha), and
     (plan, None) to the plan's lambda_g = 0 tasks, which share one zero
-    Laplacian that no fit reads; all in first-seen order. Other folds are
-    built a block at a time, as many as ``_BLOCK_BYTES`` holds at five
-    p x p arrays per fold. In a block, each group's Laplacians come from
-    one ``_fold_laplacians`` call, and all groups share one ``parts``
-    dict, so the block is correlated once. Each Laplacian is digested with
-    blake2b once, and a group's folds are yielded task-major, in fold
-    order within a task, before the next group's graphs are built.
+    graph; all in first-seen order. A plan's folds are built a block at a
+    time, as many as ``model._STACK_BYTES`` holds at five p x p arrays per
+    fold. In a block, each group's Laplacians come from one
+    ``_fold_laplacians`` call, and all groups share one ``parts`` dict, so
+    the block is correlated once. Each Laplacian is digested with blake2b
+    once, and a group's folds are yielded task-major, in fold order within
+    a task, before the next group's graphs are built.
     """
-    for (plan, scope), by_graph in groups.items():
+    for (plan, _), by_graph in groups.items():
         n, p = len(plan.train), len(plan.taxa_names)
-        step = n if scope is None else max(1, _BLOCK_BYTES // (5 * 8 * p * p))
+        step = max(1, _STACK_BYTES // (5 * 8 * p * p))
         for start in range(0, n, step):
             folds, parts = slice(start, min(n, start + step)), {}
             for members in by_graph.values():
-                if scope is None:
-                    graphs = _digested([np.zeros((p, p))]) * n
-                else:
-                    config = tasks[members[0][0]][1]
-                    graphs = _digested(_fold_laplacians(plan, folds, config, parts))
+                config = tasks[members[0][0]][1]
+                graphs = _digested(_fold_laplacians(plan, folds, config, parts))
                 for t, skipped in members:
                     for i, (laplacian, digest) in enumerate(graphs, start):
                         if not skipped[i]:
@@ -592,9 +577,11 @@ def _grouped_fold_graphs(tasks: list, groups: dict):
                 del graphs  # before the next group's are built
 
 
-def _digested(laplacians) -> list:
-    """Each of ``laplacians`` with its blake2b digest, which ``_fold_fit_key`` takes."""
-    return [(lap, hashlib.blake2b(lap.tobytes(), digest_size=16).digest()) for lap in laplacians]
+def _digested(laplacians: np.ndarray) -> list:
+    """Each of ``laplacians`` with its blake2b digest; a stack of leading stride 0 hashes once."""
+    hashed = laplacians[:1] if laplacians.strides[0] == 0 else laplacians
+    digests = [hashlib.blake2b(lap.tobytes(), digest_size=16).digest() for lap in hashed]
+    return list(zip(laplacians, itertools.cycle(digests)))
 
 
 def _loocv_outcome(memo: dict, plan: LoocvPlan, config: GrmlrConfig, y: np.ndarray, keys):

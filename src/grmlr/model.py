@@ -618,6 +618,9 @@ class _Stack:
 # also holds each problem's p x p Laplacian and penalty matrix: counting
 # the kernel Hessian alone stacks 11 problems at 40 x 160 and raised the
 # tracemalloc peak of permutation_test(B=8) there from 26.7 to 37.5 MB.
+# It also sizes the batch evaluator's fold-graph blocks, at five p x p
+# arrays per fold: all 13 folds at 13 x 26, one fold from p = 88, and one,
+# the floor, over budget from p = 124 (so at 40 x 160 and 13 x 400).
 _STACK_BYTES = 600 * 1024
 
 

@@ -15,6 +15,7 @@ import pytest
 from grmlr import cli
 from grmlr.dataset import STAGE_LABELS, AbundanceMatrix, Dataset, load_dataset, save_dataset
 from grmlr.errors import InvalidValue
+from grmlr.evaluation import DEFAULT_GRID, permutation_test
 from grmlr.model import GrmlrConfig, GrmlrModel, load_model, predict, save_model
 
 from datasets import subset
@@ -503,6 +504,51 @@ def test_set_still_overrides_the_config_file(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("lambda_g = 5\n")
     assert cli.load_config(str(path), ["lambda_g=0", "lambda_g=2"]).lambda_g == 2.0
+
+
+def test_seed_flag_overrides_the_config_file_seed(tmp_path, csv_trio):
+    config = tmp_path / "config.txt"
+    config.write_text("seed = 5\n")
+    common = [*_trio_args(csv_trio), "--config", str(config), "--seed", "9"]
+    fitted, permuted = tmp_path / "fit", tmp_path / "permtest"
+    assert cli.main(["fit", *common, "--out", str(fitted)]) == cli.EXIT_OK
+    argv = ["eval", "permtest", *common, "--B", "5", "--out", str(permuted)]
+    assert cli.main(argv) == cli.EXIT_OK
+    for out in (fitted, permuted):
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 9
+    assert load_model(fitted / "model.grmlr").hyperparams.seed == 9
+    report = json.loads((permuted / "permutation_report.json").read_text())
+    dataset = load_dataset(csv_trio["abundances"], csv_trio["macrofauna"], csv_trio["labels"])
+    seeded = {s: permutation_test(dataset, GrmlrConfig(seed=s), B=5, seed=s) for s in (5, 9)}
+    assert report["p_value"] == seeded[9].p_value
+    assert report["permuted_accuracies"] == seeded[9].permuted_accuracies
+    assert seeded[5].permuted_accuracies != seeded[9].permuted_accuracies
+
+
+def test_true_booleans_load_from_a_file_and_from_set(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("class_balanced = TRUE\n")
+    assert cli.load_config(str(path)).class_balanced is True
+    path.write_text("class_balanced = false\n")
+    assert cli.load_config(str(path)).class_balanced is False
+    assert cli.load_config(str(path), ["class_balanced=yes"]).class_balanced is True
+
+
+def test_alpha_sweep_without_alphas_sweeps_the_default_grid_alphas(tmp_path, csv_trio):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("lambda_g = 5.0\n")  # one config per alpha
+    out = tmp_path / "out"
+    argv = ["eval", "alpha-sweep", *_trio_args(csv_trio), "--grid", str(grid), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    with open(out / "alpha_sweep.csv", newline="") as fh:
+        alphas = [float(row["alpha"]) for row in csv.DictReader(fh)]
+    assert alphas == DEFAULT_GRID["alpha"] and len(alphas) == 11
+
+
+def test_no_command_prints_usage_and_exits_one(capsys):
+    assert cli.main([]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: grmlr") and captured.out == ""
 
 
 def test_synth_trio_has_every_stage(tmp_path):

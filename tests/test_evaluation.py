@@ -356,7 +356,7 @@ class TestPermutation:
     ):
         n, p = separable.n_sites, separable.n_taxa
         if blocks == "one-fold-blocks":
-            monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 5 * 8 * p * p)
+            monkeypatch.setattr(evaluation, "_STACK_BYTES", 5 * 8 * p * p)
         # no graph depends on the labels, so B = 8 permutations share the observed ones
         permutation_test(separable, GrmlrConfig(), B=8, seed=5)
         assert graph_builds == {
@@ -582,7 +582,8 @@ class TestGridFitReuse:
     @staticmethod
     def _graph(plan, i, config):
         """Fold i's (Laplacian, blake2b digest) under ``config``, as the batch evaluator makes them."""
-        return evaluation._digested(evaluation._fold_laplacians(plan, slice(i, i + 1), config))[0]
+        laplacians = evaluation._fold_laplacians(plan, slice(i, i + 1), config, {})
+        return evaluation._digested(laplacians)[0]
 
     @pytest.mark.parametrize("name", list(GrmlrConfig.__dataclass_fields__))
     def test_every_config_field_reaches_the_fold_fit_key(self, separable, name):
@@ -668,14 +669,17 @@ class TestFoldGraphBlocks:
             expected = build_graph(features, train.macrofauna, config.tau, config.gamma, alpha)
             if scope == "all":  # A_co from every site's correlations
                 expected = _fused(expected.a_macro, whole.a_co, alpha, plan.taxa_names)
-            alone = evaluation._fold_laplacians(plan, slice(i, i + 1), config)[0]
+            alone = evaluation._fold_laplacians(plan, slice(i, i + 1), config, {})[0]
             assert together[i].tobytes() == alone.tobytes() == expected.laplacian.tobytes(), i
 
     @staticmethod
     def _blocks_of(monkeypatch, folds, p):
-        """Set _BLOCK_BYTES to blocks of ``folds`` folds at p taxa; None keeps the default."""
+        """Size graph blocks at ``folds`` folds of p taxa; None keeps the default budget.
+
+        Fit stacks read ``model._STACK_BYTES``, so patching evaluation's name changes blocks alone.
+        """
         if folds is not None:
-            monkeypatch.setattr(evaluation, "_BLOCK_BYTES", folds * 5 * 8 * p * p)
+            monkeypatch.setattr(evaluation, "_STACK_BYTES", folds * 5 * 8 * p * p)
 
     @pytest.mark.parametrize("block", [1, 3, None])  # None: every fold in one block
     def test_block_size_changes_no_byte(self, separable, fitted_problems, monkeypatch, block):
@@ -728,6 +732,32 @@ class TestFoldGraphBlocks:
         p = separable.n_taxa
         assert shapes == [(1, p, p)] * separable.n_sites
 
+    def test_zero_graph_is_digested_once_per_block(self, separable, graph_builds, monkeypatch):
+        # at lambda_g = 0 a block is one broadcast zero matrix, so one digest serves its folds
+        zero = GrmlrConfig(lambda_g=0.0)
+        n = separable.n_sites
+        plan = build_plan(separable, zero.epsilon)
+        graphs = evaluation._digested(evaluation._fold_laplacians(plan, slice(0, n), zero, {}))
+        assert len(graphs) == n and len({digest for _, digest in graphs}) == 1
+        assert graph_builds["blake2b"] == 1
+        for block in (1, 3, None):
+            graph_builds["blake2b"] = 0
+            with monkeypatch.context() as patch:
+                self._blocks_of(patch, block, separable.n_taxa)
+                grid_search(separable, {**TestGridFitReuse.GRAPH_GRID, "lambda_g": [0.0]})
+            assert graph_builds["blake2b"] == (1 if block is None else -(-n // block)), block
+
+    def test_stress_batch_call_peaks_under_5_mb(self):
+        # 40 x 160 builds one-fold blocks: 16-fold blocks peaked at about 20 MB
+        ds = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        tracemalloc.start()
+        try:
+            permutation_test(ds, GrmlrConfig(), B=1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
 
 class TestFoldGraphMemo:
     """A block's graph parts are shared by its graph groups, through one parts dict; loocv's not."""
@@ -759,7 +789,7 @@ class TestFoldGraphMemo:
         monkeypatch.setattr(
             evaluation,
             "_fold_laplacians",
-            lambda plan, folds, config, parts=None: original(plan, folds, config),
+            lambda plan, folds, config, parts: original(plan, folds, config, {}),
         )
 
     def test_paper_grid_correlates_its_one_block_once(self, correlated, monkeypatch):
@@ -774,10 +804,10 @@ class TestFoldGraphMemo:
         assert outcomes(memoized) == outcomes(unmemoized)
 
     def test_stress_alpha_grid_correlates_each_block_once(self, correlated):
-        # 40 x 160: blocks of 16 folds, each correlated once for all three alphas
+        # 40 x 160: one-fold blocks, each correlated once for all three alphas
         ds = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
         grid_search(ds, {"alpha": [0.0, 0.5, 1.0], "lambda_g": [10.0]})
-        assert correlated == [(0, 16), (16, 32), (32, 40)]
+        assert correlated == [(i, i + 1) for i in range(40)]
 
     def test_graph_grid_matches_a_run_without_memo(self, separable, fitted_problems, monkeypatch):
         # scopes, taus and gammas in turn: the parts dict re-thresholds or re-correlates as it must
@@ -791,18 +821,49 @@ class TestFoldGraphMemo:
         assert outcomes(memoized) == outcomes(unmemoized)
 
     def test_loocv_and_ablate_create_no_memo(self, separable, monkeypatch):
-        # loocv builds each fold's graph alone, so it passes no parts dict
-        parts = []
+        # loocv builds each fold's graph alone, so each call gets a fresh, empty parts dict
+        parts, empty = [], []
         original = evaluation._fold_laplacians
 
-        def recording(plan, folds, config, *args):
-            parts.append(args)
-            return original(plan, folds, config, *args)
+        def recording(plan, folds, config, shared):
+            parts.append(shared)  # kept, so no two dicts share an id
+            empty.append(not shared)
+            return original(plan, folds, config, shared)
 
         monkeypatch.setattr(evaluation, "_fold_laplacians", recording)
         loocv(separable, GrmlrConfig())
         ablate(separable, GrmlrConfig())
-        assert parts and parts == [()] * len(parts)
+        assert parts and all(empty)
+        assert len({id(d) for d in parts}) == len(parts)
+
+    def test_lambda_g_zero_correlates_and_builds_nothing(
+        self, separable, graph_builds, correlated, monkeypatch
+    ):
+        # _fold_laplacians alone decides that lambda_g = 0 needs no graph,
+        # for loocv, ablate's no_graph arm and the batch evaluator alike
+        zero = GrmlrConfig(lambda_g=0.0)
+        p = separable.n_taxa
+        parts = {}
+        plan = build_plan(separable, zero.epsilon)
+        laplacians = evaluation._fold_laplacians(plan, slice(2, 6), zero, parts)
+        assert laplacians.shape == (4, p, p) and laplacians.strides[0] == 0
+        assert not laplacians.any() and not laplacians.flags.writeable and parts == {}
+        loocv(separable, zero)
+        grid_search(separable, {**TestGridFitReuse.GRAPH_GRID, "lambda_g": [0.0]})
+        permutation_test(separable, zero, B=2, seed=0)
+        built = {name: graph_builds[name] for name in graph_builds if name != "blake2b"}
+        assert correlated == [] and set(built.values()) == {0}
+        arms = []
+
+        def arm(dataset, config, **kwargs):
+            before = (len(correlated), dict(graph_builds))
+            report = loocv(dataset, config, **kwargs)
+            arms.append((config.lambda_g, (len(correlated), dict(graph_builds)) != before))
+            return report
+
+        monkeypatch.setattr(evaluation, "loocv", arm)
+        ablate(separable, GrmlrConfig())
+        assert arms == [(0.0, False), (5.0, True), (5.0, True), (5.0, True)]
 
 
 class TestFitStacks:
@@ -825,7 +886,9 @@ class TestFitStacks:
 
     def test_no_newton_stack_outgrows_the_budget_in_either_form(self, monkeypatch):
         # at 40 x 160 lambda_l2 = 1e-9 is too weak for kernel form, so the
-        # evaluator's stacks of two kernel problems hold two feature-space ones
+        # evaluator's stacks of two kernel problems hold two feature-space ones.
+        # Graphs are built a fold at a time, and each fold's two weak fits
+        # (max_iters 2 and 3) queue before its two firm ones
         data = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
         newton, stacks = model._newton, []
 
@@ -847,11 +910,11 @@ class TestFitStacks:
         monkeypatch.setattr(evaluation, "_fit_batch", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonConvergenceWarning)
-            grid_search(data, {"lambda_l2": [1e-9, 0.02], "max_iters": [2]})
-        assert batches == [2] * 40
+            grid_search(data, {"lambda_l2": [1e-9, 0.02], "max_iters": [2, 3]})
+        assert batches == [2] * 80
         kernel = [B for in_kernel, B, _ in stacks if in_kernel]
         feature = [B for in_kernel, B, _ in stacks if not in_kernel]
-        assert sum(kernel) == sum(feature) == 40
+        assert sum(kernel) == sum(feature) == 80
         assert max(kernel) == 2 and max(feature) == 1
         assert all(nbytes <= model._STACK_BYTES or B == 1 for _, B, nbytes in stacks)
 

@@ -106,6 +106,15 @@ def test_negligible_ridge_rejected_before_solving(K, lam_l2):
         fit_arrays(Z, y, K, s, laplacian, GrmlrConfig(lambda_l2=lam_l2))
 
 
+def test_a_step_no_halving_accepts_stops_the_fit_where_it_is(monkeypatch):
+    # with no halving to try, the first Newton step fails the Armijo test
+    monkeypatch.setattr(model, "_MAX_HALVINGS", 0)
+    Z, y, s, laplacian = _problem(3, 0)
+    W, b, info = fit_arrays(Z, y, 3, s, laplacian, GrmlrConfig())
+    assert not W.any() and not b.any()
+    assert info["n_iterations"] == 0
+
+
 def test_one_class_rejects_only_a_zero_ridge():
     # with K = 1 the rounding tolerance is 0: nothing to solve, but one rule
     Z, _, _, laplacian = _problem(2, 0)

@@ -9,15 +9,17 @@ timings cannot tell from a change of the code, moves both sides alike:
 
     python3 tools/paired_timing.py --src /path/to/parent/src --src src --call paper-grid
 
-The calls, each on ``synthesize_dataset(K=3, n_blocks=4, coupling=0.9,
-noise=0.1, seed=0)`` built by its own tree, at 13x26 unless noted. With
-``--seed S`` that dataset's sites and taxa are first permuted as
-perfbench's ``--seed S`` permutes them, by
-``numpy.random.default_rng(S)``, so a claim made at one seed can be
-checked at another:
+The calls, each on perfbench's base dataset (``perfbench/run.py``'s
+``synthesize`` at its ``BASE_SEED``) built by its own tree, at 13x26
+unless noted. With ``--seed S`` the dataset is perfbench's
+``seeded_dataset`` instead: its sites and taxa permuted as perfbench's
+``--seed S`` permutes them, so a claim made at one seed can be checked at
+another. The tool only reads ``perfbench/run.py``, so each timed call and
+its data are defined once:
 
-* ``paper-grid``: ``grid_search`` of the 6 configs of perfbench's
-  ``paper-grid`` workload (alpha in {0, 0.5, 1}, lambda_g in {0, 10});
+* ``paper-grid``: ``grid_search`` of perfbench's ``PAPER_GRID``, the 6
+  configs of its ``paper-grid`` workload (alpha in {0, 0.5, 1}, lambda_g
+  in {0, 10});
 * ``permtest``: ``permutation_test(B=50, seed=0)`` at the default config;
 * ``default-grid``: ``grid_search`` of ``DEFAULT_GRID``, 2112 configs
   (about 5 s a call);
@@ -55,13 +57,9 @@ from pathlib import Path
 
 import numpy as np
 
-PAPER_GRID = {
-    "alpha": [0.0, 0.5, 1.0],
-    "lambda_g": [0.0, 10.0],
-    "lambda_l2": [0.02],
-    "tau": [0.7],
-    "gamma": [0.9],
-}
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import run as perfbench  # noqa: E402
+
 WARMUP = 5  # untimed calls per side before the timed pairs
 
 
@@ -79,37 +77,22 @@ def load_tree(src: str, name: str):
     return module
 
 
-def permuted(g, dataset, seed: int):
-    """``dataset`` with its sites and taxa reordered as perfbench's ``--seed`` reorders them."""
-    ab = dataset.abundances
-    rng = np.random.default_rng(seed)
-    sites, taxa = rng.permutation(len(ab.site_ids)), rng.permutation(len(ab.taxa_names))
-    ids = [ab.site_ids[i] for i in sites]
-    abundances = g.AbundanceMatrix(
-        ids, [ab.taxa_names[j] for j in taxa], ab.values[np.ix_(sites, taxa)]
-    )
-    macro = dataset.macrofauna
-    macro = g.MacrofaunaCounts(list(ids), macro.values[sites], list(macro.category_names))
-    stages = dataset.stages
-    stages = g.StageLabels(list(ids), [stages.labels[i] for i in sites], stages.label_set)
-    return g.Dataset(abundances, macro, stages)
-
-
 def make_call(g, call: str, seed=None):
     """A no-argument function that runs ``call`` on tree ``g`` and returns its result as data.
 
-    ``seed`` permutes the dataset (:func:`permuted`); None keeps the base order.
+    ``seed`` permutes the dataset as perfbench's ``--seed`` does; None keeps the base order.
     """
     n, p = (40, 160) if call == "stress-loocv" else (13, 26)
-    dataset = g.synthesize_dataset(n=n, p=p, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
-    if seed is not None:
-        dataset = permuted(g, dataset, seed)
+    if seed is None:
+        dataset = perfbench.synthesize(g, n, p, perfbench.BASE_SEED)
+    else:
+        dataset, _ = perfbench.seeded_dataset(g, n, p, seed)
 
     def entries(result):
         return [(e.index, e.accuracy, e.macro_f1, e.error) for e in result.entries]
 
     if call == "paper-grid":
-        return lambda: entries(g.grid_search(dataset, PAPER_GRID))
+        return lambda: entries(g.grid_search(dataset, perfbench.PAPER_GRID))
     if call == "default-grid":
         return lambda: entries(g.grid_search(dataset, g.DEFAULT_GRID))
     config = g.GrmlrConfig()
