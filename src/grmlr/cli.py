@@ -48,7 +48,8 @@ from .evaluation import (
     write_coefficient_csv,
     write_grid_csv,
 )
-from .model import GrmlrConfig, build_features, fit, load_model, predict, predict_proba, save_model
+from .model import GrmlrConfig, _blas_threads, _fit_session, build_features, fit, load_model
+from .model import predict, predict_proba, save_model
 from .svgplot import bar_chart, line_chart
 
 EXIT_OK = 0
@@ -176,6 +177,8 @@ def write_manifest(
     input_paths: Sequence[str],
     seed: int,
 ) -> None:
+    with _fit_session():  # the BLAS threads that fits run with: 1, or None without OpenBLAS
+        blas_threads = _blas_threads()
     manifest = {
         "command": command,
         "config_path": config_path,
@@ -184,6 +187,7 @@ def write_manifest(
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "blas_threads": blas_threads,
     }
     _write_json(manifest, out_dir / "manifest.json")
 

@@ -31,7 +31,13 @@ Newton iterates up to rounding. A stack holds as many fold problems as
 ``model._STACK_BYTES`` holds in the form that they are solved in, so at
 paper scale a small grid is one stack, which the evaluator fits inline:
 a pool starts only at a call's first full stack, since a pool cannot
-split a stack.
+split a stack, and only then is the process-pool module imported.
+
+Every call that fits runs in one fit session (``model._fit_session``),
+with one OpenBLAS thread, and each pool worker's initializer opens one
+for the worker's whole life: with two BLAS threads per worker, a pool of
+two ran 2.5-3 x slower than serial. So every worker count fits with one
+thread and gives the same bytes whatever ``OPENBLAS_NUM_THREADS`` says.
 
 :func:`loocv`, and so the ablations, evaluate one config: they build each
 fold's graph alone, with a fresh ``parts`` dict, and make one ``fit_arrays``
@@ -51,7 +57,7 @@ import itertools
 import numbers
 import os
 import warnings
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -74,7 +80,9 @@ from .model import (
     GrmlrConfig,
     GrmlrModel,
     _fit_batch,
+    _fit_session,
     _fitted_model,
+    _open_fit_session,
     _predicted_classes,
     _sample_weights,
     _stack_capacity,
@@ -367,6 +375,7 @@ def _fold_fit_key(
     )
 
 
+@_fit_session()
 def loocv(
     dataset: Dataset,
     config: GrmlrConfig,
@@ -381,8 +390,10 @@ def loocv(
     each fold's model with its solver diagnostics. Folds whose training set
     loses an entire class are skipped and listed in ``skipped_folds``.
     No two folds share a graph, so each is built alone, with a fresh
-    ``parts`` dict, and none is kept. Raises MissingMacrofauna without
-    macrofauna counts at alpha > 0.
+    ``parts`` dict, and none is kept. The call is one fit session
+    (``model._fit_session``): its fits run with one BLAS thread and reuse
+    one Hessian buffer, as the folds' systems share a shape. Raises
+    MissingMacrofauna without macrofauna counts at alpha > 0.
     """
     plan = build_plan(dataset, config.epsilon, feature_mode)
     _require_macrofauna(plan.count_ranks, config.alpha)
@@ -490,6 +501,7 @@ def grid_search(
     return GridResult(entries=entries)
 
 
+@_fit_session()
 def _loocv_tasks(tasks: list, workers: int) -> list:
     """(accuracy, macro-F1), or the GrmlrError raised, of each (plan, config, labels) task's LOOCV.
 
@@ -500,12 +512,15 @@ def _loocv_tasks(tasks: list, workers: int) -> list:
     joins a queue in the order the groups yield it, and a full queue, of
     ``model._stack_capacity`` problems, is one stack. An executor fits the
     stacks: from the first full stack on, a ProcessPoolExecutor of
-    min(workers, len(tasks), usable CPUs) processes, or with one, an inline
-    one; a call whose only stack is the last fits it inline. They are
-    settled oldest first into ``memo``, at most 2 x that size unsettled at
-    once, so every worker count makes the same fits and warnings in the
-    same order. Each outcome, :func:`loocv`'s on the task up to rounding
-    (see ``model._fit_batch``), is read from ``memo`` at the end.
+    min(workers, len(tasks), usable CPUs) processes, each in a fit session
+    for its life, or with one, an inline one; a call whose only stack is
+    the last fits it inline. The call itself is one fit session
+    (``model._fit_session``), so inline fits too run with one BLAS thread.
+    Stacks are settled oldest first into ``memo``, at most 2 x that size
+    unsettled at once, so every worker count makes the same fits and
+    warnings in the same order. Each outcome, :func:`loocv`'s on the task
+    up to rounding (see ``model._fit_batch``), is read from ``memo`` at the
+    end.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = min(workers, len(tasks), cpus or 1)
@@ -538,14 +553,23 @@ def _loocv_tasks(tasks: list, workers: int) -> list:
             queue.append((key, plan, i, config, y, laplacian))
             if len(queue) == _stack_capacity(len(plan.label_set), len(y) - 1, len(laplacian)):
                 if pool is None:  # the first full stack; a lone last one fits inline
-                    pool = inline if size == 1 else resources.enter_context(
-                        ProcessPoolExecutor(max_workers=size)
-                    )
+                    pool = inline if size == 1 else resources.enter_context(_process_pool(size))
                 _submit(pool, queue, unsettled, memo, 2 * size)
         if queue:
             _submit(pool or inline, queue, unsettled, memo, 2 * size)
         _settle(unsettled, memo, 0)
     return [_loocv_outcome(memo, *task, keys) for task, keys in zip(tasks, keyed)]
+
+
+def _process_pool(size: int) -> Executor:
+    """A pool of ``size`` processes, each in one fit session for its whole life.
+
+    ``concurrent.futures.process`` and ``multiprocessing`` are imported here,
+    when a call first needs a pool, not when grmlr is imported.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=size, initializer=_open_fit_session)
 
 
 def _grouped_fold_graphs(tasks: list, groups: dict):
@@ -559,29 +583,34 @@ def _grouped_fold_graphs(tasks: list, groups: dict):
     fold. In a block, each group's Laplacians come from one
     ``_fold_laplacians`` call, and all groups share one ``parts`` dict, so
     the block is correlated once. Each Laplacian is digested with blake2b
-    once, and a group's folds are yielded task-major, in fold order within
-    a task, before the next group's graphs are built.
+    once, and the zero graph once per plan, and a group's folds are yielded
+    task-major, in fold order within a task, before the next group's graphs
+    are built.
     """
     for (plan, _), by_graph in groups.items():
         n, p = len(plan.train), len(plan.taxa_names)
         step = max(1, _STACK_BYTES // (5 * 8 * p * p))
+        zero = None  # the zero graph's digest, made at its first block
         for start in range(0, n, step):
             folds, parts = slice(start, min(n, start + step)), {}
             for members in by_graph.values():
                 config = tasks[members[0][0]][1]
-                graphs = _digested(_fold_laplacians(plan, folds, config, parts))
+                laplacians = _fold_laplacians(plan, folds, config, parts)
+                if laplacians.strides[0] == 0:  # the zero graph, the same in every block
+                    zero = zero or _digest(laplacians[0])
+                    digests = [zero] * len(laplacians)
+                else:
+                    digests = [_digest(laplacian) for laplacian in laplacians]
                 for t, skipped in members:
-                    for i, (laplacian, digest) in enumerate(graphs, start):
+                    for i, (laplacian, digest) in enumerate(zip(laplacians, digests), start):
                         if not skipped[i]:
                             yield t, i, laplacian, digest
-                del graphs  # before the next group's are built
+                del laplacians  # before the next group's are built
 
 
-def _digested(laplacians: np.ndarray) -> list:
-    """Each of ``laplacians`` with its blake2b digest; a stack of leading stride 0 hashes once."""
-    hashed = laplacians[:1] if laplacians.strides[0] == 0 else laplacians
-    digests = [hashlib.blake2b(lap.tobytes(), digest_size=16).digest() for lap in hashed]
-    return list(zip(laplacians, itertools.cycle(digests)))
+def _digest(laplacian: np.ndarray) -> bytes:
+    """The blake2b digest by which fold fits key their Laplacian."""
+    return hashlib.blake2b(laplacian.tobytes(), digest_size=16).digest()
 
 
 def _loocv_outcome(memo: dict, plan: LoocvPlan, config: GrmlrConfig, y: np.ndarray, keys):

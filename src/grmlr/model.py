@@ -44,9 +44,11 @@ decoupled deployment scheme.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import numbers
+import threading
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -727,6 +729,117 @@ def _kernel_features(Z: np.ndarray, penalty: np.ndarray) -> tuple[np.ndarray, ..
     return F, solved @ scaled, to_weights
 
 
+# Thread-count setter and getter names of OpenBLAS builds: numpy's wheels
+# bundle scipy_openblas, whose ILP64 build suffixes its symbols with 64_,
+# and an LP64 build exports them without the suffix.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[tuple]:
+    """(set, get) of the thread count of the OpenBLAS that numpy loaded; None where none is found.
+
+    The symbols are looked up through the handle of numpy's own extension
+    module, which reaches the libraries it was linked against, so this finds
+    the BLAS that numpy calls and no other. ctypes is imported here, on
+    first use, not when grmlr is imported.
+    """
+    import ctypes
+
+    try:
+        core = getattr(np, "_core", None) or np.core  # numpy >= 2 names it _core
+        library = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+        try:
+            set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+def _blas_threads() -> Optional[int]:
+    """OpenBLAS's thread count now; None where :func:`_openblas` finds no library."""
+    blas = _openblas()
+    return None if blas is None else blas[1]()
+
+
+# The fit sessions open in this process, counted under one lock: how many
+# are open, the call that restores OpenBLAS's thread count from before the
+# first, and the one spare Hessian buffer that _newton takes and hands back.
+# The state is process-wide because the BLAS thread count is.
+_SESSION_LOCK = threading.Lock()
+_session: dict = {"open": 0, "restore": None, "spare": None}
+
+
+def _open_fit_session() -> None:
+    """Open a fit session; the first pins OpenBLAS to one thread. Pool workers' initializer."""
+    with _SESSION_LOCK:
+        _session["open"] += 1
+        blas = _openblas() if _session["open"] == 1 else None
+        if blas is not None:
+            set_threads, get_threads = blas
+            _session["restore"] = functools.partial(set_threads, get_threads())
+            set_threads(1)
+
+
+def _close_fit_session() -> None:
+    """Close a fit session; the last restores the thread count and drops the spare buffer."""
+    with _SESSION_LOCK:
+        _session["open"] -= 1
+        if _session["open"] == 0:
+            restore, _session["restore"], _session["spare"] = _session["restore"], None, None
+            if restore is not None:
+                restore()
+
+
+@contextlib.contextmanager
+def _fit_session():
+    """One fit session around a call that fits; also a decorator.
+
+    A fit's Newton systems are small (322 unknowns at 40 x 160), and a
+    second OpenBLAS thread makes them slower, and slower still beside a
+    process pool's workers; its rounding also differs from one thread's.
+    So while any session is open OpenBLAS runs one thread, and its count
+    from before the first session is restored when the last closes, even
+    if the call raises. Nested calls and concurrent threads share the one
+    count. Where :func:`_openblas` finds no library the threads are left
+    alone. While a session is open, :func:`_newton` reuses one Hessian
+    buffer across calls, so consecutive fits of one shape do not fault a
+    new one in; no buffer outlives the outermost session.
+    """
+    _open_fit_session()
+    try:
+        yield
+    finally:
+        _close_fit_session()
+
+
+def _hessian_buffer(shape: tuple) -> np.ndarray:
+    """The open sessions' spare buffer when it has ``shape``, else a new one."""
+    with _SESSION_LOCK:
+        spare = _session["spare"]
+        if spare is not None and spare.shape == shape:
+            _session["spare"] = None
+            return spare
+    return np.empty(shape)
+
+
+def _hand_back(buffer: np.ndarray) -> None:
+    """Keep ``buffer`` as the spare while a fit session is open."""
+    with _SESSION_LOCK:
+        if _session["open"]:
+            _session["spare"] = buffer
+
+
 def _newton(
     Z: np.ndarray,
     y: np.ndarray,
@@ -757,7 +870,10 @@ def _newton(
     line search formed instead of forming it again. The line search takes
     its stack of pending problems once and reuses it across halvings while
     the same problems stay pending. Each iteration writes the reduced
-    Hessians into one buffer.
+    Hessians into one buffer. Inside a fit session (:func:`_fit_session`)
+    that is the session's spare of its shape, if there is one, and it is
+    handed back on return; :func:`_reduced_hessian` writes every entry, so
+    a reused buffer changes no byte.
     Returns V, B x K x (p + 1), and per problem its final objective,
     iteration count and gradient max-norm. Issues no warning.
     """
@@ -765,7 +881,7 @@ def _newton(
     d, J = p + 1, K - 1
     X = np.concatenate([Z, np.ones((B, n, 1))], axis=2)
     live = _Stack(X, _one_hot(y, K), s / n, penalty, to_weights)
-    hessians = np.empty((B, J * d, J * d))
+    hessians = _hessian_buffer((B, J * d, J * d))
     V = np.zeros((B, K, d))
     value, grad, P = live.objective(V)
     # Per problem, by position in the input stack:
@@ -825,6 +941,7 @@ def _newton(
             pending = failed
         for row in pending:  # no step along the Newton direction passed the Armijo test
             stopped[row] = True
+    _hand_back(hessians)
     return final_V, f, n_iter, final_norm
 
 
@@ -873,8 +990,11 @@ def build_features(dataset_or_abundances, epsilon: float, feature_mode: str) -> 
     raise InvalidValue(f"feature_mode must be one of {_FEATURE_MODES}, got {feature_mode!r}")
 
 
+@_fit_session()
 def fit(dataset: Dataset, config: GrmlrConfig) -> tuple[GrmlrModel, EcologicalGraph]:
     """Train a model on a labelled dataset; returns it with the graph used.
+
+    It runs in one fit session (``_fit_session``), with one BLAS thread.
 
     The features are the CLR coordinates of the abundances, as in the
     paper's pipeline; raw features serve only the no-CLR arm of

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grmlr import cli
+from grmlr import cli, model
 from grmlr.dataset import STAGE_LABELS, AbundanceMatrix, Dataset, load_dataset, save_dataset
 from grmlr.errors import InvalidValue
 from grmlr.evaluation import DEFAULT_GRID, permutation_test
@@ -28,6 +28,7 @@ MANIFEST_KEYS = {
     "seed",
     "tool_version",
     "timestamp",
+    "blas_threads",
 }
 
 
@@ -95,6 +96,20 @@ def test_every_command_exits_zero_and_writes_its_outputs(tmp_path, csv_trio, sma
         assert set(manifest) == MANIFEST_KEYS
         assert manifest["command"] == " ".join(argv[: 2 if argv[0] in ("eval", "graph") else 1])
         assert manifest["output_dir"] == str(out)
+
+
+@pytest.mark.parametrize("library", ["found", "missing"])
+def test_manifest_appends_the_blas_thread_count(tmp_path, csv_trio, monkeypatch, library):
+    # fits run with one BLAS thread where the setter is found; null records that it was not
+    if library == "missing":
+        monkeypatch.setattr(model, "_openblas", lambda: None)
+    elif model._openblas() is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+    out = tmp_path / "out"
+    assert cli.main(["fit", *_trio_args(csv_trio), "--out", str(out)]) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == sorted(MANIFEST_KEYS)  # written with sorted keys
+    assert manifest["blas_threads"] == (1 if library == "found" else None)
 
 
 def test_predictions_match_predict_on_the_loaded_model(tmp_path, csv_trio, model_dir):

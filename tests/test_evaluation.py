@@ -1,5 +1,6 @@
 """Harness: LOOCV, metrics, permutation machinery, grid, ablations, sweep."""
 
+import concurrent.futures
 import gc
 import hashlib
 import itertools
@@ -582,8 +583,8 @@ class TestGridFitReuse:
     @staticmethod
     def _graph(plan, i, config):
         """Fold i's (Laplacian, blake2b digest) under ``config``, as the batch evaluator makes them."""
-        laplacians = evaluation._fold_laplacians(plan, slice(i, i + 1), config, {})
-        return evaluation._digested(laplacians)[0]
+        (laplacian,) = evaluation._fold_laplacians(plan, slice(i, i + 1), config, {})
+        return laplacian, evaluation._digest(laplacian)
 
     @pytest.mark.parametrize("name", list(GrmlrConfig.__dataclass_fields__))
     def test_every_config_field_reaches_the_fold_fit_key(self, separable, name):
@@ -732,20 +733,24 @@ class TestFoldGraphBlocks:
         p = separable.n_taxa
         assert shapes == [(1, p, p)] * separable.n_sites
 
-    def test_zero_graph_is_digested_once_per_block(self, separable, graph_builds, monkeypatch):
-        # at lambda_g = 0 a block is one broadcast zero matrix, so one digest serves its folds
+    def test_zero_graph_is_digested_once_per_plan(self, separable, graph_builds, monkeypatch):
+        # at lambda_g = 0 every block is one broadcast zero matrix of the same bytes
         zero = GrmlrConfig(lambda_g=0.0)
-        n = separable.n_sites
         plan = build_plan(separable, zero.epsilon)
-        graphs = evaluation._digested(evaluation._fold_laplacians(plan, slice(0, n), zero, {}))
-        assert len(graphs) == n and len({digest for _, digest in graphs}) == 1
-        assert graph_builds["blake2b"] == 1
+        laplacians = evaluation._fold_laplacians(plan, slice(0, separable.n_sites), zero, {})
+        assert laplacians.strides[0] == 0 and not laplacians.any()
         for block in (1, 3, None):
             graph_builds["blake2b"] = 0
             with monkeypatch.context() as patch:
                 self._blocks_of(patch, block, separable.n_taxa)
                 grid_search(separable, {**TestGridFitReuse.GRAPH_GRID, "lambda_g": [0.0]})
-            assert graph_builds["blake2b"] == (1 if block is None else -(-n // block)), block
+            assert graph_builds["blake2b"] == 1, block
+
+    def test_stress_zero_graph_is_digested_once(self, graph_builds):
+        # 40 x 160 builds one-fold blocks: 40 blocks of one zero matrix for each plan
+        ds = synthesize_dataset(n=40, p=160, K=3, n_blocks=4, coupling=0.9, noise=0.1, seed=0)
+        permutation_test(ds, GrmlrConfig(lambda_g=0.0), B=1, seed=0)
+        assert graph_builds["blake2b"] == 1
 
     def test_stress_batch_call_peaks_under_5_mb(self):
         # 40 x 160 builds one-fold blocks: 16-fold blocks peaked at about 20 MB
@@ -920,17 +925,24 @@ class TestFitStacks:
 
 
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs each submit inline."""
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs each submit inline.
+
+    It runs the worker initializer, which opens a fit session for a
+    worker's life, in this process, and closes that session on exit.
+    """
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
+        assert initializer is model._open_fit_session
         self.sizes.append(max_workers)
+        initializer()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
+        model._close_fit_session()
         return False
 
     def submit(self, fn, *args):
@@ -961,8 +973,8 @@ class _DeferringExecutor(_InlineExecutor):
 
     peaks: list = []
 
-    def __init__(self, max_workers):
-        super().__init__(max_workers)
+    def __init__(self, max_workers, initializer):
+        super().__init__(max_workers, initializer)
         self.waiting = 0
 
     def submit(self, fn, *args):
@@ -988,7 +1000,7 @@ class TestPool:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         monkeypatch.setattr(_InlineExecutor, "sizes", [])
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
         return _InlineExecutor.sizes
 
     @pytest.fixture
@@ -1075,7 +1087,7 @@ class TestPool:
     def test_unsettled_stacks_stay_within_twice_the_pool_size(self, monkeypatch):
         monkeypatch.setattr(_DeferringExecutor, "sizes", [])
         monkeypatch.setattr(_DeferringExecutor, "peaks", [])
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _DeferringExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _DeferringExecutor)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         # a quarter of the budget: 14 fold problems a stack at 13 x 26, so about 20 stacks
         monkeypatch.setattr(model, "_STACK_BYTES", model._STACK_BYTES // 4)

@@ -3,12 +3,16 @@
 With one ``--src DIR`` (the directory that holds the ``grmlr`` package)
 it prints one JSON object mapping each probe to the SHA-256 of its
 output. Its first entry, ``_env``, is not a probe: it records the BLAS
-and OpenMP thread counts and the numpy version. The 40x160 fits depend
-on the thread count in their last bits, so compare only outputs whose
-``_env`` lines agree. When a ``.../workers2`` probe's hash differs from
-its ``.../workers1`` twin's, it names the probe on stderr and exits 1.
+and OpenMP thread variables, the numpy version and ``fit_blas_threads``,
+the OpenBLAS thread count inside the tree's fit session (None where the
+tree has none or finds no OpenBLAS). The 40x160 fits depend on the
+thread count in their last bits; a tree whose fits pin one thread gives
+the same hashes whatever ``OPENBLAS_NUM_THREADS`` says, but compare an
+older tree's outputs only when their ``_env`` lines agree. When a
+``.../workers2`` probe's hash differs from its ``.../workers1`` twin's,
+it names the probe on stderr and exits 1.
 
-    python3 tools/golden_hashes.py --src /path/to/parent/src --src src
+    OPENBLAS_NUM_THREADS=1 python3 tools/golden_hashes.py --src /path/to/parent/src --src src
 
 Given ``--src`` twice, it loads both trees into one process (as
 ``grmlr_a`` and ``grmlr_b``, so both see the same BLAS threads), runs the
@@ -573,6 +577,14 @@ def compare(srcs: list[str], a: Probes, b: Probes) -> int:
     return 1 if failed else 0
 
 
+def fit_blas_threads(g):
+    """The OpenBLAS thread count inside tree ``g``'s fit session; None without one."""
+    if not hasattr(g.model, "_fit_session"):
+        return None
+    with g.model._fit_session():
+        return g.model._blas_threads()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -593,6 +605,7 @@ def main(argv=None) -> int:
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "numpy": np.__version__,
+        "fit_blas_threads": fit_blas_threads(trees[0]),
     }
     json.dump({"_env": env, **runs[0].hashes}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
